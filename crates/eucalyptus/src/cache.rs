@@ -209,6 +209,15 @@ impl Fnv {
 mod tests {
     use super::*;
 
+    /// Serializes the tests that touch the process-global store, counters
+    /// and bypass flag, so one test's bypass window or miss never lands
+    /// inside another's before/after reading.
+    static GLOBALS: Mutex<()> = Mutex::new(());
+
+    fn lock_globals() -> std::sync::MutexGuard<'static, ()> {
+        GLOBALS.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn fingerprint_separates_profiles() {
         let a = DeviceProfile::ng_medium_like();
@@ -249,6 +258,7 @@ mod tests {
 
     #[test]
     fn shared_sweep_hits_after_miss_and_returns_same_arc() {
+        let _globals = lock_globals();
         let euc = Eucalyptus::new(DeviceProfile::ng_medium_like())
             .with_kinds(vec![hermes_rtl::component::ComponentKind::Not]);
         // a sweep config no other test uses, so the first call is a miss
@@ -265,6 +275,7 @@ mod tests {
 
     #[test]
     fn bypass_skips_the_store() {
+        let _globals = lock_globals();
         let euc = Eucalyptus::new(DeviceProfile::ng_medium_like())
             .with_kinds(vec![hermes_rtl::component::ComponentKind::Not]);
         let sweep = SweepConfig { widths: vec![6], pipeline_stages: vec![0] };

@@ -7,11 +7,10 @@
 //! objective; the result drives routing estimation and timing analysis.
 
 use crate::device::DeviceProfile;
-use crate::primitives::{PCellId, PNetId, PrimNetlist, Primitive};
+use crate::primitives::{Csr, PCellId, PrimNetlist, Primitive};
 use crate::FpgaError;
 use hermes_obs::{ClockDomain, Recorder};
 use hermes_rtl::rng::DetRng;
-use std::collections::HashMap;
 
 /// Flight-recorder subsystem name used by the placer.
 const OBS_SUB: &str = "fpga.place";
@@ -78,71 +77,91 @@ pub struct Placer {
     seed: u64,
 }
 
+/// One axis of a net's bounding box, with the number of pins on each
+/// edge so a move updates it in O(1) unless it takes the last pins off
+/// an edge inward.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Span {
+    lo: u16,
+    hi: u16,
+    n_lo: u32,
+    n_hi: u32,
+}
+
+impl Span {
+    const EMPTY: Span = Span {
+        lo: u16::MAX,
+        hi: 0,
+        n_lo: 0,
+        n_hi: 0,
+    };
+
+    /// Add `k` pins at `v`.
+    fn add(mut self, v: u16, k: u32) -> Self {
+        if v < self.lo {
+            self.lo = v;
+            self.n_lo = k;
+        } else if v == self.lo {
+            self.n_lo += k;
+        }
+        if v > self.hi {
+            self.hi = v;
+            self.n_hi = k;
+        } else if v == self.hi {
+            self.n_hi += k;
+        }
+        self
+    }
+
+    /// Move `k` pins from `from` to `to`; `None` when that leaves an edge
+    /// without pins, so only a scan can find the new edge.
+    fn moved(mut self, from: u16, to: u16, k: u32) -> Option<Self> {
+        if from == self.lo {
+            self.n_lo -= k;
+        }
+        if from == self.hi {
+            self.n_hi -= k;
+        }
+        self = self.add(to, k);
+        (self.n_lo > 0 && self.n_hi > 0).then_some(self)
+    }
+}
+
 /// Cached bounding box of one net's pins, the unit of the incremental
 /// HPWL bookkeeping: coordinates are tile indices, so HPWL values are
 /// exact small integers in `f64` and incremental updates reproduce a full
 /// recompute bit-for-bit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct NetBox {
-    min_x: u16,
-    max_x: u16,
-    min_y: u16,
-    max_y: u16,
+    x: Span,
+    y: Span,
 }
 
 impl NetBox {
-    /// Bounding box of a pin list under `locations`.
-    fn of(locations: &[(u16, u16)], pins: &[PCellId]) -> Self {
-        let mut b = NetBox {
-            min_x: u16::MAX,
-            max_x: 0,
-            min_y: u16::MAX,
-            max_y: 0,
+    /// Bounding box of a list of sites.
+    fn of(sites: impl Iterator<Item = (u16, u16)>) -> Self {
+        let empty = NetBox {
+            x: Span::EMPTY,
+            y: Span::EMPTY,
         };
-        for &p in pins {
-            b = b.expand(locations[p.0 as usize]);
-        }
-        b
+        sites.fold(empty, |b, (x, y)| NetBox {
+            x: b.x.add(x, 1),
+            y: b.y.add(y, 1),
+        })
     }
 
-    /// Bounding box with `moved`'s pins relocated to `to` (the candidate
-    /// recompute path for boundary pins, without mutating `locations`).
-    fn of_moved(locations: &[(u16, u16)], pins: &[PCellId], moved: u32, to: (u16, u16)) -> Self {
-        let mut b = NetBox {
-            min_x: u16::MAX,
-            max_x: 0,
-            min_y: u16::MAX,
-            max_y: 0,
-        };
-        for &p in pins {
-            b = b.expand(if p.0 == moved {
-                to
-            } else {
-                locations[p.0 as usize]
-            });
-        }
-        b
-    }
-
-    /// Grow to include `p`.
-    fn expand(self, p: (u16, u16)) -> Self {
-        NetBox {
-            min_x: self.min_x.min(p.0),
-            max_x: self.max_x.max(p.0),
-            min_y: self.min_y.min(p.1),
-            max_y: self.max_y.max(p.1),
-        }
-    }
-
-    /// Whether `p` lies strictly inside the box on both axes — removing
-    /// such a pin cannot shrink the box, so a move from `p` only expands.
-    fn strictly_inside(self, p: (u16, u16)) -> bool {
-        p.0 > self.min_x && p.0 < self.max_x && p.1 > self.min_y && p.1 < self.max_y
+    /// The box after `k` pins move from `from` to `to`, if the cached edge
+    /// counts determine it.
+    fn moved(self, from: (u16, u16), to: (u16, u16), k: u32) -> Option<Self> {
+        Some(NetBox {
+            x: self.x.moved(from.0, to.0, k)?,
+            y: self.y.moved(from.1, to.1, k)?,
+        })
     }
 
     /// Half-perimeter wirelength of the box.
     fn hpwl(&self) -> f64 {
-        f64::from(self.max_x - self.min_x) + f64::from(self.max_y - self.min_y)
+        f64::from(self.x.hi - self.x.lo) + f64::from(self.y.hi - self.y.lo)
     }
 }
 
@@ -227,40 +246,33 @@ impl Placer {
             locations[cid.0 as usize] = site_of(classes[cid.0 as usize])?;
         }
 
-        // Build net -> pins map for HPWL.
-        let mut net_pins: HashMap<PNetId, Vec<PCellId>> = HashMap::new();
-        for (cid, c) in prim.cells() {
-            for &n in c.inputs.iter().chain(c.outputs.iter()) {
-                net_pins.entry(n).or_default().push(cid);
-            }
-        }
-        // sort for determinism: HashMap iteration order would otherwise
-        // pick the anneal's f64 accumulation order (and thus the accepted
-        // trajectory) per Placer instance
-        let mut nets: Vec<(PNetId, Vec<PCellId>)> = net_pins
-            .into_iter()
-            .filter(|(_, pins)| pins.len() > 1)
-            .collect();
-        nets.sort_unstable_by_key(|(n, _)| n.0);
-        // cell -> nets containing it
-        let mut cell_nets: Vec<Vec<usize>> = vec![Vec::new(); prim.cell_count()];
-        for (i, (_, pins)) in nets.iter().enumerate() {
-            for &p in pins {
-                cell_nets[p.0 as usize].push(i);
-            }
-        }
+        // Multi-pin nets in net-id order (the anneal's f64 accumulation
+        // order), and for each cell the indices of the nets it sits on:
+        // one entry per pin, so a net the cell sits on twice lists twice.
+        let net_pins = prim.net_pins();
+        let multi = net_pins.iter().filter(|pins| pins.len() > 1);
+        let nets = Csr::from_pairs(
+            multi.clone().count(),
+            multi
+                .enumerate()
+                .flat_map(|(i, pins)| pins.iter().map(move |&p| (i, p))),
+        );
+        let cell_nets = Csr::from_pairs(
+            prim.cell_count(),
+            nets.iter()
+                .enumerate()
+                .flat_map(|(i, pins)| pins.iter().map(move |p| (p.0 as usize, i as u32))),
+        );
+        let sites = |locations: &[(u16, u16)], pins: &[PCellId]| -> NetBox {
+            NetBox::of(pins.iter().map(|p| locations[p.0 as usize]))
+        };
 
         // Cached per-net bounding boxes: a move's cost delta touches only
         // the boxes of nets on the moved cell (O(pins-touched)), instead of
         // recomputing every affected net's pin list twice per move.
-        let mut boxes: Vec<NetBox> = nets
-            .iter()
-            .map(|(_, pins)| NetBox::of(&locations, pins))
-            .collect();
+        let mut boxes: Vec<NetBox> = nets.iter().map(|pins| sites(&locations, pins)).collect();
         let total = |locations: &[(u16, u16)]| -> f64 {
-            nets.iter()
-                .map(|(_, p)| NetBox::of(locations, p).hpwl())
-                .sum()
+            nets.iter().map(|pins| sites(locations, pins).hpwl()).sum()
         };
 
         let initial_hpwl: f64 = boxes.iter().map(NetBox::hpwl).sum();
@@ -277,7 +289,7 @@ impl Placer {
         let mut moves_accepted = 0u64;
         if !movable.is_empty() && !logic_sites.is_empty() && self.effort != Effort::Zero {
             let total_moves = self.effort.moves_per_cell() * movable.len() as u64;
-            let temp0 = (cost / nets.len().max(1) as f64).max(1.0) * 2.0;
+            let temp0 = (cost / nets.rows().max(1) as f64).max(1.0) * 2.0;
             let mut temp = temp0;
             let cooling = 0.92f64;
             let moves_per_temp = (movable.len() as u64 * 4).max(64);
@@ -301,27 +313,40 @@ impl Placer {
                         continue;
                     }
                     // Delta over affected nets, from cached bounding boxes:
-                    // a pin strictly inside its net's box only expands it
-                    // (O(1)); a boundary pin forces an O(pins) recompute of
-                    // that net alone. Summation order mirrors the direct
-                    // recompute, keeping seeded trajectories bit-identical.
-                    let affected = &cell_nets[cell as usize];
+                    // edge counts update a box in O(1); only a move taking
+                    // the last pins off an edge inward rescans that net.
+                    // A cell with several pins on a net lists the net in a
+                    // run (rows are in net order), moved once as a group.
+                    // Summation order mirrors the direct recompute, keeping
+                    // seeded trajectories bit-identical.
+                    let affected = cell_nets.row(cell as usize);
                     candidate.clear();
                     let mut before = 0.0f64;
                     let mut after = 0.0f64;
-                    for &i in affected {
+                    for (j, &i) in affected.iter().enumerate() {
+                        let i = i as usize;
                         before += boxes[i].hpwl();
-                        let cached = candidate.iter().find(|(j, _)| *j == i).map(|(_, b)| *b);
-                        let new_box = cached.unwrap_or_else(|| {
-                            let b = if boxes[i].strictly_inside(old_site) {
-                                boxes[i].expand(new_site)
-                            } else {
-                                NetBox::of_moved(&locations, &nets[i].1, cell, new_site)
+                        if candidate.last().is_none_or(|&(last, _)| last != i) {
+                            let k = affected[j..]
+                                .iter()
+                                .take_while(|&&n| n as usize == i)
+                                .count();
+                            let rescan = || {
+                                NetBox::of(nets.row(i).iter().map(|p| {
+                                    if p.0 == cell {
+                                        new_site
+                                    } else {
+                                        locations[p.0 as usize]
+                                    }
+                                }))
                             };
+                            let b = boxes[i]
+                                .moved(old_site, new_site, k as u32)
+                                .unwrap_or_else(rescan);
+                            debug_assert_eq!(b, rescan(), "incremental box of net {i}");
                             candidate.push((i, b));
-                            b
-                        });
-                        after += new_box.hpwl();
+                        }
+                        after += candidate[candidate.len() - 1].1.hpwl();
                     }
                     let delta = after - before;
                     let accept = delta <= 0.0 || rng.next_f64() < (-delta / temp).exp();
@@ -335,17 +360,19 @@ impl Placer {
                     }
                 }
                 done += moves_per_temp;
-                obs.instant(
-                    OBS_SUB,
-                    "anneal-epoch",
-                    ClockDomain::Seq,
-                    epoch,
-                    &[
-                        ("seed", self.seed.to_string()),
-                        ("temp", format!("{temp:.4}")),
-                        ("cost", format!("{cost:.1}")),
-                    ],
-                );
+                if obs.enabled() {
+                    obs.instant(
+                        OBS_SUB,
+                        "anneal-epoch",
+                        ClockDomain::Seq,
+                        epoch,
+                        &[
+                            ("seed", self.seed.to_string()),
+                            ("temp", format!("{temp:.4}")),
+                            ("cost", format!("{cost:.1}")),
+                        ],
+                    );
+                }
                 epoch += 1;
                 temp *= cooling;
                 if cost < best_cost {
@@ -477,15 +504,17 @@ impl Placer {
         logic_sites: &[(u16, u16)],
     ) {
         let cap = self.device.luts_per_tile as usize * 2; // LUT + FF sites
-        let mut occupancy: HashMap<(u16, u16), usize> = HashMap::new();
+        let cols = self.device.grid_cols as usize;
+        let tile = |(x, y): (u16, u16)| y as usize * cols + x as usize;
+        let mut occupancy = vec![0usize; cols * self.device.grid_rows as usize];
         for (i, &loc) in locations.iter().enumerate() {
             if classes[i] == SiteClass::Logic {
-                *occupancy.entry(loc).or_default() += 1;
+                occupancy[tile(loc)] += 1;
             }
         }
         let mut free: Vec<(u16, u16)> = logic_sites
             .iter()
-            .filter(|s| occupancy.get(s).copied().unwrap_or(0) < cap)
+            .filter(|&&s| occupancy[tile(s)] < cap)
             .copied()
             .collect();
         for i in 0..locations.len() {
@@ -493,7 +522,7 @@ impl Placer {
                 continue;
             }
             let loc = locations[i];
-            let occ = occupancy.get_mut(&loc).expect("tracked");
+            let occ = &mut occupancy[tile(loc)];
             if *occ > cap {
                 *occ -= 1;
                 // move to nearest free tile
@@ -504,7 +533,7 @@ impl Placer {
                 {
                     let target = free[best_idx];
                     locations[i] = target;
-                    let t = occupancy.entry(target).or_default();
+                    let t = &mut occupancy[tile(target)];
                     *t += 1;
                     if *t >= cap {
                         free.swap_remove(best_idx);

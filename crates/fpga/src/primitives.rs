@@ -14,7 +14,7 @@ use std::fmt;
 pub struct PNetId(pub u32);
 
 /// Identifier of a primitive cell.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PCellId(pub u32);
 
 impl fmt::Display for PNetId {
@@ -237,26 +237,76 @@ impl PrimNetlist {
         u
     }
 
-    /// Map from net to the driving cell.
-    pub fn driver_map(&self) -> HashMap<PNetId, PCellId> {
-        let mut m = HashMap::new();
-        for (cid, c) in self.cells() {
-            for &o in &c.outputs {
-                m.insert(o, cid);
-            }
+    /// Net → pin index: row `n` lists the cells with a pin on net `n`,
+    /// built in one counting pass in cell order, inputs before outputs.
+    /// A cell appears once per pin, so a net it reads twice lists it twice.
+    pub fn net_pins(&self) -> Csr<PCellId> {
+        let pins = self.cells.iter().enumerate().flat_map(|(i, c)| {
+            let cid = PCellId(i as u32);
+            c.inputs
+                .iter()
+                .chain(&c.outputs)
+                .map(move |n| (n.0 as usize, cid))
+        });
+        Csr::from_pairs(self.net_count as usize, pins)
+    }
+}
+
+/// A compressed-sparse-row table: row `r` holds
+/// `values[offsets[r]..offsets[r + 1]]`. Dense ids index it directly, so
+/// flow hot paths never hash a `PNetId` or `PCellId`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Csr<T> {
+    offsets: Vec<u32>,
+    values: Vec<T>,
+}
+
+impl<T: Copy + Default> Csr<T> {
+    /// Build from `(row, value)` pairs; every row keeps its values in
+    /// the order the pairs arrive. The iterator runs twice (count, fill).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a pair names a row `>= rows`.
+    pub fn from_pairs<I>(rows: usize, pairs: I) -> Self
+    where
+        I: Iterator<Item = (usize, T)> + Clone,
+    {
+        let mut offsets = vec![0u32; rows + 1];
+        for (r, _) in pairs.clone() {
+            offsets[r + 1] += 1;
         }
-        m
+        for r in 0..rows {
+            offsets[r + 1] += offsets[r];
+        }
+        let mut next = offsets.clone();
+        let mut values = vec![T::default(); offsets[rows] as usize];
+        for (r, v) in pairs {
+            values[next[r] as usize] = v;
+            next[r] += 1;
+        }
+        Csr { offsets, values }
+    }
+}
+
+impl<T> Csr<T> {
+    /// Number of rows.
+    pub fn rows(&self) -> usize {
+        self.offsets.len() - 1
     }
 
-    /// Map from net to all consuming cells.
-    pub fn consumer_map(&self) -> HashMap<PNetId, Vec<PCellId>> {
-        let mut m: HashMap<PNetId, Vec<PCellId>> = HashMap::new();
-        for (cid, c) in self.cells() {
-            for &i in &c.inputs {
-                m.entry(i).or_default().push(cid);
-            }
-        }
-        m
+    /// The values of row `r`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r >= self.rows()`.
+    pub fn row(&self, r: usize) -> &[T] {
+        &self.values[self.offsets[r] as usize..self.offsets[r + 1] as usize]
+    }
+
+    /// Every row in order.
+    pub fn iter(&self) -> impl Iterator<Item = &[T]> + Clone {
+        (0..self.rows()).map(|r| self.row(r))
     }
 }
 
@@ -351,21 +401,32 @@ mod tests {
     }
 
     #[test]
-    fn driver_and_consumer_maps() {
+    fn net_pins_list_inputs_then_outputs_in_cell_order() {
         let mut p = PrimNetlist::new("t");
         let a = p.new_net();
         let y = p.new_net();
-        let c = p.add(
+        let unused = p.new_net();
+        let l = p.add(
             "l",
             Primitive::Lut4 {
-                truth: NOT1,
-                used_inputs: 1,
+                truth: AND2,
+                used_inputs: 2,
             },
-            vec![a],
+            vec![a, a],
             vec![y],
             "s",
         );
-        assert_eq!(p.driver_map().get(&y), Some(&c));
-        assert_eq!(p.consumer_map().get(&a), Some(&vec![c]));
+        let f = p.add(
+            "f",
+            Primitive::Dff { has_enable: false },
+            vec![y],
+            vec![a],
+            "s",
+        );
+        let pins = p.net_pins();
+        assert_eq!(pins.rows(), 3);
+        assert_eq!(pins.row(a.0 as usize), &[l, l, f]);
+        assert_eq!(pins.row(y.0 as usize), &[l, f]);
+        assert!(pins.row(unused.0 as usize).is_empty());
     }
 }

@@ -9,9 +9,8 @@
 
 use crate::device::DeviceProfile;
 use crate::place::Placement;
-use crate::primitives::{PCellId, PNetId, PrimNetlist};
+use crate::primitives::{Csr, PNetId, PrimNetlist};
 use crate::FpgaError;
-use std::collections::HashMap;
 
 /// Wiring tracks available per tile boundary.
 pub const TRACKS_PER_CHANNEL: u32 = 512;
@@ -30,8 +29,9 @@ pub struct RouteReport {
     pub peak_utilization: f64,
     /// Number of channels whose demand exceeds capacity.
     pub overflowed_channels: u32,
-    /// Per-net routed delay in nanoseconds, keyed by net.
-    pub net_delay_ns: HashMap<PNetId, f64>,
+    /// Per-net delay in nanoseconds, indexed by [`PNetId`]. Nets with
+    /// fewer than two pins are not routed and carry the base net delay.
+    pub net_delay_ns: Vec<f64>,
     /// Number of routed (multi-pin) nets.
     pub routed_nets: usize,
 }
@@ -41,7 +41,7 @@ impl RouteReport {
     /// unrouted nets.
     pub fn delay_of(&self, net: PNetId, device: &DeviceProfile) -> f64 {
         self.net_delay_ns
-            .get(&net)
+            .get(net.0 as usize)
             .copied()
             .unwrap_or(device.timing.net_base_ns)
     }
@@ -75,26 +75,18 @@ impl Router {
         prim: &PrimNetlist,
         placement: &Placement,
     ) -> Result<RouteReport, FpgaError> {
-        // Collect multi-pin nets with their pin sites.
-        let mut net_pins: HashMap<PNetId, Vec<PCellId>> = HashMap::new();
-        for (cid, c) in prim.cells() {
-            for &n in c.inputs.iter().chain(c.outputs.iter()) {
-                net_pins.entry(n).or_default().push(cid);
-            }
-        }
-        // sort for determinism: wirelength and channel demand are f64
-        // accumulations, so the net order must not depend on HashMap state
-        let mut sorted_nets: Vec<(PNetId, Vec<PCellId>)> = net_pins.into_iter().collect();
-        sorted_nets.sort_unstable_by_key(|(n, _)| n.0);
+        // Nets in id order: wirelength and channel demand are f64
+        // accumulations, so the order is part of the result.
+        let net_pins = prim.net_pins();
 
         let cols = self.device.grid_cols as usize;
         let rows = self.device.grid_rows as usize;
         let mut demand = vec![0.0f64; cols * rows];
 
         let mut total_wl = 0.0;
-        type NetBbox = (PNetId, usize, (u16, u16, u16, u16));
+        type NetBbox = (usize, usize, (u16, u16, u16, u16));
         let mut bboxes: Vec<NetBbox> = Vec::new();
-        for (net, pins) in &sorted_nets {
+        for (net, pins) in net_pins.iter().enumerate() {
             if pins.len() < 2 {
                 continue;
             }
@@ -119,13 +111,14 @@ impl Router {
             if pins.len() <= GLOBAL_NET_FANOUT {
                 let area = ((max_x - min_x + 1) as f64) * ((max_y - min_y + 1) as f64);
                 let per_tile = wl / area;
-                for x in min_x..=max_x {
-                    for y in min_y..=max_y {
-                        demand[y as usize * cols + x as usize] += per_tile;
+                for y in min_y..=max_y {
+                    let row = &mut demand[y as usize * cols..][..=max_x as usize];
+                    for d in &mut row[min_x as usize..] {
+                        *d += per_tile;
                     }
                 }
             }
-            bboxes.push((*net, pins.len(), (min_x, max_x, min_y, max_y)));
+            bboxes.push((net, pins.len(), (min_x, max_x, min_y, max_y)));
         }
 
         let cap = f64::from(TRACKS_PER_CHANNEL);
@@ -144,24 +137,37 @@ impl Router {
             });
         }
 
-        // Per-net delay: distance + fanout + congestion penalty.
+        // Per-net delay: distance + fanout + congestion penalty. Only
+        // tiles above the penalty threshold can set a penalty, so each row
+        // lists its hot columns and a net scans those, not its whole box;
+        // the worst hot utilization in the box is the box's maximum.
+        const HOT: f64 = 0.8;
+        let hot = Csr::from_pairs(
+            rows,
+            demand
+                .iter()
+                .enumerate()
+                .filter(|&(_, &d)| d / cap > HOT)
+                .map(|(tile, _)| (tile / cols, (tile % cols) as u16)),
+        );
         let t = &self.device.timing;
-        let mut net_delay_ns = HashMap::with_capacity(bboxes.len());
+        let mut net_delay_ns = vec![t.net_base_ns; net_pins.rows()];
         for (net, fanout, (min_x, max_x, min_y, max_y)) in &bboxes {
             let hpwl = f64::from(max_x - min_x) + f64::from(max_y - min_y);
-            // congestion along the bbox
             let mut worst = 0.0f64;
-            for x in *min_x..=*max_x {
-                for y in *min_y..=*max_y {
+            for y in *min_y..=*max_y {
+                let xs = hot.row(y as usize);
+                let from = xs.partition_point(|x| x < min_x);
+                for &x in xs[from..].iter().take_while(|&x| x <= max_x) {
                     worst = worst.max(demand[y as usize * cols + x as usize] / cap);
                 }
             }
-            let congestion_penalty = if worst > 0.8 { 1.0 + (worst - 0.8) * 2.0 } else { 1.0 };
+            let congestion_penalty = if worst > HOT { 1.0 + (worst - HOT) * 2.0 } else { 1.0 };
             let delay = (t.net_base_ns
                 + t.net_per_tile_ns * hpwl
                 + t.net_per_fanout_ns * (*fanout as f64 - 1.0))
                 * congestion_penalty;
-            net_delay_ns.insert(*net, delay);
+            net_delay_ns[*net] = delay;
         }
 
         Ok(RouteReport {
@@ -207,7 +213,7 @@ mod tests {
     fn net_delays_exceed_base() {
         let r = routed();
         let dev = DeviceProfile::ng_medium_like();
-        for &d in r.net_delay_ns.values() {
+        for &d in &r.net_delay_ns {
             assert!(d >= dev.timing.net_base_ns);
         }
     }

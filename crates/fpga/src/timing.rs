@@ -7,7 +7,7 @@
 //! clock-constraint-aware optimization.
 
 use crate::device::DeviceProfile;
-use crate::primitives::{PCellId, PNetId, PrimNetlist, Primitive};
+use crate::primitives::{Csr, PCellId, PNetId, PrimNetlist, Primitive};
 use crate::route::RouteReport;
 use std::collections::HashMap;
 
@@ -108,30 +108,45 @@ impl Analyzer {
         target_period_ns: f64,
     ) -> TimingReport {
         let t = &self.device.timing;
-        let consumers = prim.consumer_map();
-        let fanout_delay = |net: PNetId| -> f64 {
-            match route {
-                Some(r) => r.delay_of(net, &self.device),
-                None => {
-                    let fanout = consumers.get(&net).map(Vec::len).unwrap_or(0) as f64;
-                    t.net_base_ns + t.net_per_fanout_ns * (fanout - 1.0).max(0.0)
-                }
+        let nets = prim.net_count() as usize;
+        // Wire delay of every net, and each net's driver: the last cell in
+        // cell order that lists it as an output (a multiply-driven net
+        // resolves to its last writer).
+        let mut driver: Vec<Option<PCellId>> = vec![None; nets];
+        let mut fanout = vec![0u32; nets];
+        for (cid, c) in prim.cells() {
+            for &o in &c.outputs {
+                driver[o.0 as usize] = Some(cid);
             }
+            for &i in &c.inputs {
+                fanout[i.0 as usize] += 1;
+            }
+        }
+        let wire: Vec<f64> = match route {
+            Some(r) => (0..nets as u32)
+                .map(|n| r.delay_of(PNetId(n), &self.device))
+                .collect(),
+            None => fanout
+                .iter()
+                .map(|&f| t.net_base_ns + t.net_per_fanout_ns * (f64::from(f) - 1.0).max(0.0))
+                .collect(),
         };
 
-        // arrival time per net, plus the cell that set it (for path recovery)
-        let mut arrival: HashMap<PNetId, (f64, Option<PCellId>)> = HashMap::new();
+        // Arrival time per net, plus the cell that set it (for path
+        // recovery); `None` until some cell drives the net.
+        let mut arrival: Vec<Option<(f64, PCellId)>> = vec![None; nets];
 
         // Launch points: sequential outputs and input pads.
+        let is_comb = |p: &Primitive| !p.is_sequential() && !matches!(p, Primitive::IoPad { .. });
         let mut comb_cells: Vec<PCellId> = Vec::new();
         for (cid, c) in prim.cells() {
             if c.prim.is_sequential() || matches!(c.prim, Primitive::IoPad { is_input: true }) {
                 let launch = self.cell_delay(&c.prim);
                 for &o in &c.outputs {
-                    let a = launch + fanout_delay(o);
-                    let e = arrival.entry(o).or_insert((a, Some(cid)));
-                    if a > e.0 {
-                        *e = (a, Some(cid));
+                    let a = launch + wire[o.0 as usize];
+                    let e = &mut arrival[o.0 as usize];
+                    if e.is_none_or(|(old, _)| a > old) {
+                        *e = Some((a, cid));
                     }
                 }
             } else if !matches!(c.prim, Primitive::IoPad { .. }) {
@@ -139,43 +154,43 @@ impl Analyzer {
             }
         }
 
-        // Topological propagation via Kahn's algorithm over combinational cells.
-        let driver = prim.driver_map();
-        let mut indeg: HashMap<PCellId, usize> = HashMap::new();
-        let mut succ: HashMap<PCellId, Vec<PCellId>> = HashMap::new();
-        for &cid in &comb_cells {
-            let c = prim.cell(cid);
-            let mut deg = 0;
-            for &i in &c.inputs {
-                if let Some(&src) = driver.get(&i) {
-                    let sp = &prim.cell(src).prim;
-                    if !sp.is_sequential() && !matches!(sp, Primitive::IoPad { .. }) {
-                        deg += 1;
-                        succ.entry(src).or_default().push(cid);
-                    }
-                }
-            }
-            indeg.insert(cid, deg);
+        // Topological propagation via Kahn's algorithm over combinational
+        // cells: one edge per input pin driven by another combinational cell.
+        let driver = &driver;
+        let edges = comb_cells.iter().flat_map(|&cid| {
+            prim.cell(cid).inputs.iter().filter_map(move |i| {
+                driver[i.0 as usize]
+                    .filter(|&src| is_comb(&prim.cell(src).prim))
+                    .map(|src| (src, cid))
+            })
+        });
+        let mut indeg = vec![0u32; prim.cell_count()];
+        for (_, dst) in edges.clone() {
+            indeg[dst.0 as usize] += 1;
         }
+        let succ = Csr::from_pairs(
+            prim.cell_count(),
+            edges.map(|(src, dst)| (src.0 as usize, dst)),
+        );
         let mut queue: Vec<PCellId> = comb_cells
             .iter()
             .copied()
-            .filter(|c| indeg[c] == 0)
+            .filter(|c| indeg[c.0 as usize] == 0)
             .collect();
-        let mut pred_of: HashMap<PCellId, Option<PCellId>> = HashMap::new();
+        let mut pred_of: Vec<Option<PCellId>> = vec![None; prim.cell_count()];
         while let Some(cid) = queue.pop() {
             let c = prim.cell(cid);
             let mut best = 0.0f64;
             let mut best_pred = None;
             for &i in &c.inputs {
-                if let Some(&(a, src)) = arrival.get(&i) {
+                if let Some((a, src)) = arrival[i.0 as usize] {
                     if a > best {
                         best = a;
-                        best_pred = src;
+                        best_pred = Some(src);
                     }
                 }
             }
-            pred_of.insert(cid, best_pred);
+            pred_of[cid.0 as usize] = best_pred;
             let d = self.cell_delay(&c.prim);
             // multicycle exception: cell and interconnect delay inside the
             // excepted cone are amortized over the allowed settle cycles
@@ -185,19 +200,17 @@ impl Analyzer {
                 .map(|&f| f64::from(f.max(1)))
                 .unwrap_or(1.0);
             for &o in &c.outputs {
-                let a = best + (d + fanout_delay(o)) / scale;
-                let e = arrival.entry(o).or_insert((a, Some(cid)));
-                if a >= e.0 {
-                    *e = (a, Some(cid));
+                let a = best + (d + wire[o.0 as usize]) / scale;
+                let e = &mut arrival[o.0 as usize];
+                if e.is_none_or(|(old, _)| a >= old) {
+                    *e = Some((a, cid));
                 }
             }
-            if let Some(next) = succ.get(&cid) {
-                for &n in next {
-                    let deg = indeg.get_mut(&n).expect("tracked");
-                    *deg -= 1;
-                    if *deg == 0 {
-                        queue.push(n);
-                    }
+            for &n in succ.row(cid.0 as usize) {
+                let deg = &mut indeg[n.0 as usize];
+                *deg -= 1;
+                if *deg == 0 {
+                    queue.push(n);
                 }
             }
         }
@@ -213,7 +226,7 @@ impl Analyzer {
             }
             let setup = self.sink_setup(&c.prim);
             for &i in &c.inputs {
-                if let Some(&(a, _)) = arrival.get(&i) {
+                if let Some((a, _)) = arrival[i.0 as usize] {
                     let total = a + setup;
                     if total > critical {
                         critical = total;
@@ -238,10 +251,10 @@ impl Analyzer {
                 logic_levels += 1;
             }
             // predecessor through worst input
-            cur = pred_of.get(&cid).copied().flatten().or_else(|| {
+            cur = pred_of[cid.0 as usize].or_else(|| {
                 let mut best: Option<(f64, PCellId)> = None;
                 for &i in &c.inputs {
-                    if let Some(&(a, Some(src))) = arrival.get(&i) {
+                    if let Some((a, src)) = arrival[i.0 as usize] {
                         if best.map(|(b, _)| a > b).unwrap_or(true) {
                             best = Some((a, src));
                         }
@@ -352,6 +365,43 @@ mod tests {
         let r = analyze(&adder(16));
         assert!(!r.critical_cells.is_empty());
         assert!(r.logic_levels > 0);
+    }
+
+    #[test]
+    fn multiply_driven_net_resolves_to_its_last_writer() {
+        use crate::primitives::{truth, PrimNetlist};
+        let lut = Primitive::Lut4 {
+            truth: truth::BUF1,
+            used_inputs: 1,
+        };
+        let mut p = PrimNetlist::new("t");
+        let (a, b, n, y) = (p.new_net(), p.new_net(), p.new_net(), p.new_net());
+        p.add(
+            "pad_a",
+            Primitive::IoPad { is_input: true },
+            vec![],
+            vec![a],
+            "s",
+        );
+        p.add(
+            "pad_b",
+            Primitive::IoPad { is_input: true },
+            vec![],
+            vec![b],
+            "s",
+        );
+        p.add("first", lut.clone(), vec![a], vec![n], "s");
+        p.add("last", lut.clone(), vec![b], vec![n], "s");
+        p.add("sink", lut, vec![n], vec![y], "s");
+        p.add(
+            "pad_y",
+            Primitive::IoPad { is_input: false },
+            vec![y],
+            vec![],
+            "s",
+        );
+        let r = Analyzer::new(DeviceProfile::ng_medium_like()).analyze(&p, None, 10.0);
+        assert_eq!(r.critical_cells, ["pad_b", "last", "sink", "pad_y"]);
     }
 
     #[test]
