@@ -165,7 +165,7 @@ pub struct AxiTestbench {
     /// Optional retry policy (off by default — errors surface immediately).
     pub retry: Option<RetryPolicy>,
     /// Whether blocking waits fast-forward quiet slave cycles through the
-    /// unified event kernel (`HERMES_EVENT_KERNEL`, DESIGN.md §14).
+    /// unified event kernel (default on, DESIGN.md §14).
     event_kernel: bool,
     /// Persistent wait-timer scheduler (wheel or reference, per the knob).
     sched: Scheduler<AxiTimer>,
@@ -185,7 +185,6 @@ impl AxiTestbench {
 
     /// Build a testbench with an explicit bus width in bytes.
     pub fn with_bus_width(mem_size: usize, timing: MemoryTiming, bus_bytes: u8) -> Self {
-        let event_kernel = hermes_kernel::event_kernel_enabled();
         AxiTestbench {
             master: AxiMaster::new(bus_bytes),
             memory: AxiMemory::new(mem_size, timing),
@@ -193,8 +192,8 @@ impl AxiTestbench {
             stats: BusStats::default(),
             timeout_cycles: 1_000_000,
             retry: None,
-            event_kernel,
-            sched: Scheduler::new(event_kernel),
+            event_kernel: true,
+            sched: Scheduler::new(true),
             domains: AxiDomains::register(),
             ticks_polled: 0,
             ticks_skipped: 0,
@@ -207,9 +206,9 @@ impl AxiTestbench {
         self
     }
 
-    /// Override the `HERMES_EVENT_KERNEL` default (builder style). Tests
-    /// and experiments pass the knob explicitly — process-global env
-    /// mutation is racy under the multithreaded test harness.
+    /// Select the event kernel (`true`, the default) or the per-cycle
+    /// polling waits (`false`) — the oracle hook for identity tests and
+    /// experiments (builder style).
     pub fn with_event_kernel(mut self, on: bool) -> Self {
         self.event_kernel = on;
         self.sched = Scheduler::new(on);

@@ -11,9 +11,10 @@
 //! cargo run --release -p hermes-bench --bin experiments e2 --jobs 1   # pin workers
 //! ```
 //!
-//! `--jobs N` pins the worker count for the whole run, taking precedence
-//! over `HERMES_JOBS`; `N` must be a positive integer (unparsable or zero
-//! values are rejected with an error, not silently defaulted).
+//! `--jobs N` pins the worker count for the whole run (default: the
+//! machine's available parallelism); `N` must be a positive integer
+//! (unparsable or zero values are rejected with an error, not silently
+//! defaulted).
 //!
 //! `--trace <path>` runs the selection against a shared flight recorder
 //! and writes the `hermes-trace/v1` document to `<path>` plus a Chrome
@@ -28,8 +29,10 @@
 //! plus a collapsed-stack flamegraph to `<path minus .json>.folded`.
 //! Profiles carry no wall channel at all: two profiles from the same
 //! selection diff byte-identical at any worker count, no stripping
-//! needed. `HERMES_TRACE_SAMPLE=<permille>` bounds how many serve
-//! requests record causal traces (strictly parsed, 0..=1000).
+//! needed.
+//!
+//! Every engine runs its default (DESIGN.md, "Engine selection"); the
+//! binary reads no environment variables.
 
 use hermes_bench::json::Json;
 use hermes_bench::profile_export;
@@ -37,22 +40,6 @@ use hermes_bench::trace;
 use hermes_obs::{ClockDomain, Recorder};
 
 fn main() {
-    // Fail fast on a malformed HERMES_PACKED_SETTLE or HERMES_TRACE_SAMPLE
-    // before any experiment runs — a typo silently selecting the wrong
-    // settle engine or sampling rate would invalidate a whole benchmark
-    // run.
-    if let Err(e) = hermes_rtl::sim::packed_settle_env() {
-        eprintln!("{e}");
-        std::process::exit(1);
-    }
-    if let Err(e) = hermes_obs::env::trace_sample_env() {
-        eprintln!("{e}");
-        std::process::exit(1);
-    }
-    if let Err(e) = hermes_kernel::event_kernel_env() {
-        eprintln!("{e}");
-        std::process::exit(1);
-    }
     let mut filter: Vec<String> = Vec::new();
     let mut json_path: Option<String> = None;
     let mut trace_path: Option<String> = None;

@@ -272,7 +272,7 @@ pub fn run_traced(obs: &hermes_obs::Recorder) -> ExperimentOutput {
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let mut host = Table::new(&["metric", "value"]);
     host.row(cells!["host cores available", cores]);
-    host.row(cells!["default worker count (HERMES_JOBS)", hermes_par::jobs()]);
+    host.row(cells!["default worker count", hermes_par::jobs()]);
 
     // dense-state simulator vs the HashMap baseline it replaced
     let (cycles, base_secs, dense_secs) = bench_rtl_sim(2_000, 6, obs);

@@ -3,12 +3,13 @@
 //!
 //! Two layered hot-path engines on top of the E13 event-driven settle
 //! (`crates/rtl`), both measured here against the engines they replace,
-//! all of which stay selectable at run time so every comparison is live:
+//! all of which stay selectable through typed hooks so every comparison
+//! is live:
 //!
 //! * **Word-parallel lanes** — independent 1-bit ops of identical boolean
 //!   form are bit-packed up to 64 per `u64` word at settle-program build
 //!   time and evaluated as one bitwise instruction each
-//!   (`HERMES_PACKED_SETTLE`, strict `on`/`off`).
+//!   ([`Simulator::new_with_packing`]).
 //! * **Rank-partitioned parallel settle** — the program is cut into
 //!   contiguous partitions per topological rank and fanned over
 //!   `hermes-par` workers; the plan and the engagement decision are
@@ -32,9 +33,8 @@
 //!   and counter checksums must match bit-for-bit.
 //!
 //! Every simulator here is built through [`Simulator::new_with_packing`]
-//! with the settle mode set explicitly, so the rendered tables are
-//! independent of the `HERMES_PACKED_SETTLE` / `HERMES_EVENT_SETTLE`
-//! ambient knobs and of the worker count. Wall-clock figures appear only
+//! with the settle mode set explicitly, so the rendered tables name the
+//! engine on every row and are independent of the worker count. Wall-clock figures appear only
 //! on `completed in` lines (stripped by ci.sh's determinism diffs) and in
 //! the machine-readable JSON tables.
 
@@ -49,7 +49,7 @@ use std::time::Instant;
 
 /// The E11/E13 accumulator kernel — the sim-throughput workload this
 /// experiment inherits its baseline from.
-const ACC_SRC: &str =
+pub const ACC_SRC: &str =
     "int acc(int n) { int s = 0; for (int i = 0; i < n; i += 1) { s += i * i; } return s; }";
 
 /// SoC-fabric scale. Release measures the full 256-tile fabric with the

@@ -21,8 +21,8 @@
 //!
 //! The committed E17b row at 16‰ sampling is the overhead bound ci.sh
 //! enforces: sampled tracing must add <5% over the untraced recorder
-//! (the sample-0 row), which is how `HERMES_TRACE_SAMPLE` keeps
-//! always-on tracing affordable.
+//! (the sample-0 row), which is how `ServeConfig::trace_sample_permille`
+//! keeps always-on tracing affordable.
 
 use crate::cells;
 use crate::e14_serving::{self, LOADS, SEED};

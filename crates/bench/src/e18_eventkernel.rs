@@ -19,11 +19,10 @@
 //! through an [`EventSink`] in `(time, domain, seq)` order.
 //! (b) exports the wheel health counters (occupancy, overflow, cascades)
 //! per layer and in aggregate through `hermes-obs` under `kernel`.
-//! (c) re-runs every leg with `HERMES_EVENT_KERNEL=off` semantics (the
-//! sorted-reference scheduler for serve, the original per-tick loops for
-//! XNG and AXI) and asserts the results are byte-identical — the knob
-//! moves *when work happens on the host*, never *what the simulation
-//! computes*.
+//! (c) re-runs every leg with the event kernel off (the sorted-reference
+//! scheduler for serve, the original per-tick loops for XNG and AXI) and
+//! asserts the results are byte-identical — the kernel moves *when work
+//! happens on the host*, never *what the simulation computes*.
 
 use crate::cells;
 use crate::e14_serving::{mlp_model, serve_cfg, workload_cfg, SEED};
@@ -352,7 +351,8 @@ fn run_traced_jobs(jobs: usize, obs: &hermes_obs::Recorder) -> ExperimentOutput 
         "E18a: polled vs skipped scheduler passes per layer (kernel on), \
          rows in the wheel's own merge order; gate: total reduction >= 10x\n{}\n\
          E18b: timer-wheel health counters (kernel on), exported under `kernel`\n{}\n\
-         E18c: HERMES_EVENT_KERNEL=off replay, byte-identical results per layer\n{}",
+         E18c: event-kernel-off replay (reference scheduler, polling loops), \
+         byte-identical results per layer\n{}",
         ledger.render(),
         health.render(),
         knob.render(),

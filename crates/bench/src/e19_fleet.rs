@@ -9,8 +9,8 @@
 //! scale — over a million heavy-tailed (bounded-Pareto) arrivals across
 //! 512 tenants — and holds it to the single-engine bar: the accounting
 //! invariant `served + shed + rejected + balancer_shed == offered` on
-//! every row, byte-identical output across `--jobs` and the
-//! `HERMES_EVENT_KERNEL` knob.
+//! every row, byte-identical output across `--jobs` and across
+//! `FleetEngine::with_event_kernel`.
 //!
 //! (a) sweeps the shard count at a fixed arrival process (4 shards ≈
 //! 170% of capacity, 8 ≈ 85%, 16 ≈ 42%) and reports throughput, tail

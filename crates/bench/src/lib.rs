@@ -15,10 +15,17 @@
 //! or one of them: `cargo run --release -p hermes-bench --bin experiments e5`.
 //! Pass `--json <path>` to also write the tables as structured JSON (this
 //! is how `BENCH_hermes.json`, the perf trajectory baseline, is produced
-//! from E11), and pass `--jobs <n>` (or set `HERMES_JOBS=<n>`) to pin the
-//! worker count of the parallel experiments (E1/E2/E3/E7/E10 fan their
-//! independent units over `hermes-par`; any worker count renders
-//! bit-identical tables).
+//! from E11), and pass `--jobs <n>` to pin the worker count of the
+//! parallel experiments (E1/E2/E3/E7/E10 fan their independent units over
+//! `hermes-par`; any worker count renders bit-identical tables).
+//!
+//! No library crate reads the process environment: every engine runs its
+//! default, and the alternates (the oracles E13/E16/E18/E19 compare
+//! against) are reachable only through typed hooks —
+//! `Simulator::new_with_packing`, `Simulator::set_event_driven`,
+//! `with_event_kernel`/`set_event_kernel`, `cache::set_bypass` and
+//! `par::set_jobs_override`. DESIGN.md's "Engine selection" table names
+//! the test that pins each one.
 
 pub mod e1_hls_flow;
 pub mod e2_fpga_flow;

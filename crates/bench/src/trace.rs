@@ -9,8 +9,8 @@
 //! starts with `wall` — `wall_ns`, `wall_channel` — and [`Json`] renders
 //! one key per line, so stripping lines that contain `"wall` (as ci.sh
 //! does with `grep -v '"wall'`) leaves only the deterministic channels: a
-//! trace taken at `HERMES_JOBS=1` then matches a trace taken at
-//! `HERMES_JOBS=4` byte for byte.
+//! trace taken at `--jobs 1` then matches a trace taken at `--jobs 4`
+//! byte for byte.
 
 use crate::json::Json;
 use hermes_obs::{Event, EventKind, Recorder};

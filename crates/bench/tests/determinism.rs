@@ -85,12 +85,12 @@ fn e19_event_kernel_knob_never_moves_results() {
     assert_eq!(on.render(), off.render(), "fleet renders byte-identical");
 }
 
-/// The `HERMES_EVENT_KERNEL` knob holds the same contract as the worker
+/// The event-kernel selection holds the same contract as the worker
 /// count: it moves *when work happens on the host*, never *what the
 /// simulation computes*. Replay E18's serving leg (E14-shaped: chaos on
 /// the pool) and hypervisor leg (E10-shaped: crashes, restarts, an
 /// expiring watchdog) with the kernel forced on and off through the
-/// explicit API overrides (no racy env mutation) and require
+/// typed `with_event_kernel` / `set_event_kernel` hooks and require
 /// byte-identical outcomes.
 #[test]
 fn event_kernel_knob_never_moves_results() {

@@ -15,9 +15,8 @@
 //! and the characterizer's kind list.
 //!
 //! For A/B measurement and tests that must observe a cold sweep, the
-//! cache has a bypass knob: [`set_bypass`] programmatically, or the
-//! `HERMES_CHAR_CACHE` environment variable (`off`/`0`/`false` disables
-//! caching). Bypassed calls neither read nor populate the store.
+//! cache has a programmatic bypass, [`set_bypass`]. Bypassed calls
+//! neither read nor populate the store.
 
 use crate::library::CharacterizationLibrary;
 use crate::sweep::{Eucalyptus, SweepConfig};
@@ -61,14 +60,9 @@ pub fn set_bypass(on: bool) {
     BYPASS.store(on, Ordering::Relaxed);
 }
 
-/// Whether caching is currently bypassed ([`set_bypass`] or the
-/// `HERMES_CHAR_CACHE` environment variable set to `off`/`0`/`false`).
+/// Whether caching is currently bypassed ([`set_bypass`]).
 pub fn bypassed() -> bool {
-    if BYPASS.load(Ordering::Relaxed) {
-        return true;
-    }
-    let raw = std::env::var("HERMES_CHAR_CACHE").ok();
-    !hermes_obs::env::bool_lenient("HERMES_CHAR_CACHE", raw.as_deref(), true)
+    BYPASS.load(Ordering::Relaxed)
 }
 
 /// FNV-1a over a canonical rendering of every device-profile field

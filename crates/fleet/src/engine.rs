@@ -7,7 +7,7 @@
 //! five timer domains — arrival, shard, chaos, scaler, revive — popped in
 //! deterministic `(time, domain, seq)` order, so the whole fleet is as
 //! replayable as one engine: byte-identical across `--jobs` and across
-//! the `HERMES_EVENT_KERNEL` knob.
+//! [`FleetEngine::with_event_kernel`].
 //!
 //! Routing: a request's tenant hashes onto the consistent-hash
 //! [`HashRing`]; that home shard takes it unless the home's queue
@@ -287,7 +287,7 @@ impl FleetEngine {
             scaler: None,
             obs: Recorder::disabled(),
             now: 0,
-            event_kernel: hermes_kernel::event_kernel_enabled(),
+            event_kernel: true,
             memo: FleetMemo::default(),
             pending_revives: Vec::new(),
             next_eval: 0,
@@ -344,8 +344,8 @@ impl FleetEngine {
         self
     }
 
-    /// Override the `HERMES_EVENT_KERNEL` selection for the fleet and
-    /// every shard (results are byte-identical either way).
+    /// Select the scheduler (`true`, the default, is the timer wheel) for
+    /// the fleet and every shard (results are byte-identical either way).
     #[must_use]
     pub fn with_event_kernel(mut self, on: bool) -> Self {
         self.event_kernel = on;

@@ -30,8 +30,8 @@
 //! timeline; every routing, scaling, and failover decision is a function
 //! of tick arithmetic and seeded draws. Worker count only parallelizes
 //! payload evaluation inside each shard, so fleet reports are
-//! byte-identical across `--jobs` and across the `HERMES_EVENT_KERNEL`
-//! knob.
+//! byte-identical across `--jobs` and across the scheduler selected by
+//! `FleetEngine::with_event_kernel`.
 //!
 //! ## Accounting invariant
 //!

@@ -27,8 +27,8 @@ use std::sync::Arc;
 /// process-wide cache in `hermes-eucalyptus` (keyed on the full device
 /// fingerprint, not just the name): a suite of kernel flows — serial or
 /// fanned out over `hermes-par` — characterizes each device exactly once.
-/// `HERMES_CHAR_CACHE=off` (or `hermes_eucalyptus::cache::set_bypass`)
-/// forces a fresh sweep per flow for A/B measurement.
+/// `hermes_eucalyptus::cache::set_bypass` forces a fresh sweep per flow
+/// for A/B measurement.
 fn library_for(device: &DeviceProfile) -> Arc<CharacterizationLibrary> {
     Eucalyptus::new(device.clone())
         .characterize_cached(&SweepConfig {

@@ -16,13 +16,12 @@
 //! Determinism is the contract: the wheel is a speed structure, never a
 //! results structure. [`ReferenceQueue`] implements the identical API by
 //! linear min-scan over a flat vector; [`Scheduler`] selects between the
-//! two from the strict `HERMES_EVENT_KERNEL` knob, and the CI golden
-//! gates require byte-identical output from both paths.
+//! two. Engines default to the wheel; their typed `with_event_kernel` /
+//! `set_event_kernel` hooks select the reference, and the identity tests
+//! require byte-identical output from both paths.
 
-pub mod env;
 pub mod wheel;
 
-pub use env::{event_kernel_enabled, event_kernel_env, parse_event_kernel_knob, EVENT_KERNEL_VAR};
 pub use wheel::{
     DomainId, DomainRegistry, Event, EventSink, PostError, ReferenceQueue, Scheduler, Time,
     TimerWheel, WheelStats,

@@ -449,7 +449,7 @@ impl<P> TimerWheel<P> {
 
 /// The sorted reference scheduler: same API and pop order as
 /// [`TimerWheel`], implemented as a flat min-scan. This is the
-/// `HERMES_EVENT_KERNEL=off` path and the property-test oracle.
+/// event-kernel-off path and the property-test oracle.
 #[derive(Debug, Clone)]
 pub struct ReferenceQueue<P> {
     now: Time,
@@ -582,9 +582,9 @@ impl<P> ReferenceQueue<P> {
 /// choice.
 #[derive(Debug, Clone)]
 pub enum Scheduler<P> {
-    /// `HERMES_EVENT_KERNEL=on`: the hierarchical timer wheel.
+    /// Event kernel on (the default): the hierarchical timer wheel.
     Wheel(TimerWheel<P>),
-    /// `HERMES_EVENT_KERNEL=off`: the sorted reference queue.
+    /// Event kernel off: the sorted reference queue.
     Reference(ReferenceQueue<P>),
 }
 

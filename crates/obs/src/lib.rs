@@ -11,8 +11,8 @@
 //! microsteps, or a plain deterministic sequence number. Wall-clock time is
 //! an *optional side channel* ([`Recorder::with_wall`]): it rides along on
 //! each event as `wall_ns` and is stripped from deterministic output, so a
-//! trace taken at `HERMES_JOBS=1` is bit-identical to one taken at
-//! `HERMES_JOBS=4` once the wall channel is removed.
+//! trace taken at `--jobs 1` is bit-identical to one taken at `--jobs 4`
+//! once the wall channel is removed.
 //!
 //! Parallel fan-outs keep the contract by giving each independent unit of
 //! work its own [`Recorder::child`] and merging the children back **in
@@ -32,7 +32,6 @@
 //! recording call after a single branch, so instrumentation can stay in
 //! hot paths unconditionally.
 
-pub mod env;
 pub mod profile;
 pub mod slo;
 pub mod warnings;

@@ -1,12 +1,11 @@
 //! Process-wide, once-per-key warning sink.
 //!
-//! Library crates sometimes hit an anomaly (a bad `HERMES_JOBS` value, a
-//! deprecated knob) before any [`Recorder`](crate::Recorder) exists — and
-//! must not spam it once per call site invocation. `warn_once` records a
-//! warning the *first* time each key is seen in the process and tells the
-//! caller whether it was the first, so the caller can mirror it to stderr
-//! exactly once. Trace exporters drain [`snapshot`] into the document's
-//! warnings section.
+//! Some anomalies (an event ring reaching capacity and truncating a
+//! trace) must be surfaced without spamming one warning per occurrence.
+//! `warn_once` records a warning the *first* time each key is seen in the
+//! process and tells the caller whether it was the first, so the caller
+//! can mirror it to stderr exactly once. Trace exporters drain
+//! [`snapshot`] into the document's warnings section.
 
 use std::sync::{Mutex, OnceLock};
 

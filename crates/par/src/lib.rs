@@ -21,12 +21,12 @@
 //! Worker count resolves, in order: an explicit `jobs` argument
 //! ([`par_map_jobs`]), a process-wide programmatic override
 //! ([`set_jobs_override`], how the experiments binary's `--jobs` flag is
-//! implemented), the `HERMES_JOBS` environment variable, and finally
-//! [`std::thread::available_parallelism`]. `jobs = 1` (or a single-item
-//! input) takes a fast path that never enters `std::thread::scope`: a
-//! plain serial loop on the *calling thread* with identical results and
-//! panic→`Err` semantics — E11c showed thread-spawn overhead inverting
-//! speedup on small workloads, so the degenerate cases must not pay it.
+//! implemented), and finally [`std::thread::available_parallelism`].
+//! `jobs = 1` (or a single-item input) takes a fast path that never
+//! enters `std::thread::scope`: a plain serial loop on the *calling
+//! thread* with identical results and panic→`Err` semantics — E11c showed
+//! thread-spawn overhead inverting speedup on small workloads, so the
+//! degenerate cases must not pay it.
 
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -52,23 +52,6 @@ impl fmt::Display for ParError {
 
 impl std::error::Error for ParError {}
 
-/// Parse a raw `HERMES_JOBS` value.
-///
-/// `Ok(None)` — variable unset (use the machine default). `Ok(Some(n))` —
-/// a positive integer. `Err(_)` — set but unusable (not a number, or `0`,
-/// which would deadlock a pool); callers must fall back to the machine
-/// default and warn exactly once, never panic or silently serialize.
-///
-/// # Errors
-///
-/// Returns a description of why the value is unusable.
-pub fn parse_jobs(raw: Option<&str>) -> Result<Option<usize>, String> {
-    // the shared strict parser supplies the vocabulary and message; the
-    // lenient fallback-with-warning lives in `jobs()`, where resolution
-    // (not parsing) decides what a bad value means
-    hermes_obs::env::usize_positive("HERMES_JOBS", raw).map_err(|e| e.to_string())
-}
-
 fn machine_parallelism() -> usize {
     std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
@@ -76,41 +59,22 @@ fn machine_parallelism() -> usize {
 }
 
 /// Process-wide worker-count override (0 = no override). Set by CLI
-/// flags; consulted by [`jobs`] before the environment.
+/// flags; consulted by [`jobs`] before the machine default.
 static JOBS_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
-/// Pin the default worker count for the whole process, taking precedence
-/// over `HERMES_JOBS`. `Some(n)` (n ≥ 1) pins; `None` restores env/auto
-/// resolution. This is how the experiments binary implements `--jobs`
-/// without mutating the environment.
+/// Pin the default worker count for the whole process. `Some(n)` (n ≥ 1)
+/// pins; `None` restores the machine default. This is how the
+/// experiments binary implements `--jobs`.
 pub fn set_jobs_override(jobs: Option<usize>) {
     JOBS_OVERRIDE.store(jobs.unwrap_or(0), Ordering::Relaxed);
 }
 
 /// Resolve the default worker count: the [`set_jobs_override`] value if
-/// pinned, then `HERMES_JOBS` if set to a positive integer, otherwise the
-/// machine's available parallelism (1 on failure).
-///
-/// An unparsable or zero `HERMES_JOBS` falls back to the machine default
-/// with a single process-wide warning (recorded in
-/// [`hermes_obs::warnings`] and mirrored to stderr once).
+/// pinned, otherwise the machine's available parallelism (1 on failure).
 pub fn jobs() -> usize {
-    let pinned = JOBS_OVERRIDE.load(Ordering::Relaxed);
-    if pinned > 0 {
-        return pinned;
-    }
-    let raw = std::env::var("HERMES_JOBS").ok();
-    match parse_jobs(raw.as_deref()) {
-        Ok(Some(n)) => n,
-        Ok(None) => machine_parallelism(),
-        Err(why) => {
-            let fallback = machine_parallelism();
-            let msg = format!("{why}; falling back to available parallelism ({fallback})");
-            if hermes_obs::warnings::warn_once("HERMES_JOBS", &msg) {
-                eprintln!("warning: {msg}");
-            }
-            fallback
-        }
+    match JOBS_OVERRIDE.load(Ordering::Relaxed) {
+        0 => machine_parallelism(),
+        pinned => pinned,
     }
 }
 
@@ -445,31 +409,6 @@ mod tests {
     }
 
     #[test]
-    fn parse_jobs_accepts_positive_and_unset() {
-        assert_eq!(parse_jobs(None), Ok(None));
-        assert_eq!(parse_jobs(Some("4")), Ok(Some(4)));
-        assert_eq!(parse_jobs(Some("  16 ")), Ok(Some(16)));
-    }
-
-    #[test]
-    fn parse_jobs_rejects_zero() {
-        let err = parse_jobs(Some("0")).unwrap_err();
-        assert!(err.contains("zero workers"), "got: {err}");
-    }
-
-    #[test]
-    fn parse_jobs_rejects_unparsable() {
-        for bad in ["abc", "-2", "4.5", ""] {
-            let err = parse_jobs(Some(bad)).unwrap_err();
-            assert!(err.contains("a positive integer"), "{bad:?} -> {err}");
-        }
-    }
-
-    /// Serializes the tests that touch process-global resolution state
-    /// (`HERMES_JOBS`, the jobs override) under the parallel test runner.
-    static RESOLUTION_LOCK: Mutex<()> = Mutex::new(());
-
-    #[test]
     fn fast_path_stays_on_calling_thread() {
         let caller = std::thread::current().id();
         // jobs == 1: serial loop regardless of item count.
@@ -621,43 +560,12 @@ mod tests {
     }
 
     #[test]
-    fn jobs_override_beats_env_and_clears() {
-        let _guard = RESOLUTION_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let saved = std::env::var("HERMES_JOBS").ok();
-        std::env::set_var("HERMES_JOBS", "2");
+    fn jobs_override_pins_and_clears() {
         set_jobs_override(Some(5));
         let pinned = jobs();
         set_jobs_override(None);
         let unpinned = jobs();
-        match saved {
-            Some(v) => std::env::set_var("HERMES_JOBS", v),
-            None => std::env::remove_var("HERMES_JOBS"),
-        }
-        assert_eq!(pinned, 5, "override wins over HERMES_JOBS");
-        assert_eq!(unpinned, 2, "clearing restores env resolution");
-    }
-
-    #[test]
-    fn bad_hermes_jobs_falls_back_with_single_warning() {
-        // Other tests in this binary only assert `jobs() >= 1`, so briefly
-        // poisoning the variable is safe even under the parallel test
-        // runner; restore it before returning either way.
-        let _guard = RESOLUTION_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let saved = std::env::var("HERMES_JOBS").ok();
-        std::env::set_var("HERMES_JOBS", "banana");
-        let resolved = jobs();
-        let again = jobs();
-        match saved {
-            Some(v) => std::env::set_var("HERMES_JOBS", v),
-            None => std::env::remove_var("HERMES_JOBS"),
-        }
-        assert!(resolved >= 1, "fallback must still be usable");
-        assert_eq!(resolved, again, "fallback is stable");
-        let warned: Vec<_> = hermes_obs::warnings::snapshot()
-            .into_iter()
-            .filter(|(k, _)| k == "HERMES_JOBS")
-            .collect();
-        assert_eq!(warned.len(), 1, "exactly one warning recorded");
-        assert!(warned[0].1.contains("falling back"), "got: {}", warned[0].1);
+        assert_eq!(pinned, 5, "override wins over the machine default");
+        assert_eq!(unpinned, machine_parallelism(), "clearing restores the machine default");
     }
 }

@@ -88,15 +88,6 @@ pub enum RtlError {
         /// The requested width.
         width: u32,
     },
-    /// An environment knob held a value outside its accepted vocabulary.
-    /// Strict knobs (e.g. `HERMES_PACKED_SETTLE`) refuse to guess: a typo
-    /// must not silently change which engine runs.
-    BadEnvKnob {
-        /// The environment variable name.
-        name: String,
-        /// The rejected value.
-        value: String,
-    },
 }
 
 impl fmt::Display for RtlError {
@@ -114,9 +105,6 @@ impl fmt::Display for RtlError {
             RtlError::WidthMismatch { context } => write!(f, "width mismatch: {context}"),
             RtlError::UnsupportedWidth { width } => {
                 write!(f, "unsupported width {width} (maximum is 64)")
-            }
-            RtlError::BadEnvKnob { name, value } => {
-                write!(f, "{name}={value:?} is not a recognized setting (use on/1/true or off/0/false)")
             }
         }
     }

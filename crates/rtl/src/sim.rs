@@ -47,8 +47,7 @@ const PAR_SETTLE_GRAIN: usize = 4096;
 /// to higher ranks, so the scan never revisits an index). The first
 /// settle after construction (and every settle after
 /// [`Self::reset`]) falls back to a full-program evaluation, and
-/// [`Self::set_event_driven`] / the `HERMES_EVENT_SETTLE` environment
-/// variable (`off`/`0` disables) force the full path for A/B comparisons.
+/// [`Self::set_event_driven`] forces the full path for A/B comparisons.
 /// Both paths produce bit-identical `values`, register state, and traces.
 ///
 /// Two further engines layer on top of the event-driven scan (E16):
@@ -58,8 +57,8 @@ const PAR_SETTLE_GRAIN: usize = 4096;
 ///   up to 64 to a `u64` word and evaluated as one bitwise instruction
 ///   (classic compiled-code simulation). The scalar `values` array stays
 ///   authoritative — lanes scatter on change — so peeks, traces,
-///   registers, and scalar consumers are untouched. `HERMES_PACKED_SETTLE`
-///   (strict `on`/`off`) or [`Self::new_with_packing`] select the engine.
+///   registers, and scalar consumers are untouched. [`Self::new`] packs;
+///   [`Self::new_with_packing`] pins the engine on or off.
 /// * **Rank-partitioned parallel settle** — the program is sorted
 ///   rank-major and cut into contiguous partitions per rank; passes big
 ///   enough to amortize coordination fan the partitions of each rank out
@@ -132,7 +131,7 @@ pub struct Simulator<'n> {
     dirty_count: u32,
     /// Next settle must evaluate the full program (construction, reset).
     needs_full: bool,
-    /// Event-driven settling enabled (see `HERMES_EVENT_SETTLE`).
+    /// Event-driven settling enabled (see [`Self::set_event_driven`]).
     event_driven: bool,
     /// Worker count for engaged partitioned passes. A pure throughput
     /// knob: results, counters, and traces are identical at any value.
@@ -388,21 +387,19 @@ impl<'n> Simulator<'n> {
     /// Build a simulator after validating the netlist.
     ///
     /// All registers start at 0 and RAMs at their declared init contents.
-    /// The word-parallel engine is selected by `HERMES_PACKED_SETTLE`
-    /// (default on); use [`Self::new_with_packing`] to pin it explicitly.
+    /// The word-parallel engine is on; use [`Self::new_with_packing`] to
+    /// pin it explicitly.
     ///
     /// # Errors
     ///
-    /// Propagates any structural error from [`Netlist::validate`], and
-    /// [`RtlError::BadEnvKnob`] if `HERMES_PACKED_SETTLE` is set to
-    /// something other than `on`/`1`/`true`/`off`/`0`/`false`.
+    /// Propagates any structural error from [`Netlist::validate`].
     pub fn new(netlist: &'n Netlist) -> Result<Self, RtlError> {
-        Self::new_with_packing(netlist, packed_settle_env()?)
+        Self::new_with_packing(netlist, true)
     }
 
-    /// Build a simulator with the word-parallel engine pinned on or off,
-    /// ignoring the environment — the A/B hook for differential tests and
-    /// experiments whose output must not depend on ambient knobs.
+    /// Build a simulator with the word-parallel engine pinned on or off —
+    /// the A/B hook for differential tests and experiments that compare
+    /// engines.
     ///
     /// # Errors
     ///
@@ -494,7 +491,7 @@ impl<'n> Simulator<'n> {
             dirty_hi: 0,
             dirty_count: 0,
             needs_full: true,
-            event_driven: env_event_driven(),
+            event_driven: true,
             settle_jobs: hermes_par::jobs(),
             par_grain: PAR_SETTLE_GRAIN,
             next_regs,
@@ -1487,28 +1484,6 @@ impl PassShared<'_> {
     }
 }
 
-/// Read the `HERMES_PACKED_SETTLE` environment knob. Unset means packed
-/// (`true`); `on`/`1`/`true` and `off`/`0`/`false` (case-insensitive,
-/// trimmed) select explicitly. Unlike the lenient `HERMES_EVENT_SETTLE`
-/// knob this one is strict — any other value is
-/// [`RtlError::BadEnvKnob`], because a typo silently selecting the wrong
-/// engine would invalidate a benchmark run.
-///
-/// # Errors
-///
-/// Returns [`RtlError::BadEnvKnob`] for values outside the vocabulary.
-pub fn packed_settle_env() -> Result<bool, RtlError> {
-    parse_packed_knob(std::env::var("HERMES_PACKED_SETTLE").ok().as_deref())
-}
-
-/// Parse a `HERMES_PACKED_SETTLE` value (`None` = unset = packed).
-/// Split out from [`packed_settle_env`] so the vocabulary is testable
-/// without mutating process-global environment state.
-pub fn parse_packed_knob(raw: Option<&str>) -> Result<bool, RtlError> {
-    hermes_obs::env::bool_strict("HERMES_PACKED_SETTLE", raw, true)
-        .map_err(|e| RtlError::BadEnvKnob { name: e.name, value: e.value })
-}
-
 /// Sense-reversing spin barrier for the per-rank synchronization of
 /// partitioned settle workers. Engaged passes are large by construction
 /// (thousands of scheduled ops per rank round), so spinning beats parking
@@ -1644,14 +1619,6 @@ fn eval_op_with<R: Fn(u32) -> u64>(read: R, op: &SettleOp) -> u64 {
         SettleKind::Packed => unreachable!("packed ops route through eval_packed"),
     };
     v & op.mask
-}
-
-/// Resolve the `HERMES_EVENT_SETTLE` knob: `off`/`0`/`false` (any case)
-/// disables event-driven settling; unset (or, leniently, anything
-/// unrecognized — surfaced once through the warning sink) enables it.
-fn env_event_driven() -> bool {
-    let raw = std::env::var("HERMES_EVENT_SETTLE").ok();
-    hermes_obs::env::bool_lenient("HERMES_EVENT_SETTLE", raw.as_deref(), true)
 }
 
 /// Convenience helper implementing [`Comparison`] lookup for simulator users.
@@ -1968,23 +1935,12 @@ mod tests {
     }
 
     #[test]
-    fn packed_knob_vocabulary() {
-        for ok_on in ["on", "1", "true", " ON ", "True"] {
-            assert_eq!(parse_packed_knob(Some(ok_on)), Ok(true), "{ok_on}");
-        }
-        for ok_off in ["off", "0", "false", " OFF ", "False"] {
-            assert_eq!(parse_packed_knob(Some(ok_off)), Ok(false), "{ok_off}");
-        }
-        assert_eq!(parse_packed_knob(None), Ok(true));
-        for bad in ["banana", "", "2", "yes", "no"] {
-            match parse_packed_knob(Some(bad)) {
-                Err(RtlError::BadEnvKnob { name, value }) => {
-                    assert_eq!(name, "HERMES_PACKED_SETTLE");
-                    assert_eq!(value, bad);
-                }
-                other => panic!("{bad:?} must be rejected, got {other:?}"),
-            }
-        }
+    fn new_defaults_to_packed_event_settle() {
+        let nl = bit_fabric(64);
+        let sim = Simulator::new(&nl).unwrap();
+        assert!(sim.packed(), "new() packs");
+        assert!(sim.packed_lanes() > 0, "a 64-lane fabric forms packed words");
+        assert!(sim.event_driven(), "new() settles event-driven");
     }
 
     /// A bit-blasted fabric: `lanes` independent 1-bit slices, each with

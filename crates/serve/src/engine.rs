@@ -16,10 +16,10 @@
 //! chaos [`FaultPlan`] posts its whole timeline up front, and the run
 //! loop pops the earliest timer that still matches the current state
 //! (timers are validated at pop, so superseded ones are skipped, never
-//! acted on). The `HERMES_EVENT_KERNEL` knob selects the timer wheel or
-//! the sorted reference scheduler; both pop in the identical
-//! `(time, domain, seq)` order, so the knob is a speed choice, never a
-//! results choice.
+//! acted on). Engines run on the timer wheel;
+//! [`ServeEngine::with_event_kernel`] selects the sorted reference
+//! scheduler instead. Both pop in the identical `(time, domain, seq)`
+//! order, so the choice is a speed choice, never a results choice.
 
 use crate::model::AcceleratorModel;
 use crate::pool::{Batch, Pool};
@@ -62,8 +62,8 @@ pub struct ServeConfig {
     /// Worker threads for payload evaluation; `0` uses the global
     /// `hermes_par` setting. A throughput knob, never a results knob.
     pub jobs: usize,
-    /// Permille of minted traces whose events are recorded (the
-    /// `HERMES_TRACE_SAMPLE` knob). A trace context is minted for *every*
+    /// Permille of minted traces whose events are recorded. A trace
+    /// context is minted for *every*
     /// arrival regardless — sampling decides recording, never identity —
     /// so trace ids are byte-identical across sample rates and worker
     /// counts.
@@ -352,7 +352,7 @@ impl ServeEngine {
             slo: None,
             traces: HashMap::new(),
             now: 0,
-            event_kernel: hermes_kernel::event_kernel_enabled(),
+            event_kernel: true,
             memo: TimerMemo {
                 window: vec![None; classes],
                 safe: vec![None; classes],
@@ -415,10 +415,9 @@ impl ServeEngine {
         self
     }
 
-    /// Override the `HERMES_EVENT_KERNEL` selection for this engine:
-    /// `true` schedules wakes on the timer wheel, `false` on the sorted
-    /// reference. Results are byte-identical either way (tests assert
-    /// it without racing the process environment).
+    /// Select the scheduler for this engine: `true` (the default)
+    /// schedules wakes on the timer wheel, `false` on the sorted
+    /// reference. Results are byte-identical either way.
     #[must_use]
     pub fn with_event_kernel(mut self, on: bool) -> Self {
         self.event_kernel = on;

@@ -11,8 +11,8 @@
 //! The per-cycle engine is exact but wasteful when every core is quiet
 //! (native partitions between activations, yielded or halted guests):
 //! nothing can happen until the next slot boundary or watchdog deadline.
-//! With the unified event kernel enabled (`HERMES_EVENT_KERNEL`, default
-//! on — see DESIGN.md §14), [`Hypervisor::run`] posts those deadlines
+//! With the unified event kernel enabled (the default, see DESIGN.md §14;
+//! [`Hypervisor::set_event_kernel`] turns it off), [`Hypervisor::run`] posts those deadlines
 //! into a [`hermes_kernel::Scheduler`] and fast-forwards quiet gaps in
 //! one `bulk_advance` instead of polling every tick. Every popped timer
 //! is validated against live state before it is trusted, so the schedule
@@ -193,7 +193,6 @@ impl Hypervisor {
             ..CoreSched::default()
         };
         let watchdogs = vec![None; config.partitions.len()];
-        let event_kernel = hermes_kernel::event_kernel_enabled();
         let memo = XngMemo::new(config.partitions.len());
         Ok(Hypervisor {
             cluster: Cluster::new(),
@@ -212,8 +211,8 @@ impl Hypervisor {
             key_installed: [false; CORE_COUNT],
             obs: Recorder::disabled(),
             trace: TraceCtx::untraced(),
-            event_kernel,
-            sched: Scheduler::new(event_kernel),
+            event_kernel: true,
+            sched: Scheduler::new(true),
             domains: XngDomains::register(),
             memo,
             ticks_polled: 0,
@@ -222,10 +221,10 @@ impl Hypervisor {
         })
     }
 
-    /// Override the `HERMES_EVENT_KERNEL` default for this hypervisor
-    /// (tests and experiments pass it explicitly — process-global env
-    /// mutation is racy under the multithreaded test harness). Resets the
-    /// scheduler: pending timers are re-derived from live state.
+    /// Select the event kernel (`true`, the default) or the per-cycle
+    /// polling engine (`false`) for this hypervisor — the oracle hook for
+    /// identity tests and experiments. Resets the scheduler: pending
+    /// timers are re-derived from live state.
     pub fn set_event_kernel(&mut self, on: bool) {
         self.event_kernel = on;
         self.sched = Scheduler::new(on);

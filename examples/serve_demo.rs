@@ -53,10 +53,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 3. serve it with the observability stack attached — a flight
     //    recorder tracing every admitted request (sample 1000‰; dial
-    //    down via `trace_sample_permille` or `HERMES_TRACE_SAMPLE` to
-    //    bound the cost), a deadline-hit SLO judged on short and long
-    //    burn-rate windows, and a chaos campaign killing pool instances
-    //    mid-batch
+    //    down via `trace_sample_permille` to bound the cost), a
+    //    deadline-hit SLO judged on short and long burn-rate windows,
+    //    and a chaos campaign killing pool instances mid-batch
     let rec = Recorder::new().with_capacity(1 << 14);
     let slo = SloEngine::new(vec![SloSpec::new(
         "deadline-hit",
