@@ -7,6 +7,11 @@ cargo build --release --workspace
 cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Identity gates under the optimizer: the NXmap-flow and fleet digests
+# were recorded in both profiles, so a speed change that only holds in
+# debug builds fails here.
+cargo test -q --release -p hermes-bench --test flow_identity --test fleet_identity
+
 # Parallel determinism gate: the worker count is a throughput knob, never a
 # results knob. Run the fanned-out experiments serial and 4-wide (via the
 # --jobs flag) and diff everything except the wall-clock lines.

@@ -568,8 +568,10 @@ impl FleetEngine {
             self.next_eval = now + interval;
         }
         // 4. route arrivals due now
+        //    (nothing reads an arrival behind the cursor: move its payload)
         while self.cursor < self.arrivals.len() && self.arrivals[self.cursor].arrival <= now {
-            let req = self.arrivals[self.cursor].clone();
+            let next = &mut self.arrivals[self.cursor];
+            let req = Request { input: std::mem::take(&mut next.input), ..*next };
             self.cursor += 1;
             self.offered += 1;
             if !self.route(req) {
@@ -603,9 +605,12 @@ impl FleetEngine {
                 self.scale_downs += 1;
             }
         }
-        let queued: usize = self.shards.iter().map(|s| s.engine.queued_hint()).sum();
-        self.obs.gauge_set("fleet", "queued", queued as i64);
-        self.obs.gauge_set("fleet", "live_shards", self.live_shards().len() as i64);
+        if self.obs.enabled() {
+            let queued: usize = self.shards.iter().map(|s| s.engine.queued_hint()).sum();
+            let live = self.shards.iter().filter(|s| s.state == ShardState::Live).count();
+            self.obs.gauge_set("fleet", "queued", queued as i64);
+            self.obs.gauge_set("fleet", "live_shards", live as i64);
+        }
     }
 
     fn post_timer(
@@ -935,10 +940,14 @@ mod tests {
     fn recorder_namespaces_shards_and_sees_fleet_counters() {
         let wl = FleetWorkloadConfig { requests: 512, ..FleetWorkloadConfig::default() };
         let arrivals = workload::generate(3, &wl);
-        let mut fleet = FleetEngine::new(FleetConfig { shards: 2, ..FleetConfig::default() }, model(), arrivals)
-            .with_recorder(Recorder::new());
+        let cfg = FleetConfig { shards: 2, ..FleetConfig::default() };
+        let untraced = FleetEngine::new(cfg.clone(), model(), arrivals.clone()).run();
+        let mut fleet = FleetEngine::new(cfg, model(), arrivals).with_recorder(Recorder::new());
         let report = fleet.run();
+        // recording is an observability switch, never a results switch
+        assert_eq!(report, untraced, "a traced fleet must report what an untraced one does");
         let snap = fleet.obs.snapshot();
+        assert_eq!(snap.dropped_total(), 0, "the trace is complete");
         let offered = snap
             .counters
             .iter()

@@ -30,6 +30,7 @@ use hermes_chaos::plan::{FaultKind, FaultPlan};
 use hermes_kernel::{DomainId, DomainRegistry, Scheduler, WheelStats};
 use hermes_obs::slo::{RequestOutcome, SloEngine};
 use hermes_obs::{ClockDomain, Histogram, Recorder, TraceCtx, WallMark};
+use std::cell::Cell;
 use std::collections::HashMap;
 
 /// Batch-size histogram bounds (items).
@@ -308,6 +309,8 @@ pub struct ServeEngine {
     /// pop order either way.
     event_kernel: bool,
     memo: TimerMemo,
+    /// [`Self::next_due`]'s last answer; `None` once the state has moved.
+    next_due: Cell<Option<Option<Tick>>>,
     /// Ticks the engine actually woke on (== processed steps).
     wakes: u64,
     /// Scheduler counters of the last `run` (E18 exports these).
@@ -358,6 +361,7 @@ impl ServeEngine {
                 safe: vec![None; classes],
                 ..TimerMemo::default()
             },
+            next_due: Cell::new(None),
             wakes: 0,
             kernel_stats: WheelStats::default(),
             cursor: 0,
@@ -394,6 +398,7 @@ impl ServeEngine {
     #[must_use]
     pub fn with_chaos(mut self, plan: FaultPlan) -> Self {
         self.plan = Some(plan);
+        self.next_due.set(None);
         self
     }
 
@@ -491,7 +496,22 @@ impl ServeEngine {
     /// work due — the externally driven equivalent of the timers `run`
     /// would post. `None` means the engine is idle until new work is
     /// submitted.
+    ///
+    /// Answered from a memo: the fleet asks every shard several times per
+    /// wake, while what this reads only moves in `step`, `evacuate` and
+    /// `with_chaos`, which clear the memo.
     pub fn next_due(&self) -> Option<Tick> {
+        if let Some(due) = self.next_due.get() {
+            debug_assert_eq!(due, self.compute_next_due(), "stale next_due memo");
+            return due;
+        }
+        let due = self.compute_next_due();
+        self.next_due.set(Some(due));
+        due
+    }
+
+    /// [`Self::next_due`] recomputed from the live state.
+    fn compute_next_due(&self) -> Option<Tick> {
         let now = self.now;
         let svc1 = self.model.service_cycles(1);
         let mut due: Option<Tick> = None;
@@ -542,6 +562,7 @@ impl ServeEngine {
     /// surviving shards, where they are offered again. Trace contexts of
     /// evacuated requests are dropped; the destination mints fresh ones.
     pub fn evacuate(&mut self) -> Vec<Request> {
+        self.next_due.set(None);
         let mut out = Vec::new();
         for class in 0..self.backlog.class_count() {
             let n = self.backlog.class_len(class);
@@ -644,6 +665,7 @@ impl ServeEngine {
     /// Process every phase due at the current tick, in the fixed order:
     /// recover, complete, faults, arrivals, shed-expired, dispatch.
     fn step(&mut self) {
+        self.next_due.set(None);
         let now = self.now;
         self.pool.account_until(now);
         self.pool.recover_until(now);
@@ -661,8 +683,10 @@ impl ServeEngine {
             self.apply_fault(ev.kind);
         }
 
+        // nothing reads an arrival behind the cursor: move its payload
         while self.cursor < self.arrivals.len() && self.arrivals[self.cursor].arrival <= now {
-            let req = self.arrivals[self.cursor].clone();
+            let next = &mut self.arrivals[self.cursor];
+            let req = Request { input: std::mem::take(&mut next.input), ..*next };
             self.cursor += 1;
             self.admit(req);
         }
@@ -1545,6 +1569,72 @@ mod tests {
         let report = e.finish();
         assert!(report.accounted(), "{report:?}");
         assert_eq!(report.offered + evacuated.len() as u64, submitted);
+    }
+
+    #[test]
+    fn next_due_memo_matches_a_fresh_computation_after_every_call() {
+        let wl = WorkloadConfig::default().at_load_pct(250);
+        let stream = workload::generate(6, &wl);
+        let span = stream.last().unwrap().arrival;
+        let plan = FaultPlan::generate(71, &FaultPlanConfig::pool_only(span, 6, 4, 500, 2));
+        // the first half's even-indexed requests arrive internally, every
+        // other one is submitted; the drain and the evacuation land after
+        // the internal stream is spent, so both empty what `next_due` reads
+        let half = stream.len() / 2;
+        let (internal, external): (Vec<_>, Vec<_>) =
+            stream.iter().cloned().enumerate().partition(|&(i, _)| i < half && i % 2 == 0);
+        let drain_at = stream[stream.len() * 3 / 4].arrival;
+        let internal: Vec<Request> = internal.into_iter().map(|(_, r)| r).collect();
+        let mut external = external.into_iter().map(|(_, r)| r).peekable();
+        let check = |e: &ServeEngine, call: &str| {
+            assert_eq!(
+                e.next_due(),
+                e.compute_next_due(),
+                "next_due after {call} at tick {}",
+                e.now()
+            );
+        };
+        let e = ServeEngine::new(ServeConfig::default(), model(), internal);
+        check(&e, "new");
+        let mut e = e.with_chaos(plan);
+        check(&e, "with_chaos");
+        let mut steps_since_drain = None;
+        let mut evacuated = 0;
+        loop {
+            let t = match (external.peek().map(|r| r.arrival), e.next_due()) {
+                (Some(a), Some(d)) => a.min(d),
+                (Some(a), None) => a,
+                (None, Some(d)) => d,
+                (None, None) => break,
+            };
+            let t = t.max(e.now());
+            while let Some(req) = external.next_if(|r| r.arrival <= t) {
+                e.submit(req);
+                check(&e, "submit");
+            }
+            e.advance(t);
+            check(&e, "advance");
+            match steps_since_drain {
+                None if t >= drain_at => {
+                    e.drain();
+                    check(&e, "drain");
+                    steps_since_drain = Some(0);
+                }
+                Some(3) => {
+                    evacuated = e.evacuate().len();
+                    check(&e, "evacuate");
+                }
+                _ => {}
+            }
+            if let Some(n) = steps_since_drain.as_mut() {
+                *n += 1;
+            }
+        }
+        let report = e.finish();
+        assert!(evacuated > 0, "evacuation landed on held work");
+        assert!(report.kills > 0 && report.stalls > 0, "{report:?}");
+        assert!(report.rejected_draining > 0, "{report:?}");
+        assert!(report.accounted(), "{report:?}");
     }
 
     #[test]
