@@ -133,7 +133,7 @@ fn main() {
         println!("==================================================================");
         let mark = session.mark();
         let start = std::time::Instant::now();
-        let output = runner(&session);
+        let output = runner(hermes_par::jobs(), &session);
         session.span(
             "bench",
             id,

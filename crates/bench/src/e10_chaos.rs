@@ -13,25 +13,11 @@ use crate::table::Table;
 use crate::ExperimentOutput;
 use hermes_chaos::scenario;
 
-/// Run E10 and render its tables.
-pub fn run() -> ExperimentOutput {
-    run_with_jobs(hermes_par::jobs())
-}
-
-/// Run E10 with an explicit worker count (per-seed campaigns in parallel).
-pub fn run_with_jobs(jobs: usize) -> ExperimentOutput {
-    run_traced_jobs(jobs, &hermes_obs::Recorder::disabled())
-}
-
-/// Run E10 on the default worker count, tracing into `obs`.
-pub fn run_traced(obs: &hermes_obs::Recorder) -> ExperimentOutput {
-    run_traced_jobs(hermes_par::jobs(), obs)
-}
-
-/// Run E10 with an explicit worker count and a flight recorder: every
-/// seeded campaign traces its injections, boot timeline, and recovery
-/// verdict into its own child recorder, absorbed in seed order.
-pub fn run_traced_jobs(jobs: usize, obs: &hermes_obs::Recorder) -> ExperimentOutput {
+/// Run E10 on `jobs` workers (per-seed campaigns in parallel), tracing
+/// into `obs`: every seeded campaign traces its injections, boot
+/// timeline, and recovery verdict into its own child recorder, absorbed
+/// in seed order.
+pub fn run(jobs: usize, obs: &hermes_obs::Recorder) -> ExperimentOutput {
     let seeds = [7u64, 11, 21, 42, 99, 1234];
 
     let mut a = Table::new(&[
@@ -46,7 +32,7 @@ pub fn run_traced_jobs(jobs: usize, obs: &hermes_obs::Recorder) -> ExperimentOut
     // each campaign is seeded and independent; results come back in seed order
     let outcomes = hermes_par::par_map_jobs(jobs, &seeds, |&seed| {
         let child = obs.child();
-        let out = scenario::full_campaign_traced(seed, &child);
+        let out = scenario::full_campaign(seed, &child);
         (out, child)
     })
     .expect("campaigns are infallible");

@@ -262,17 +262,14 @@ fn bench_rtl_sim(n: u64, reps: u32, obs: &hermes_obs::Recorder) -> (u64, f64, f6
     (dense_cycles * u64::from(reps), base_secs, dense_secs)
 }
 
-/// Run E11 and render its tables.
-pub fn run() -> ExperimentOutput {
-    run_traced(&hermes_obs::Recorder::disabled())
-}
-
 /// Run E11 with a flight recorder (RTL simulator counters under `rtl`).
-pub fn run_traced(obs: &hermes_obs::Recorder) -> ExperimentOutput {
+/// `jobs` is the worker count E11a reports; the engine and placement
+/// sweeps pin their own counts.
+pub fn run(jobs: usize, obs: &hermes_obs::Recorder) -> ExperimentOutput {
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let mut host = Table::new(&["metric", "value"]);
     host.row(cells!["host cores available", cores]);
-    host.row(cells!["default worker count", hermes_par::jobs()]);
+    host.row(cells!["default worker count", jobs]);
 
     // dense-state simulator vs the HashMap baseline it replaced
     let (cycles, base_secs, dense_secs) = bench_rtl_sim(2_000, 6, obs);
@@ -288,18 +285,19 @@ pub fn run_traced(obs: &hermes_obs::Recorder) -> ExperimentOutput {
     }
 
     // parallel engines at 1/2/4 workers; output must be bit-identical
-    type Engine = (&'static str, fn(usize) -> ExperimentOutput);
+    type Engine = (&'static str, crate::Runner);
     let engines: &[Engine] = &[
-        ("HLS->FPGA flow suite (E2)", crate::e2_fpga_flow::run_with_jobs),
-        ("chaos campaigns (E10)", crate::e10_chaos::run_with_jobs),
+        ("HLS->FPGA flow suite (E2)", crate::e2_fpga_flow::run),
+        ("chaos campaigns (E10)", crate::e10_chaos::run),
     ];
+    let untraced = hermes_obs::Recorder::disabled();
     let mut par = Table::new(&["engine", "jobs", "wall_ms", "speedup", "identical"]);
     for (name, runner) in engines {
         let mut serial_ms = 0.0;
         let mut serial_text = String::new();
         for jobs in [1usize, 2, 4] {
             let start = Instant::now();
-            let out = runner(jobs);
+            let out = runner(jobs, &untraced);
             let ms = start.elapsed().as_secs_f64() * 1e3;
             if jobs == 1 {
                 serial_ms = ms;
@@ -318,7 +316,7 @@ pub fn run_traced(obs: &hermes_obs::Recorder) -> ExperimentOutput {
 
     // multi-start placement: quality and cost vs the single anneal
     let hls = HlsFlow::new().unroll_limit(0);
-    let design = suite().remove(3).compile(&hls); // fir
+    let design = suite().remove(3).compile(&hls, &untraced); // fir
     let device = DeviceProfile::ng_medium_like();
     let synth = Synthesizer::new(device.clone())
         .synthesize(design.netlist())
@@ -326,13 +324,13 @@ pub fn run_traced(obs: &hermes_obs::Recorder) -> ExperimentOutput {
     let placer = Placer::new(device, Effort::Low, 0xC0FFEE);
     let mut place = Table::new(&["starts", "jobs", "wall_ms", "best_hpwl", "vs_single"]);
     let start = Instant::now();
-    let single = placer.place(&synth.prim).expect("places");
+    let single = placer.place(&synth.prim, 1, 1, &untraced).expect("places");
     let single_ms = start.elapsed().as_secs_f64() * 1e3;
     place.row(cells![1, 1, format!("{single_ms:.0}"), format!("{:.0}", single.hpwl), "1.000"]);
     let mut last_hpwl: Option<f64> = None;
     for jobs in [1usize, 4] {
         let start = Instant::now();
-        let multi = placer.place_multi(&synth.prim, 4, jobs).expect("places");
+        let multi = placer.place(&synth.prim, 4, jobs, &untraced).expect("places");
         let ms = start.elapsed().as_secs_f64() * 1e3;
         assert!(multi.hpwl <= single.hpwl, "best-of-4 can never be worse");
         if let Some(prev) = last_hpwl {

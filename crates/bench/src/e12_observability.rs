@@ -15,33 +15,30 @@
 
 use crate::cells;
 use crate::table::Table;
-use crate::ExperimentOutput;
+use crate::{ExperimentOutput, Runner};
 use hermes_obs::Recorder;
 use std::time::Instant;
 
 const BEST_OF: u32 = 5;
 
-/// One overhead target: id plus its recorder-taking runner.
-type Target = (&'static str, fn(&Recorder) -> ExperimentOutput);
+/// One overhead target: id plus its runner.
+type Target = (&'static str, Runner);
 
 fn targets() -> Vec<Target> {
     vec![
-        ("e1", crate::e1_hls_flow::run_traced),
-        ("e2", crate::e2_fpga_flow::run_traced),
-        ("e7", crate::e7_usecases::run_traced),
-        ("e10", crate::e10_chaos::run_traced),
+        ("e1", crate::e1_hls_flow::run),
+        ("e2", crate::e2_fpga_flow::run),
+        ("e7", crate::e7_usecases::run),
+        ("e10", crate::e10_chaos::run),
     ]
 }
 
-/// One timed repetition of `runner` against a recorder built by `make`;
-/// returns `(secs, text, events_recorded)`.
-fn rep(
-    runner: fn(&Recorder) -> ExperimentOutput,
-    make: fn() -> Recorder,
-) -> (f64, String, u64) {
+/// One timed repetition of `runner` on `jobs` workers against a recorder
+/// built by `make`; returns `(secs, text, events_recorded)`.
+fn rep(runner: Runner, jobs: usize, make: fn() -> Recorder) -> (f64, String, u64) {
     let obs = make();
     let start = Instant::now();
-    let out = runner(&obs);
+    let out = runner(jobs, &obs);
     (start.elapsed().as_secs_f64(), out.text, obs.event_count())
 }
 
@@ -49,17 +46,17 @@ fn rep(
 /// the repetitions **interleaved** (off/on pairs) so clock-frequency and
 /// cache drift across the measurement window cancels instead of landing
 /// on one side; returns `(off_best, on_best, off_text, on_text, events)`.
-fn measure(runner: fn(&Recorder) -> ExperimentOutput) -> (f64, f64, String, String, u64) {
+fn measure(runner: Runner, jobs: usize) -> (f64, f64, String, String, u64) {
     // untimed warm-up so neither side pays first-touch costs
-    let _ = rep(runner, Recorder::disabled);
+    let _ = rep(runner, jobs, Recorder::disabled);
     let (mut off_best, mut on_best) = (f64::MAX, f64::MAX);
     let (mut off_text, mut on_text) = (String::new(), String::new());
     let mut events = 0u64;
     for _ in 0..BEST_OF {
-        let (secs, text, _) = rep(runner, Recorder::disabled);
+        let (secs, text, _) = rep(runner, jobs, Recorder::disabled);
         off_best = off_best.min(secs);
         off_text = text;
-        let (secs, text, ev) = rep(runner, Recorder::new);
+        let (secs, text, ev) = rep(runner, jobs, Recorder::new);
         on_best = on_best.min(secs);
         on_text = text;
         events = ev;
@@ -67,14 +64,10 @@ fn measure(runner: fn(&Recorder) -> ExperimentOutput) -> (f64, f64, String, Stri
     (off_best, on_best, off_text, on_text, events)
 }
 
-/// Run E12 and render its table.
-pub fn run() -> ExperimentOutput {
-    run_traced(&Recorder::disabled())
-}
-
-/// Run E12; the session recorder only receives the (deterministic)
-/// per-target event counts, never the wall-clock measurements.
-pub fn run_traced(session: &Recorder) -> ExperimentOutput {
+/// Run E12, each target on `jobs` workers; the session recorder only
+/// receives the (deterministic) per-target event counts, never the
+/// wall-clock measurements.
+pub fn run(jobs: usize, session: &Recorder) -> ExperimentOutput {
     let mut t = Table::new(&[
         "experiment",
         "off_ms",
@@ -86,7 +79,7 @@ pub fn run_traced(session: &Recorder) -> ExperimentOutput {
     ]);
     let mut worst = f64::MIN;
     for (id, runner) in targets() {
-        let (off_secs, on_secs, off_text, on_text, events) = measure(runner);
+        let (off_secs, on_secs, off_text, on_text, events) = measure(runner, jobs);
         assert_eq!(
             off_text, on_text,
             "{id}: tracing must not change experiment output"
@@ -122,9 +115,10 @@ mod tests {
     #[test]
     fn e1_traced_output_matches_untraced_and_records_events() {
         let obs = Recorder::new();
-        let traced = crate::e1_hls_flow::run_traced(&obs);
-        let plain = crate::e1_hls_flow::run();
+        let traced = crate::e1_hls_flow::run(hermes_par::jobs(), &obs);
+        let plain = crate::e1_hls_flow::run(hermes_par::jobs(), &Recorder::disabled());
         assert_eq!(traced.text, plain.text);
         assert!(obs.event_count() > 0);
+        assert_eq!(obs.snapshot().dropped_total(), 0, "ring overflow truncated the trace");
     }
 }

@@ -103,13 +103,9 @@ fn run_kernel(
     }
 }
 
-/// Run E13 and render its tables.
-pub fn run() -> ExperimentOutput {
-    run_traced(&hermes_obs::Recorder::disabled())
-}
-
-/// Run E13 with a flight recorder (RTL counters under `rtl-event`).
-pub fn run_traced(obs: &hermes_obs::Recorder) -> ExperimentOutput {
+/// Run E13 with a flight recorder (RTL counters under `rtl-event`); the
+/// E13c cache comparison runs E2 on `jobs` workers.
+pub fn run(jobs: usize, obs: &hermes_obs::Recorder) -> ExperimentOutput {
     // E13a: per-kernel activity factor, event-driven vs full settle.
     let hls = HlsFlow::new().unroll_limit(0);
     let mut act = Table::new(&[
@@ -189,19 +185,19 @@ pub fn run_traced(obs: &hermes_obs::Recorder) -> ExperimentOutput {
 
     // E13c: E2 flow suite with the characterization cache bypassed
     // (pre-change behaviour: one sweep per flow) vs shared.
-    let jobs = hermes_par::jobs();
+    let untraced = hermes_obs::Recorder::disabled();
     let mut cachet = Table::new(&[
         "mode", "wall_ms", "sweeps_run", "cache_hits", "identical", "speedup",
     ]);
     let s0 = hermes_eucalyptus::cache::stats();
     hermes_eucalyptus::cache::set_bypass(true);
     let start = Instant::now();
-    let bypassed = crate::e2_fpga_flow::run_with_jobs(jobs);
+    let bypassed = crate::e2_fpga_flow::run(jobs, &untraced);
     let bypass_ms = start.elapsed().as_secs_f64() * 1e3;
     hermes_eucalyptus::cache::set_bypass(false);
     let s1 = hermes_eucalyptus::cache::stats();
     let start = Instant::now();
-    let cached = crate::e2_fpga_flow::run_with_jobs(jobs);
+    let cached = crate::e2_fpga_flow::run(jobs, &untraced);
     let cached_ms = start.elapsed().as_secs_f64() * 1e3;
     let s2 = hermes_eucalyptus::cache::stats();
     assert_eq!(

@@ -135,13 +135,10 @@ fn run_point(
     report
 }
 
-/// Run E14 and render its tables.
-pub fn run() -> ExperimentOutput {
-    run_traced(&hermes_obs::Recorder::disabled())
-}
-
-/// Run E14 with a flight recorder (serve metrics under `serve`).
-pub fn run_traced(obs: &hermes_obs::Recorder) -> ExperimentOutput {
+/// Run E14 with a flight recorder (serve metrics under `serve`). The
+/// sweep points run the serve pool on its default worker count and E14c
+/// pins 1 and 4, so `jobs` is unused.
+pub fn run(_jobs: usize, obs: &hermes_obs::Recorder) -> ExperimentOutput {
     let model = mlp_model();
     let base = workload_cfg(&model, &serve_cfg());
 

@@ -15,7 +15,7 @@ use crate::cells;
 use crate::table::Table;
 use crate::ExperimentOutput;
 use hermes_chaos::hostile::{
-    hostile_campaign_traced, hypercall_fuzz_campaign, HostileCampaignConfig, REGION_SIZE,
+    hostile_campaign, hypercall_fuzz_campaign, HostileCampaignConfig, REGION_SIZE,
 };
 use hermes_chaos::plan::ProbeClass;
 use hermes_cpu::isa::assemble;
@@ -35,25 +35,10 @@ fn mode_label(mode: IsolationMode) -> &'static str {
     }
 }
 
-/// Run E15 and render its tables.
-pub fn run() -> ExperimentOutput {
-    run_with_jobs(hermes_par::jobs())
-}
-
-/// Run E15 with an explicit worker count (campaigns in parallel).
-pub fn run_with_jobs(jobs: usize) -> ExperimentOutput {
-    run_traced_jobs(jobs, &hermes_obs::Recorder::disabled())
-}
-
-/// Run E15 on the default worker count, tracing into `obs`.
-pub fn run_traced(obs: &hermes_obs::Recorder) -> ExperimentOutput {
-    run_traced_jobs(hermes_par::jobs(), obs)
-}
-
-/// Run E15 with an explicit worker count and a flight recorder. Each
-/// campaign traces into its own child recorder, absorbed in sweep order,
-/// so any worker count renders bit-identical tables.
-pub fn run_traced_jobs(jobs: usize, obs: &hermes_obs::Recorder) -> ExperimentOutput {
+/// Run E15 on `jobs` workers (campaigns in parallel), tracing into
+/// `obs`. Each campaign traces into its own child recorder, absorbed in
+/// sweep order, so any worker count renders bit-identical tables.
+pub fn run(jobs: usize, obs: &hermes_obs::Recorder) -> ExperimentOutput {
     // ---- E15a: hostile campaign sweep ------------------------------------
     let seeds = [7u64, 21, 42, 99];
     let mut campaigns = Vec::new();
@@ -71,7 +56,7 @@ pub fn run_traced_jobs(jobs: usize, obs: &hermes_obs::Recorder) -> ExperimentOut
     }
     let reports = hermes_par::par_map_jobs(jobs, &campaigns, |cfg| {
         let child = obs.child();
-        let report = hostile_campaign_traced(cfg, &child);
+        let report = hostile_campaign(cfg, &child);
         (report, child)
     })
     .expect("campaigns are infallible");
@@ -235,7 +220,7 @@ mod tests {
 
     #[test]
     fn e15_gate_holds_and_costs_are_ordered() {
-        let out = run_with_jobs(2);
+        let out = run(2, &hermes_obs::Recorder::disabled());
         assert!(out.text.contains("E15a"));
         assert!(!out.text.contains("BREACHED"));
         assert!(!out.text.contains(" NO"));
@@ -247,6 +232,7 @@ mod tests {
 
     #[test]
     fn e15_is_deterministic_across_jobs() {
-        assert_eq!(run_with_jobs(1).text, run_with_jobs(4).text);
+        let untraced = hermes_obs::Recorder::disabled();
+        assert_eq!(run(1, &untraced).text, run(4, &untraced).text);
     }
 }

@@ -43,6 +43,7 @@ use crate::e11_throughput::BaselineSimulator;
 use crate::table::Table;
 use crate::ExperimentOutput;
 use hermes_hls::HlsFlow;
+use hermes_obs::hash::Fnv1a;
 use hermes_rtl::netlist::{NetId, Netlist};
 use hermes_rtl::sim::Simulator;
 use std::time::Instant;
@@ -152,14 +153,6 @@ fn run_hashmap(
     (last.0, last.1, start.elapsed().as_secs_f64())
 }
 
-/// FNV-1a over a `u64` stream — the e16d state checksum.
-fn fnv_u64(hash: &mut u64, value: u64) {
-    for byte in value.to_le_bytes() {
-        *hash ^= u64::from(byte);
-        *hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-}
-
 /// Pokes for the tiled fabric: every tile's `arg_n` when `all`, else
 /// tile 0 only (the localized-activity scenario).
 fn soc_pokes(copies: usize, all: bool) -> Vec<(String, u64)> {
@@ -167,26 +160,11 @@ fn soc_pokes(copies: usize, all: bool) -> Vec<(String, u64)> {
     (0..tiles).map(|k| (format!("u{k}_arg_n"), SOC_ARG)).collect()
 }
 
-/// Run E16 on the default worker count and render its tables.
-pub fn run() -> ExperimentOutput {
-    run_with_jobs(hermes_par::jobs())
-}
-
-/// Run E16 with an explicit worker count; every count renders the same
+/// Run E16 on `jobs` workers, tracing into `obs` (the packed/partition
+/// counters export under `rtl-par`); every count renders the same
 /// tables (the partition plan and engagement decision are
 /// jobs-independent and partition results merge in program order).
-pub fn run_with_jobs(jobs: usize) -> ExperimentOutput {
-    run_traced_jobs(jobs, &hermes_obs::Recorder::disabled())
-}
-
-/// Run E16 on the default worker count, tracing into `obs`.
-pub fn run_traced(obs: &hermes_obs::Recorder) -> ExperimentOutput {
-    run_traced_jobs(hermes_par::jobs(), obs)
-}
-
-/// Run E16 with an explicit worker count and a flight recorder (the
-/// packed/partition counters export under `rtl-par`).
-pub fn run_traced_jobs(jobs: usize, obs: &hermes_obs::Recorder) -> ExperimentOutput {
+pub fn run(jobs: usize, obs: &hermes_obs::Recorder) -> ExperimentOutput {
     let design = HlsFlow::new().unroll_limit(0).compile(ACC_SRC).expect("acc compiles");
     let acc_nl = design.netlist();
     let soc_nl = acc_nl.tiled(SOC_COPIES);
@@ -378,9 +356,9 @@ pub fn run_traced_jobs(jobs: usize, obs: &hermes_obs::Recorder) -> ExperimentOut
         for _ in 0..detm_cycles {
             sim.step().expect("step");
         }
-        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        let mut hash = Fnv1a::new();
         for (id, _) in soc_nl.nets() {
-            fnv_u64(&mut hash, sim.peek_net(id));
+            hash.u64(sim.peek_net(id));
         }
         let run = EngineRun {
             cycles: detm_cycles,
@@ -392,10 +370,11 @@ pub fn run_traced_jobs(jobs: usize, obs: &hermes_obs::Recorder) -> ExperimentOut
             secs: 0.0,
         };
         for byte in run.trace.as_bytes() {
-            fnv_u64(&mut hash, u64::from(*byte));
+            hash.u64(u64::from(*byte));
         }
-        fnv_u64(&mut hash, run.settle_ops);
-        fnv_u64(&mut hash, run.parallel_ops);
+        hash.u64(run.settle_ops);
+        hash.u64(run.parallel_ops);
+        let hash = hash.finish();
         assert!(run.parallel_passes > 0, "grain 1 must engage the partitioned path");
         let verdict = match &reference {
             None => "reference",

@@ -31,6 +31,7 @@ use crate::table::Table;
 use crate::trace::trace_document;
 use crate::ExperimentOutput;
 use hermes_cpu::memmap::layout;
+use hermes_obs::hash::Fnv1a;
 use hermes_obs::profile::profile;
 use hermes_obs::slo::{AlertState, SloEngine, SloObjective, SloSpec};
 use hermes_obs::Recorder;
@@ -90,12 +91,9 @@ fn traced_point(
 }
 
 fn fnv(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+    let mut hash = Fnv1a::new();
+    hash.bytes(bytes);
+    hash.finish()
 }
 
 /// Thread one minted trace through HLS co-sim, AXI DMA measurement, and
@@ -107,7 +105,7 @@ fn cross_layer_chain(rec: &Recorder) -> (u64, Vec<(String, u64)>) {
     let design = hermes_hls::HlsFlow::new()
         .compile("int triple(int x) { return x * 3; }")
         .expect("kernel compiles");
-    let model = AcceleratorModel::from_design_traced(design, &[5], 8, rec, ctx)
+    let model = AcceleratorModel::from_design(design, &[5], 8, rec, ctx)
         .expect("traced measurement")
         // dma: the bus round trip exports its stats under the same trace
         .with_measured_dma_traced(64, rec, ctx);
@@ -146,15 +144,12 @@ fn cross_layer_chain(rec: &Recorder) -> (u64, Vec<(String, u64)>) {
     (ctx.trace_id, counts)
 }
 
-/// Run E17 and render its tables.
-pub fn run() -> ExperimentOutput {
-    run_traced(&hermes_obs::Recorder::disabled())
-}
-
 /// Run E17 with a flight recorder. The gates need real traces even in an
 /// untraced session, so each sweep point records into its own recorder;
-/// the session recorder receives the absorbed copies.
-pub fn run_traced(obs: &hermes_obs::Recorder) -> ExperimentOutput {
+/// the session recorder receives the absorbed copies. The sweep runs the
+/// serve pool on its default worker count and E17c pins 1 and 4, so
+/// `jobs` is unused.
+pub fn run(_jobs: usize, obs: &hermes_obs::Recorder) -> ExperimentOutput {
     let model = e14_serving::mlp_model();
     let base = e14_serving::workload_cfg(&model, &e14_serving::serve_cfg());
 

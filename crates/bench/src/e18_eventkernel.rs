@@ -232,24 +232,10 @@ fn axi_leg() -> LayerRun {
     }
 }
 
-/// Run E18 and render its tables.
-pub fn run() -> ExperimentOutput {
-    run_traced(&hermes_obs::Recorder::disabled())
-}
-
-/// Run E18 with a flight recorder (wheel counters under `kernel`).
-/// `jobs = 0` inherits the harness worker count.
-pub fn run_traced(obs: &hermes_obs::Recorder) -> ExperimentOutput {
-    run_traced_jobs(0, obs)
-}
-
-/// Run E18 with the serving leg's payload pool pinned to `jobs`
-/// workers (the determinism suite diffs 1 vs 4).
-pub fn run_with_jobs(jobs: usize) -> ExperimentOutput {
-    run_traced_jobs(jobs, &hermes_obs::Recorder::disabled())
-}
-
-fn run_traced_jobs(jobs: usize, obs: &hermes_obs::Recorder) -> ExperimentOutput {
+/// Run E18 with the serving leg's payload pool on `jobs` workers (the
+/// determinism suite diffs 1 vs 4), tracing wheel counters into `obs`
+/// under `kernel`.
+pub fn run(jobs: usize, obs: &hermes_obs::Recorder) -> ExperimentOutput {
     let legs = [serve_leg(jobs), xng_leg(), axi_leg()];
 
     // The kernel merges its own result rows: one completion event per

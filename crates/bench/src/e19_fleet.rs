@@ -127,25 +127,11 @@ pub fn identity_run(jobs: usize, event_kernel: bool) -> FleetReport {
     )
 }
 
-/// Run E19 and render its tables.
-pub fn run() -> ExperimentOutput {
-    run_traced(&hermes_obs::Recorder::disabled())
-}
-
-/// Run E19 with a flight recorder (fleet metrics under `fleet`,
-/// per-shard serve metrics under `shard<i>/serve`).
-pub fn run_traced(obs: &hermes_obs::Recorder) -> ExperimentOutput {
-    run_traced_jobs(0, obs)
-}
-
-/// Run E19 with every shard's payload pool pinned to `jobs` workers
-/// (the determinism suite and the ci.sh jobs gate diff 1 vs 4).
-pub fn run_with_jobs(jobs: usize) -> ExperimentOutput {
-    run_traced_jobs(jobs, &hermes_obs::Recorder::disabled())
-}
-
-/// Run E19 with both the worker count and the recorder explicit.
-pub fn run_traced_jobs(jobs: usize, obs: &hermes_obs::Recorder) -> ExperimentOutput {
+/// Run E19 with every shard's payload pool on `jobs` workers (the
+/// determinism suite and the ci.sh jobs gate diff 1 vs 4), tracing fleet
+/// metrics under `fleet` and per-shard serve metrics under
+/// `shard<i>/serve` into `obs`.
+pub fn run(jobs: usize, obs: &hermes_obs::Recorder) -> ExperimentOutput {
     // E19a: shard-count sweep over 1,048,576 heavy-tailed arrivals.
     let mut sweep = Table::new(&[
         "shards",

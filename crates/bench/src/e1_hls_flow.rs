@@ -9,28 +9,11 @@ use crate::table::Table;
 use crate::{cells, ExperimentOutput};
 use hermes_hls::HlsFlow;
 
-/// Run E1 on the default worker count and render its table.
-pub fn run() -> ExperimentOutput {
-    run_with_jobs(hermes_par::jobs())
-}
-
-/// Run E1 with an explicit worker count; every count renders the same
-/// table (the per-kernel HLS flows are independent and results merge in
-/// suite order).
-pub fn run_with_jobs(jobs: usize) -> ExperimentOutput {
-    run_traced_jobs(jobs, &hermes_obs::Recorder::disabled())
-}
-
-/// Run E1 on the default worker count, tracing into `obs`.
-pub fn run_traced(obs: &hermes_obs::Recorder) -> ExperimentOutput {
-    run_traced_jobs(hermes_par::jobs(), obs)
-}
-
-/// Run E1 with an explicit worker count and a flight recorder: each
-/// kernel compiles against its own [`hermes_obs::Recorder::child`], and
-/// the children merge back in suite order, so the trace is identical at
-/// every worker count.
-pub fn run_traced_jobs(jobs: usize, obs: &hermes_obs::Recorder) -> ExperimentOutput {
+/// Run E1 on `jobs` workers, tracing into `obs`: each kernel compiles
+/// against its own [`hermes_obs::Recorder::child`], and the children
+/// merge back in suite order, so the table and the trace are identical
+/// at every worker count.
+pub fn run(jobs: usize, obs: &hermes_obs::Recorder) -> ExperimentOutput {
     let flow = HlsFlow::new().unroll_limit(0);
     let mut t = Table::new(&[
         "kernel", "blocks", "nodes", "edges", "chain", "folded", "cse", "states",
@@ -38,7 +21,7 @@ pub fn run_traced_jobs(jobs: usize, obs: &hermes_obs::Recorder) -> ExperimentOut
     ]);
     let rows = hermes_par::par_map_jobs(jobs, &suite(), |k| {
         let child = obs.child();
-        let d = k.compile_traced(&flow, &child);
+        let d = k.compile(&flow, &child);
         let r = k.simulate(&d);
         let row = cells![
             k.name,
@@ -72,7 +55,7 @@ pub fn run_traced_jobs(jobs: usize, obs: &hermes_obs::Recorder) -> ExperimentOut
 mod tests {
     #[test]
     fn e1_produces_all_kernels() {
-        let out = super::run().text;
+        let out = super::run(hermes_par::jobs(), &hermes_obs::Recorder::disabled()).text;
         for k in [
             "sobel", "conv3", "histogram", "fir", "correlate", "dft", "centroid", "mlp",
         ] {

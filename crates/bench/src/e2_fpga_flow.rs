@@ -15,27 +15,10 @@ use hermes_fpga::flow::{FlowOptions, NxFlow};
 use hermes_fpga::place::Effort;
 use hermes_hls::HlsFlow;
 
-/// Run E2 on the default worker count and render its tables.
-pub fn run() -> ExperimentOutput {
-    run_with_jobs(hermes_par::jobs())
-}
-
-/// Run E2 with an explicit worker count; the per-kernel HLS→FPGA flows
-/// are independent and merge in suite order, so every count renders the
-/// same tables.
-pub fn run_with_jobs(jobs: usize) -> ExperimentOutput {
-    run_traced_jobs(jobs, &hermes_obs::Recorder::disabled())
-}
-
-/// Run E2 on the default worker count, tracing into `obs`.
-pub fn run_traced(obs: &hermes_obs::Recorder) -> ExperimentOutput {
-    run_traced_jobs(hermes_par::jobs(), obs)
-}
-
-/// Run E2 with an explicit worker count and a flight recorder: each
-/// kernel's HLS→FPGA flow traces into its own child recorder, absorbed
-/// back in suite order.
-pub fn run_traced_jobs(jobs: usize, obs: &hermes_obs::Recorder) -> ExperimentOutput {
+/// Run E2 on `jobs` workers, tracing into `obs`: each kernel's HLS→FPGA
+/// flow traces into its own child recorder, absorbed back in suite
+/// order, so every worker count renders the same tables and trace.
+pub fn run(jobs: usize, obs: &hermes_obs::Recorder) -> ExperimentOutput {
     let hls = HlsFlow::new().unroll_limit(0);
     let device = DeviceProfile::ng_medium_like();
     let opts = FlowOptions {
@@ -48,11 +31,11 @@ pub fn run_traced_jobs(jobs: usize, obs: &hermes_obs::Recorder) -> ExperimentOut
     ]);
     let rows = hermes_par::par_map_jobs(jobs, &suite(), |k| {
         let child = obs.child();
-        let d = k.compile_traced(&hls, &child);
+        let d = k.compile(&hls, &child);
         let mut kopts = opts.clone();
         kopts.multicycle = d.multicycle_hints();
         let report = NxFlow::new(device.clone(), kopts)
-            .run_traced(d.netlist(), &child)
+            .run(d.netlist(), &child)
             .unwrap_or_else(|e| panic!("{}: {e}", k.name));
         let row = cells![
             k.name,
@@ -74,7 +57,8 @@ pub fn run_traced_jobs(jobs: usize, obs: &hermes_obs::Recorder) -> ExperimentOut
     }
 
     // device-generation ablation on a representative kernel
-    let d = suite().remove(3).compile(&hls); // fir
+    let untraced = hermes_obs::Recorder::disabled();
+    let d = suite().remove(3).compile(&hls, &untraced); // fir
     let mut gen = Table::new(&["device", "fmax_mhz", "power_mw", "ratio_vs_legacy"]);
     let mut results = Vec::new();
     for device in [
@@ -82,7 +66,7 @@ pub fn run_traced_jobs(jobs: usize, obs: &hermes_obs::Recorder) -> ExperimentOut
         DeviceProfile::legacy_radhard_like(),
     ] {
         let report = NxFlow::new(device.clone(), opts.clone())
-            .run(d.netlist())
+            .run(d.netlist(), &untraced)
             .expect("fir implements");
         results.push((device.name.clone(), report.timing.fmax_mhz, report.power.total_mw()));
     }
@@ -115,7 +99,7 @@ pub fn run_traced_jobs(jobs: usize, obs: &hermes_obs::Recorder) -> ExperimentOut
 mod tests {
     #[test]
     fn e2_reports_generation_gap() {
-        let out = super::run().text;
+        let out = super::run(hermes_par::jobs(), &hermes_obs::Recorder::disabled()).text;
         assert!(out.contains("NG-MEDIUM-like"));
         assert!(out.contains("Legacy-65nm-like"));
         // speed ratio ~2x must appear on the modern device row

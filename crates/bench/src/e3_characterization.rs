@@ -11,20 +11,10 @@ use hermes_eucalyptus::{Eucalyptus, SweepConfig};
 use hermes_fpga::device::DeviceProfile;
 use hermes_rtl::component::ComponentKind;
 
-/// Run E3 on the default worker count and render its table.
-pub fn run() -> ExperimentOutput {
-    run_with_jobs(hermes_par::jobs())
-}
-
-/// Harness entry point; E3 has no instrumented layers yet, so the
-/// recorder is unused.
-pub fn run_traced(_obs: &hermes_obs::Recorder) -> ExperimentOutput {
-    run()
-}
-
-/// Run E3 with an explicit worker count for the kind × width sweep; the
-/// library (and hence the table) is identical for every count.
-pub fn run_with_jobs(jobs: usize) -> ExperimentOutput {
+/// Run E3 on `jobs` workers for the kind × width sweep; the library (and
+/// hence the table) is identical for every count. E3 has no instrumented
+/// layers yet, so the recorder is unused.
+pub fn run(jobs: usize, _obs: &hermes_obs::Recorder) -> ExperimentOutput {
     let sweep = SweepConfig {
         widths: vec![8, 16, 32, 64],
         pipeline_stages: vec![0, 1, 2],
@@ -66,7 +56,7 @@ pub fn run_with_jobs(jobs: usize) -> ExperimentOutput {
 mod tests {
     #[test]
     fn e3_covers_widths_and_stages() {
-        let out = super::run().text;
+        let out = super::run(hermes_par::jobs(), &hermes_obs::Recorder::disabled()).text;
         assert!(out.contains("mul"));
         assert!(out.contains("div"));
         assert!(out.contains("64"));

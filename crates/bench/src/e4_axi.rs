@@ -25,15 +25,11 @@ int sum(int *data, int n) {
 }
 "#;
 
-/// Run E4 and render its tables.
-pub fn run() -> ExperimentOutput {
-    run_traced(&hermes_obs::Recorder::disabled())
-}
-
 /// Run E4 with a flight recorder: every co-simulation promotes its
 /// [`hermes_axi::testbench::BusStats`] into obs counters and the
-/// read-latency histogram under the `axi` subsystem.
-pub fn run_traced(obs: &hermes_obs::Recorder) -> ExperimentOutput {
+/// read-latency histogram under the `axi` subsystem. E4 runs serially,
+/// so `jobs` is unused.
+pub fn run(_jobs: usize, obs: &hermes_obs::Recorder) -> ExperimentOutput {
     // compile with an optimistic static memory estimate so the
     // bus-accurate co-simulation (not the static schedule) sets the pace
     let design = HlsFlow::new()
@@ -199,7 +195,7 @@ pub fn run_traced(obs: &hermes_obs::Recorder) -> ExperimentOutput {
 mod tests {
     #[test]
     fn e4_latency_ordering_holds() {
-        let out = super::run().text;
+        let out = super::run(hermes_par::jobs(), &hermes_obs::Recorder::disabled()).text;
         assert!(out.contains("ideal"));
         assert!(out.contains("slow-radtol"));
         // bandwidth rises with chunk size: last row must beat the first

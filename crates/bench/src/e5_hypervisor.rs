@@ -150,15 +150,11 @@ jal r0, loop",
     hv.stats(victim).cpu_cycles
 }
 
-/// Run E5 and render its tables.
-pub fn run() -> ExperimentOutput {
-    run_traced(&hermes_obs::Recorder::disabled())
-}
-
 /// Run E5 with a flight recorder attached to the hypervisors of the
 /// isolation and hypercall scenarios (context-switch, hypercall, and
-/// HM-event traces under the `xng` subsystem).
-pub fn run_traced(obs: &hermes_obs::Recorder) -> ExperimentOutput {
+/// HM-event traces under the `xng` subsystem). E5 runs serially, so
+/// `jobs` is unused.
+pub fn run(_jobs: usize, obs: &hermes_obs::Recorder) -> ExperimentOutput {
     let mut a = Table::new(&["co-resident", "victim_activations", "victim_jitter", "other_restarts"]);
     for scenario in ["well-behaved", "crashing", "mpu-attacker"] {
         let (act, jitter, restarts) = victim_with_coresident(scenario, obs);
@@ -212,7 +208,7 @@ pub fn run_traced(obs: &hermes_obs::Recorder) -> ExperimentOutput {
 mod tests {
     #[test]
     fn e5_victim_unaffected() {
-        let out = super::run().text;
+        let out = super::run(hermes_par::jobs(), &hermes_obs::Recorder::disabled()).text;
         // all three scenarios must report the same victim activation count
         let counts: Vec<&str> = out
             .lines()

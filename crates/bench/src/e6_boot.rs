@@ -26,17 +26,13 @@ fn mission_flash(mode: RedundancyMode) -> (Flash, LoadList) {
     (flash, list)
 }
 
-/// Run E6 and render its tables.
-pub fn run() -> ExperimentOutput {
-    run_traced(&hermes_obs::Recorder::disabled())
-}
-
 /// Run E6 with a flight recorder: the flash and SpaceWire boot timelines
 /// export one `Boot`-clocked span per BL1 stage (under `boot.flash` and
-/// `boot.spw`) plus the recovery counters of each [`BootReport`].
+/// `boot.spw`) plus the recovery counters of each [`BootReport`]. E6
+/// runs serially, so `jobs` is unused.
 ///
 /// [`BootReport`]: hermes_boot::report::BootReport
-pub fn run_traced(obs: &hermes_obs::Recorder) -> ExperimentOutput {
+pub fn run(_jobs: usize, obs: &hermes_obs::Recorder) -> ExperimentOutput {
     // stage breakdown, flash vs spacewire
     let mut a = Table::new(&["stage", "flash_cycles", "spw_cycles"]);
     let (flash, list) = mission_flash(RedundancyMode::Tmr);
@@ -102,7 +98,7 @@ pub fn run_traced(obs: &hermes_obs::Recorder) -> ExperimentOutput {
 mod tests {
     #[test]
     fn e6_shapes_hold() {
-        let out = super::run().text;
+        let out = super::run(hermes_par::jobs(), &hermes_obs::Recorder::disabled()).text;
         assert!(out.contains("ddr-init"));
         // unprotected boot fails, protected ones succeed
         assert!(out.contains("FAILED"));

@@ -61,24 +61,9 @@ fn validate_cost_model() -> (u64, u64) {
     (model, cluster.core(0).cycles)
 }
 
-/// Run E7 and render its tables.
-pub fn run() -> ExperimentOutput {
-    run_with_jobs(hermes_par::jobs())
-}
-
-/// Run E7 with an explicit worker count (per-kernel flows in parallel).
-pub fn run_with_jobs(jobs: usize) -> ExperimentOutput {
-    run_traced_jobs(jobs, &hermes_obs::Recorder::disabled())
-}
-
-/// Run E7 on the default worker count, tracing into `obs`.
-pub fn run_traced(obs: &hermes_obs::Recorder) -> ExperimentOutput {
-    run_traced_jobs(hermes_par::jobs(), obs)
-}
-
-/// Run E7 with an explicit worker count and a flight recorder (child
-/// recorder per kernel, absorbed in suite order).
-pub fn run_traced_jobs(jobs: usize, obs: &hermes_obs::Recorder) -> ExperimentOutput {
+/// Run E7 on `jobs` workers (per-kernel flows in parallel), tracing into
+/// `obs` (a child recorder per kernel, absorbed in suite order).
+pub fn run(jobs: usize, obs: &hermes_obs::Recorder) -> ExperimentOutput {
     let (model, measured) = validate_cost_model();
     let mut v = Table::new(&["baseline validation", "cycles"]);
     v.row(cells!["cost model (acc loop, n=64)", model]);
@@ -94,7 +79,7 @@ pub fn run_traced_jobs(jobs: usize, obs: &hermes_obs::Recorder) -> ExperimentOut
     let mut t = Table::new(&["kernel", "hw_cycles", "sw_cycles", "speedup", "ops"]);
     let rows = hermes_par::par_map_jobs(jobs, &suite(), |k| {
         let child = obs.child();
-        let d = k.compile_traced(&flow, &child);
+        let d = k.compile(&flow, &child);
         let r = k.simulate(&d);
         let sw = r.op_census.cpu_cycles(CPU_MUL, CPU_DIV, CPU_MEM);
         let row = cells![
@@ -164,7 +149,7 @@ mod tests {
 
     #[test]
     fn e7_accelerators_win() {
-        let out = super::run().text;
+        let out = super::run(hermes_par::jobs(), &hermes_obs::Recorder::disabled()).text;
         // every suite row reports a >= 1x speedup
         for line in out.lines().filter(|l| l.contains('x') && l.contains("  ")) {
             if let Some(sp) = line

@@ -10,14 +10,9 @@ use crate::table::Table;
 use crate::ExperimentOutput;
 use hermes_rad::campaign::{bitstream_campaign, Campaign, Protection};
 
-/// Harness entry point; E8 has no instrumented layers yet, so the
-/// recorder is unused.
-pub fn run_traced(_obs: &hermes_obs::Recorder) -> ExperimentOutput {
-    run()
-}
-
-/// Run E8 and render its tables.
-pub fn run() -> ExperimentOutput {
+/// Run E8 and render its tables. E8 runs serially and has no
+/// instrumented layers yet, so `jobs` and the recorder are unused.
+pub fn run(_jobs: usize, _obs: &hermes_obs::Recorder) -> ExperimentOutput {
     let mut a = Table::new(&[
         "protection", "upsets", "silent", "detected", "corrected", "overhead%",
     ]);
@@ -100,7 +95,7 @@ pub fn run() -> ExperimentOutput {
 mod tests {
     #[test]
     fn e8_protection_ordering() {
-        let out = super::run().text;
+        let out = super::run(hermes_par::jobs(), &hermes_obs::Recorder::disabled()).text;
         assert!(out.contains("Tmr"));
         assert!(out.contains("Edac"));
         assert!(out.contains("corrupted frames undetected"));

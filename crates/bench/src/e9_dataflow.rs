@@ -47,14 +47,9 @@ fn flows(n: usize, a: &Task, b: &Task) -> TaskGraph {
     g
 }
 
-/// Harness entry point; E9 has no instrumented layers yet, so the
-/// recorder is unused.
-pub fn run_traced(_obs: &hermes_obs::Recorder) -> ExperimentOutput {
-    run()
-}
-
-/// Run E9 and render its table.
-pub fn run() -> ExperimentOutput {
+/// Run E9 and render its table. E9 runs serially and has no
+/// instrumented layers yet, so `jobs` and the recorder are unused.
+pub fn run(_jobs: usize, _obs: &hermes_obs::Recorder) -> ExperimentOutput {
     let (a, b) = pipeline_tasks();
     let items = 200u64;
     let mut t = Table::new(&[
@@ -94,7 +89,7 @@ pub fn run() -> ExperimentOutput {
 mod tests {
     #[test]
     fn e9_controller_explosion_visible() {
-        let out = super::run().text;
+        let out = super::run(hermes_par::jobs(), &hermes_obs::Recorder::disabled()).text;
         let rows: Vec<Vec<u64>> = out
             .lines()
             .filter(|l| l.trim().starts_with(|c: char| c.is_ascii_digit()))

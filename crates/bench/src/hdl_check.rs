@@ -45,12 +45,13 @@ mod tests {
     use super::*;
     use crate::kernels::suite;
     use hermes_hls::HlsFlow;
+    use hermes_obs::Recorder;
 
     #[test]
     fn all_suite_kernels_emit_healthy_hdl() {
         let flow = HlsFlow::new().unroll_limit(0);
         for k in suite() {
-            let d = k.compile(&flow);
+            let d = k.compile(&flow, &Recorder::disabled());
             let top = d.name().to_string();
             let v = d.emit_verilog();
             lint_verilog(&v).unwrap_or_else(|e| panic!("{} verilog: {e}", k.name));

@@ -23,22 +23,12 @@ pub struct Kernel {
 }
 
 impl Kernel {
-    /// Compile with the given flow.
-    ///
-    /// # Panics
-    ///
-    /// Panics on compile failure (suite kernels are known-good).
-    pub fn compile(&self, flow: &HlsFlow) -> Design {
-        flow.compile(self.source)
-            .unwrap_or_else(|e| panic!("{}: {e}", self.name))
-    }
-
     /// Compile with the given flow, tracing per-stage spans into `obs`.
     ///
     /// # Panics
     ///
     /// Panics on compile failure (suite kernels are known-good).
-    pub fn compile_traced(&self, flow: &HlsFlow, obs: &hermes_obs::Recorder) -> Design {
+    pub fn compile(&self, flow: &HlsFlow, obs: &hermes_obs::Recorder) -> Design {
         flow.compile_traced(self.source, obs)
             .unwrap_or_else(|e| panic!("{}: {e}", self.name))
     }

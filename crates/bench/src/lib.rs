@@ -15,9 +15,18 @@
 //! or one of them: `cargo run --release -p hermes-bench --bin experiments e5`.
 //! Pass `--json <path>` to also write the tables as structured JSON (this
 //! is how `BENCH_hermes.json`, the perf trajectory baseline, is produced
-//! from E11), and pass `--jobs <n>` to pin the worker count of the
-//! parallel experiments (E1/E2/E3/E7/E10 fan their independent units over
-//! `hermes-par`; any worker count renders bit-identical tables).
+//! from E11), and pass `--jobs <n>` to pin the worker count.
+//!
+//! Every experiment module exposes exactly one entry point,
+//! `run(jobs: usize, obs: &Recorder) -> ExperimentOutput` (the [`Runner`]
+//! type). `jobs` is the worker count: E1/E2/E3/E7/E10/E15/E16 fan their
+//! independent units over `hermes-par`, E18/E19 size the serve pool of
+//! their serving leg and shards with it, E11 reports it and E12/E13 pass
+//! it on to the experiments they time; the others run serially and
+//! ignore it. Any worker count renders bit-identical tables. `obs` is the
+//! flight recorder; callers that do not trace pass
+//! [`hermes_obs::Recorder::disabled`], which costs one branch per
+//! recording call.
 //!
 //! No library crate reads the process environment: every engine runs its
 //! default, and the alternates (the oracles E13/E16/E18/E19 compare
@@ -99,68 +108,64 @@ impl ExperimentOutput {
     }
 }
 
-/// One experiment: `(id, title, runner)`. The runner records spans,
-/// events, and metrics into the supplied flight recorder; pass
+/// An experiment's one entry point, `run(jobs, obs)`: fan independent
+/// units over `jobs` workers (experiments that run serially ignore it)
+/// and record spans, events, and metrics into `obs`; pass
 /// [`hermes_obs::Recorder::disabled`] for an untraced run.
-pub type Experiment = (
-    &'static str,
-    &'static str,
-    fn(&hermes_obs::Recorder) -> ExperimentOutput,
-);
+pub type Runner = fn(usize, &hermes_obs::Recorder) -> ExperimentOutput;
+
+/// One experiment: `(id, title, runner)`.
+pub type Experiment = (&'static str, &'static str, Runner);
 
 /// Every experiment.
 pub fn all_experiments() -> Vec<Experiment> {
     vec![
-        (
-            "e1",
-            "HLS flow metrics (Fig. 2)",
-            e1_hls_flow::run_traced as fn(&hermes_obs::Recorder) -> ExperimentOutput,
-        ),
-        ("e2", "FPGA implementation flow (Fig. 3)", e2_fpga_flow::run_traced),
-        ("e3", "Eucalyptus characterization (§II)", e3_characterization::run_traced),
-        ("e4", "AXI memory-delay sensitivity (§II)", e4_axi::run_traced),
-        ("e5", "Hypervisor TSP guarantees (Fig. 4, §III)", e5_hypervisor::run_traced),
-        ("e6", "Boot sequence (Fig. 5, §IV)", e6_boot::run_traced),
-        ("e7", "Use-case speedups (§V)", e7_usecases::run_traced),
-        ("e8", "Radiation hardening (§I)", e8_radiation::run_traced),
-        ("e9", "Dataflow vs monolithic FSM (§II)", e9_dataflow::run_traced),
-        ("e10", "Cross-layer chaos campaigns (§III-IV)", e10_chaos::run_traced),
-        ("e11", "Throughput: serial vs parallel, hot-path gains", e11_throughput::run_traced),
-        ("e12", "Observability overhead (tracing on vs off)", e12_observability::run_traced),
+        ("e1", "HLS flow metrics (Fig. 2)", e1_hls_flow::run as Runner),
+        ("e2", "FPGA implementation flow (Fig. 3)", e2_fpga_flow::run),
+        ("e3", "Eucalyptus characterization (§II)", e3_characterization::run),
+        ("e4", "AXI memory-delay sensitivity (§II)", e4_axi::run),
+        ("e5", "Hypervisor TSP guarantees (Fig. 4, §III)", e5_hypervisor::run),
+        ("e6", "Boot sequence (Fig. 5, §IV)", e6_boot::run),
+        ("e7", "Use-case speedups (§V)", e7_usecases::run),
+        ("e8", "Radiation hardening (§I)", e8_radiation::run),
+        ("e9", "Dataflow vs monolithic FSM (§II)", e9_dataflow::run),
+        ("e10", "Cross-layer chaos campaigns (§III-IV)", e10_chaos::run),
+        ("e11", "Throughput: serial vs parallel, hot-path gains", e11_throughput::run),
+        ("e12", "Observability overhead (tracing on vs off)", e12_observability::run),
         (
             "e13",
             "Event-driven settle + shared characterization cache",
-            e13_eventdriven::run_traced,
+            e13_eventdriven::run,
         ),
         (
             "e14",
             "Deadline-aware accelerator serving (admission, batching, shedding)",
-            e14_serving::run_traced,
+            e14_serving::run,
         ),
         (
             "e15",
             "Adversarial spatial isolation (zero-silent-leak gate)",
-            e15_isolation::run_traced,
+            e15_isolation::run,
         ),
         (
             "e16",
             "Word-parallel bit-packed settle + rank-partitioned parallel simulation",
-            e16_wordparallel::run_traced,
+            e16_wordparallel::run,
         ),
         (
             "e17",
             "Causal tracing, critical-path profiling, SLO burn-rate alerting",
-            e17_tracing::run_traced,
+            e17_tracing::run,
         ),
         (
             "e18",
             "Unified event kernel: cross-layer fast-forward (polled-tick reduction)",
-            e18_eventkernel::run_traced,
+            e18_eventkernel::run,
         ),
         (
             "e19",
             "Sharded serving fleet (routing, autoscaling, cross-shard failover)",
-            e19_fleet::run_traced,
+            e19_fleet::run,
         ),
     ]
 }

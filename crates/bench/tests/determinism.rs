@@ -2,38 +2,40 @@
 //! count: every fan-out in the harness merges results in input order, so
 //! the worker count is a pure throughput knob, never a results knob.
 
+use hermes_obs::Recorder;
+
 #[test]
 fn e1_parallel_matches_serial() {
-    let serial = hermes_bench::e1_hls_flow::run_with_jobs(1).text;
-    let parallel = hermes_bench::e1_hls_flow::run_with_jobs(4).text;
+    let serial = hermes_bench::e1_hls_flow::run(1, &Recorder::disabled()).text;
+    let parallel = hermes_bench::e1_hls_flow::run(4, &Recorder::disabled()).text;
     assert_eq!(serial, parallel);
 }
 
 #[test]
 fn e2_parallel_matches_serial() {
-    let serial = hermes_bench::e2_fpga_flow::run_with_jobs(1).text;
-    let parallel = hermes_bench::e2_fpga_flow::run_with_jobs(4).text;
+    let serial = hermes_bench::e2_fpga_flow::run(1, &Recorder::disabled()).text;
+    let parallel = hermes_bench::e2_fpga_flow::run(4, &Recorder::disabled()).text;
     assert_eq!(serial, parallel);
 }
 
 #[test]
 fn e3_parallel_matches_serial() {
-    let serial = hermes_bench::e3_characterization::run_with_jobs(1).text;
-    let parallel = hermes_bench::e3_characterization::run_with_jobs(4).text;
+    let serial = hermes_bench::e3_characterization::run(1, &Recorder::disabled()).text;
+    let parallel = hermes_bench::e3_characterization::run(4, &Recorder::disabled()).text;
     assert_eq!(serial, parallel);
 }
 
 #[test]
 fn e7_parallel_matches_serial() {
-    let serial = hermes_bench::e7_usecases::run_with_jobs(1).text;
-    let parallel = hermes_bench::e7_usecases::run_with_jobs(4).text;
+    let serial = hermes_bench::e7_usecases::run(1, &Recorder::disabled()).text;
+    let parallel = hermes_bench::e7_usecases::run(4, &Recorder::disabled()).text;
     assert_eq!(serial, parallel);
 }
 
 #[test]
 fn e10_parallel_matches_serial() {
-    let serial = hermes_bench::e10_chaos::run_with_jobs(1).text;
-    let parallel = hermes_bench::e10_chaos::run_with_jobs(4).text;
+    let serial = hermes_bench::e10_chaos::run(1, &Recorder::disabled()).text;
+    let parallel = hermes_bench::e10_chaos::run(4, &Recorder::disabled()).text;
     assert_eq!(serial, parallel);
 }
 
@@ -42,8 +44,8 @@ fn e10_parallel_matches_serial() {
 /// worker count, and neither may the perf-gate scenario's cycle counts.
 #[test]
 fn e16_parallel_matches_serial() {
-    let serial = hermes_bench::e16_wordparallel::run_with_jobs(1).text;
-    let parallel = hermes_bench::e16_wordparallel::run_with_jobs(4).text;
+    let serial = hermes_bench::e16_wordparallel::run(1, &Recorder::disabled()).text;
+    let parallel = hermes_bench::e16_wordparallel::run(4, &Recorder::disabled()).text;
     let strip = |text: &str| {
         text.lines()
             .filter(|l| !l.contains("completed in"))
@@ -58,8 +60,8 @@ fn e16_parallel_matches_serial() {
 /// verdicts) must not move with the worker count.
 #[test]
 fn e18_parallel_matches_serial() {
-    let serial = hermes_bench::e18_eventkernel::run_with_jobs(1).text;
-    let parallel = hermes_bench::e18_eventkernel::run_with_jobs(4).text;
+    let serial = hermes_bench::e18_eventkernel::run(1, &Recorder::disabled()).text;
+    let parallel = hermes_bench::e18_eventkernel::run(4, &Recorder::disabled()).text;
     assert_eq!(serial, parallel);
 }
 
@@ -113,9 +115,10 @@ fn event_kernel_knob_never_moves_results() {
 #[test]
 fn trace_document_matches_across_worker_counts() {
     let doc = |jobs: usize| {
-        let obs = hermes_obs::Recorder::new();
-        hermes_bench::e1_hls_flow::run_traced_jobs(jobs, &obs);
-        hermes_bench::e10_chaos::run_traced_jobs(jobs, &obs);
+        let obs = Recorder::new();
+        hermes_bench::e1_hls_flow::run(jobs, &obs);
+        hermes_bench::e10_chaos::run(jobs, &obs);
+        assert_eq!(obs.snapshot().dropped_total(), 0, "ring overflow truncated the trace");
         hermes_bench::trace::trace_document(&obs).render()
     };
     let serial = doc(1);

@@ -10,7 +10,7 @@ use hermes_fleet::engine::{FleetConfig, FleetEngine};
 use hermes_fleet::scaler::ScalerConfig;
 use hermes_fleet::workload::{self, FleetWorkloadConfig};
 use hermes_serve::engine::ServeConfig;
-use hermes_serve::fnv1a_words;
+use hermes_obs::hash::fnv1a_words;
 use hermes_serve::model::AcceleratorModel;
 
 /// Digest of the three fleets' reports, recorded before `next_due` was

@@ -10,7 +10,8 @@ use hermes_fpga::device::DeviceProfile;
 use hermes_fpga::flow::{FlowOptions, NxFlow};
 use hermes_fpga::primitives::PNetId;
 use hermes_hls::HlsFlow;
-use hermes_serve::fnv1a_words;
+use hermes_obs::Recorder;
+use hermes_obs::hash::fnv1a_words;
 
 /// Digest of the suite's flow results, recorded before the flow's
 /// net/pin bookkeeping moved from hash maps to dense indices.
@@ -28,7 +29,7 @@ fn suite_flow_results_are_bit_identical() {
     let flow = NxFlow::new(device.clone(), FlowOptions::default());
     let mut h = 0u64;
     for kernel in kernels::suite() {
-        let design = kernel.compile(&hls);
+        let design = kernel.compile(&hls, &Recorder::disabled());
         let (report, art) = flow
             .run_with_artifacts(design.netlist())
             .unwrap_or_else(|e| panic!("{}: {e}", kernel.name));

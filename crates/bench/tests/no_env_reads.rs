@@ -1,7 +1,12 @@
-//! Library crates read no process environment. Every engine runs its
-//! default and the alternates are reachable only through typed hooks, so
-//! a run is fully described by its code and arguments. Binaries (files
-//! under a `src/bin/` directory) own their command line and are exempt.
+//! Source rules over every library source file (binaries, the files
+//! under a `src/bin/` directory, own their command line and are exempt):
+//!
+//! * Library crates read no process environment. Every engine runs its
+//!   default and the alternates are reachable only through typed hooks,
+//!   so a run is fully described by its code and arguments.
+//! * Each layer and each experiment has one entry point that takes the
+//!   recorder as a parameter: no `x` / `x_traced` twins, and one
+//!   `pub fn run` per experiment module.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -24,8 +29,18 @@ fn rust_sources(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-#[test]
-fn library_sources_read_no_environment() {
+/// The `_traced` twins the benchmark under `perfbench/` still calls by
+/// their untraced names: `(file, name)`. Folding them waits for the next
+/// change to the benchmark.
+const PINNED_TRACED: [(&str, &str); 3] = [
+    ("crates/fpga/src/flow.rs", "run_with_artifacts_traced"),
+    ("crates/hls/src/flow.rs", "compile_traced"),
+    ("crates/serve/src/model.rs", "with_measured_dma_traced"),
+];
+
+/// Every library source file as `(path relative to the repository root,
+/// text)`, in path order.
+fn library_sources() -> Vec<(String, String)> {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let mut src_dirs = vec![root.join("src")];
     for krate in fs::read_dir(root.join("crates")).expect("crates directory") {
@@ -40,19 +55,67 @@ fn library_sources_read_no_environment() {
     }
     assert!(files.len() > 50, "walked only {} files", files.len());
     files.sort();
+    files
+        .iter()
+        .map(|file| {
+            let rel = file.strip_prefix(&root).unwrap_or(file);
+            let text = fs::read_to_string(file).expect("readable source");
+            (rel.to_string_lossy().into_owned(), text)
+        })
+        .collect()
+}
+
+#[test]
+fn library_sources_read_no_environment() {
     let mut hits = Vec::new();
-    for file in &files {
-        let text = fs::read_to_string(file).expect("readable source");
+    for (rel, text) in library_sources() {
         for (i, line) in text.lines().enumerate() {
             if FORBIDDEN.iter().any(|pat| line.contains(pat)) {
-                let rel = file.strip_prefix(&root).unwrap_or(file);
-                hits.push(format!("{}:{}: {}", rel.display(), i + 1, line.trim()));
+                hits.push(format!("{rel}:{}: {}", i + 1, line.trim()));
             }
         }
     }
     assert!(
         hits.is_empty(),
         "library code reads the environment:\n{}",
+        hits.join("\n")
+    );
+}
+
+#[test]
+fn one_entry_point_per_layer_and_experiment() {
+    let mut hits = Vec::new();
+    for (rel, text) in library_sources() {
+        let file = rel.rsplit('/').next().unwrap_or(&rel);
+        let experiment = rel.starts_with("crates/bench/src/")
+            && file.starts_with('e')
+            && file[1..].starts_with(|c: char| c.is_ascii_digit());
+        let mut runs = Vec::new();
+        for (i, line) in text.lines().enumerate() {
+            let Some(rest) = line.trim_start().strip_prefix("pub fn ") else {
+                continue;
+            };
+            let name = &rest[..rest.find(['(', '<']).unwrap_or(rest.len())];
+            // a twin is `<name>_traced`; an `is_traced` predicate is not
+            let twin = name.ends_with("_traced") && !name.starts_with("is_");
+            if twin && !PINNED_TRACED.contains(&(rel.as_str(), name)) {
+                hits.push(format!("{rel}:{}: `_traced` twin: {}", i + 1, line.trim()));
+            }
+            if experiment && line.starts_with("pub fn run") {
+                runs.push(format!("{rel}:{}: {}", i + 1, line.trim()));
+            }
+        }
+        if runs.len() > 1 {
+            hits.push(format!(
+                "{} public runners, want one:\n  {}",
+                runs.len(),
+                runs.join("\n  ")
+            ));
+        }
+    }
+    assert!(
+        hits.is_empty(),
+        "a layer or an experiment has more than one entry point:\n{}",
         hits.join("\n")
     );
 }

@@ -13,6 +13,7 @@
 use hermes_bench::{e16_wordparallel::ACC_SRC, kernels};
 use hermes_hls::ir::ParamBinding;
 use hermes_hls::{Design, HlsFlow};
+use hermes_obs::Recorder;
 use hermes_rtl::netlist::{NetId, Netlist};
 use hermes_rtl::sim::Simulator;
 
@@ -93,7 +94,7 @@ fn assert_lockstep(label: &str, nl: &Netlist, pokes: &[(String, u64)]) {
 fn suite_kernels_settle_identically_on_every_engine() {
     let flow = HlsFlow::new();
     for kernel in kernels::suite() {
-        let design = kernel.compile(&flow);
+        let design = kernel.compile(&flow, &Recorder::disabled());
         let pokes = arg_pokes(&design, &kernel.args);
         assert!(!pokes.is_empty(), "{}: no scalar arguments", kernel.name);
         assert_lockstep(kernel.name, design.netlist(), &pokes);

@@ -206,26 +206,17 @@ fn class_index(class: ProbeClass) -> usize {
         .expect("class is in ALL")
 }
 
-/// Run one hostile campaign (see module docs).
+/// Run one hostile campaign (see module docs). Each probe is traced as
+/// an instant event with its class and verdict, and the campaign
+/// counters are published at the end. All events land in a child
+/// recorder absorbed into `obs` before returning, so parallel per-seed
+/// campaigns merge deterministically.
 ///
 /// # Panics
 ///
 /// Panics only on static construction errors (arena config validation,
 /// probe assembly) — never on hostile guest behavior.
-pub fn hostile_campaign(cfg: &HostileCampaignConfig) -> HostileReport {
-    hostile_campaign_traced(cfg, &Recorder::disabled())
-}
-
-/// [`hostile_campaign`] with flight-recorder output: each probe is traced
-/// as an instant event with its class and verdict, and the campaign
-/// counters are published at the end. All events land in a child recorder
-/// absorbed into `obs` before returning, so parallel per-seed campaigns
-/// merge deterministically.
-///
-/// # Panics
-///
-/// See [`hostile_campaign`].
-pub fn hostile_campaign_traced(cfg: &HostileCampaignConfig, obs: &Recorder) -> HostileReport {
+pub fn hostile_campaign(cfg: &HostileCampaignConfig, obs: &Recorder) -> HostileReport {
     let child = obs.child();
     let victims = cfg.victims.max(1);
     let (arena, hostile, vs) = arena_config(victims, cfg.isolation);
@@ -441,12 +432,15 @@ mod tests {
     #[test]
     fn campaign_has_zero_silent_leaks_under_both_isolation_modes() {
         for isolation in [IsolationMode::MpuReprogram, IsolationMode::ProtectionKeys] {
-            let report = hostile_campaign(&HostileCampaignConfig {
-                seed: 42,
-                victims: 2,
-                probes: 12,
-                isolation,
-            });
+            let report = hostile_campaign(
+                &HostileCampaignConfig {
+                    seed: 42,
+                    victims: 2,
+                    probes: 12,
+                    isolation,
+                },
+                &Recorder::disabled(),
+            );
             assert_eq!(report.probes, 12);
             assert_eq!(report.trapped, 12, "{isolation:?}: {report:?}");
             assert_eq!(report.silent, 0);
@@ -466,8 +460,8 @@ mod tests {
             probes: 8,
             isolation: IsolationMode::ProtectionKeys,
         };
-        let a = hostile_campaign(&cfg);
-        let b = hostile_campaign(&cfg);
+        let a = hostile_campaign(&cfg, &Recorder::disabled());
+        let b = hostile_campaign(&cfg, &Recorder::disabled());
         assert_eq!(a.trapped, b.trapped);
         assert_eq!(a.by_class, b.by_class);
         assert_eq!(a.iso, b.iso);
@@ -476,12 +470,15 @@ mod tests {
     #[test]
     fn isolation_modes_differ_only_in_cost_not_containment() {
         let mk = |isolation| {
-            hostile_campaign(&HostileCampaignConfig {
-                seed: 21,
-                victims: 2,
-                probes: 10,
-                isolation,
-            })
+            hostile_campaign(
+                &HostileCampaignConfig {
+                    seed: 21,
+                    victims: 2,
+                    probes: 10,
+                    isolation,
+                },
+                &Recorder::disabled(),
+            )
         };
         let mpu = mk(IsolationMode::MpuReprogram);
         let keys = mk(IsolationMode::ProtectionKeys);

@@ -28,7 +28,7 @@
 //! ```
 //! use hermes_chaos::scenario;
 //!
-//! let outcome = scenario::full_campaign(42);
+//! let outcome = scenario::full_campaign(42, &hermes_obs::Recorder::disabled());
 //! assert!(outcome.report.boot_succeeded);
 //! assert_eq!(outcome.report.silent_corruptions, 0);
 //! assert!(outcome.report.availability() > 0.5);

@@ -455,18 +455,15 @@ pub fn mission_under_flux(seed: u64, events: &[FaultEvent], report: &mut ChaosRe
 /// update over a corrupted SpaceWire link, and a hypervisor mission phase
 /// under SEU flux with task panics — all recoveries accounted in the
 /// returned [`ChaosReport`].
-pub fn full_campaign(seed: u64) -> CampaignOutcome {
-    full_campaign_traced(seed, &hermes_obs::Recorder::disabled())
-}
-
-/// [`full_campaign`] with flight-recorder output: fault injections are
-/// traced live as the phases run, the BL1 boot timeline is merged in from
-/// the [`BootReport`](hermes_boot::report::BootReport), and the recovery
+///
+/// Fault injections are traced live as the phases run, the BL1 boot
+/// timeline is merged in from the
+/// [`BootReport`](hermes_boot::report::BootReport), and the recovery
 /// counters are published at campaign end. All campaign events land in a
 /// [`Recorder::child`](hermes_obs::Recorder::child) that is absorbed into
 /// `obs` before returning, so per-seed campaigns fanned out in parallel
 /// merge deterministically in seed order.
-pub fn full_campaign_traced(seed: u64, obs: &hermes_obs::Recorder) -> CampaignOutcome {
+pub fn full_campaign(seed: u64, obs: &hermes_obs::Recorder) -> CampaignOutcome {
     let child = obs.child();
     let mut report = ChaosReport {
         seed,
@@ -590,7 +587,7 @@ mod tests {
 
     #[test]
     fn full_campaign_exercises_every_stage() {
-        let outcome = full_campaign(42);
+        let outcome = full_campaign(42, &hermes_obs::Recorder::disabled());
         let report = &outcome.report;
         assert!(report.boot_succeeded);
         assert_eq!(report.silent_corruptions, 0, "{}", report.render());
@@ -606,8 +603,8 @@ mod tests {
 
     #[test]
     fn campaign_is_deterministic() {
-        let a = full_campaign(9);
-        let b = full_campaign(9);
+        let a = full_campaign(9, &hermes_obs::Recorder::disabled());
+        let b = full_campaign(9, &hermes_obs::Recorder::disabled());
         assert_eq!(a.report.injected, b.report.injected);
         assert_eq!(a.report.recovered, b.report.recovered);
         assert_eq!(a.report.frames_available, b.report.frames_available);

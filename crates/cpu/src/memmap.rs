@@ -6,6 +6,7 @@
 //! for test output).
 
 use crate::CpuError;
+use hermes_obs::hash::Fnv1a;
 
 /// Default memory layout constants (byte addresses).
 pub mod layout {
@@ -195,13 +196,9 @@ impl SystemBus {
     ///
     /// Returns [`CpuError::Unmapped`] if the span is not fully mapped.
     pub fn checksum(&self, addr: u32, len: usize) -> Result<u64, CpuError> {
-        let bytes = self.read_bytes(addr, len)?;
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        Ok(h)
+        let mut h = Fnv1a::new();
+        h.bytes(&self.read_bytes(addr, len)?);
+        Ok(h.finish())
     }
 
     /// Bytes written to the UART so far.

@@ -22,6 +22,7 @@ use crate::library::CharacterizationLibrary;
 use crate::sweep::{Eucalyptus, SweepConfig};
 use crate::CharError;
 use hermes_fpga::device::DeviceProfile;
+use hermes_obs::hash::Fnv1a;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -68,7 +69,7 @@ pub fn bypassed() -> bool {
 /// FNV-1a over a canonical rendering of every device-profile field
 /// (floats by bit pattern), so any tuning difference changes the key.
 pub fn device_fingerprint(device: &DeviceProfile) -> u64 {
-    let mut h = Fnv::new();
+    let mut h = Fnv1a::new();
     h.str(&device.name);
     for v in [
         u64::from(device.grid_cols),
@@ -169,34 +170,6 @@ pub fn characterize_shared(
     let lib = Arc::new(euc.characterize(sweep)?);
     map.insert(key, Arc::clone(&lib));
     Ok(lib)
-}
-
-/// Minimal FNV-1a hasher (the workspace is hermetic — no external hash
-/// crates; `DefaultHasher` is not guaranteed stable across releases).
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xCBF2_9CE4_8422_2325)
-    }
-    fn byte(&mut self, b: u8) {
-        self.0 ^= u64::from(b);
-        self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    fn u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.byte(b);
-        }
-    }
-    fn str(&mut self, s: &str) {
-        for b in s.as_bytes() {
-            self.byte(*b);
-        }
-        self.byte(0xFF); // terminator so "ab"+"c" != "a"+"bc"
-    }
-    fn finish(&self) -> u64 {
-        self.0
-    }
 }
 
 #[cfg(test)]

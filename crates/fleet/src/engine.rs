@@ -730,7 +730,7 @@ impl FleetEngine {
         let merged = Histogram::merge_all(&hists);
         let mut checksum = 0u64;
         for r in &shard_reports {
-            checksum = hermes_serve::fnv1a_words(checksum, &[r.output_checksum as i64]);
+            checksum = hermes_obs::hash::fnv1a_words(checksum, &[r.output_checksum as i64]);
         }
         let report = FleetReport {
             offered: self.offered,

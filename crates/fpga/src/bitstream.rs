@@ -241,6 +241,7 @@ mod tests {
     use crate::device::DeviceProfile;
     use crate::place::{Effort, Placer};
     use crate::synth::Synthesizer;
+    use hermes_obs::Recorder;
     use hermes_rtl::netlist::{CellOp, Netlist};
 
     fn sample() -> Bitstream {
@@ -252,7 +253,9 @@ mod tests {
         nl.mark_output(y);
         let dev = DeviceProfile::ng_medium_like();
         let prim = Synthesizer::new(dev.clone()).synthesize(&nl).unwrap().prim;
-        let placement = Placer::new(dev.clone(), Effort::Zero, 1).place(&prim).unwrap();
+        let placement = Placer::new(dev.clone(), Effort::Zero, 1)
+            .place(&prim, 1, 1, &Recorder::disabled())
+            .unwrap();
         Bitstream::generate(&prim, &placement, &dev)
     }
 

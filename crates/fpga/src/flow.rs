@@ -177,22 +177,14 @@ impl NxFlow {
         &self.device
     }
 
-    /// Run the full flow, returning only the report.
+    /// Run the full flow, returning only the report; traces into `obs`
+    /// as [`run_with_artifacts_traced`](NxFlow::run_with_artifacts_traced)
+    /// does.
     ///
     /// # Errors
     ///
     /// Propagates any stage failure; see [`FpgaError`].
-    pub fn run(&self, netlist: &Netlist) -> Result<FlowReport, FpgaError> {
-        self.run_with_artifacts(netlist).map(|(r, _)| r)
-    }
-
-    /// [`run`](NxFlow::run) with flight-recorder output (see
-    /// [`run_with_artifacts_traced`](NxFlow::run_with_artifacts_traced)).
-    ///
-    /// # Errors
-    ///
-    /// Propagates any stage failure; see [`FpgaError`].
-    pub fn run_traced(&self, netlist: &Netlist, obs: &Recorder) -> Result<FlowReport, FpgaError> {
+    pub fn run(&self, netlist: &Netlist, obs: &Recorder) -> Result<FlowReport, FpgaError> {
         self.run_with_artifacts_traced(netlist, obs).map(|(r, _)| r)
     }
 
@@ -213,7 +205,7 @@ impl NxFlow {
     /// flight-recorder output: one `Seq`-clocked span per NXmap stage
     /// (synth → place → route → sta → bitgen, ts = stage index) with the
     /// stage's headline metric, plus per-annealing-epoch placer samples
-    /// via [`Placer::place_multi_traced`].
+    /// via [`Placer::place`].
     ///
     /// # Errors
     ///
@@ -242,7 +234,7 @@ impl NxFlow {
         let m1 = obs.mark();
         let t1 = Instant::now();
         let placement = Placer::new(self.device.clone(), self.options.effort, self.options.seed)
-            .place_multi_traced(
+            .place(
                 &synth.prim,
                 self.options.place_starts,
                 hermes_par::jobs(),
@@ -392,7 +384,7 @@ mod tests {
     #[test]
     fn full_flow_on_mac() {
         let report = NxFlow::new(DeviceProfile::ng_medium_like(), FlowOptions::default())
-            .run(&mac_design())
+            .run(&mac_design(), &Recorder::disabled())
             .unwrap();
         assert!(report.utilization.dsps >= 1);
         assert!(report.utilization.ffs >= 16);
@@ -421,7 +413,7 @@ mod tests {
             ..FlowOptions::default()
         };
         let err = NxFlow::new(DeviceProfile::ng_medium_like(), opts)
-            .run(&mac_design())
+            .run(&mac_design(), &Recorder::disabled())
             .unwrap_err();
         assert!(matches!(err, FpgaError::TimingNotMet { .. }));
     }
@@ -429,8 +421,8 @@ mod tests {
     #[test]
     fn flow_deterministic() {
         let f = NxFlow::new(DeviceProfile::ng_medium_like(), FlowOptions::default());
-        let r1 = f.run(&mac_design()).unwrap();
-        let r2 = f.run(&mac_design()).unwrap();
+        let r1 = f.run(&mac_design(), &Recorder::disabled()).unwrap();
+        let r2 = f.run(&mac_design(), &Recorder::disabled()).unwrap();
         assert_eq!(r1.placement.hpwl, r2.placement.hpwl);
         assert_eq!(r1.timing.critical_path_ns, r2.timing.critical_path_ns);
     }

@@ -19,6 +19,7 @@
 //! use hermes_rtl::netlist::{Netlist, CellOp};
 //! use hermes_fpga::device::DeviceProfile;
 //! use hermes_fpga::flow::{FlowOptions, NxFlow};
+//! use hermes_obs::Recorder;
 //!
 //! # fn main() -> Result<(), hermes_fpga::FpgaError> {
 //! let mut nl = Netlist::new("adder");
@@ -29,7 +30,8 @@
 //! nl.mark_output(y);
 //!
 //! let device = DeviceProfile::ng_medium_like();
-//! let report = NxFlow::new(device, FlowOptions::default()).run(&nl)?;
+//! let flow = NxFlow::new(device, FlowOptions::default());
+//! let report = flow.run(&nl, &Recorder::disabled())?;
 //! assert!(report.timing.fmax_mhz > 0.0);
 //! assert!(report.utilization.luts > 0);
 //! # Ok(())

@@ -183,25 +183,11 @@ impl Placer {
         }
     }
 
-    /// Place the primitive netlist.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FpgaError::ResourceOverflow`] if any site class runs out of
-    /// candidate locations.
-    pub fn place(&self, prim: &PrimNetlist) -> Result<Placement, FpgaError> {
-        self.place_traced(prim, &Recorder::disabled())
-    }
-
-    /// [`place`](Placer::place) with flight-recorder output: one instant
-    /// event per annealing epoch (`Seq` clock, ts = epoch index) sampling
-    /// temperature and cost, plus move counters — the per-epoch cost curve
-    /// an NXmap placement log would show.
-    ///
-    /// # Errors
-    ///
-    /// See [`place`](Placer::place).
-    pub fn place_traced(&self, prim: &PrimNetlist, obs: &Recorder) -> Result<Placement, FpgaError> {
+    /// One seeded anneal: one instant event per annealing epoch (`Seq`
+    /// clock, ts = epoch index) sampling temperature and cost, plus move
+    /// counters — the per-epoch cost curve an NXmap placement log would
+    /// show.
+    fn anneal(&self, prim: &PrimNetlist, obs: &Recorder) -> Result<Placement, FpgaError> {
         let mut rng = DetRng::new(self.seed);
         let classes: Vec<SiteClass> = prim
             .cells()
@@ -405,36 +391,23 @@ impl Placer {
         })
     }
 
-    /// Multi-start placement: run `starts` independent anneals (seeds
-    /// `seed, seed+1, …`) across `jobs` workers and keep the lowest-HPWL
-    /// result, ties broken by lowest start index.
+    /// Place the primitive netlist: run `starts` independent anneals
+    /// (seeds `seed, seed+1, …`) across `jobs` workers and keep the
+    /// lowest-HPWL result, ties broken by lowest start index.
     ///
     /// Each anneal is seed-deterministic and the winner is selected by
     /// value, so the outcome is identical regardless of worker count or
-    /// scheduling; `starts = 1` degrades to [`Self::place`] exactly.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first failing start ([`FpgaError::ResourceOverflow`]).
-    pub fn place_multi(
-        &self,
-        prim: &PrimNetlist,
-        starts: u32,
-        jobs: usize,
-    ) -> Result<Placement, FpgaError> {
-        self.place_multi_traced(prim, starts, jobs, &Recorder::disabled())
-    }
-
-    /// [`place_multi`](Placer::place_multi) with flight-recorder output.
-    ///
-    /// Each start anneals into its own [`Recorder::child`]; the children
+    /// scheduling; `starts = 1` is the single anneal at `seed`. Each
+    /// anneal records one instant event per epoch (temperature and cost)
+    /// plus move counters into its own [`Recorder::child`]; the children
     /// are absorbed back **in seed order** after the parallel map, so the
     /// merged trace is bit-identical regardless of worker count.
     ///
     /// # Errors
     ///
-    /// See [`place_multi`](Placer::place_multi).
-    pub fn place_multi_traced(
+    /// Returns [`FpgaError::ResourceOverflow`] if any site class runs out
+    /// of candidate locations (the first failing start's error).
+    pub fn place(
         &self,
         prim: &PrimNetlist,
         starts: u32,
@@ -443,7 +416,7 @@ impl Placer {
     ) -> Result<Placement, FpgaError> {
         let starts = starts.max(1);
         if starts == 1 {
-            return self.place_traced(prim, obs);
+            return self.anneal(prim, obs);
         }
         let seeds: Vec<u64> = (0..u64::from(starts))
             .map(|i| self.seed.wrapping_add(i))
@@ -455,7 +428,7 @@ impl Placer {
                 effort: self.effort,
                 seed,
             }
-            .place_traced(prim, &child);
+            .anneal(prim, &child);
             (placed, child)
         })
         .map_err(|e| FpgaError::Internal {
@@ -625,7 +598,7 @@ mod tests {
     fn placement_assigns_all_cells() {
         let prim = sample_prim();
         let p = Placer::new(DeviceProfile::ng_medium_like(), Effort::Low, 42)
-            .place(&prim)
+            .place(&prim, 1, 1, &Recorder::disabled())
             .unwrap();
         assert_eq!(p.locations.len(), prim.cell_count());
     }
@@ -634,7 +607,7 @@ mod tests {
     fn annealing_improves_or_matches_hpwl() {
         let prim = sample_prim();
         let p = Placer::new(DeviceProfile::ng_medium_like(), Effort::Medium, 7)
-            .place(&prim)
+            .place(&prim, 1, 1, &Recorder::disabled())
             .unwrap();
         assert!(
             p.hpwl <= p.initial_hpwl * 1.05,
@@ -649,7 +622,9 @@ mod tests {
     fn dsp_cells_land_on_dsp_columns() {
         let prim = sample_prim();
         let dev = DeviceProfile::ng_medium_like();
-        let p = Placer::new(dev.clone(), Effort::Zero, 1).place(&prim).unwrap();
+        let p = Placer::new(dev.clone(), Effort::Zero, 1)
+            .place(&prim, 1, 1, &Recorder::disabled())
+            .unwrap();
         for (cid, c) in prim.cells() {
             if matches!(c.prim, Primitive::Dsp { .. }) {
                 let (x, _) = p.site(cid);
@@ -662,8 +637,12 @@ mod tests {
     fn deterministic_for_fixed_seed() {
         let prim = sample_prim();
         let dev = DeviceProfile::ng_medium_like();
-        let p1 = Placer::new(dev.clone(), Effort::Low, 99).place(&prim).unwrap();
-        let p2 = Placer::new(dev, Effort::Low, 99).place(&prim).unwrap();
+        let p1 = Placer::new(dev.clone(), Effort::Low, 99)
+            .place(&prim, 1, 1, &Recorder::disabled())
+            .unwrap();
+        let p2 = Placer::new(dev, Effort::Low, 99)
+            .place(&prim, 1, 1, &Recorder::disabled())
+            .unwrap();
         assert_eq!(p1.locations, p2.locations);
         assert_eq!(p1.hpwl, p2.hpwl);
     }
@@ -673,11 +652,11 @@ mod tests {
         let prim = sample_prim();
         let dev = DeviceProfile::ng_medium_like();
         let placer = Placer::new(dev, Effort::Low, 5);
-        let serial = placer.place_multi(&prim, 4, 1).unwrap();
-        let parallel = placer.place_multi(&prim, 4, 4).unwrap();
+        let serial = placer.place(&prim, 4, 1, &Recorder::disabled()).unwrap();
+        let parallel = placer.place(&prim, 4, 4, &Recorder::disabled()).unwrap();
         assert_eq!(serial.locations, parallel.locations, "worker count changed result");
         assert_eq!(serial.hpwl, parallel.hpwl);
-        let single = placer.place(&prim).unwrap();
+        let single = placer.place(&prim, 1, 1, &Recorder::disabled()).unwrap();
         assert!(
             serial.hpwl <= single.hpwl,
             "best-of-4 ({}) worse than single start ({})",
@@ -690,8 +669,8 @@ mod tests {
     fn single_start_multi_matches_place() {
         let prim = sample_prim();
         let placer = Placer::new(DeviceProfile::ng_medium_like(), Effort::Low, 11);
-        let a = placer.place(&prim).unwrap();
-        let b = placer.place_multi(&prim, 1, 4).unwrap();
+        let a = placer.anneal(&prim, &Recorder::disabled()).unwrap();
+        let b = placer.place(&prim, 1, 4, &Recorder::disabled()).unwrap();
         assert_eq!(a.locations, b.locations);
     }
 
@@ -703,7 +682,9 @@ mod tests {
         tiny.grid_rows = 4;
         tiny.dsp_columns = vec![];
         tiny.ram_columns = vec![];
-        let err = Placer::new(tiny, Effort::Zero, 1).place(&prim).unwrap_err();
+        let err = Placer::new(tiny, Effort::Zero, 1)
+            .place(&prim, 1, 1, &Recorder::disabled())
+            .unwrap_err();
         assert!(matches!(err, FpgaError::ResourceOverflow { .. }));
     }
 }

@@ -121,7 +121,7 @@ mod tests {
             .unwrap();
         let est = d.estimate();
         let report = NxFlow::new(DeviceProfile::ng_medium_like(), FlowOptions::default())
-            .run(d.netlist())
+            .run(d.netlist(), &hermes_obs::Recorder::disabled())
             .unwrap();
         let real = report.utilization.luts.max(1);
         let ratio = est.luts.max(1) as f64 / real as f64;

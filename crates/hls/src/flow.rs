@@ -300,34 +300,6 @@ impl Design {
         simulate::run(&self.ir, &self.sched, args, &mut ext, SimLimits::default())
     }
 
-    /// [`Self::simulate`] with a causal trace context: records one
-    /// trace-linked `cosim` span (duration = measured cycles) under
-    /// subsystem `hls`, so a request trace that reaches the accelerator
-    /// co-simulation stays one connected tree.
-    ///
-    /// # Errors
-    ///
-    /// See [`simulate::run`].
-    pub fn simulate_traced(
-        &self,
-        args: &[i64],
-        obs: &hermes_obs::Recorder,
-        ctx: hermes_obs::TraceCtx,
-    ) -> Result<SimResult, HlsError> {
-        let result = self.simulate(args)?;
-        obs.trace_span(
-            "hls",
-            "cosim",
-            hermes_obs::ClockDomain::Rtl,
-            0,
-            result.cycles,
-            &[("design", self.name().to_string())],
-            hermes_obs::WallMark::none(),
-            ctx,
-        );
-        Ok(result)
-    }
-
     /// Cycle-accurate simulation with external memory backing.
     ///
     /// # Errors

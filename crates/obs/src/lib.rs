@@ -32,6 +32,7 @@
 //! recording call after a single branch, so instrumentation can stay in
 //! hot paths unconditionally.
 
+pub mod hash;
 pub mod profile;
 pub mod slo;
 pub mod warnings;
@@ -107,12 +108,10 @@ const SPAN_SALT: u64 = 0x9e37_79b9_7f4a_7c15;
 /// while staying a pure function of construction order — the property
 /// that keeps traces byte-identical across worker counts.
 fn fnv_mix(domain: u64, seq: u64) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in domain.to_le_bytes().into_iter().chain(seq.to_le_bytes()) {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h.max(1)
+    let mut h = hash::Fnv1a::new();
+    h.u64(domain);
+    h.u64(seq);
+    h.finish().max(1)
 }
 
 /// Causal trace identity minted at a request boundary (admission, a

@@ -25,9 +25,10 @@ use crate::model::AcceleratorModel;
 use crate::pool::{Batch, Pool};
 use crate::queue::Backlog;
 use crate::request::{RejectReason, Request, ShedReason, Verdict};
-use crate::{fnv1a_words, Tick};
+use crate::Tick;
 use hermes_chaos::plan::{FaultKind, FaultPlan};
 use hermes_kernel::{DomainId, DomainRegistry, Scheduler, WheelStats};
+use hermes_obs::hash::fnv1a_words;
 use hermes_obs::slo::{RequestOutcome, SloEngine};
 use hermes_obs::{ClockDomain, Histogram, Recorder, TraceCtx, WallMark};
 use std::cell::Cell;

@@ -74,15 +74,3 @@ pub mod workload;
 /// A tick of the simulated serve clock.
 pub type Tick = u64;
 
-/// FNV-1a over a stream of 64-bit words — the digest used to witness that
-/// served outputs are identical across worker counts.
-pub fn fnv1a_words(acc: u64, words: &[i64]) -> u64 {
-    let mut h = if acc == 0 { 0xcbf2_9ce4_8422_2325 } else { acc };
-    for &w in words {
-        for b in w.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-    h
-}

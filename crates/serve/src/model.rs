@@ -68,6 +68,10 @@ impl AcceleratorModel {
     /// kernels (demos, tests); production-shaped workloads measure once
     /// and supply a reference compute function via [`AcceleratorModel::new`].
     ///
+    /// The measurement co-simulation is recorded as an `hls`/`cosim` span
+    /// (duration = measured cycles) linked to `ctx`, so the model's
+    /// provenance (which co-sim priced it) is part of the causal tree.
+    ///
     /// # Errors
     ///
     /// Propagates the measurement simulation's failure.
@@ -75,38 +79,20 @@ impl AcceleratorModel {
         design: Design,
         representative_args: &[i64],
         batch_overhead: u64,
-    ) -> Result<Self, HlsError> {
-        let measured = design.simulate(representative_args)?;
-        Ok(AcceleratorModel {
-            name: design.name().to_string(),
-            batch_overhead,
-            per_item: measured.cycles.max(1),
-            dma_per_item: 0,
-            compute: Arc::new(move |args: &[i64]| {
-                let r = design
-                    .simulate(args)
-                    .unwrap_or_else(|e| panic!("serve compute simulation failed: {e}"));
-                vec![r.return_value.unwrap_or(0)]
-            }),
-        })
-    }
-
-    /// [`Self::from_design`] with a causal trace context: the measurement
-    /// co-simulation is recorded as a trace-linked `hls`/`cosim` span, so
-    /// the model's provenance (which co-sim priced it) is part of the
-    /// causal tree.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the measurement simulation's failure.
-    pub fn from_design_traced(
-        design: Design,
-        representative_args: &[i64],
-        batch_overhead: u64,
         obs: &hermes_obs::Recorder,
         ctx: hermes_obs::TraceCtx,
     ) -> Result<Self, HlsError> {
-        let measured = design.simulate_traced(representative_args, obs, ctx)?;
+        let measured = design.simulate(representative_args)?;
+        obs.trace_span(
+            "hls",
+            "cosim",
+            hermes_obs::ClockDomain::Rtl,
+            0,
+            measured.cycles,
+            &[("design", design.name().to_string())],
+            hermes_obs::WallMark::none(),
+            ctx,
+        );
         Ok(AcceleratorModel {
             name: design.name().to_string(),
             batch_overhead,
@@ -191,7 +177,14 @@ mod tests {
         let design = HlsFlow::new()
             .compile("int triple(int x) { return x * 3; }")
             .expect("compiles");
-        let m = AcceleratorModel::from_design(design, &[5], 8).expect("measures");
+        let m = AcceleratorModel::from_design(
+            design,
+            &[5],
+            8,
+            &hermes_obs::Recorder::disabled(),
+            hermes_obs::TraceCtx::untraced(),
+        )
+        .expect("measures");
         assert_eq!(m.name, "triple");
         assert!(m.per_item >= 1);
         assert_eq!(m.compute(&[7]), vec![21]);

@@ -22,7 +22,7 @@ use hermes::chaos::plan::{FaultPlan, FaultPlanConfig};
 use hermes::hls::HlsFlow;
 use hermes::obs::profile::profile;
 use hermes::obs::slo::{SloEngine, SloObjective, SloSpec};
-use hermes::obs::Recorder;
+use hermes::obs::{Recorder, TraceCtx};
 use hermes::serve::engine::{ServeConfig, ServeEngine};
 use hermes::serve::model::AcceleratorModel;
 use hermes::serve::workload::{self, WorkloadConfig};
@@ -35,7 +35,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    DMA cost from one AXI round trip
     let design = HlsFlow::new()
         .compile("int poly(int x) { return (3 * x + 1) * x + 7; }")?;
-    let model = AcceleratorModel::from_design(design, &[11], 16)?.with_measured_dma(8);
+    let model = AcceleratorModel::from_design(
+        design,
+        &[11],
+        16,
+        &Recorder::disabled(),
+        TraceCtx::untraced(),
+    )?
+    .with_measured_dma(8);
     println!(
         "model `{}`: per-item {} ticks, DMA {} ticks, batch overhead {}\n",
         model.name, model.per_item, model.dma_per_item, model.batch_overhead

@@ -263,7 +263,7 @@ fn device_generation_speed_claim() {
                 ..FlowOptions::default()
             },
         )
-        .run(design.netlist())
+        .run(design.netlist(), &hermes::obs::Recorder::disabled())
         .expect("implements")
         .timing
         .fmax_mhz
