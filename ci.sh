@@ -121,8 +121,6 @@ for row in sweep:
 for row in tables["e14b"]["rows"]:
     assert row["accounted"] == "yes", f"chaos campaign unaccounted: {row}"
 assert any(int(r["requeued"]) > 0 for r in tables["e14b"]["rows"]), "chaos must requeue mid-batch work"
-jobs = tables["e14c"]["rows"]
-assert len({r["checksum"] for r in jobs}) == 1, "output checksum differs across jobs"
 print("ci: e14 shed accounting holds at every load")
 PY
 
@@ -153,9 +151,8 @@ for row in tables["e15d"]["rows"]:
 print("ci: e15 zero-silent-leak gate holds")
 PY
 
-# E16 smoke: the word-parallel + partitioned simulation experiment must
-# run end to end, emit schema'd JSON, pack lanes and partition the tiled
-# fabric, checksum identically across the worker sweep, and clear the
+# E16 smoke: the word-parallel simulation experiment must run end to end,
+# emit schema'd JSON, pack lanes on the tiled fabric, and clear the
 # headline perf gate: the packed event-driven engine >= 10x the hashmap
 # baseline on the one-active-tile SoC scenario.
 "$EXP" e16 --json /tmp/hermes_e16_smoke.json > /dev/null
@@ -166,10 +163,6 @@ assert doc["schema"] == "hermes-bench/v1"
 tables = {t["id"]: t for e in doc["experiments"] for t in e["tables"]}
 soc = [r for r in tables["e16a"]["rows"] if r["design"] != "acc"]
 assert soc and all(int(r["packed_lanes"]) > 0 for r in soc), "tiled fabric must pack lanes"
-assert all(int(r["partitions"]) > 1 for r in soc), "tiled fabric must partition"
-sweep = tables["e16d"]["rows"]
-assert len(sweep) >= 3, "e16d must sweep at least 3 worker counts"
-assert len({r["state_fnv"] for r in sweep}) == 1, "state checksum differs across jobs"
 gate = [r for r in tables["e16_wall"]["rows"]
         if r["scenario"] == "soc-one-active" and r["engine"] == "packed-event"]
 assert len(gate) == 1, "missing the one-active packed-event gate row"
@@ -210,9 +203,6 @@ for row in sweep:
         assert int(row["transitions"]) > 0, f"paging without alert transitions: {row}"
 for row in tables["e17b"]["rows"]:
     assert row["identical"] == "yes", f"tracing changed results: {row}"
-docs = tables["e17c"]["rows"]
-assert len({r["trace_fnv"] for r in docs}) == 1, "trace checksum differs across jobs"
-assert len({r["profile_fnv"] for r in docs}) == 1, "profile checksum differs across jobs"
 chain = {r["subsystem"] for r in tables["e17d"]["rows"]}
 assert {"hls", "dma", "xng"} <= chain, f"cross-layer trace incomplete: {chain}"
 print("ci: e17 critical-path + SLO gates hold")
@@ -284,7 +274,7 @@ accounted(scale)
 assert int(scale["scale_ups"]) >= 1, f"autoscaler never scaled up: {scale}"
 assert int(scale["scale_downs"]) >= 1, f"autoscaler never drained down: {scale}"
 ident = tables["e19d"]["rows"]
-assert len({r["checksum"] for r in ident}) == 1, "fleet checksum differs across jobs/kernel"
+assert len({r["checksum"] for r in ident}) == 1, "fleet checksum differs across the kernel knob"
 print("ci: e19 fleet accounting, skew, and elasticity gates hold")
 PY
 

@@ -13,10 +13,7 @@
 //! DMA. E14b repeats a past-saturation point under a chaos campaign that
 //! kills and stalls pool instances mid-batch; the accounting invariant
 //! `served + shed + rejected == offered` is asserted there too — a kill
-//! re-queues in-flight work, it never loses it. E14c re-runs a sweep
-//! point with 1 and 4 payload workers and asserts the rendered report and
-//! output checksum are byte-identical: worker count is a throughput knob,
-//! never a results knob.
+//! re-queues in-flight work, it never loses it.
 
 use crate::cells;
 use crate::table::Table;
@@ -112,17 +109,13 @@ fn run_point(
     model: &AcceleratorModel,
     base: &WorkloadConfig,
     load_pct: u64,
-    jobs: usize,
     plan: Option<FaultPlan>,
     obs: &hermes_obs::Recorder,
 ) -> ServeReport {
     let wl = base.clone().at_load_pct(load_pct);
     let arrivals = workload::generate(SEED, &wl);
-    let cfg = ServeConfig {
-        jobs,
-        ..serve_cfg()
-    };
-    let mut engine = ServeEngine::new(cfg, model.clone(), arrivals).with_recorder(obs.child());
+    let mut engine =
+        ServeEngine::new(serve_cfg(), model.clone(), arrivals).with_recorder(obs.child());
     if let Some(plan) = plan {
         engine = engine.with_chaos(plan);
     }
@@ -136,8 +129,7 @@ fn run_point(
 }
 
 /// Run E14 with a flight recorder (serve metrics under `serve`). The
-/// sweep points run the serve pool on its default worker count and E14c
-/// pins 1 and 4, so `jobs` is unused.
+/// serve engine evaluates batches inline, so `jobs` is unused.
 pub fn run(_jobs: usize, obs: &hermes_obs::Recorder) -> ExperimentOutput {
     let model = mlp_model();
     let base = workload_cfg(&model, &serve_cfg());
@@ -158,7 +150,7 @@ pub fn run(_jobs: usize, obs: &hermes_obs::Recorder) -> ExperimentOutput {
     ]);
     let mut reports = Vec::new();
     for &load in &LOADS {
-        let r = run_point(&model, &base, load, 0, None, obs);
+        let r = run_point(&model, &base, load, None, obs);
         let throughput = (r.served * 1_000_000).checked_div(r.makespan).unwrap_or(0);
         let mean_batch_x100 = (r.batch_items * 100).checked_div(r.batches).unwrap_or(0);
         sweep.row(cells![
@@ -198,7 +190,7 @@ pub fn run(_jobs: usize, obs: &hermes_obs::Recorder) -> ExperimentOutput {
         .expect("workload non-empty")
         .arrival;
     let plan = FaultPlan::generate(99, &FaultPlanConfig::pool_only(span, 5, 3, span as u32 / 8, 2));
-    let chaos = run_point(&model, &base, chaos_load, 0, Some(plan), obs);
+    let chaos = run_point(&model, &base, chaos_load, Some(plan), obs);
     let clean = &reports.iter().find(|(l, _)| *l == chaos_load).expect("150% ran").1;
     assert_eq!(chaos.kills, 5, "all scheduled kills applied");
     assert_eq!(chaos.stalls, 3, "all scheduled stalls applied");
@@ -232,39 +224,20 @@ pub fn run(_jobs: usize, obs: &hermes_obs::Recorder) -> ExperimentOutput {
         ]);
     }
 
-    // E14c: worker count is a throughput knob, never a results knob.
-    let r1 = run_point(&model, &base, 150, 1, None, obs);
-    let r4 = run_point(&model, &base, 150, 4, None, obs);
-    assert_eq!(r1, r4, "reports must be identical across jobs");
-    assert_eq!(r1.render(), r4.render(), "renders must be byte-identical");
-    let mut jobs_t = Table::new(&["jobs", "served", "p99_c1", "checksum", "identical"]);
-    for (jobs, r) in [(1u64, &r1), (4, &r4)] {
-        jobs_t.row(cells![
-            jobs,
-            r.served,
-            r.per_class[1].p99,
-            format!("{:#018x}", r.output_checksum),
-            "yes",
-        ]);
-    }
-
     let text = format!(
         "E14a: offered-load sweep, {} requests per point, measured MLP model \
          (per-item {} + DMA {} ticks, batch overhead {})\n{}\n\
-         E14b: chaos campaign on the pool at 150% load (kills re-queue in-flight work)\n{}\n\
-         E14c: payload workers 1 vs 4, byte-identical reports\n{}",
+         E14b: chaos campaign on the pool at 150% load (kills re-queue in-flight work)\n{}",
         REQUESTS,
         model.per_item,
         model.dma_per_item,
         model.batch_overhead,
         sweep.render(),
         chaos_t.render(),
-        jobs_t.render(),
     );
     ExperimentOutput::new(text)
         .with("e14a", "serving offered-load sweep", sweep)
         .with("e14b", "serving chaos campaign", chaos_t)
-        .with("e14c", "serving jobs invariance", jobs_t)
 }
 
 #[cfg(test)]
@@ -276,8 +249,8 @@ mod tests {
         let model = mlp_model();
         let base = workload_cfg(&model, &serve_cfg());
         let obs = hermes_obs::Recorder::disabled();
-        let under = run_point(&model, &base, 50, 0, None, &obs);
-        let over = run_point(&model, &base, 200, 0, None, &obs);
+        let under = run_point(&model, &base, 50, None, &obs);
+        let over = run_point(&model, &base, 200, None, &obs);
         assert!(under.accounted() && over.accounted());
         assert!(over.shed() + over.rejected() > under.shed() + under.rejected());
     }
@@ -291,7 +264,7 @@ mod tests {
         let span = workload::generate(SEED, &wl).last().unwrap().arrival;
         let plan =
             FaultPlan::generate(99, &FaultPlanConfig::pool_only(span, 5, 3, span as u32 / 8, 2));
-        let r = run_point(&model, &base, 150, 0, Some(plan), &obs);
+        let r = run_point(&model, &base, 150, Some(plan), &obs);
         assert!(r.accounted());
         assert!(r.requeued > 0);
     }

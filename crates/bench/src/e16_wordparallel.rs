@@ -1,24 +1,16 @@
-//! E16 — Word-parallel bit-packed settle + rank-partitioned parallel
-//! RTL simulation.
+//! E16 — Word-parallel bit-packed RTL settle.
 //!
-//! Two layered hot-path engines on top of the E13 event-driven settle
-//! (`crates/rtl`), both measured here against the engines they replace,
-//! all of which stay selectable through typed hooks so every comparison
-//! is live:
-//!
-//! * **Word-parallel lanes** — independent 1-bit ops of identical boolean
-//!   form are bit-packed up to 64 per `u64` word at settle-program build
-//!   time and evaluated as one bitwise instruction each
-//!   ([`Simulator::new_with_packing`]).
-//! * **Rank-partitioned parallel settle** — the program is cut into
-//!   contiguous partitions per topological rank and fanned over
-//!   `hermes-par` workers; the plan and the engagement decision are
-//!   jobs-independent, so any `--jobs` value is bit-identical to serial.
+//! A hot-path engine on top of the E13 event-driven settle
+//! (`crates/rtl`), measured here against the engines it replaces, all of
+//! which stay selectable through typed hooks so every comparison is live:
+//! independent 1-bit ops of identical boolean form are bit-packed up to
+//! 64 per `u64` word at settle-program build time and evaluated as one
+//! bitwise instruction each ([`Simulator::new_with_packing`]).
 //!
 //! Sub-experiments:
 //!
-//! * **E16a** — compiled-program structure: packing and partition plan
-//!   per design (deterministic).
+//! * **E16a** — compiled-program structure: packing per design
+//!   (deterministic).
 //! * **E16b** — the E11 sim workload (`acc` head-to-head across four
 //!   engines: the pre-dense hashmap baseline, scalar full settle, scalar
 //!   event-driven, and packed event-driven), with cycle counts, return
@@ -28,13 +20,11 @@
 //!   target. The *one-active-tile* row is the headline perf gate: the
 //!   packed event-driven engine must beat the hashmap baseline by ≥10×
 //!   cycles/sec (asserted in release builds).
-//! * **E16d** — partitioned settle determinism: the same fabric driven
-//!   with partitioning force-engaged at 1/2/4 workers; net-state, trace,
-//!   and counter checksums must match bit-for-bit.
 //!
 //! Every simulator here is built through [`Simulator::new_with_packing`]
 //! with the settle mode set explicitly, so the rendered tables name the
-//! engine on every row and are independent of the worker count. Wall-clock figures appear only
+//! engine on every row. Settling is serial, so the tables are
+//! independent of the worker count. Wall-clock figures appear only
 //! on `completed in` lines (stripped by ci.sh's determinism diffs) and in
 //! the machine-readable JSON tables.
 
@@ -43,7 +33,6 @@ use crate::e11_throughput::BaselineSimulator;
 use crate::table::Table;
 use crate::ExperimentOutput;
 use hermes_hls::HlsFlow;
-use hermes_obs::hash::Fnv1a;
 use hermes_rtl::netlist::{NetId, Netlist};
 use hermes_rtl::sim::Simulator;
 use std::time::Instant;
@@ -67,9 +56,6 @@ const E11_REPS: u32 = if cfg!(debug_assertions) { 2 } else { 6 };
 struct EngineCfg {
     packed: bool,
     event: bool,
-    jobs: usize,
-    /// Partition-engagement grain override (`None` = production default).
-    grain: Option<usize>,
 }
 
 /// One run to `done == 1`, with the counters the tables report.
@@ -77,8 +63,6 @@ struct EngineRun {
     cycles: u64,
     ret: u64,
     settle_ops: u64,
-    parallel_ops: u64,
-    parallel_passes: u64,
     trace: String,
     secs: f64,
 }
@@ -97,10 +81,6 @@ fn run_dense(
     for _ in 0..reps {
         let mut sim = Simulator::new_with_packing(nl, cfg.packed).expect("valid netlist");
         sim.set_event_driven(cfg.event);
-        sim.set_settle_jobs(cfg.jobs);
-        if let Some(grain) = cfg.grain {
-            sim.set_partition_grain(grain);
-        }
         sim.enable_trace(&traced);
         for (name, value) in pokes {
             sim.poke(name, *value).expect("argument net exists");
@@ -119,8 +99,6 @@ fn run_dense(
         cycles,
         ret: sim.peek_net(ret),
         settle_ops: sim.settle_ops(),
-        parallel_ops: sim.settle_parallel_ops(),
-        parallel_passes: sim.settle_parallel_passes(),
         trace: sim.take_trace().expect("trace enabled").render(nl),
         secs,
     }
@@ -160,11 +138,9 @@ fn soc_pokes(copies: usize, all: bool) -> Vec<(String, u64)> {
     (0..tiles).map(|k| (format!("u{k}_arg_n"), SOC_ARG)).collect()
 }
 
-/// Run E16 on `jobs` workers, tracing into `obs` (the packed/partition
-/// counters export under `rtl-par`); every count renders the same
-/// tables (the partition plan and engagement decision are
-/// jobs-independent and partition results merge in program order).
-pub fn run(jobs: usize, obs: &hermes_obs::Recorder) -> ExperimentOutput {
+/// Run E16, tracing into `obs` (the packing counters export under
+/// `rtl-par`). Settling is serial, so `jobs` is unused.
+pub fn run(_jobs: usize, obs: &hermes_obs::Recorder) -> ExperimentOutput {
     let design = HlsFlow::new().unroll_limit(0).compile(ACC_SRC).expect("acc compiles");
     let acc_nl = design.netlist();
     let soc_nl = acc_nl.tiled(SOC_COPIES);
@@ -173,7 +149,7 @@ pub fn run(jobs: usize, obs: &hermes_obs::Recorder) -> ExperimentOutput {
     // E16a: what the settle-program compiler produced for each design.
     let mut structure = Table::new(&[
         "design", "nets", "program_ops", "program_words", "packed_words", "packed_lanes",
-        "occupancy_pm", "partitions", "ranks",
+        "occupancy_pm",
     ]);
     for (name, nl) in [("acc", acc_nl), (soc_nl.name(), &soc_nl)] {
         let sim = Simulator::new_with_packing(nl, true).expect("valid netlist");
@@ -189,14 +165,11 @@ pub fn run(jobs: usize, obs: &hermes_obs::Recorder) -> ExperimentOutput {
             sim.packed_words(),
             sim.packed_lanes(),
             sim.lane_occupancy_permille(),
-            sim.settle_partitions(),
-            sim.settle_ranks(),
         ]);
     }
     {
         let sim = Simulator::new_with_packing(&soc_nl, true).expect("valid netlist");
         assert!(sim.packed_lanes() > 0, "tiled fabric must pack some lanes");
-        assert!(sim.settle_partitions() > 1, "tiled fabric must partition");
     }
 
     // E16b: the E11 sim workload, four engines head-to-head.
@@ -206,9 +179,9 @@ pub fn run(jobs: usize, obs: &hermes_obs::Recorder) -> ExperimentOutput {
     let acc_ret = acc_nl.net_by_name("ret_q").expect("ret net");
     let engines: [(&str, Option<EngineCfg>); 4] = [
         ("hashmap (pre-dense)", None),
-        ("scalar-full", Some(EngineCfg { packed: false, event: false, jobs, grain: None })),
-        ("scalar-event", Some(EngineCfg { packed: false, event: true, jobs, grain: None })),
-        ("packed-event", Some(EngineCfg { packed: true, event: true, jobs, grain: None })),
+        ("scalar-full", Some(EngineCfg { packed: false, event: false })),
+        ("scalar-event", Some(EngineCfg { packed: false, event: true })),
+        ("packed-event", Some(EngineCfg { packed: true, event: true })),
     ];
     let mut workload = Table::new(&["engine", "cycles", "ret", "settle_ops", "trace"]);
     let mut wall = Table::new(&["scenario", "engine", "wall_ms", "kcycles_s", "speedup_vs_hashmap"]);
@@ -272,8 +245,8 @@ pub fn run(jobs: usize, obs: &hermes_obs::Recorder) -> ExperimentOutput {
         let pokes = soc_pokes(SOC_COPIES, all);
         let soc_engines: [(&str, Option<EngineCfg>); 3] = [
             ("hashmap (pre-dense)", None),
-            ("scalar-full", Some(EngineCfg { packed: false, event: false, jobs, grain: None })),
-            ("packed-event", Some(EngineCfg { packed: true, event: true, jobs, grain: None })),
+            ("scalar-full", Some(EngineCfg { packed: false, event: false })),
+            ("packed-event", Some(EngineCfg { packed: true, event: true })),
         ];
         let mut reference: Option<EngineRun> = None;
         let mut expected: Option<(u64, u64)> = None;
@@ -336,78 +309,10 @@ pub fn run(jobs: usize, obs: &hermes_obs::Recorder) -> ExperimentOutput {
         );
     }
 
-    // E16d: force the partitioned path (grain 1) and sweep worker counts;
-    // the fabric state, trace, and counters must checksum identically.
-    let mut detm = Table::new(&[
-        "jobs", "cycles", "settle_ops", "parallel_ops", "parallel_passes", "state_fnv", "verdict",
-    ]);
-    let pokes = soc_pokes(SOC_COPIES, true);
-    let detm_cycles = 150u64;
-    let mut reference: Option<(u64, EngineRun)> = None;
-    for sweep_jobs in [1usize, 2, 4] {
-        let mut sim = Simulator::new_with_packing(&soc_nl, true).expect("valid netlist");
-        sim.set_event_driven(true);
-        sim.set_settle_jobs(sweep_jobs);
-        sim.set_partition_grain(1);
-        sim.enable_trace(&[soc_done, soc_ret]);
-        for (name, value) in &pokes {
-            sim.poke(name, *value).expect("argument net exists");
-        }
-        for _ in 0..detm_cycles {
-            sim.step().expect("step");
-        }
-        let mut hash = Fnv1a::new();
-        for (id, _) in soc_nl.nets() {
-            hash.u64(sim.peek_net(id));
-        }
-        let run = EngineRun {
-            cycles: detm_cycles,
-            ret: sim.peek_net(soc_ret),
-            settle_ops: sim.settle_ops(),
-            parallel_ops: sim.settle_parallel_ops(),
-            parallel_passes: sim.settle_parallel_passes(),
-            trace: sim.take_trace().expect("trace enabled").render(&soc_nl),
-            secs: 0.0,
-        };
-        for byte in run.trace.as_bytes() {
-            hash.u64(u64::from(*byte));
-        }
-        hash.u64(run.settle_ops);
-        hash.u64(run.parallel_ops);
-        let hash = hash.finish();
-        assert!(run.parallel_passes > 0, "grain 1 must engage the partitioned path");
-        let verdict = match &reference {
-            None => "reference",
-            Some((ref_hash, ref_run)) => {
-                assert_eq!(*ref_hash, hash, "jobs {sweep_jobs}: state checksum must match");
-                assert_eq!(ref_run.trace, run.trace, "jobs {sweep_jobs}: identical traces");
-                assert_eq!(ref_run.settle_ops, run.settle_ops, "jobs {sweep_jobs}: same op count");
-                assert_eq!(
-                    ref_run.parallel_ops, run.parallel_ops,
-                    "jobs {sweep_jobs}: same partitioned op count"
-                );
-                "identical"
-            }
-        };
-        detm.row(cells![
-            sweep_jobs,
-            detm_cycles,
-            run.settle_ops,
-            run.parallel_ops,
-            run.parallel_passes,
-            format!("{hash:016x}"),
-            verdict,
-        ]);
-        if reference.is_none() {
-            reference = Some((hash, run));
-        }
-    }
-
-    // Export the packed/partition counters so trace consumers see lane
-    // occupancy and partition structure alongside the E13 activity factor.
+    // Export the packing counters so trace consumers see lane occupancy
+    // alongside the E13 activity factor.
     {
         let mut sim = Simulator::new_with_packing(&soc_nl, true).expect("valid netlist");
-        sim.set_settle_jobs(jobs);
         sim.poke("u0_arg_n", 64).expect("u0_arg_n exists");
         while sim.peek_net(soc_done) != 1 {
             sim.step().expect("step");
@@ -416,21 +321,18 @@ pub fn run(jobs: usize, obs: &hermes_obs::Recorder) -> ExperimentOutput {
     }
 
     let text = format!(
-        "E16a: compiled settle-program structure (word-packing + partition plan)\n{}\n\
+        "E16a: compiled settle-program structure (word-packing)\n{}\n\
          E16b: E11 sim workload acc({E11_ARG}) x{E11_REPS} — four engines, equivalence asserted\n{}\n\
-         E16c: SoC fabric acc x{SOC_COPIES} (arg {SOC_ARG}) — dense engines vs hashmap baseline\n{}\n\
-         E16d: partitioned settle determinism at grain 1 (state+trace+counter FNV)\n{}\n{}",
+         E16c: SoC fabric acc x{SOC_COPIES} (arg {SOC_ARG}) — dense engines vs hashmap baseline\n{}\n{}",
         structure.render(),
         workload.render(),
         soc.render(),
-        detm.render(),
         timing_lines,
     );
     ExperimentOutput::new(text)
         .with("e16a", "settle program structure", structure)
         .with("e16b", "acc workload engines", workload)
         .with("e16c", "tiled SoC engines", soc)
-        .with("e16d", "partitioned determinism sweep", detm)
         .with("e16_wall", "engine wall-clock (non-deterministic)", wall)
 }
 
@@ -459,7 +361,7 @@ mod tests {
             &pokes,
             done,
             ret,
-            &EngineCfg { packed: false, event: false, jobs: 1, grain: None },
+            &EngineCfg { packed: false, event: false },
             1,
         );
         let packed = run_dense(
@@ -467,7 +369,7 @@ mod tests {
             &pokes,
             done,
             ret,
-            &EngineCfg { packed: true, event: true, jobs: 4, grain: Some(1) },
+            &EngineCfg { packed: true, event: true },
             1,
         );
         let (h_cycles, h_ret, _) = run_hashmap(&nl, &pokes, done, ret, 1);
@@ -476,6 +378,5 @@ mod tests {
         assert_eq!(full.ret, packed.ret);
         assert_eq!(full.ret, h_ret);
         assert_eq!(full.trace, packed.trace);
-        assert!(packed.parallel_passes > 0, "grain 1 engages partitioning");
     }
 }

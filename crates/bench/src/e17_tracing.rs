@@ -11,10 +11,8 @@
 //! committed E14a shows 1 shed at 100% vs 84 at 150%). E17b measures the
 //! wall-clock overhead of tracing at sampling rates 0/16/1000‰ against
 //! an untraced run, asserting the rendered reports are byte-identical —
-//! sampling bounds the recording cost but never touches results. E17c
-//! renders the full trace and profile documents at 1 and 4 payload
-//! workers and gates byte-identity via FNV checksums: ids come from
-//! per-recorder sequences, not threads. E17d threads one minted trace
+//! sampling bounds the recording cost but never touches results. E17d
+//! threads one minted trace
 //! context through the cross-layer surface — HLS co-simulation, AXI DMA
 //! measurement, and XNG partition dispatch — and checks all three
 //! subsystems link their events into the same trace id.
@@ -26,12 +24,9 @@
 
 use crate::cells;
 use crate::e14_serving::{self, LOADS, SEED};
-use crate::profile_export::profile_document;
 use crate::table::Table;
-use crate::trace::trace_document;
 use crate::ExperimentOutput;
 use hermes_cpu::memmap::layout;
-use hermes_obs::hash::Fnv1a;
 use hermes_obs::profile::profile;
 use hermes_obs::slo::{AlertState, SloEngine, SloObjective, SloSpec};
 use hermes_obs::Recorder;
@@ -67,7 +62,6 @@ fn traced_point(
     model: &AcceleratorModel,
     base: &WorkloadConfig,
     load_pct: u64,
-    jobs: usize,
     sample_permille: u64,
     recorder: Recorder,
 ) -> (ServeReport, ServeEngine) {
@@ -75,7 +69,6 @@ fn traced_point(
     let arrivals = workload::generate(SEED, &wl);
     let span = arrivals.last().expect("workload non-empty").arrival;
     let cfg = ServeConfig {
-        jobs,
         trace_sample_permille: sample_permille,
         ..e14_serving::serve_cfg()
     };
@@ -88,12 +81,6 @@ fn traced_point(
         "accounting invariant violated at load {load_pct}%: {report:?}"
     );
     (report, engine)
-}
-
-fn fnv(bytes: &[u8]) -> u64 {
-    let mut hash = Fnv1a::new();
-    hash.bytes(bytes);
-    hash.finish()
 }
 
 /// Thread one minted trace through HLS co-sim, AXI DMA measurement, and
@@ -146,9 +133,8 @@ fn cross_layer_chain(rec: &Recorder) -> (u64, Vec<(String, u64)>) {
 
 /// Run E17 with a flight recorder. The gates need real traces even in an
 /// untraced session, so each sweep point records into its own recorder;
-/// the session recorder receives the absorbed copies. The sweep runs the
-/// serve pool on its default worker count and E17c pins 1 and 4, so
-/// `jobs` is unused.
+/// the session recorder receives the absorbed copies. The serve engine
+/// evaluates batches inline, so `jobs` is unused.
 pub fn run(_jobs: usize, obs: &hermes_obs::Recorder) -> ExperimentOutput {
     let model = e14_serving::mlp_model();
     let base = e14_serving::workload_cfg(&model, &e14_serving::serve_cfg());
@@ -177,7 +163,7 @@ pub fn run(_jobs: usize, obs: &hermes_obs::Recorder) -> ExperimentOutput {
         "transitions",
     ]);
     for &load in &LOADS {
-        let (report, engine) = traced_point(&model, &base, load, 0, 1000, root.child());
+        let (report, engine) = traced_point(&model, &base, load, 1000, root.child());
         let prof = profile(&engine.recorder().snapshot());
         assert_eq!(prof.dropped_events, 0, "gates need an untruncated record");
         let (exact, total) = prof.exact_paths("request");
@@ -229,7 +215,7 @@ pub fn run(_jobs: usize, obs: &hermes_obs::Recorder) -> ExperimentOutput {
                 None => Recorder::disabled(),
                 Some(_) => Recorder::new().with_capacity(1 << 16),
             };
-            let _ = traced_point(&model, &base, 150, 0, sample.unwrap_or(0), rec);
+            let _ = traced_point(&model, &base, 150, sample.unwrap_or(0), rec);
         }
         t0.elapsed().as_secs_f64() / REPS as f64
     };
@@ -240,7 +226,7 @@ pub fn run(_jobs: usize, obs: &hermes_obs::Recorder) -> ExperimentOutput {
             None => Recorder::disabled(),
             Some(_) => Recorder::new().with_capacity(1 << 16),
         };
-        let (r, _) = traced_point(&model, &base, 150, 0, sample.unwrap_or(0), rec);
+        let (r, _) = traced_point(&model, &base, 150, sample.unwrap_or(0), rec);
         renders.push(r.render());
     }
     for r in &renders[1..] {
@@ -284,25 +270,6 @@ pub fn run(_jobs: usize, obs: &hermes_obs::Recorder) -> ExperimentOutput {
         ]);
     }
 
-    // E17c: trace and profile documents are byte-identical across jobs.
-    let mut docs = Table::new(&["jobs", "trace_fnv", "profile_fnv", "identical"]);
-    let mut rendered = Vec::new();
-    for jobs in [1usize, 4] {
-        let rec = Recorder::new().with_capacity(1 << 16);
-        let (_, engine) = traced_point(&model, &base, 150, jobs, 1000, rec);
-        let trace_doc = trace_document(engine.recorder()).render();
-        let prof_doc = profile_document(&profile(&engine.recorder().snapshot())).render();
-        docs.row(cells![
-            jobs as u64,
-            format!("{:#018x}", fnv(trace_doc.as_bytes())),
-            format!("{:#018x}", fnv(prof_doc.as_bytes())),
-            "yes",
-        ]);
-        rendered.push((trace_doc, prof_doc));
-    }
-    assert_eq!(rendered[0].0, rendered[1].0, "trace documents differ across jobs");
-    assert_eq!(rendered[0].1, rendered[1].1, "profile documents differ across jobs");
-
     // E17d: one trace id spans hls, dma (axi), and xng events.
     let chain_rec = root.child();
     let (trace_id, counts) = cross_layer_chain(&chain_rec);
@@ -323,17 +290,14 @@ pub fn run(_jobs: usize, obs: &hermes_obs::Recorder) -> ExperimentOutput {
         "E17a: traced offered-load sweep (sample 1000‰), critical-path exactness and \
          deadline-hit SLO (≥{HIT_MIN_PERMILLE}‰, pages at ≥{PAGE_LOAD_PCT}% load)\n{}\n\
          E17b: tracing overhead at load 150%, best-of-{BEST_OF} interleaved x{REPS} reps, results byte-identical\n{}\n\
-         E17c: trace/profile document checksums, payload workers 1 vs 4\n{}\n\
          E17d: one trace context across HLS co-sim, AXI DMA measurement, XNG dispatch\n{}",
         sweep.render(),
         overhead.render(),
-        docs.render(),
         chain.render(),
     );
     ExperimentOutput::new(text)
         .with("e17a", "traced sweep: critical paths + SLO burn-rate", sweep)
         .with("e17b", "tracing overhead by sampling rate", overhead)
-        .with("e17c", "trace/profile jobs invariance", docs)
         .with("e17d", "cross-layer trace propagation", chain)
 }
 
@@ -346,7 +310,7 @@ mod tests {
         let model = e14_serving::mlp_model();
         let base = e14_serving::workload_cfg(&model, &e14_serving::serve_cfg());
         let rec = Recorder::new().with_capacity(1 << 16);
-        let (report, engine) = traced_point(&model, &base, 200, 0, 1000, rec);
+        let (report, engine) = traced_point(&model, &base, 200, 1000, rec);
         let prof = profile(&engine.recorder().snapshot());
         assert_eq!(prof.exact_paths("request"), (report.served, report.served));
         assert_eq!(
@@ -360,7 +324,7 @@ mod tests {
         let model = e14_serving::mlp_model();
         let base = e14_serving::workload_cfg(&model, &e14_serving::serve_cfg());
         let (_, engine) =
-            traced_point(&model, &base, 50, 0, 1000, Recorder::new().with_capacity(1 << 16));
+            traced_point(&model, &base, 50, 1000, Recorder::new().with_capacity(1 << 16));
         assert_eq!(engine.slo().unwrap().worst_states()[0].1, AlertState::Ok);
     }
 

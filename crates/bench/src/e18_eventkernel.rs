@@ -70,12 +70,9 @@ impl LayerRun {
 }
 
 /// One serving run of the E18 leg (50% offered load, pool chaos) with
-/// the payload worker count and the event-kernel knob explicit. Public
-/// so the determinism suite can replay it across both knobs.
-pub fn serve_run(
-    jobs: usize,
-    event_kernel: bool,
-) -> (hermes_serve::engine::ServeReport, ServeEngine) {
+/// the event-kernel knob explicit. Public so the determinism suite can
+/// replay it across the knob.
+pub fn serve_run(event_kernel: bool) -> (hermes_serve::engine::ServeReport, ServeEngine) {
     let model = mlp_model();
     let base = workload_cfg(&model, &serve_cfg());
     let wl = base.at_load_pct(SERVE_LOAD);
@@ -85,14 +82,13 @@ pub fn serve_run(
         CHAOS_SEED,
         &FaultPlanConfig::pool_only(span, 2, 2, span as u32 / 8, 2),
     );
-    let cfg = hermes_serve::engine::ServeConfig { jobs, ..serve_cfg() };
-    let mut engine = ServeEngine::new(cfg, model, arrivals)
+    let mut engine = ServeEngine::new(serve_cfg(), model, arrivals)
         .with_chaos(plan)
         .with_event_kernel(event_kernel);
     let report = engine.run();
     assert!(
         report.accounted(),
-        "serve leg accounting (jobs={jobs}, kernel={event_kernel}): {report:?}"
+        "serve leg accounting (kernel={event_kernel}): {report:?}"
     );
     (report, engine)
 }
@@ -100,9 +96,9 @@ pub fn serve_run(
 /// Serving leg: 50% offered load with a chaos campaign on the pool.
 /// The off position is the sorted-reference scheduler — same wake
 /// instants by construction, so the wake counts must match exactly.
-fn serve_leg(jobs: usize) -> LayerRun {
-    let (r_off, e_off) = serve_run(jobs, false);
-    let (r_on, e_on) = serve_run(jobs, true);
+fn serve_leg() -> LayerRun {
+    let (r_off, e_off) = serve_run(false);
+    let (r_on, e_on) = serve_run(true);
     assert_eq!(r_off, r_on, "serve reports identical across the knob");
     assert_eq!(r_off.render(), r_on.render(), "serve renders byte-identical");
     assert_eq!(e_off.wakes(), e_on.wakes(), "wheel and reference wake on the same ticks");
@@ -232,11 +228,10 @@ fn axi_leg() -> LayerRun {
     }
 }
 
-/// Run E18 with the serving leg's payload pool on `jobs` workers (the
-/// determinism suite diffs 1 vs 4), tracing wheel counters into `obs`
-/// under `kernel`.
-pub fn run(jobs: usize, obs: &hermes_obs::Recorder) -> ExperimentOutput {
-    let legs = [serve_leg(jobs), xng_leg(), axi_leg()];
+/// Run E18, tracing wheel counters into `obs` under `kernel`. Every leg
+/// runs inline, so `jobs` is unused.
+pub fn run(_jobs: usize, obs: &hermes_obs::Recorder) -> ExperimentOutput {
+    let legs = [serve_leg(), xng_leg(), axi_leg()];
 
     // The kernel merges its own result rows: one completion event per
     // layer, posted at that layer's span and drained through an
@@ -355,7 +350,7 @@ mod tests {
 
     #[test]
     fn each_leg_fast_forwards_and_matches_the_polling_engine() {
-        for leg in [serve_leg(1), xng_leg(), axi_leg()] {
+        for leg in [serve_leg(), xng_leg(), axi_leg()] {
             assert!(leg.skipped_on > 0, "{} must skip", leg.name);
             assert!(leg.wheel.posted >= leg.wheel.popped);
         }
@@ -363,7 +358,7 @@ mod tests {
 
     #[test]
     fn cross_layer_reduction_clears_the_gate() {
-        let legs = [serve_leg(1), xng_leg(), axi_leg()];
+        let legs = [serve_leg(), xng_leg(), axi_leg()];
         let span: u64 = legs.iter().map(|l| l.span).sum();
         let polled: u64 = legs.iter().map(|l| l.polled_on).sum();
         assert!(span / polled.max(1) >= 10, "span {span} polled {polled}");

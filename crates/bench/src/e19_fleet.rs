@@ -9,7 +9,7 @@
 //! scale — over a million heavy-tailed (bounded-Pareto) arrivals across
 //! 512 tenants — and holds it to the single-engine bar: the accounting
 //! invariant `served + shed + rejected + balancer_shed == offered` on
-//! every row, byte-identical output across `--jobs` and across
+//! every row, byte-identical output on every replay and across
 //! `FleetEngine::with_event_kernel`.
 //!
 //! (a) sweeps the shard count at a fixed arrival process (4 shards ≈
@@ -24,8 +24,8 @@
 //! (c) runs a two-phase burst-then-quiet stream against the autoscaler
 //! and requires at least one scale-up under burn and one completed
 //! drain-then-kill scale-down in the quiet tail.
-//! (d) replays a chaos+scaler point at payload workers 1 vs 4 and with
-//! the event kernel forced off, asserting byte-identical renders.
+//! (d) replays a chaos+scaler point with the event kernel on and off,
+//! asserting byte-identical renders.
 
 use crate::cells;
 use crate::table::Table;
@@ -62,20 +62,19 @@ fn fleet_model() -> AcceleratorModel {
     })
 }
 
-fn fleet_serve_cfg(jobs: usize) -> ServeConfig {
+fn fleet_serve_cfg() -> ServeConfig {
     ServeConfig {
         queue_depth: 64,
         tenant_quota: 24,
         // fleet-scale streams: record 2 permille of traces (identity is
         // unaffected — sampling decides recording, never trace ids)
         trace_sample_permille: 2,
-        jobs,
         ..ServeConfig::default()
     }
 }
 
-fn fleet_cfg(shards: usize, jobs: usize) -> FleetConfig {
-    FleetConfig { shards, serve: fleet_serve_cfg(jobs), ..FleetConfig::default() }
+fn fleet_cfg(shards: usize) -> FleetConfig {
+    FleetConfig { shards, serve: fleet_serve_cfg(), ..FleetConfig::default() }
 }
 
 fn stream_cfg(requests: usize) -> FleetWorkloadConfig {
@@ -106,10 +105,9 @@ fn run_fleet(
     report
 }
 
-/// One chaos+scaler fleet run with the payload worker count and the
-/// event-kernel knob explicit (public so the determinism suite can
-/// replay it across both knobs).
-pub fn identity_run(jobs: usize, event_kernel: bool) -> FleetReport {
+/// One chaos+scaler fleet run with the event-kernel knob explicit
+/// (public so the determinism suite can replay it across the knob).
+pub fn identity_run(event_kernel: bool) -> FleetReport {
     let arrivals = workload::generate(SEED + 4, &stream_cfg(IDENTITY_REQUESTS));
     let span = arrivals.last().expect("stream non-empty").arrival;
     let plan = FaultPlan::generate(
@@ -118,7 +116,7 @@ pub fn identity_run(jobs: usize, event_kernel: bool) -> FleetReport {
     );
     let scaler = ScalerConfig { eval_interval: 2_000, min_shards: 2, ..ScalerConfig::default() };
     run_fleet(
-        fleet_cfg(8, jobs),
+        fleet_cfg(8),
         arrivals,
         Some(plan),
         Some(scaler),
@@ -127,11 +125,10 @@ pub fn identity_run(jobs: usize, event_kernel: bool) -> FleetReport {
     )
 }
 
-/// Run E19 with every shard's payload pool on `jobs` workers (the
-/// determinism suite and the ci.sh jobs gate diff 1 vs 4), tracing fleet
-/// metrics under `fleet` and per-shard serve metrics under
-/// `shard<i>/serve` into `obs`.
-pub fn run(jobs: usize, obs: &hermes_obs::Recorder) -> ExperimentOutput {
+/// Run E19, tracing fleet metrics under `fleet` and per-shard serve
+/// metrics under `shard<i>/serve` into `obs`. Every shard evaluates its
+/// batches inline, so `jobs` is unused.
+pub fn run(_jobs: usize, obs: &hermes_obs::Recorder) -> ExperimentOutput {
     // E19a: shard-count sweep over 1,048,576 heavy-tailed arrivals.
     let mut sweep = Table::new(&[
         "shards",
@@ -150,7 +147,7 @@ pub fn run(jobs: usize, obs: &hermes_obs::Recorder) -> ExperimentOutput {
     let mut points = Vec::new();
     for &(shards, requests) in &SWEEP {
         let arrivals = workload::generate(SEED, &stream_cfg(requests));
-        let r = run_fleet(fleet_cfg(shards, jobs), arrivals, None, None, None, obs);
+        let r = run_fleet(fleet_cfg(shards), arrivals, None, None, None, obs);
         let throughput = (r.served * 1_000_000).checked_div(r.makespan).unwrap_or(0);
         sweep.row(cells![
             shards,
@@ -202,12 +199,12 @@ pub fn run(jobs: usize, obs: &hermes_obs::Recorder) -> ExperimentOutput {
     // nothing, and the victims rejoin the ring.
     let arrivals = workload::generate(SEED + 2, &stream_cfg(CHAOS_REQUESTS));
     let span = arrivals.last().expect("stream non-empty").arrival;
-    let clean = run_fleet(fleet_cfg(8, jobs), arrivals.clone(), None, None, None, obs);
+    let clean = run_fleet(fleet_cfg(8), arrivals.clone(), None, None, None, obs);
     let plan = FaultPlan::generate(
         CHAOS_SEED,
         &FaultPlanConfig::shard_only(span, 8, (span / 16) as u32, 8),
     );
-    let chaos = run_fleet(fleet_cfg(8, jobs), arrivals, Some(plan), None, None, obs);
+    let chaos = run_fleet(fleet_cfg(8), arrivals, Some(plan), None, None, obs);
     assert_eq!(chaos.shard_kills, 8, "all scheduled kills applied");
     assert!(chaos.failover_rerouted > 0, "kills landed on live work: {chaos:?}");
     assert!(chaos.revives > 0, "outages end within the run: {chaos:?}");
@@ -273,7 +270,7 @@ pub fn run(jobs: usize, obs: &hermes_obs::Recorder) -> ExperimentOutput {
         max_shards: 6,
         ..ScalerConfig::default()
     };
-    let elastic = run_fleet(fleet_cfg(2, jobs), arrivals, None, Some(scaler), None, obs);
+    let elastic = run_fleet(fleet_cfg(2), arrivals, None, Some(scaler), None, obs);
     assert!(elastic.scale_ups >= 1, "burn must scale up: {elastic:?}");
     assert!(elastic.scale_downs >= 1, "the quiet tail must drain-then-kill: {elastic:?}");
     assert!(
@@ -308,17 +305,14 @@ pub fn run(jobs: usize, obs: &hermes_obs::Recorder) -> ExperimentOutput {
         if elastic.accounted() { "yes" } else { "NO" },
     ]);
 
-    // E19d: workers and the event kernel are throughput knobs, never
-    // results knobs — chaos + scaler replayed across both.
-    let r1 = identity_run(1, true);
-    let r4 = identity_run(4, true);
-    let r_off = identity_run(1, false);
-    assert_eq!(r1, r4, "reports must be identical across jobs");
-    assert_eq!(r1.render(), r4.render(), "renders must be byte-identical across jobs");
-    assert_eq!(r1, r_off, "reports must be identical across the kernel knob");
-    assert_eq!(r1.render(), r_off.render(), "renders must be byte-identical across the knob");
+    // E19d: the event kernel is a throughput knob, never a results knob —
+    // chaos + scaler replayed across it.
+    let r_on = identity_run(true);
+    let r_off = identity_run(false);
+    assert_eq!(r_on, r_off, "reports must be identical across the kernel knob");
+    assert_eq!(r_on.render(), r_off.render(), "renders must be byte-identical across the knob");
     let mut ident_t = Table::new(&["variant", "served", "p99", "checksum", "identical"]);
-    for (variant, r) in [("jobs=1", &r1), ("jobs=4", &r4), ("kernel=off", &r_off)] {
+    for (variant, r) in [("kernel=on", &r_on), ("kernel=off", &r_off)] {
         ident_t.row(cells![
             variant,
             r.served,
@@ -334,7 +328,7 @@ pub fn run(jobs: usize, obs: &hermes_obs::Recorder) -> ExperimentOutput {
          E19b: shard-kill chaos at 8 shards ({} requests; kills evacuate and re-route, \
          nothing lost)\n{}\n\
          E19c: burst-then-quiet autoscale (eval every {} ticks, drain-then-kill)\n{}\n\
-         E19d: payload workers 1 vs 4 and event kernel off, byte-identical reports\n{}",
+         E19d: event kernel on vs off, byte-identical reports\n{}",
         total_offered,
         TENANTS,
         fleet_model().per_item,
@@ -350,7 +344,7 @@ pub fn run(jobs: usize, obs: &hermes_obs::Recorder) -> ExperimentOutput {
         .with("e19a", "fleet shard-count sweep", sweep)
         .with("e19b", "fleet shard-kill failover", chaos_t)
         .with("e19c", "fleet autoscale burst/quiet", scale_t)
-        .with("e19d", "fleet jobs/kernel invariance", ident_t)
+        .with("e19d", "fleet kernel invariance", ident_t)
 }
 
 #[cfg(test)]
@@ -361,7 +355,7 @@ mod tests {
     fn small_sweep_points_account_and_spread() {
         let obs = hermes_obs::Recorder::disabled();
         let arrivals = workload::generate(SEED, &stream_cfg(8_192));
-        let r = run_fleet(fleet_cfg(4, 0), arrivals, None, None, None, &obs);
+        let r = run_fleet(fleet_cfg(4), arrivals, None, None, None, &obs);
         assert!(r.accounted());
         assert!(r.served > 0);
         assert!(r.routed.iter().all(|&n| n > 0), "every shard took load: {:?}", r.routed);
@@ -376,7 +370,7 @@ mod tests {
             CHAOS_SEED,
             &FaultPlanConfig::shard_only(span, 4, (span / 8) as u32, 8),
         );
-        let r = run_fleet(fleet_cfg(8, 0), arrivals, Some(plan), None, None, &obs);
+        let r = run_fleet(fleet_cfg(8), arrivals, Some(plan), None, None, &obs);
         assert!(r.accounted());
         assert_eq!(r.shard_kills, 4);
         assert!(r.failover_rerouted > 0);

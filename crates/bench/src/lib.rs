@@ -19,11 +19,12 @@
 //!
 //! Every experiment module exposes exactly one entry point,
 //! `run(jobs: usize, obs: &Recorder) -> ExperimentOutput` (the [`Runner`]
-//! type). `jobs` is the worker count: E1/E2/E3/E7/E10/E15/E16 fan their
-//! independent units over `hermes-par`, E18/E19 size the serve pool of
-//! their serving leg and shards with it, E11 reports it and E12/E13 pass
-//! it on to the experiments they time; the others run serially and
-//! ignore it. Any worker count renders bit-identical tables. `obs` is the
+//! type). `jobs` is the worker count: E1/E2/E3/E7/E10/E15 fan their
+//! coarse, independent units (suite kernels, seeds, campaigns, the
+//! Eucalyptus sweep, placement starts) over `hermes-par`, E11 reports it
+//! and E12/E13 pass it on to the experiments they time; the others,
+//! E16–E19 included, run serially and ignore it. Any worker count renders
+//! bit-identical tables. `obs` is the
 //! flight recorder; callers that do not trace pass
 //! [`hermes_obs::Recorder::disabled`], which costs one branch per
 //! recording call.
@@ -149,7 +150,7 @@ pub fn all_experiments() -> Vec<Experiment> {
         ),
         (
             "e16",
-            "Word-parallel bit-packed settle + rank-partitioned parallel simulation",
+            "Word-parallel bit-packed settle",
             e16_wordparallel::run,
         ),
         (

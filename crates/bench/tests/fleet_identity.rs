@@ -30,7 +30,6 @@ fn fleet_cfg(shards: usize) -> FleetConfig {
         queue_depth: 64,
         tenant_quota: 24,
         trace_sample_permille: 2,
-        jobs: 1,
         ..ServeConfig::default()
     };
     FleetConfig { shards, serve, ..FleetConfig::default() }

@@ -7,6 +7,9 @@
 //! * Each layer and each experiment has one entry point that takes the
 //!   recorder as a parameter: no `x` / `x_traced` twins, and one
 //!   `pub fn run` per experiment module.
+//! * Work fans out over `hermes-par` only at a coarse grain, in an
+//!   allow-listed file, and the RTL and serve crates do not depend on
+//!   `hermes-par` at all.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -116,6 +119,52 @@ fn one_entry_point_per_layer_and_experiment() {
     assert!(
         hits.is_empty(),
         "a layer or an experiment has more than one entry point:\n{}",
+        hits.join("\n")
+    );
+}
+
+/// The files whose units are coarse enough for a worker hand-off to pay:
+/// multi-start placement, the Eucalyptus sweep, and the experiments that
+/// fan out over suite kernels, seeds or campaigns.
+const COARSE_FAN_OUTS: [&str; 7] = [
+    "crates/fpga/src/place.rs",
+    "crates/eucalyptus/src/sweep.rs",
+    "crates/bench/src/e1_hls_flow.rs",
+    "crates/bench/src/e2_fpga_flow.rs",
+    "crates/bench/src/e7_usecases.rs",
+    "crates/bench/src/e10_chaos.rs",
+    "crates/bench/src/e15_isolation.rs",
+];
+
+/// Crates whose hot paths (one settle pass, one batch) are far finer
+/// than a worker hand-off: they must not depend on `hermes-par`.
+const SERIAL_CRATES: [&str; 2] = ["crates/rtl/Cargo.toml", "crates/serve/Cargo.toml"];
+
+#[test]
+fn fan_outs_stay_coarse_grained() {
+    let mut hits = Vec::new();
+    for (rel, text) in library_sources() {
+        if rel.starts_with("crates/par/") || COARSE_FAN_OUTS.contains(&rel.as_str()) {
+            continue;
+        }
+        for (i, line) in text.lines().enumerate() {
+            let code = line.trim_start();
+            let fan_out = code.contains("par_map_jobs") || code.contains("par_map_bounded_jobs");
+            if fan_out && !code.starts_with("//") {
+                hits.push(format!("{rel}:{}: {}", i + 1, code));
+            }
+        }
+    }
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    for manifest in SERIAL_CRATES {
+        let text = fs::read_to_string(root.join(manifest)).expect("readable manifest");
+        if text.contains("hermes-par") {
+            hits.push(format!("{manifest}: depends on hermes-par"));
+        }
+    }
+    assert!(
+        hits.is_empty(),
+        "fan-out outside the coarse-grain allow-list:\n{}",
         hits.join("\n")
     );
 }

@@ -6,7 +6,7 @@
 //! itself runs on a single [`hermes_kernel::Scheduler`] timeline with
 //! five timer domains — arrival, shard, chaos, scaler, revive — popped in
 //! deterministic `(time, domain, seq)` order, so the whole fleet is as
-//! replayable as one engine: byte-identical across `--jobs` and across
+//! replayable as one engine: byte-identical on every replay and across
 //! [`FleetEngine::with_event_kernel`].
 //!
 //! Routing: a request's tenant hashes onto the consistent-hash
@@ -202,7 +202,7 @@ impl FleetReport {
     }
 
     /// Deterministic multi-line rendering — the byte-identity artifact
-    /// the CI jobs/kernel-knob gates diff. Includes every shard's own
+    /// the CI replay/kernel-knob gates diff. Includes every shard's own
     /// render, so a single diverging shard is immediately visible.
     pub fn render(&self) -> String {
         let mut s = String::new();
@@ -918,22 +918,22 @@ mod tests {
 
     #[test]
     fn fleet_is_byte_identical_across_jobs_and_kernel_knob() {
-        let run = |jobs: usize, kernel: bool| {
+        let run = |kernel: bool| {
             let wl = FleetWorkloadConfig { requests: 4000, ..FleetWorkloadConfig::default() };
             let arrivals = workload::generate(13, &wl);
             let span = arrivals.last().unwrap().arrival;
             let plan = FaultPlan::generate(5, &FaultPlanConfig::shard_only(span, 3, 3000, 4));
-            let serve = ServeConfig { jobs, ..ServeConfig::default() };
-            let cfg = FleetConfig { serve, ..FleetConfig::default() };
-            let mut fleet = FleetEngine::new(cfg, model(), arrivals)
+            let mut fleet = FleetEngine::new(FleetConfig::default(), model(), arrivals)
                 .with_chaos(plan)
                 .with_scaler(ScalerConfig { eval_interval: 1000, ..ScalerConfig::default() })
                 .with_event_kernel(kernel);
-            fleet.run().render()
+            let report = fleet.run();
+            assert!(report.accounted(), "{report:?}");
+            report.render()
         };
-        let base = run(1, true);
-        assert_eq!(base, run(4, true), "worker count must not change results");
-        assert_eq!(base, run(1, false), "kernel knob must not change results");
+        let base = run(true);
+        assert_eq!(base, run(true), "a replay must not change results");
+        assert_eq!(base, run(false), "kernel knob must not change results");
     }
 
     #[test]

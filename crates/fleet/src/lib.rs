@@ -28,10 +28,9 @@
 //!
 //! The whole fleet advances on a single [`hermes_kernel::Scheduler`]
 //! timeline; every routing, scaling, and failover decision is a function
-//! of tick arithmetic and seeded draws. Worker count only parallelizes
-//! payload evaluation inside each shard, so fleet reports are
-//! byte-identical across `--jobs` and across the scheduler selected by
-//! `FleetEngine::with_event_kernel`.
+//! of tick arithmetic and seeded draws. Each shard evaluates its batch
+//! payloads inline, so fleet reports are byte-identical on every replay
+//! and across the scheduler selected by `FleetEngine::with_event_kernel`.
 //!
 //! ## Accounting invariant
 //!

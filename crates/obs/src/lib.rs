@@ -17,7 +17,7 @@
 //! Parallel fan-outs keep the contract by giving each independent unit of
 //! work its own [`Recorder::child`] and merging the children back **in
 //! input order** with [`Recorder::absorb`] — the same discipline
-//! `hermes_par::par_map` applies to its result vector.
+//! `hermes_par::par_map_jobs` applies to its result vector.
 //!
 //! ## Flight-recorder semantics
 //!

@@ -5,9 +5,10 @@
 //! Every layer of the flow — the per-kernel HLS→FPGA pipeline, the
 //! Eucalyptus characterization sweep, the multi-start annealing placer,
 //! and the chaos campaigns — consists of *independent, deterministic*
-//! units of work. [`par_map`] runs such units across a scoped thread pool
-//! (`std::thread::scope`, zero external dependencies, no leaked threads)
-//! while preserving three invariants the rest of the workspace relies on:
+//! units of work. [`par_map_jobs`] runs such units across a scoped thread
+//! pool (`std::thread::scope`, zero external dependencies, no leaked
+//! threads) while preserving three invariants the rest of the workspace
+//! relies on:
 //!
 //! 1. **Deterministic ordering** — results come back in input order, so a
 //!    parallel run renders bit-identical tables to a serial run.
@@ -27,6 +28,10 @@
 //! thread* with identical results and panic→`Err` semantics — E11c showed
 //! thread-spawn overhead inverting speedup on small workloads, so the
 //! degenerate cases must not pay it.
+//!
+//! Fan out only at a coarse grain. A hand-off to a worker costs tens of
+//! microseconds, so each unit must do far more work than that to pay;
+//! per-request and per-settle-pass work runs inline instead.
 
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -88,7 +93,7 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// [`par_map`] with an explicit worker count (`jobs >= 1`).
+/// Map `f` over `items` on `jobs` workers (`jobs >= 1`).
 ///
 /// Results are returned in input order regardless of completion order.
 ///
@@ -110,24 +115,24 @@ where
     par_map_pool(jobs, chunk, items, f)
 }
 
-/// Core pool: `jobs` workers claiming `chunk` consecutive indices at a time
-/// from a shared cursor. Shared by [`par_map_jobs`] (throughput chunking),
-/// [`par_map_bounded_jobs`] (single-item claims, worker count clamped to
-/// the in-flight bound), and [`par_map_indexed_jobs`] (index-space maps
-/// with no backing slice).
-#[allow(clippy::needless_range_loop)] // `i` indexes the logical 0..count space, not just `slots`
-fn par_pool_indexed<R, F>(jobs: usize, chunk: usize, count: usize, f: F) -> Result<Vec<R>, ParError>
+/// Core pool: `jobs` workers claiming `chunk` consecutive items at a time
+/// from a shared cursor. Shared by [`par_map_jobs`] (throughput chunking)
+/// and [`par_map_bounded_jobs`] (single-item claims, worker count clamped
+/// to the in-flight bound).
+#[allow(clippy::needless_range_loop)] // `i` indexes both `items` and `slots`
+fn par_map_pool<T, R, F>(jobs: usize, chunk: usize, items: &[T], f: F) -> Result<Vec<R>, ParError>
 where
+    T: Sync,
     R: Send,
-    F: Fn(usize) -> R + Sync,
+    F: Fn(&T) -> R + Sync,
 {
-    let n = count;
+    let n = items.len();
     let jobs = jobs.max(1).min(n.max(1));
     if jobs == 1 {
         // Serial fast path: same panic containment, no thread overhead.
         let mut out = Vec::with_capacity(n);
-        for i in 0..n {
-            match catch_unwind(AssertUnwindSafe(|| f(i))) {
+        for (i, item) in items.iter().enumerate() {
+            match catch_unwind(AssertUnwindSafe(|| f(item))) {
                 Ok(r) => out.push(r),
                 Err(p) => {
                     return Err(ParError {
@@ -155,10 +160,11 @@ where
                     break;
                 }
                 for i in start..(start + chunk).min(n) {
-                    let outcome = catch_unwind(AssertUnwindSafe(|| f(i))).map_err(|p| ParError {
-                        task: i,
-                        message: panic_message(p),
-                    });
+                    let outcome =
+                        catch_unwind(AssertUnwindSafe(|| f(&items[i]))).map_err(|p| ParError {
+                            task: i,
+                            message: panic_message(p),
+                        });
                     *slots[i].lock().expect("result slot poisoned") = Some(outcome);
                 }
             });
@@ -181,105 +187,13 @@ where
     Ok(out)
 }
 
-/// Slice adapter over [`par_pool_indexed`].
-fn par_map_pool<T, R, F>(jobs: usize, chunk: usize, items: &[T], f: F) -> Result<Vec<R>, ParError>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    par_pool_indexed(jobs, chunk, items.len(), |i| f(&items[i]))
-}
-
-/// [`par_map_indexed`] with an explicit worker count (`jobs >= 1`).
+/// Map `f` over `items` on `jobs` workers with at most `min(jobs, bound)`
+/// items in flight at any instant: each worker claims exactly one index
+/// at a time (no chunk batching), and the worker count itself is clamped
+/// to `bound`. `bound = 0` is treated as 1. Results preserve input order.
 ///
-/// Maps `f` over the index space `0..count` and returns the results in
-/// index order — no backing slice to build, no per-call `Vec` of items.
-/// This is the partition-fan-out primitive: the caller names how many
-/// pieces of work exist and `f` resolves each one from shared state.
-///
-/// Two guarantees beyond [`par_map_jobs`]:
-///
-/// 1. `jobs == 1` or `count <= 1` runs the same calling-thread serial fast
-///    path (never enters `std::thread::scope`).
-/// 2. When `count <= jobs`, every index gets its own dedicated worker
-///    thread (no shared cursor), so `f(i)` bodies may *cooperate* —
-///    synchronize through barriers or atomics with the other indices —
-///    without risking two indices landing on one thread. The partitioned
-///    RTL settle relies on this to run one barrier-stepped worker per lane.
-///
-/// # Errors
-///
-/// Returns a [`ParError`] for the lowest index that panicked; all other
-/// tasks still run to completion before this returns.
-pub fn par_map_indexed_jobs<R, F>(jobs: usize, count: usize, f: F) -> Result<Vec<R>, ParError>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    let jobs = jobs.max(1).min(count.max(1));
-    if jobs == 1 || count <= 1 {
-        return par_pool_indexed(1, 1, count, f);
-    }
-    if count <= jobs {
-        // Dedicated-thread path: exactly one OS thread per index, results
-        // collected from the join handles in index order (no Mutex slots).
-        let mut joined: Vec<Result<R, ParError>> = Vec::with_capacity(count);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..count)
-                .map(|i| {
-                    let f = &f;
-                    scope.spawn(move || f(i))
-                })
-                .collect();
-            for (i, h) in handles.into_iter().enumerate() {
-                joined.push(h.join().map_err(|p| ParError {
-                    task: i,
-                    message: panic_message(p),
-                }));
-            }
-        });
-        return joined.into_iter().collect();
-    }
-    let chunk = (count / (jobs * 4)).max(1);
-    par_pool_indexed(jobs, chunk, count, f)
-}
-
-/// Map `f` over the index space `0..count` on the default worker count
-/// ([`jobs`]), preserving index order in the result. See
-/// [`par_map_indexed_jobs`] for the fast-path and cooperation guarantees.
-///
-/// # Errors
-///
-/// See [`par_map_indexed_jobs`].
-pub fn par_map_indexed<R, F>(count: usize, f: F) -> Result<Vec<R>, ParError>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    par_map_indexed_jobs(jobs(), count, f)
-}
-
-/// Map `f` over `items` on the default worker count ([`jobs`]), preserving
-/// input order in the result.
-///
-/// # Errors
-///
-/// See [`par_map_jobs`].
-pub fn par_map<T, R, F>(items: &[T], f: F) -> Result<Vec<R>, ParError>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    par_map_jobs(jobs(), items, f)
-}
-
-/// [`par_map_bounded`] with an explicit worker count.
-///
-/// At most `min(jobs, bound)` items are in flight at any instant: each
-/// worker claims exactly one index at a time (no chunk batching), and the
-/// worker count itself is clamped to `bound`. `bound = 0` is treated as 1.
+/// No library calls this any more. Kept for perfbench; delete with the
+/// next benchmark change.
 ///
 /// # Errors
 ///
@@ -296,52 +210,6 @@ where
     F: Fn(&T) -> R + Sync,
 {
     par_map_pool(jobs.min(bound.max(1)), 1, items, f)
-}
-
-/// Map `f` over `items` with at most `bound` items concurrently in flight,
-/// independent of the resolved worker count ([`jobs`]) — the backpressure
-/// primitive: a serving pool with `bound` accelerator slots must never
-/// evaluate more than `bound` requests at once no matter how wide the
-/// machine is. Results preserve input order; a `bound` of 1 (or a
-/// single-item input) takes the same calling-thread fast path as
-/// `par_map_jobs(1, ..)`.
-///
-/// # Errors
-///
-/// See [`par_map_jobs`].
-pub fn par_map_bounded<T, R, F>(bound: usize, items: &[T], f: F) -> Result<Vec<R>, ParError>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    par_map_bounded_jobs(jobs(), bound, items, f)
-}
-
-/// [`par_for_each`] with an explicit worker count.
-///
-/// # Errors
-///
-/// See [`par_map_jobs`].
-pub fn par_for_each_jobs<T, F>(jobs: usize, items: &[T], f: F) -> Result<(), ParError>
-where
-    T: Sync,
-    F: Fn(&T) + Sync,
-{
-    par_map_jobs(jobs, items, |item| f(item)).map(|_| ())
-}
-
-/// Run `f` for every item on the default worker count, discarding results.
-///
-/// # Errors
-///
-/// See [`par_map_jobs`].
-pub fn par_for_each<T, F>(items: &[T], f: F) -> Result<(), ParError>
-where
-    T: Sync,
-    F: Fn(&T) + Sync,
-{
-    par_for_each_jobs(jobs(), items, f)
 }
 
 #[cfg(test)]
@@ -385,7 +253,7 @@ mod tests {
         let counter = AtomicU64::new(0);
         let items: Vec<u64> = (0..1000).collect();
         let sum = AtomicU64::new(0);
-        par_for_each_jobs(8, &items, |&x| {
+        par_map_jobs(8, &items, |&x| {
             counter.fetch_add(1, Ordering::Relaxed);
             sum.fetch_add(x, Ordering::Relaxed);
         })
@@ -426,73 +294,6 @@ mod tests {
         let err = par_map_jobs(8, &[7u32], |_| -> u32 { panic!("lone boom") }).unwrap_err();
         assert_eq!(err.task, 0);
         assert!(err.message.contains("lone boom"), "got: {err}");
-    }
-
-    #[test]
-    fn indexed_preserves_index_order() {
-        for jobs in [1, 2, 4, 7] {
-            let out = par_map_indexed_jobs(jobs, 257, |i| i * 3 + 1).unwrap();
-            let expect: Vec<usize> = (0..257).map(|i| i * 3 + 1).collect();
-            assert_eq!(out, expect, "order broken at jobs={jobs}");
-        }
-    }
-
-    #[test]
-    fn indexed_empty_single_and_fast_path() {
-        let caller = std::thread::current().id();
-        assert_eq!(par_map_indexed_jobs(4, 0, |i| i).unwrap(), Vec::<usize>::new());
-        assert_eq!(par_map_indexed_jobs(4, 1, |i| i + 9).unwrap(), vec![9]);
-        // jobs == 1: serial loop on the calling thread regardless of count.
-        let tids = par_map_indexed_jobs(1, 3, |_| std::thread::current().id()).unwrap();
-        assert!(tids.iter().all(|&t| t == caller), "jobs=1 must not spawn");
-        // count == 1: serial loop regardless of requested jobs.
-        let tids = par_map_indexed_jobs(8, 1, |_| std::thread::current().id()).unwrap();
-        assert_eq!(tids, vec![caller], "one index must not spawn");
-        // default-jobs wrapper agrees with the explicit form.
-        let a = par_map_indexed(100, |i| i ^ 0xA5).unwrap();
-        let b = par_map_indexed_jobs(1, 100, |i| i ^ 0xA5).unwrap();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn indexed_dedicated_threads_when_count_le_jobs() {
-        // count <= jobs: every index must land on its own thread, so the
-        // bodies may synchronize with each other (the partitioned settle
-        // contract). Prove it with a barrier that would deadlock if any
-        // thread ran two indices.
-        let count = 4;
-        let barrier = std::sync::Barrier::new(count);
-        let out = par_map_indexed_jobs(8, count, |i| {
-            barrier.wait();
-            i * 10
-        })
-        .unwrap();
-        assert_eq!(out, vec![0, 10, 20, 30]);
-        // distinct thread per index
-        let tids = par_map_indexed_jobs(8, count, |_| std::thread::current().id()).unwrap();
-        let unique: std::collections::HashSet<_> = tids.iter().collect();
-        assert_eq!(unique.len(), count, "each index gets a dedicated thread");
-    }
-
-    #[test]
-    fn indexed_panic_becomes_err_not_abort() {
-        for (jobs, count) in [(1, 64), (4, 64), (8, 4)] {
-            let err = par_map_indexed_jobs(jobs, count, |i| {
-                assert!(i != 3, "indexed boom at {i}");
-                i
-            })
-            .unwrap_err();
-            assert_eq!(err.task, 3, "lowest failing index, jobs={jobs} count={count}");
-            assert!(err.message.contains("indexed boom at 3"), "got: {err}");
-        }
-    }
-
-    #[test]
-    fn indexed_matches_slice_map() {
-        let items: Vec<u64> = (0..100).collect();
-        let by_slice = par_map_jobs(4, &items, |&x| x.wrapping_mul(31)).unwrap();
-        let by_index = par_map_indexed_jobs(4, items.len(), |i| items[i].wrapping_mul(31)).unwrap();
-        assert_eq!(by_slice, by_index);
     }
 
     #[test]

@@ -1,12 +1,11 @@
 //! Differential property tests for the settle engines: on randomly
-//! generated netlists, the event-driven, bit-packed, and rank-partitioned
-//! simulators must agree with a forced scalar full-program simulator on
-//! every net value, every register's stored state, and every trace row,
+//! generated netlists, the event-driven and bit-packed simulators must
+//! agree with a forced scalar full-program simulator on every net value,
+//! every register's stored state, and every trace row,
 //! across long runs of random pokes and mid-run resets (deterministic
 //! `DetRng` loops — no external dependencies). Generator profiles bias
 //! toward RAM-heavy, wide-bus, and 1-bit-heavy shapes so each engine's
-//! fast paths (packed words, aligned slots, partition claiming) are all
-//! exercised.
+//! fast paths (packed words, aligned slots) are all exercised.
 
 use hermes_rtl::component::Comparison;
 use hermes_rtl::netlist::{CellId, CellOp, NetId, Netlist};
@@ -63,7 +62,7 @@ const WIDE_BUS: Profile = Profile {
 
 /// 1-bit-heavy: most nets are single-bit and the netlist is large, so
 /// the compiler forms many packed words (including partial and aligned
-/// ones) and the partition plan spans several ranks.
+/// ones).
 const BIT_HEAVY: Profile = Profile {
     bit_bias: 0.75,
     cells_lo: 60,
@@ -413,54 +412,6 @@ fn packed_scalar_full_triple_check() {
                 400,
                 0.02,
                 &format!("{pname} case {case}"),
-            );
-        }
-    }
-}
-
-/// Partitioned mode (grain forced to 1 so every pass engages) must match
-/// the serial engine at several worker counts, packed and scalar alike.
-#[test]
-fn partitioned_matches_serial_across_jobs() {
-    let mut rng = DetRng::new(0xE16_9A27);
-    for (pname, profile) in [("bit_heavy", BIT_HEAVY), ("ram_heavy", RAM_HEAVY)] {
-        for case in 0..6u64 {
-            let nl = random_netlist_with(&mut rng, profile);
-            nl.validate().expect("generated netlist is structurally valid");
-            let serial = Simulator::new_with_packing(&nl, true).expect("serial sim");
-            let part = |jobs: usize, pack: bool| {
-                let mut s = Simulator::new_with_packing(&nl, pack).expect("partitioned sim");
-                s.set_partition_grain(1);
-                s.set_settle_jobs(jobs);
-                s
-            };
-            let mut sims = [
-                ("serial", serial),
-                ("packed_j2", part(2, true)),
-                ("packed_j4", part(4, true)),
-                ("scalar_j4", part(4, false)),
-            ];
-            lockstep(
-                &nl,
-                &mut sims,
-                &mut rng,
-                250,
-                0.02,
-                &format!("{pname} case {case}"),
-            );
-            // identical counters at every worker count (engaged passes
-            // only exist where the plan has >1 partition)
-            let (j2, j4) = (&sims[1].1, &sims[2].1);
-            assert_eq!(j2.settle_ops(), j4.settle_ops(), "{pname} case {case}");
-            assert_eq!(
-                j2.settle_parallel_ops(),
-                j4.settle_parallel_ops(),
-                "{pname} case {case}"
-            );
-            assert_eq!(
-                j2.settle_parallel_passes(),
-                j4.settle_parallel_passes(),
-                "{pname} case {case}"
             );
         }
     }

@@ -6,10 +6,8 @@
 //! expiry, batch-window trigger) instead of polling every tick. Within a
 //! tick the phase order is fixed — recover, complete, faults, arrivals,
 //! shed-expired, dispatch — so the whole simulation is a pure function of
-//! the configuration, the arrival stream, and the fault plan. Worker count
-//! only parallelizes batch payload evaluation through
-//! [`hermes_par::par_map_bounded_jobs`], whose results come back in input
-//! order, so reports are byte-identical across `--jobs`.
+//! the configuration, the arrival stream, and the fault plan. A batch's
+//! payloads are evaluated inline on the calling thread, in batch order.
 //!
 //! Wake times come from the unified event kernel (`hermes-kernel`,
 //! DESIGN.md §14): every phase posts its next due tick as a timer, the
@@ -33,6 +31,7 @@ use hermes_obs::slo::{RequestOutcome, SloEngine};
 use hermes_obs::{ClockDomain, Histogram, Recorder, TraceCtx, WallMark};
 use std::cell::Cell;
 use std::collections::HashMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Batch-size histogram bounds (items).
 const BATCH_BOUNDS: [u64; 7] = [1, 2, 4, 8, 16, 32, 64];
@@ -58,17 +57,13 @@ pub struct ServeConfig {
     pub batch_window: u64,
     /// Accelerator instances in the pool.
     pub instances: usize,
-    /// Bound on concurrently evaluated payload items (flow control toward
-    /// the compute model).
+    /// Not read by the engine, which evaluates each batch inline. Kept
+    /// for perfbench; delete with the next benchmark change.
     pub compute_bound: usize,
-    /// Worker threads for payload evaluation; `0` uses the global
-    /// `hermes_par` setting. A throughput knob, never a results knob.
-    pub jobs: usize,
     /// Permille of minted traces whose events are recorded. A trace
     /// context is minted for *every*
     /// arrival regardless — sampling decides recording, never identity —
-    /// so trace ids are byte-identical across sample rates and worker
-    /// counts.
+    /// so trace ids are byte-identical across sample rates.
     pub trace_sample_permille: u64,
 }
 
@@ -82,7 +77,6 @@ impl Default for ServeConfig {
             batch_window: 100,
             instances: 2,
             compute_bound: 4,
-            jobs: 0,
             trace_sample_permille: 1000,
         }
     }
@@ -618,14 +612,6 @@ impl ServeEngine {
         self.finalize()
     }
 
-    fn effective_jobs(&self) -> usize {
-        if self.cfg.jobs == 0 {
-            hermes_par::jobs()
-        } else {
-            self.cfg.jobs
-        }
-    }
-
     /// Run to completion: every offered request ends in a verdict.
     ///
     /// The loop is timer-driven: after each phased step the engine posts
@@ -829,7 +815,7 @@ impl ServeEngine {
         }
     }
 
-    /// A batch finished: evaluate payloads (bounded, in input order) and
+    /// A batch finished: evaluate payloads inline, in batch order, and
     /// assign verdicts. On-time members are served and folded into the
     /// output checksum; a stall that pushed the batch past a member's
     /// deadline sheds that member as completed-late. A compute-model
@@ -838,14 +824,14 @@ impl ServeEngine {
     /// invariant (`served + shed + rejected == offered`) survives a
     /// hostile or buggy model.
     fn complete_batch(&mut self, batch: Batch) {
-        let inputs: Vec<&[i64]> = batch.requests.iter().map(|r| r.input.as_slice()).collect();
         let model = &self.model;
-        let outputs = match hermes_par::par_map_bounded_jobs(
-            self.effective_jobs(),
-            self.cfg.compute_bound,
-            &inputs,
-            |input| model.compute(input),
-        ) {
+        let outputs = match catch_unwind(AssertUnwindSafe(|| {
+            batch
+                .requests
+                .iter()
+                .map(|r| model.compute(&r.input))
+                .collect::<Vec<_>>()
+        })) {
             Ok(outputs) => outputs,
             Err(_) => {
                 self.obs.instant(
@@ -1225,14 +1211,18 @@ mod tests {
         assert_eq!(ids.len() as u64, report.offered);
     }
 
+    /// A replay of the same stream reports byte-identically and stays
+    /// fully accounted.
     #[test]
     fn reports_identical_across_jobs() {
         for load in [60, 180] {
-            let (r1, v1) = run_with(ServeConfig { jobs: 1, ..ServeConfig::default() }, load, 3);
-            let (r4, v4) = run_with(ServeConfig { jobs: 4, ..ServeConfig::default() }, load, 3);
-            assert_eq!(r1, r4, "report differs at load {load}");
-            assert_eq!(v1, v4, "verdict log differs at load {load}");
-            assert_eq!(r1.render(), r4.render());
+            let (r1, v1) = run_with(ServeConfig::default(), load, 3);
+            let (r2, v2) = run_with(ServeConfig::default(), load, 3);
+            assert!(r1.accounted(), "load {load}: {r1:?}");
+            assert_eq!(v1.len() as u64, r1.offered, "one verdict per request at load {load}");
+            assert_eq!(r1, r2, "report differs at load {load}");
+            assert_eq!(v1, v2, "verdict log differs at load {load}");
+            assert_eq!(r1.render(), r2.render());
         }
     }
 
@@ -1254,23 +1244,21 @@ mod tests {
         assert_eq!(ids.len() as u64, report.offered, "no silent drops under chaos");
     }
 
+    /// A chaos run replays byte-identically and stays fully accounted.
     #[test]
     fn chaos_run_identical_across_jobs() {
-        let mk = |jobs: usize| {
+        let mk = || {
             let wl = WorkloadConfig::default().at_load_pct(150);
             let arrivals = workload::generate(5, &wl);
             let span = arrivals.last().unwrap().arrival;
             let plan = FaultPlan::generate(99, &FaultPlanConfig::pool_only(span, 6, 4, 500, 2));
-            let mut engine = ServeEngine::new(
-                ServeConfig { jobs, ..ServeConfig::default() },
-                model(),
-                arrivals,
-            )
-            .with_chaos(plan);
+            let mut engine =
+                ServeEngine::new(ServeConfig::default(), model(), arrivals).with_chaos(plan);
             let report = engine.run();
+            assert!(report.accounted(), "{report:?}");
             (report.render(), report.output_checksum)
         };
-        assert_eq!(mk(1), mk(4));
+        assert_eq!(mk(), mk());
     }
 
     #[test]
@@ -1308,20 +1296,60 @@ mod tests {
         assert!(report.shed_compute > 0);
     }
 
+    /// Inline evaluation sheds exactly the batches that hold a panicking
+    /// input. A compute failure moves no timing, so a clean model replays
+    /// the same schedule; with one instance, batches run back to back and
+    /// a batch's members are the requests served on the same finish tick.
     #[test]
     fn panicking_model_identical_across_jobs() {
-        let mk = |jobs: usize| {
-            let hostile = AcceleratorModel::new("hostile", 20, 40, |xs| {
-                assert!(!xs.iter().any(|&x| x % 5 == 0), "hostile input");
-                xs.iter().map(|&x| x * 2).collect()
-            });
-            let arrivals = workload::generate(13, &WorkloadConfig::default().at_load_pct(80));
-            let mut engine =
-                ServeEngine::new(ServeConfig { jobs, ..ServeConfig::default() }, hostile, arrivals);
-            let report = engine.run();
-            (report.render(), engine.verdicts().to_vec())
+        let hostile_input = |xs: &[i64]| xs.iter().any(|&x| x % 5 == 0);
+        let hostile = AcceleratorModel::new("hostile", 20, 40, move |xs| {
+            assert!(!hostile_input(xs), "hostile input");
+            xs.iter().map(|&x| x * 2).collect()
+        });
+        let cfg = ServeConfig {
+            instances: 1,
+            ..ServeConfig::default()
         };
-        assert_eq!(mk(1), mk(4));
+        let arrivals = workload::generate(13, &WorkloadConfig::default().at_load_pct(80));
+        let by_id: HashMap<u64, &Request> = arrivals.iter().map(|r| (r.id, r)).collect();
+        let mut clean = ServeEngine::new(cfg.clone(), model(), arrivals.clone());
+        clean.run();
+        let mut batches: HashMap<Tick, Vec<u64>> = HashMap::new();
+        for &(id, v) in clean.verdicts() {
+            if let Verdict::Served { latency } = v {
+                batches.entry(by_id[&id].arrival + latency).or_default().push(id);
+            }
+        }
+        let failed: HashSet<u64> = batches
+            .values()
+            .filter(|ids| ids.iter().any(|id| hostile_input(&by_id[id].input)))
+            .flatten()
+            .copied()
+            .collect();
+        let want: Vec<(u64, Verdict)> = clean
+            .verdicts()
+            .iter()
+            .map(|&(id, v)| {
+                if failed.contains(&id) {
+                    (id, Verdict::Shed(ShedReason::ComputeFailed))
+                } else {
+                    (id, v)
+                }
+            })
+            .collect();
+
+        let mut engine = ServeEngine::new(cfg, hostile, arrivals.clone());
+        let report = engine.run();
+        assert!(report.accounted(), "{report:?}");
+        assert!(report.served > 0, "clean batches still served: {report:?}");
+        assert_eq!(report.shed_compute, failed.len() as u64, "{report:?}");
+        assert!(!failed.is_empty() && failed.len() < batches.values().flatten().count());
+        assert_eq!(
+            engine.verdicts(),
+            want.as_slice(),
+            "only affected batches are shed"
+        );
     }
 
     #[test]
@@ -1342,29 +1370,25 @@ mod tests {
 
     #[test]
     fn traced_run_has_exact_critical_paths_for_every_served_request() {
-        let run = |jobs: usize| {
+        let run = || {
             let wl = WorkloadConfig::default().at_load_pct(150);
             let arrivals = workload::generate(9, &wl);
-            let mut engine = ServeEngine::new(
-                ServeConfig { jobs, ..ServeConfig::default() },
-                model(),
-                arrivals,
-            )
-            .with_recorder(Recorder::new());
+            let mut engine = ServeEngine::new(ServeConfig::default(), model(), arrivals)
+                .with_recorder(Recorder::new());
             let report = engine.run();
             (report, engine.recorder().snapshot())
         };
-        let (report, snap) = run(1);
+        let (report, snap) = run();
         let prof = hermes_obs::profile::profile(&snap);
         let (exact, total) = prof.exact_paths("request");
         assert_eq!(total, report.served, "one root span per served request");
         assert_eq!(exact, total, "every critical path must sum to its latency exactly");
         assert!(prof.spans.iter().any(|s| s.name == "queue-wait"));
         assert!(prof.spans.iter().any(|s| s.name == "service"));
-        // byte-identical across worker counts
-        let (_, snap4) = run(4);
-        let prof4 = hermes_obs::profile::profile(&snap4);
-        assert_eq!(format!("{prof:?}"), format!("{prof4:?}"));
+        // byte-identical on replay
+        let (_, snap2) = run();
+        let prof2 = hermes_obs::profile::profile(&snap2);
+        assert_eq!(format!("{prof:?}"), format!("{prof2:?}"));
     }
 
     #[test]
@@ -1442,11 +1466,11 @@ mod tests {
     #[test]
     fn slo_feed_is_identical_across_jobs() {
         use hermes_obs::slo::{SloObjective, SloSpec};
-        let run = |jobs: usize| {
+        let run = || {
             let wl = WorkloadConfig::default().at_load_pct(250);
             let arrivals = workload::generate(31, &wl);
             let mut engine = ServeEngine::new(
-                ServeConfig { jobs, queue_depth: 16, ..ServeConfig::default() },
+                ServeConfig { queue_depth: 16, ..ServeConfig::default() },
                 model(),
                 arrivals,
             )
@@ -1455,10 +1479,11 @@ mod tests {
                 SloObjective::Availability { min_permille: 900 },
                 2000,
             )]));
-            engine.run();
+            let report = engine.run();
+            assert!(report.accounted(), "{report:?}");
             format!("{:?}", engine.slo().unwrap().verdicts())
         };
-        assert_eq!(run(1), run(4));
+        assert_eq!(run(), run());
     }
 
     /// Drive an engine externally the way a fleet shard is driven: submit

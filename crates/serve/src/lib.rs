@@ -30,9 +30,8 @@
 //! decision — admission, batch formation, shedding, fault application —
 //! is a function of tick arithmetic and seeded [`hermes_rtl::rng::DetRng`]
 //! draws, never of wall-clock time or thread interleaving. Batch payloads
-//! are evaluated through [`hermes_par::par_map_bounded`], whose results
-//! come back in input order, so reports and traces are byte-identical
-//! across `--jobs` settings.
+//! are evaluated inline, in batch order, on the thread that steps the
+//! engine, so reports and traces are a pure function of the input.
 //!
 //! ## Accounting invariant
 //!

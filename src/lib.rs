@@ -26,7 +26,7 @@
 //! | [`apps`] | `hermes-apps` | image/AI/SDR kernels; AOCS/VBN/EOR partitions |
 //! | [`core`] | `hermes-core` | end-to-end flows: C→bitstream, mission packaging |
 //! | [`chaos`] | `hermes-chaos` | fault-injection plane, chaos campaigns, availability/MTTR reports |
-//! | [`par`] | `hermes-par` | std-only parallel execution engine (deterministic `par_map`) |
+//! | [`par`] | `hermes-par` | std-only coarse-grain fan-out engine (deterministic `par_map_jobs`) |
 //! | [`obs`] | `hermes-obs` | deterministic flight recorder: spans/events, metrics, bounded rings |
 //! | [`serve`] | `hermes-serve` | deadline-aware accelerator serving: admission, batching, pools, shedding |
 //! | [`kernel`] | `hermes-kernel` | unified discrete-event kernel: hierarchical timer wheel, reference queue |
