@@ -212,8 +212,10 @@ PY
 # emit schema'd JSON, fast-forward in every layer, clear the >=10x
 # cross-layer polled-tick reduction gate (the gate is algorithmic —
 # counted scheduler passes, not wall clock — so it is safe to assert on
-# a live run even on this single shared core), keep the kernel-off replay
-# byte-identical, and leave no timer unaccounted on the wheel.
+# a live run even on this single shared core), and leave no timer
+# unaccounted on the wheel. That the kernel never moves results is held by
+# the test suite: a digest pinned from the polling engines
+# (determinism.rs) and per-layer polling oracles in the XNG and AXI tests.
 "$EXP" e18 --jobs 1 --json /tmp/hermes_e18_smoke.json > /dev/null
 python3 - <<'PY'
 import json
@@ -234,8 +236,6 @@ for name, row in wheel.items():
     assert int(row["posted"]) >= int(row["popped"]) + int(row["cancelled"]), \
         f"wheel over-drained: {row}"
 assert int(wheel["total"]["cascades"]) > 0, "overflow calendar never cascaded"
-for row in tables["e18c"]["rows"]:
-    assert row["identical"] == "yes", f"event kernel moved results: {row}"
 print(f"ci: e18 event-kernel gate holds ({reduction}x polled-tick reduction)")
 PY
 
@@ -273,8 +273,6 @@ scale = tables["e19c"]["rows"][0]
 accounted(scale)
 assert int(scale["scale_ups"]) >= 1, f"autoscaler never scaled up: {scale}"
 assert int(scale["scale_downs"]) >= 1, f"autoscaler never drained down: {scale}"
-ident = tables["e19d"]["rows"]
-assert len({r["checksum"] for r in ident}) == 1, "fleet checksum differs across the kernel knob"
 print("ci: e19 fleet accounting, skew, and elasticity gates hold")
 PY
 

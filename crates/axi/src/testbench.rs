@@ -11,7 +11,7 @@ use crate::master::AxiMaster;
 use crate::memory::{AxiMemory, MemoryTiming};
 use crate::transaction::Response;
 use crate::AxiError;
-use hermes_kernel::{DomainId, DomainRegistry, Scheduler, WheelStats};
+use hermes_kernel::{DomainId, DomainRegistry, TimerWheel, WheelStats};
 
 /// Aggregated traffic statistics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -164,11 +164,9 @@ pub struct AxiTestbench {
     pub timeout_cycles: u64,
     /// Optional retry policy (off by default — errors surface immediately).
     pub retry: Option<RetryPolicy>,
-    /// Whether blocking waits fast-forward quiet slave cycles through the
-    /// unified event kernel (default on, DESIGN.md §14).
-    event_kernel: bool,
-    /// Persistent wait-timer scheduler (wheel or reference, per the knob).
-    sched: Scheduler<AxiTimer>,
+    /// Wait timers: blocking waits fast-forward quiet slave cycles
+    /// through the unified event kernel (DESIGN.md §14).
+    sched: TimerWheel<AxiTimer>,
     domains: AxiDomains,
     /// Bus cycles advanced one step at a time.
     ticks_polled: u64,
@@ -192,8 +190,7 @@ impl AxiTestbench {
             stats: BusStats::default(),
             timeout_cycles: 1_000_000,
             retry: None,
-            event_kernel: true,
-            sched: Scheduler::new(true),
+            sched: TimerWheel::new(),
             domains: AxiDomains::register(),
             ticks_polled: 0,
             ticks_skipped: 0,
@@ -203,15 +200,6 @@ impl AxiTestbench {
     /// Install a retry policy (builder style).
     pub fn with_retry(mut self, policy: RetryPolicy) -> Self {
         self.retry = Some(policy);
-        self
-    }
-
-    /// Select the event kernel (`true`, the default) or the per-cycle
-    /// polling waits (`false`) — the oracle hook for identity tests and
-    /// experiments (builder style).
-    pub fn with_event_kernel(mut self, on: bool) -> Self {
-        self.event_kernel = on;
-        self.sched = Scheduler::new(on);
         self
     }
 
@@ -262,14 +250,14 @@ impl AxiTestbench {
     /// toward `stop` (the absolute cycle where the caller's timeout check
     /// or idle budget fires) and return the cycles advanced.
     ///
-    /// With the event kernel on and the slave provably quiet, the quiet
-    /// gap's end and the deadline are posted as timers; the earlier pop
-    /// wins, the loser is cancelled, and the whole span up to the winner
-    /// is crossed in one bulk advance. Otherwise — knob off, or the slave
-    /// can do observable work next cycle — this is exactly one [`step`].
+    /// With the slave provably quiet, the quiet gap's end and the
+    /// deadline are posted as timers; the earlier pop wins, the loser is
+    /// cancelled, and the whole span up to the winner is crossed in one
+    /// bulk advance. Otherwise — the slave can do observable work next
+    /// cycle — this is exactly one [`step`].
     fn advance_toward(&mut self, stop: u64) -> u64 {
         let now = self.stats.cycles;
-        if self.event_kernel && now < stop {
+        if now < stop {
             let quiet = self.memory.quiet_cycles();
             if quiet > 0 {
                 let mem = (quiet < u64::MAX - now).then(|| {
@@ -506,8 +494,7 @@ impl AxiTestbench {
     }
 
     /// Let the bus idle for `n` cycles (models compute phases between
-    /// transfers). With the event kernel on and a quiescent slave this is
-    /// a single bulk advance.
+    /// transfers). With a quiescent slave this is a single bulk advance.
     pub fn idle(&mut self, n: u64) {
         let stop = self.stats.cycles + n;
         while self.stats.cycles < stop {
@@ -656,18 +643,15 @@ mod tests {
         assert_eq!(tb.stats().retries, 0);
     }
 
-    /// Run the same fault-laden traffic pattern (SLVERRs, a stall long
-    /// enough to trip timeouts, retries with backoff, idle compute gaps)
-    /// with the event kernel forced off and on; every observable — data,
-    /// per-op cycle costs, cumulative stats, violations — must match
-    /// exactly.
-    fn drive(kernel: bool) -> (AxiTestbench, Vec<u64>) {
+    /// A fault-laden traffic pattern: SLVERRs, a stall long enough to
+    /// trip timeouts, retries with backoff, idle compute gaps. Returns the
+    /// testbench and the per-operation cycle costs.
+    fn drive() -> (AxiTestbench, Vec<u64>) {
         let mut tb = AxiTestbench::new(8192, MemoryTiming::slow())
             .with_retry(RetryPolicy {
                 max_retries: 3,
                 backoff_base: 16,
-            })
-            .with_event_kernel(kernel);
+            });
         tb.timeout_cycles = 200;
         let mut costs = Vec::new();
         tb.memory_mut().poke(0x100, &[0x5A; 64]);
@@ -686,26 +670,39 @@ mod tests {
         (tb, costs)
     }
 
+    /// Fast-forwarding quiet cycles must not move bus timing: the costs
+    /// and statistics below were recorded from the per-cycle polling waits
+    /// (one `step` per bus cycle, nothing skipped).
     #[test]
     fn event_kernel_bus_timing_is_bit_identical() {
-        let (off, costs_off) = drive(false);
-        let (on, costs_on) = drive(true);
-        assert_eq!(costs_off, costs_on, "per-operation cycle costs");
-        assert_eq!(off.stats(), on.stats(), "cumulative bus statistics");
-        assert_eq!(off.violations().len(), on.violations().len());
-        assert_eq!(off.ticks_skipped(), 0, "knob off never skips");
-        assert!(on.ticks_skipped() > 0, "quiet gaps fast-forwarded");
+        let (tb, costs) = drive();
+        assert_eq!(costs, [47, 294, 853, 132], "per-operation cycle costs");
+        let polled = BusStats {
+            cycles: 1826,
+            bytes_read: 112,
+            bytes_written: 80,
+            read_bursts: 6,
+            write_bursts: 3,
+            total_read_latency: 83,
+            retries: 5,
+            slverrs: 3,
+            timeouts: 2,
+            retry_give_ups: 0,
+        };
+        assert_eq!(tb.stats(), polled, "cumulative bus statistics");
+        assert!(tb.violations().is_empty());
+        assert!(tb.ticks_skipped() > 0, "quiet gaps fast-forwarded");
         assert_eq!(
-            on.ticks_polled() + on.ticks_skipped(),
-            off.ticks_polled(),
+            tb.ticks_polled() + tb.ticks_skipped(),
+            tb.stats().cycles,
             "every bus cycle is either polled or skipped"
         );
     }
 
     #[test]
     fn event_kernel_cancels_the_losing_wait_timer() {
-        let (on, _) = drive(true);
-        let ks = on.kernel_stats();
+        let (tb, _) = drive();
+        let ks = tb.kernel_stats();
         assert!(ks.posted > 0 && ks.popped > 0);
         assert!(
             ks.cancelled > 0,
@@ -720,7 +717,7 @@ mod tests {
 
     #[test]
     fn event_kernel_skips_most_latency_cycles() {
-        let mut tb = AxiTestbench::new(4096, MemoryTiming::slow()).with_event_kernel(true);
+        let mut tb = AxiTestbench::new(4096, MemoryTiming::slow());
         tb.write_blocking(0, &[1u8; 256]).unwrap();
         tb.read_blocking(0, 256).unwrap();
         tb.idle(10_000);

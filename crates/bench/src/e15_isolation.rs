@@ -35,10 +35,11 @@ fn mode_label(mode: IsolationMode) -> &'static str {
     }
 }
 
-/// Run E15 on `jobs` workers (campaigns in parallel), tracing into
-/// `obs`. Each campaign traces into its own child recorder, absorbed in
-/// sweep order, so any worker count renders bit-identical tables.
-pub fn run(jobs: usize, obs: &hermes_obs::Recorder) -> ExperimentOutput {
+/// Run E15, tracing into `obs`. Each campaign traces into its own child
+/// recorder, absorbed in sweep order. Every unit is too small for a
+/// worker hand-off to pay, so everything runs inline and `jobs` is
+/// unused.
+pub fn run(_jobs: usize, obs: &hermes_obs::Recorder) -> ExperimentOutput {
     // ---- E15a: hostile campaign sweep ------------------------------------
     let seeds = [7u64, 21, 42, 99];
     let mut campaigns = Vec::new();
@@ -54,15 +55,11 @@ pub fn run(jobs: usize, obs: &hermes_obs::Recorder) -> ExperimentOutput {
             }
         }
     }
-    let reports = hermes_par::par_map_jobs(jobs, &campaigns, |cfg| {
-        let child = obs.child();
-        let report = hostile_campaign(cfg, &child);
-        (report, child)
-    })
-    .expect("campaigns are infallible");
-    let reports: Vec<_> = reports
-        .into_iter()
-        .map(|(report, child)| {
+    let reports: Vec<_> = campaigns
+        .iter()
+        .map(|cfg| {
+            let child = obs.child();
+            let report = hostile_campaign(cfg, &child);
             obs.absorb(&child);
             report
         })
@@ -120,13 +117,9 @@ pub fn run(jobs: usize, obs: &hermes_obs::Recorder) -> ExperimentOutput {
         "cycles/dispatch",
         "model",
     ]);
-    let overhead = hermes_par::par_map_jobs(jobs, &shapes, |&(parts, regions)| {
-        [IsolationMode::MpuReprogram, IsolationMode::ProtectionKeys]
-            .map(|mode| overhead_run(parts, regions, mode))
-    })
-    .expect("overhead runs are infallible");
-    for (&(parts, regions), row) in shapes.iter().zip(&overhead) {
-        for &(mode, dispatches, cycles) in row {
+    for (parts, regions) in shapes {
+        for mode in [IsolationMode::MpuReprogram, IsolationMode::ProtectionKeys] {
+            let (dispatches, cycles) = overhead_run(parts, regions, mode);
             let per = cycles.checked_div(dispatches).unwrap_or(0);
             let model = match mode {
                 IsolationMode::MpuReprogram => {
@@ -147,12 +140,9 @@ pub fn run(jobs: usize, obs: &hermes_obs::Recorder) -> ExperimentOutput {
     }
 
     // ---- E15d: undefined-hypercall fuzzing -------------------------------
-    let fuzz = hermes_par::par_map_jobs(jobs, &seeds, |&seed| {
-        hypercall_fuzz_campaign(seed, 48)
-    })
-    .expect("fuzz sweeps are infallible");
     let mut d = Table::new(&["seed", "attempts", "attributed", "silent"]);
-    for f in &fuzz {
+    for seed in seeds {
+        let f = hypercall_fuzz_campaign(seed, 48);
         d.row(cells![f.seed, f.attempts, f.attributed, f.silent]);
     }
 
@@ -176,7 +166,7 @@ pub fn run(jobs: usize, obs: &hermes_obs::Recorder) -> ExperimentOutput {
 /// Run `parts` spinning guest partitions (each with `regions` MPU regions)
 /// for a fixed schedule with isolation cycles charged, and return the
 /// guest dispatch count and total isolation cycles for `mode`.
-fn overhead_run(parts: usize, regions: usize, mode: IsolationMode) -> (IsolationMode, u64, u64) {
+fn overhead_run(parts: usize, regions: usize, mode: IsolationMode) -> (u64, u64) {
     let mut cfg = XngConfig::new("overhead");
     let chunk = REGION_SIZE / regions as u32;
     let mut pids = Vec::with_capacity(parts);
@@ -209,8 +199,8 @@ fn overhead_run(parts: usize, regions: usize, mode: IsolationMode) -> (Isolation
     hv.run(20_000).expect("spin guests are benign");
     let iso = hv.isolation_stats();
     match mode {
-        IsolationMode::MpuReprogram => (mode, iso.mpu_reprograms, iso.mpu_reprogram_cycles),
-        IsolationMode::ProtectionKeys => (mode, iso.gate_crossings, iso.gate_cross_cycles),
+        IsolationMode::MpuReprogram => (iso.mpu_reprograms, iso.mpu_reprogram_cycles),
+        IsolationMode::ProtectionKeys => (iso.gate_crossings, iso.gate_cross_cycles),
     }
 }
 
@@ -231,8 +221,8 @@ mod tests {
     }
 
     #[test]
-    fn e15_is_deterministic_across_jobs() {
+    fn e15_replays_identically() {
         let untraced = hermes_obs::Recorder::disabled();
-        assert_eq!(run(1, &untraced).text, run(4, &untraced).text);
+        assert_eq!(run(1, &untraced).text, run(1, &untraced).text);
     }
 }

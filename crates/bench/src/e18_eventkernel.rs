@@ -19,10 +19,13 @@
 //! through an [`EventSink`] in `(time, domain, seq)` order.
 //! (b) exports the wheel health counters (occupancy, overflow, cascades)
 //! per layer and in aggregate through `hermes-obs` under `kernel`.
-//! (c) re-runs every leg with the event kernel off (the sorted-reference
-//! scheduler for serve, the original per-tick loops for XNG and AXI) and
-//! asserts the results are byte-identical — the kernel moves *when work
-//! happens on the host*, never *what the simulation computes*.
+//!
+//! The kernel moves *when work happens on the host*, never *what the
+//! simulation computes*. Tests hold that identity against oracles kept
+//! in test code: `determinism.rs::event_kernel_knob_never_moves_results`
+//! pins a digest of all three legs recorded from the polling engines,
+//! and the XNG and AXI unit tests compare against a per-tick polling
+//! loop and pinned per-cycle figures.
 
 use crate::cells;
 use crate::e14_serving::{mlp_model, serve_cfg, workload_cfg, SEED};
@@ -38,7 +41,6 @@ use hermes_serve::workload;
 use hermes_xng::config::{MemRegion, PartitionConfig, Plan, Slot, XngConfig};
 use hermes_xng::hypervisor::Hypervisor;
 use hermes_xng::partition::native_task;
-use hermes_xng::PartitionId;
 
 /// Offered load for the serving leg (percent of pool saturation).
 const SERVE_LOAD: u64 = 50;
@@ -47,32 +49,29 @@ const CHAOS_SEED: u64 = 18;
 /// Hypervisor budget for the XNG leg, in ticks.
 const XNG_BUDGET: u64 = 120_000;
 
-/// One layer's polled/skipped ledger, both knob positions compared.
+/// One layer's polled/skipped ledger.
 struct LayerRun {
     name: &'static str,
     /// Simulated ticks the leg spans.
     span: u64,
-    /// Scheduler passes executed with the kernel on.
-    polled_on: u64,
-    /// Ticks fast-forwarded with the kernel on.
-    skipped_on: u64,
-    /// Scheduler passes executed with the kernel off.
-    polled_off: u64,
-    /// Wheel health counters of the kernel-on run.
+    /// Scheduler passes executed.
+    polled: u64,
+    /// Ticks fast-forwarded.
+    skipped: u64,
+    /// Wheel health counters.
     wheel: WheelStats,
 }
 
 impl LayerRun {
     /// Polled-tick reduction vs a per-tick baseline over the same span.
     fn reduction(&self) -> u64 {
-        self.span.checked_div(self.polled_on).unwrap_or(0)
+        self.span.checked_div(self.polled).unwrap_or(0)
     }
 }
 
-/// One serving run of the E18 leg (50% offered load, pool chaos) with
-/// the event-kernel knob explicit. Public so the determinism suite can
-/// replay it across the knob.
-pub fn serve_run(event_kernel: bool) -> (hermes_serve::engine::ServeReport, ServeEngine) {
+/// One serving run of the E18 leg (50% offered load, pool chaos).
+/// Public so the determinism suite can pin its results.
+pub fn serve_run() -> (hermes_serve::engine::ServeReport, ServeEngine) {
     let model = mlp_model();
     let base = workload_cfg(&model, &serve_cfg());
     let wl = base.at_load_pct(SERVE_LOAD);
@@ -82,40 +81,29 @@ pub fn serve_run(event_kernel: bool) -> (hermes_serve::engine::ServeReport, Serv
         CHAOS_SEED,
         &FaultPlanConfig::pool_only(span, 2, 2, span as u32 / 8, 2),
     );
-    let mut engine = ServeEngine::new(serve_cfg(), model, arrivals)
-        .with_chaos(plan)
-        .with_event_kernel(event_kernel);
+    let mut engine = ServeEngine::new(serve_cfg(), model, arrivals).with_chaos(plan);
     let report = engine.run();
-    assert!(
-        report.accounted(),
-        "serve leg accounting (kernel={event_kernel}): {report:?}"
-    );
+    assert!(report.accounted(), "serve leg accounting: {report:?}");
     (report, engine)
 }
 
 /// Serving leg: 50% offered load with a chaos campaign on the pool.
-/// The off position is the sorted-reference scheduler — same wake
-/// instants by construction, so the wake counts must match exactly.
 fn serve_leg() -> LayerRun {
-    let (r_off, e_off) = serve_run(false);
-    let (r_on, e_on) = serve_run(true);
-    assert_eq!(r_off, r_on, "serve reports identical across the knob");
-    assert_eq!(r_off.render(), r_on.render(), "serve renders byte-identical");
-    assert_eq!(e_off.wakes(), e_on.wakes(), "wheel and reference wake on the same ticks");
+    let (report, engine) = serve_run();
     LayerRun {
         name: "serve",
-        span: r_on.makespan,
-        polled_on: e_on.wakes(),
-        skipped_on: r_on.makespan.saturating_sub(e_on.wakes()),
-        polled_off: e_off.wakes(),
-        wheel: *e_on.kernel_stats(),
+        span: report.makespan,
+        polled: engine.wakes(),
+        skipped: report.makespan.saturating_sub(engine.wakes()),
+        wheel: *engine.kernel_stats(),
     }
 }
 
 /// XNG leg: a silent partition with an expiring watchdog, a flaky native
 /// task that crashes into HM restarts mid-run, and a yielding guest, on
-/// a two-core plan. The off position is the original per-tick loop.
-fn xng_build() -> Hypervisor {
+/// a two-core plan, run for [`XNG_BUDGET`] ticks. Public for the
+/// determinism suite.
+pub fn xng_run() -> Hypervisor {
     let mut cfg = XngConfig::new("e18");
     let silent = cfg.add_partition(PartitionConfig::new("silent").with_watchdog(1_500));
     let flaky = cfg.add_partition(PartitionConfig::new("flaky").with_restart_limit(3));
@@ -145,50 +133,33 @@ fn xng_build() -> Hypervisor {
     let prog = hermes_cpu::isa::assemble("spin:\necall 0x08\njal r0, spin").expect("asm");
     hv.attach_guest(guest, layout::SRAM_BASE, vec![(layout::SRAM_BASE, prog)])
         .expect("attach");
-    hv
-}
-
-/// One hypervisor run of the E18 leg with the knob explicit (public
-/// for the determinism suite).
-pub fn xng_run(event_kernel: bool) -> Hypervisor {
-    let mut hv = xng_build();
-    hv.set_event_kernel(event_kernel);
     hv.run(XNG_BUDGET).expect("xng leg runs");
     hv
 }
 
 fn xng_leg() -> LayerRun {
-    let off = xng_run(false);
-    let on = xng_run(true);
-    for pid in (0..3u32).map(PartitionId) {
-        assert_eq!(off.stats(pid), on.stats(pid), "partition {pid:?} stats");
-        assert_eq!(off.mode(pid), on.mode(pid), "partition {pid:?} mode");
-    }
-    assert_eq!(off.hm_escalations, on.hm_escalations);
-    assert_eq!(off.health().log(), on.health().log(), "HM timeline identical");
-    assert_eq!(off.time(), on.time());
+    let hv = xng_run();
     assert_eq!(
-        on.ticks_polled() + on.ticks_skipped(),
-        off.ticks_polled(),
+        hv.ticks_polled() + hv.ticks_skipped(),
+        hv.time(),
         "every hypervisor tick is either polled or skipped"
     );
     LayerRun {
         name: "xng",
-        span: on.time(),
-        polled_on: on.ticks_polled(),
-        skipped_on: on.ticks_skipped(),
-        polled_off: off.ticks_polled(),
-        wheel: *on.kernel_stats(),
+        span: hv.time(),
+        polled: hv.ticks_polled(),
+        skipped: hv.ticks_skipped(),
+        wheel: *hv.kernel_stats(),
     }
 }
 
 /// AXI leg: writes and reads against slow memory with injected SLVERRs
 /// (retried with backoff), a 700-cycle stall that trips the 200-cycle
-/// timeout, and an idle window. The off position steps every cycle.
-fn axi_run(on: bool) -> (AxiTestbench, Vec<u64>) {
+/// timeout, and an idle window. Returns the testbench and the
+/// per-operation cycle costs (public for the determinism suite).
+pub fn axi_run() -> (AxiTestbench, Vec<u64>) {
     let mut tb = AxiTestbench::new(8192, MemoryTiming::slow())
-        .with_retry(RetryPolicy { max_retries: 3, backoff_base: 16 })
-        .with_event_kernel(on);
+        .with_retry(RetryPolicy { max_retries: 3, backoff_base: 16 });
     tb.timeout_cycles = 200;
     let mut costs = Vec::new();
     tb.memory_mut().poke(0x100, &[0x5A; 64]);
@@ -208,23 +179,19 @@ fn axi_run(on: bool) -> (AxiTestbench, Vec<u64>) {
 }
 
 fn axi_leg() -> LayerRun {
-    let (off, costs_off) = axi_run(false);
-    let (on, costs_on) = axi_run(true);
-    assert_eq!(costs_off, costs_on, "per-operation cycle costs identical");
-    assert_eq!(off.stats(), on.stats(), "bus statistics identical");
-    assert_eq!(off.violations().len(), on.violations().len());
+    let (tb, _) = axi_run();
+    assert!(tb.violations().is_empty(), "{:?}", tb.violations());
     assert_eq!(
-        on.ticks_polled() + on.ticks_skipped(),
-        off.ticks_polled(),
+        tb.ticks_polled() + tb.ticks_skipped(),
+        tb.stats().cycles,
         "every bus cycle is either polled or skipped"
     );
     LayerRun {
         name: "axi",
-        span: on.stats().cycles,
-        polled_on: on.ticks_polled(),
-        skipped_on: on.ticks_skipped(),
-        polled_off: off.ticks_polled(),
-        wheel: *on.kernel_stats(),
+        span: tb.stats().cycles,
+        polled: tb.ticks_polled(),
+        skipped: tb.ticks_skipped(),
+        wheel: *tb.kernel_stats(),
     }
 }
 
@@ -260,11 +227,11 @@ pub fn run(_jobs: usize, obs: &hermes_obs::Recorder) -> ExperimentOutput {
     let (mut total_span, mut total_polled, mut total_skipped) = (0u64, 0u64, 0u64);
     for &idx in &merged.0 {
         let leg = &legs[idx];
-        assert!(leg.skipped_on > 0, "{} leg must fast-forward", leg.name);
-        ledger.row(cells![leg.name, leg.span, leg.polled_on, leg.skipped_on, leg.reduction()]);
+        assert!(leg.skipped > 0, "{} leg must fast-forward", leg.name);
+        ledger.row(cells![leg.name, leg.span, leg.polled, leg.skipped, leg.reduction()]);
         total_span += leg.span;
-        total_polled += leg.polled_on;
-        total_skipped += leg.skipped_on;
+        total_polled += leg.polled;
+        total_skipped += leg.skipped;
     }
     let total_reduction = total_span / total_polled.max(1);
     ledger.row(cells!["total", total_span, total_polled, total_skipped, total_reduction]);
@@ -321,37 +288,28 @@ pub fn run(_jobs: usize, obs: &hermes_obs::Recorder) -> ExperimentOutput {
     );
     agg.export(obs, "kernel");
 
-    // E18c: the knob is a scheduling knob, never a results knob — each
-    // leg already asserted byte-identical results above.
-    let mut knob = Table::new(&["layer", "polled_off", "polled_on", "skipped_on", "identical"]);
-    for leg in &legs {
-        knob.row(cells![leg.name, leg.polled_off, leg.polled_on, leg.skipped_on, "yes"]);
-    }
-
     let text = format!(
         "E18a: polled vs skipped scheduler passes per layer (kernel on), \
          rows in the wheel's own merge order; gate: total reduction >= 10x\n{}\n\
-         E18b: timer-wheel health counters (kernel on), exported under `kernel`\n{}\n\
-         E18c: event-kernel-off replay (reference scheduler, polling loops), \
-         byte-identical results per layer\n{}",
+         E18b: timer-wheel health counters (kernel on), exported under `kernel`\n{}",
         ledger.render(),
         health.render(),
-        knob.render(),
     );
     ExperimentOutput::new(text)
         .with("e18a", "event-kernel polled-tick reduction", ledger)
         .with("e18b", "timer-wheel health counters", health)
-        .with("e18c", "event-kernel off-knob identity", knob)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Each leg fast-forwards, and (asserted inside the XNG and AXI
+    /// legs) crosses exactly the ticks the polling engine would have run.
     #[test]
     fn each_leg_fast_forwards_and_matches_the_polling_engine() {
         for leg in [serve_leg(), xng_leg(), axi_leg()] {
-            assert!(leg.skipped_on > 0, "{} must skip", leg.name);
+            assert!(leg.skipped > 0, "{} must skip", leg.name);
             assert!(leg.wheel.posted >= leg.wheel.popped);
         }
     }
@@ -360,7 +318,7 @@ mod tests {
     fn cross_layer_reduction_clears_the_gate() {
         let legs = [serve_leg(), xng_leg(), axi_leg()];
         let span: u64 = legs.iter().map(|l| l.span).sum();
-        let polled: u64 = legs.iter().map(|l| l.polled_on).sum();
+        let polled: u64 = legs.iter().map(|l| l.polled).sum();
         assert!(span / polled.max(1) >= 10, "span {span} polled {polled}");
     }
 }

@@ -9,8 +9,7 @@
 //! scale — over a million heavy-tailed (bounded-Pareto) arrivals across
 //! 512 tenants — and holds it to the single-engine bar: the accounting
 //! invariant `served + shed + rejected + balancer_shed == offered` on
-//! every row, byte-identical output on every replay and across
-//! `FleetEngine::with_event_kernel`.
+//! every row, and byte-identical output on every replay.
 //!
 //! (a) sweeps the shard count at a fixed arrival process (4 shards ≈
 //! 170% of capacity, 8 ≈ 85%, 16 ≈ 42%) and reports throughput, tail
@@ -24,8 +23,10 @@
 //! (c) runs a two-phase burst-then-quiet stream against the autoscaler
 //! and requires at least one scale-up under burn and one completed
 //! drain-then-kill scale-down in the quiet tail.
-//! (d) replays a chaos+scaler point with the event kernel on and off,
-//! asserting byte-identical renders.
+//!
+//! [`identity_run`], a chaos+scaler point, is the replay the determinism
+//! suite checks (`determinism.rs::e19_parallel_matches_serial`), and
+//! `fleet_identity.rs` pins a digest over three fleets' reports.
 
 use crate::cells;
 use crate::table::Table;
@@ -48,7 +49,7 @@ const SWEEP: [(usize, usize); 3] = [(4, 262_144), (8, 393_216), (16, 393_216)];
 const TENANTS: u16 = 512;
 /// Requests in the chaos replay (E19b).
 const CHAOS_REQUESTS: usize = 131_072;
-/// Requests in the identity replay (E19d).
+/// Requests in the identity replay ([`identity_run`]).
 const IDENTITY_REQUESTS: usize = 32_768;
 
 /// The synthetic fleet accelerator: cheap enough to price a million
@@ -86,7 +87,6 @@ fn run_fleet(
     arrivals: Vec<hermes_serve::request::Request>,
     plan: Option<FaultPlan>,
     scaler: Option<ScalerConfig>,
-    event_kernel: Option<bool>,
     obs: &hermes_obs::Recorder,
 ) -> FleetReport {
     let mut engine = FleetEngine::new(cfg, fleet_model(), arrivals).with_recorder(obs.child());
@@ -96,18 +96,15 @@ fn run_fleet(
     if let Some(scaler) = scaler {
         engine = engine.with_scaler(scaler);
     }
-    if let Some(on) = event_kernel {
-        engine = engine.with_event_kernel(on);
-    }
     let report = engine.run();
     assert!(report.accounted(), "fleet accounting invariant violated: {report:?}");
     obs.absorb(engine.recorder());
     report
 }
 
-/// One chaos+scaler fleet run with the event-kernel knob explicit
-/// (public so the determinism suite can replay it across the knob).
-pub fn identity_run(event_kernel: bool) -> FleetReport {
+/// One chaos+scaler fleet run (public so the determinism suite can
+/// replay it).
+pub fn identity_run() -> FleetReport {
     let arrivals = workload::generate(SEED + 4, &stream_cfg(IDENTITY_REQUESTS));
     let span = arrivals.last().expect("stream non-empty").arrival;
     let plan = FaultPlan::generate(
@@ -120,7 +117,6 @@ pub fn identity_run(event_kernel: bool) -> FleetReport {
         arrivals,
         Some(plan),
         Some(scaler),
-        Some(event_kernel),
         &hermes_obs::Recorder::disabled(),
     )
 }
@@ -147,7 +143,7 @@ pub fn run(_jobs: usize, obs: &hermes_obs::Recorder) -> ExperimentOutput {
     let mut points = Vec::new();
     for &(shards, requests) in &SWEEP {
         let arrivals = workload::generate(SEED, &stream_cfg(requests));
-        let r = run_fleet(fleet_cfg(shards), arrivals, None, None, None, obs);
+        let r = run_fleet(fleet_cfg(shards), arrivals, None, None, obs);
         let throughput = (r.served * 1_000_000).checked_div(r.makespan).unwrap_or(0);
         sweep.row(cells![
             shards,
@@ -199,12 +195,12 @@ pub fn run(_jobs: usize, obs: &hermes_obs::Recorder) -> ExperimentOutput {
     // nothing, and the victims rejoin the ring.
     let arrivals = workload::generate(SEED + 2, &stream_cfg(CHAOS_REQUESTS));
     let span = arrivals.last().expect("stream non-empty").arrival;
-    let clean = run_fleet(fleet_cfg(8), arrivals.clone(), None, None, None, obs);
+    let clean = run_fleet(fleet_cfg(8), arrivals.clone(), None, None, obs);
     let plan = FaultPlan::generate(
         CHAOS_SEED,
         &FaultPlanConfig::shard_only(span, 8, (span / 16) as u32, 8),
     );
-    let chaos = run_fleet(fleet_cfg(8), arrivals, Some(plan), None, None, obs);
+    let chaos = run_fleet(fleet_cfg(8), arrivals, Some(plan), None, obs);
     assert_eq!(chaos.shard_kills, 8, "all scheduled kills applied");
     assert!(chaos.failover_rerouted > 0, "kills landed on live work: {chaos:?}");
     assert!(chaos.revives > 0, "outages end within the run: {chaos:?}");
@@ -270,7 +266,7 @@ pub fn run(_jobs: usize, obs: &hermes_obs::Recorder) -> ExperimentOutput {
         max_shards: 6,
         ..ScalerConfig::default()
     };
-    let elastic = run_fleet(fleet_cfg(2), arrivals, None, Some(scaler), None, obs);
+    let elastic = run_fleet(fleet_cfg(2), arrivals, None, Some(scaler), obs);
     assert!(elastic.scale_ups >= 1, "burn must scale up: {elastic:?}");
     assert!(elastic.scale_downs >= 1, "the quiet tail must drain-then-kill: {elastic:?}");
     assert!(
@@ -305,30 +301,12 @@ pub fn run(_jobs: usize, obs: &hermes_obs::Recorder) -> ExperimentOutput {
         if elastic.accounted() { "yes" } else { "NO" },
     ]);
 
-    // E19d: the event kernel is a throughput knob, never a results knob —
-    // chaos + scaler replayed across it.
-    let r_on = identity_run(true);
-    let r_off = identity_run(false);
-    assert_eq!(r_on, r_off, "reports must be identical across the kernel knob");
-    assert_eq!(r_on.render(), r_off.render(), "renders must be byte-identical across the knob");
-    let mut ident_t = Table::new(&["variant", "served", "p99", "checksum", "identical"]);
-    for (variant, r) in [("kernel=on", &r_on), ("kernel=off", &r_off)] {
-        ident_t.row(cells![
-            variant,
-            r.served,
-            r.p99_latency,
-            format!("{:#018x}", r.output_checksum),
-            "yes",
-        ]);
-    }
-
     let text = format!(
         "E19a: shard-count sweep, {} heavy-tailed requests total over {} tenants \
          (synthetic model: per-item {} + overhead {} ticks; skew gate <= 150)\n{}\n\
          E19b: shard-kill chaos at 8 shards ({} requests; kills evacuate and re-route, \
          nothing lost)\n{}\n\
-         E19c: burst-then-quiet autoscale (eval every {} ticks, drain-then-kill)\n{}\n\
-         E19d: event kernel on vs off, byte-identical reports\n{}",
+         E19c: burst-then-quiet autoscale (eval every {} ticks, drain-then-kill)\n{}",
         total_offered,
         TENANTS,
         fleet_model().per_item,
@@ -338,13 +316,11 @@ pub fn run(_jobs: usize, obs: &hermes_obs::Recorder) -> ExperimentOutput {
         chaos_t.render(),
         500,
         scale_t.render(),
-        ident_t.render(),
     );
     ExperimentOutput::new(text)
         .with("e19a", "fleet shard-count sweep", sweep)
         .with("e19b", "fleet shard-kill failover", chaos_t)
         .with("e19c", "fleet autoscale burst/quiet", scale_t)
-        .with("e19d", "fleet kernel invariance", ident_t)
 }
 
 #[cfg(test)]
@@ -355,7 +331,7 @@ mod tests {
     fn small_sweep_points_account_and_spread() {
         let obs = hermes_obs::Recorder::disabled();
         let arrivals = workload::generate(SEED, &stream_cfg(8_192));
-        let r = run_fleet(fleet_cfg(4), arrivals, None, None, None, &obs);
+        let r = run_fleet(fleet_cfg(4), arrivals, None, None, &obs);
         assert!(r.accounted());
         assert!(r.served > 0);
         assert!(r.routed.iter().all(|&n| n > 0), "every shard took load: {:?}", r.routed);
@@ -370,7 +346,7 @@ mod tests {
             CHAOS_SEED,
             &FaultPlanConfig::shard_only(span, 4, (span / 8) as u32, 8),
         );
-        let r = run_fleet(fleet_cfg(8), arrivals, Some(plan), None, None, &obs);
+        let r = run_fleet(fleet_cfg(8), arrivals, Some(plan), None, &obs);
         assert!(r.accounted());
         assert_eq!(r.shard_kills, 4);
         assert!(r.failover_rerouted > 0);

@@ -19,23 +19,23 @@
 //!
 //! Every experiment module exposes exactly one entry point,
 //! `run(jobs: usize, obs: &Recorder) -> ExperimentOutput` (the [`Runner`]
-//! type). `jobs` is the worker count: E1/E2/E3/E7/E10/E15 fan their
-//! coarse, independent units (suite kernels, seeds, campaigns, the
-//! Eucalyptus sweep, placement starts) over `hermes-par`, E11 reports it
-//! and E12/E13 pass it on to the experiments they time; the others,
-//! E16–E19 included, run serially and ignore it. Any worker count renders
+//! type). `jobs` is the worker count: E1/E2/E3/E7/E10 fan their
+//! coarse, independent units (suite kernels, seeds, the Eucalyptus
+//! sweep, placement starts) over `hermes-par`, E11 reports it and
+//! E12/E13 pass it on to the experiments they time; the others, E15–E19
+//! included, run serially and ignore it. Any worker count renders
 //! bit-identical tables. `obs` is the
 //! flight recorder; callers that do not trace pass
 //! [`hermes_obs::Recorder::disabled`], which costs one branch per
 //! recording call.
 //!
 //! No library crate reads the process environment: every engine runs its
-//! default, and the alternates (the oracles E13/E16/E18/E19 compare
-//! against) are reachable only through typed hooks —
-//! `Simulator::new_with_packing`, `Simulator::set_event_driven`,
-//! `with_event_kernel`/`set_event_kernel`, `cache::set_bypass` and
+//! default, and the alternates (the oracles E13/E16 compare against) are
+//! reachable only through typed hooks — `Simulator::new_with_packing`,
+//! `Simulator::set_event_driven`, `cache::set_bypass` and
 //! `par::set_jobs_override`. DESIGN.md's "Engine selection" table names
-//! the test that pins each one.
+//! the test that pins each one. The event kernel has no alternate: the
+//! timer wheel is the only scheduler, and its oracles live in tests.
 
 pub mod e1_hls_flow;
 pub mod e2_fpga_flow;

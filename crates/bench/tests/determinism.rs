@@ -2,7 +2,9 @@
 //! count: every fan-out in the harness merges results in input order, so
 //! the worker count is a pure throughput knob, never a results knob.
 
+use hermes_obs::hash::Fnv1a;
 use hermes_obs::Recorder;
+use hermes_xng::PartitionId;
 
 #[test]
 fn e1_parallel_matches_serial() {
@@ -55,7 +57,7 @@ fn e16_parallel_matches_serial() {
 }
 
 /// E18's legs all run inline; like every other experiment its tables
-/// (tick ledgers, wheel counters, identity verdicts) must not move with
+/// (tick ledgers, wheel counters) must not move with
 /// the worker count.
 #[test]
 fn e18_parallel_matches_serial() {
@@ -65,47 +67,51 @@ fn e18_parallel_matches_serial() {
 }
 
 /// E19's fleet evaluates every shard's payloads inline; its chaos+scaler
-/// point (the E19d replay, public as `identity_run`) must replay
-/// byte-identically. The full experiment is additionally diffed at
-/// `--jobs 1` vs `--jobs 4` by the ci.sh release-binary gate.
+/// point (public as `identity_run`) must replay byte-identically. The
+/// full experiment is additionally diffed at `--jobs 1` vs `--jobs 4` by
+/// the ci.sh release-binary gate, and `fleet_identity.rs` pins a digest
+/// of three fleets' reports.
 #[test]
 fn e19_parallel_matches_serial() {
-    let first = hermes_bench::e19_fleet::identity_run(true);
-    let replay = hermes_bench::e19_fleet::identity_run(true);
+    let first = hermes_bench::e19_fleet::identity_run();
+    let replay = hermes_bench::e19_fleet::identity_run();
     assert!(first.accounted(), "{first:?}");
     assert_eq!(first, replay, "fleet reports identical on replay");
     assert_eq!(first.render(), replay.render(), "fleet renders byte-identical");
 }
 
-/// The fleet steps on the kernel timer wheel; forcing the reference
-/// scheduler instead must not move results either.
-#[test]
-fn e19_event_kernel_knob_never_moves_results() {
-    let on = hermes_bench::e19_fleet::identity_run(true);
-    let off = hermes_bench::e19_fleet::identity_run(false);
-    assert_eq!(on, off, "fleet reports identical across the knob");
-    assert_eq!(on.render(), off.render(), "fleet renders byte-identical");
-}
+/// Digest of E18's three legs, recorded from the polling engines before
+/// the event-kernel knob was removed: the sorted-reference scheduler for
+/// serve, the per-tick loops for XNG and AXI.
+const E18_POLLED_DIGEST: u64 = 0x7b89_6546_e81b_3b5c;
 
-/// The event-kernel selection holds the same contract as the worker
-/// count: it moves *when work happens on the host*, never *what the
-/// simulation computes*. Replay E18's serving leg (E14-shaped: chaos on
-/// the pool) and hypervisor leg (E10-shaped: crashes, restarts, an
-/// expiring watchdog) with the kernel forced on and off through the
-/// typed `with_event_kernel` / `set_event_kernel` hooks and require
-/// byte-identical outcomes.
+/// The event kernel moves *when work happens on the host*, never *what
+/// the simulation computes*. E18's serving leg (E14-shaped: chaos on the
+/// pool), hypervisor leg (E10-shaped: crashes, restarts, an expiring
+/// watchdog) and AXI leg (SLVERR retries, a timeout, idle gaps) run on
+/// the timer wheel and must reproduce the digest the polling engines
+/// recorded: the serve report render; the hypervisor's clock,
+/// escalations, HM log and per-partition stats; the AXI per-operation
+/// costs and bus statistics.
 #[test]
 fn event_kernel_knob_never_moves_results() {
-    let (r_off, _) = hermes_bench::e18_eventkernel::serve_run(false);
-    let (r_on, _) = hermes_bench::e18_eventkernel::serve_run(true);
-    assert_eq!(r_off, r_on, "serve reports identical across the knob");
-    assert_eq!(r_off.render(), r_on.render(), "serve renders byte-identical");
-
-    let off = hermes_bench::e18_eventkernel::xng_run(false);
-    let on = hermes_bench::e18_eventkernel::xng_run(true);
-    assert_eq!(off.time(), on.time(), "hypervisor clocks agree");
-    assert_eq!(off.hm_escalations, on.hm_escalations);
-    assert_eq!(off.health().log(), on.health().log(), "HM timeline identical");
+    use hermes_bench::e18_eventkernel::{axi_run, serve_run, xng_run};
+    let mut h = Fnv1a::new();
+    let (report, _) = serve_run();
+    h.str(&report.render());
+    let hv = xng_run();
+    h.u64(hv.time());
+    h.u64(hv.hm_escalations);
+    h.str(&format!("{:?}", hv.health().log()));
+    for pid in (0..3u32).map(PartitionId) {
+        h.str(&format!("{:?}", hv.stats(pid)));
+    }
+    let (tb, costs) = axi_run();
+    for c in costs {
+        h.u64(c);
+    }
+    h.str(&format!("{:?}", tb.stats()));
+    assert_eq!(h.finish(), E18_POLLED_DIGEST, "E18 digest moved: {:#018x}", h.finish());
 }
 
 /// The flight recorder holds the same contract as the tables: a trace

@@ -10,6 +10,9 @@
 //! * Work fans out over `hermes-par` only at a coarse grain, in an
 //!   allow-listed file, and the RTL and serve crates do not depend on
 //!   `hermes-par` at all.
+//! * The timer wheel is the only event queue: no engine carries a knob
+//!   that selects another scheduler, and the sorted reference queue
+//!   lives only in the wheel's own tests, as their oracle.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -125,15 +128,14 @@ fn one_entry_point_per_layer_and_experiment() {
 
 /// The files whose units are coarse enough for a worker hand-off to pay:
 /// multi-start placement, the Eucalyptus sweep, and the experiments that
-/// fan out over suite kernels, seeds or campaigns.
-const COARSE_FAN_OUTS: [&str; 7] = [
+/// fan out over suite kernels or seeds.
+const COARSE_FAN_OUTS: [&str; 6] = [
     "crates/fpga/src/place.rs",
     "crates/eucalyptus/src/sweep.rs",
     "crates/bench/src/e1_hls_flow.rs",
     "crates/bench/src/e2_fpga_flow.rs",
     "crates/bench/src/e7_usecases.rs",
     "crates/bench/src/e10_chaos.rs",
-    "crates/bench/src/e15_isolation.rs",
 ];
 
 /// Crates whose hot paths (one settle pass, one batch) are far finer
@@ -165,6 +167,35 @@ fn fan_outs_stay_coarse_grained() {
     assert!(
         hits.is_empty(),
         "fan-out outside the coarse-grain allow-list:\n{}",
+        hits.join("\n")
+    );
+}
+
+/// Names that select or implement a second scheduler beside the timer
+/// wheel.
+const SECOND_SCHEDULER: [&str; 4] =
+    ["ReferenceQueue", "enum Scheduler", "with_event_kernel", "set_event_kernel"];
+
+/// The one file allowed to name them, and only in its test module, where
+/// the sorted reference queue is the wheel's oracle.
+const WHEEL: &str = "crates/kernel/src/wheel.rs";
+
+#[test]
+fn one_scheduler_path() {
+    let mut hits = Vec::new();
+    for (rel, text) in library_sources() {
+        for (i, line) in text.lines().enumerate() {
+            if rel == WHEEL && line.trim_start() == "#[cfg(test)]" {
+                break;
+            }
+            if SECOND_SCHEDULER.iter().any(|name| line.contains(name)) {
+                hits.push(format!("{rel}:{}: {}", i + 1, line.trim()));
+            }
+        }
+    }
+    assert!(
+        hits.is_empty(),
+        "a second scheduler path outside the wheel's tests:\n{}",
         hits.join("\n")
     );
 }

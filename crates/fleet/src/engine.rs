@@ -3,11 +3,10 @@
 //! Every shard is an independent [`ServeEngine`] (own admission queue,
 //! own accelerator pool) that the fleet drives externally through the
 //! serve crate's stepping API (`submit`/`advance`/`next_due`). The fleet
-//! itself runs on a single [`hermes_kernel::Scheduler`] timeline with
+//! itself runs on a single [`hermes_kernel::TimerWheel`] timeline with
 //! five timer domains — arrival, shard, chaos, scaler, revive — popped in
 //! deterministic `(time, domain, seq)` order, so the whole fleet is as
-//! replayable as one engine: byte-identical on every replay and across
-//! [`FleetEngine::with_event_kernel`].
+//! replayable as one engine: byte-identical on every replay.
 //!
 //! Routing: a request's tenant hashes onto the consistent-hash
 //! [`HashRing`]; that home shard takes it unless the home's queue
@@ -33,7 +32,7 @@ use crate::ring::HashRing;
 use crate::scaler::{Autoscaler, FleetSample, ScaleAction, ScalerConfig};
 use crate::{mix64, Tick};
 use hermes_chaos::plan::{FaultKind, FaultPlan};
-use hermes_kernel::{DomainId, DomainRegistry, Scheduler, WheelStats};
+use hermes_kernel::{DomainId, DomainRegistry, TimerWheel, WheelStats};
 use hermes_obs::{ClockDomain, Histogram, Recorder};
 use hermes_serve::engine::{ServeConfig, ServeEngine, ServeReport};
 use hermes_serve::model::AcceleratorModel;
@@ -254,7 +253,6 @@ pub struct FleetEngine {
     scaler: Option<Autoscaler>,
     obs: Recorder,
     now: Tick,
-    event_kernel: bool,
     memo: FleetMemo,
     /// `(revive tick, shard)` pairs awaiting a timer post.
     pending_revives: Vec<(Tick, usize)>,
@@ -287,7 +285,6 @@ impl FleetEngine {
             scaler: None,
             obs: Recorder::disabled(),
             now: 0,
-            event_kernel: true,
             memo: FleetMemo::default(),
             pending_revives: Vec::new(),
             next_eval: 0,
@@ -344,17 +341,6 @@ impl FleetEngine {
         self
     }
 
-    /// Select the scheduler (`true`, the default, is the timer wheel) for
-    /// the fleet and every shard (results are byte-identical either way).
-    #[must_use]
-    pub fn with_event_kernel(mut self, on: bool) -> Self {
-        self.event_kernel = on;
-        for shard in &mut self.shards {
-            shard.engine.set_event_kernel(on);
-        }
-        self
-    }
-
     /// Ticks the fleet woke on (processed steps).
     pub fn wakes(&self) -> u64 {
         self.wakes
@@ -381,8 +367,7 @@ impl FleetEngine {
     fn spawn_shard(&mut self) {
         let i = self.shards.len();
         let engine = ServeEngine::new(self.cfg.serve.clone(), self.model.clone(), Vec::new())
-            .with_recorder(self.obs.child_named(&format!("shard{i}")))
-            .with_event_kernel(self.event_kernel);
+            .with_recorder(self.obs.child_named(&format!("shard{i}")));
         self.shards.push(Shard { engine, state: ShardState::Live, report: None });
         self.ring.add(i);
         self.routed.push(0);
@@ -614,7 +599,7 @@ impl FleetEngine {
     }
 
     fn post_timer(
-        sched: &mut Scheduler<FleetTimer>,
+        sched: &mut TimerWheel<FleetTimer>,
         memo: &mut Option<Tick>,
         due: Option<Tick>,
         now: Tick,
@@ -629,7 +614,7 @@ impl FleetEngine {
         }
     }
 
-    fn post_timers(&mut self, sched: &mut Scheduler<FleetTimer>, d: &FleetDomains) {
+    fn post_timers(&mut self, sched: &mut TimerWheel<FleetTimer>, d: &FleetDomains) {
         let now = self.now;
         let arrival = self.arrivals.get(self.cursor).map(|r| r.arrival);
         Self::post_timer(sched, &mut self.memo.arrival, arrival, now, d.arrival, FleetTimer::Arrival);
@@ -674,7 +659,7 @@ impl FleetEngine {
         }
     }
 
-    fn next_wake(&mut self, sched: &mut Scheduler<FleetTimer>) -> Option<Tick> {
+    fn next_wake(&mut self, sched: &mut TimerWheel<FleetTimer>) -> Option<Tick> {
         while let Some(ev) = sched.pop_next() {
             if ev.time > self.now && self.timer_live(ev.payload, ev.time) {
                 return Some(ev.time);
@@ -685,7 +670,7 @@ impl FleetEngine {
 
     /// Run the fleet to completion and account every request.
     pub fn run(&mut self) -> FleetReport {
-        let mut sched: Scheduler<FleetTimer> = Scheduler::new(self.event_kernel);
+        let mut sched: TimerWheel<FleetTimer> = TimerWheel::new();
         let domains = FleetDomains::register();
         if let Some(plan) = &self.plan {
             for cycle in plan.pending_cycles() {
@@ -917,23 +902,20 @@ mod tests {
     }
 
     #[test]
-    fn fleet_is_byte_identical_across_jobs_and_kernel_knob() {
-        let run = |kernel: bool| {
+    fn fleet_is_byte_identical_on_replay() {
+        let run = || {
             let wl = FleetWorkloadConfig { requests: 4000, ..FleetWorkloadConfig::default() };
             let arrivals = workload::generate(13, &wl);
             let span = arrivals.last().unwrap().arrival;
             let plan = FaultPlan::generate(5, &FaultPlanConfig::shard_only(span, 3, 3000, 4));
             let mut fleet = FleetEngine::new(FleetConfig::default(), model(), arrivals)
                 .with_chaos(plan)
-                .with_scaler(ScalerConfig { eval_interval: 1000, ..ScalerConfig::default() })
-                .with_event_kernel(kernel);
+                .with_scaler(ScalerConfig { eval_interval: 1000, ..ScalerConfig::default() });
             let report = fleet.run();
             assert!(report.accounted(), "{report:?}");
             report.render()
         };
-        let base = run(true);
-        assert_eq!(base, run(true), "a replay must not change results");
-        assert_eq!(base, run(false), "kernel knob must not change results");
+        assert_eq!(run(), run(), "a replay must not change results");
     }
 
     #[test]

@@ -26,11 +26,10 @@
 //!
 //! ## Determinism contract
 //!
-//! The whole fleet advances on a single [`hermes_kernel::Scheduler`]
+//! The whole fleet advances on a single [`hermes_kernel::TimerWheel`]
 //! timeline; every routing, scaling, and failover decision is a function
 //! of tick arithmetic and seeded draws. Each shard evaluates its batch
-//! payloads inline, so fleet reports are byte-identical on every replay
-//! and across the scheduler selected by `FleetEngine::with_event_kernel`.
+//! payloads inline, so fleet reports are byte-identical on every replay.
 //!
 //! ## Accounting invariant
 //!

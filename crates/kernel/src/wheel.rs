@@ -1,5 +1,5 @@
-//! The hierarchical timer wheel, its sorted reference twin, and the
-//! shared scheduler façade.
+//! The hierarchical timer wheel: the one event queue every engine
+//! schedules on.
 //!
 //! Layout (DESIGN.md §14): a power-of-two array of slots covers the
 //! window `[now, now + slots)`; slot `time & (slots - 1)` holds exactly
@@ -447,247 +447,85 @@ impl<P> TimerWheel<P> {
     }
 }
 
-/// The sorted reference scheduler: same API and pop order as
-/// [`TimerWheel`], implemented as a flat min-scan. This is the
-/// event-kernel-off path and the property-test oracle.
-#[derive(Debug, Clone)]
-pub struct ReferenceQueue<P> {
-    now: Time,
-    entries: Vec<Entry<P>>,
-    next_seq: u64,
-    stats: WheelStats,
-}
-
-impl<P> Default for ReferenceQueue<P> {
-    fn default() -> Self {
-        ReferenceQueue::new()
-    }
-}
-
-impl<P> ReferenceQueue<P> {
-    /// An empty reference queue.
-    pub fn new() -> Self {
-        ReferenceQueue {
-            now: 0,
-            entries: Vec::new(),
-            next_seq: 0,
-            stats: WheelStats::default(),
-        }
-    }
-
-    /// The hand position.
-    pub fn now(&self) -> Time {
-        self.now
-    }
-
-    /// Pending events.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether nothing is pending.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Health counters (no cascades on this path).
-    pub fn stats(&self) -> &WheelStats {
-        &self.stats
-    }
-
-    /// Schedule `payload` at `time` (≥ the hand), returning the token.
-    ///
-    /// # Errors
-    ///
-    /// [`PostError::InPast`] when `time` is behind the hand.
-    pub fn post(&mut self, time: Time, domain: DomainId, payload: P) -> Result<u64, PostError> {
-        if time < self.now {
-            return Err(PostError::InPast { time, now: self.now });
-        }
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.entries.push(Entry { time, domain, seq, payload });
-        self.stats.posted += 1;
-        self.stats.max_occupancy = self.stats.max_occupancy.max(self.entries.len() as u64);
-        Ok(seq)
-    }
-
-    /// Due time of the earliest pending event.
-    pub fn peek_time(&self) -> Option<Time> {
-        self.entries.iter().map(|e| e.time).min()
-    }
-
-    /// Pop the minimum `(time, domain, seq)` event, advancing the hand.
-    pub fn pop_next(&mut self) -> Option<Event<P>> {
-        if self.entries.is_empty() {
-            return None;
-        }
-        let best = (1..self.entries.len())
-            .fold(0, |b, i| if self.entries[i].key() < self.entries[b].key() { i } else { b });
-        let entry = self.entries.swap_remove(best);
-        self.now = entry.time;
-        self.stats.popped += 1;
-        Some(Event {
-            time: entry.time,
-            domain: entry.domain,
-            seq: entry.seq,
-            payload: entry.payload,
-        })
-    }
-
-    /// Cancel a pending event. Returns whether the token was pending.
-    pub fn cancel(&mut self, token: u64) -> bool {
-        match self.entries.iter().position(|e| e.seq == token) {
-            Some(pos) => {
-                self.entries.swap_remove(pos);
-                self.stats.cancelled += 1;
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Move a pending event to `new_time`, returning the fresh token.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`TimerWheel::reschedule`].
-    pub fn reschedule(&mut self, token: u64, new_time: Time) -> Result<u64, PostError> {
-        let Some(pos) = self.entries.iter().position(|e| e.seq == token) else {
-            return Err(PostError::UnknownToken(token));
-        };
-        if new_time < self.now {
-            return Err(PostError::InPast { time: new_time, now: self.now });
-        }
-        let entry = self.entries.swap_remove(pos);
-        self.stats.cancelled += 1;
-        self.post(new_time, entry.domain, entry.payload)
-    }
-
-    /// Pop-and-deliver every event due at or before `until`.
-    pub fn drain_due(&mut self, until: Time, sink: &mut impl EventSink<P>) -> usize {
-        let mut n = 0;
-        while self.peek_time().is_some_and(|t| t <= until) {
-            let ev = self.pop_next().expect("peeked event pops");
-            sink.deliver(ev);
-            n += 1;
-        }
-        n
-    }
-}
-
-/// The scheduler façade engines hold: the timer wheel when the event
-/// kernel is on, the sorted reference when it is off. One API, byte-
-/// identical pop order — the knob is a speed choice, never a results
-/// choice.
-#[derive(Debug, Clone)]
-pub enum Scheduler<P> {
-    /// Event kernel on (the default): the hierarchical timer wheel.
-    Wheel(TimerWheel<P>),
-    /// Event kernel off: the sorted reference queue.
-    Reference(ReferenceQueue<P>),
-}
-
-impl<P> Scheduler<P> {
-    /// A scheduler on the selected path.
-    pub fn new(event_kernel: bool) -> Self {
-        if event_kernel {
-            Scheduler::Wheel(TimerWheel::new())
-        } else {
-            Scheduler::Reference(ReferenceQueue::new())
-        }
-    }
-
-    /// The hand position.
-    pub fn now(&self) -> Time {
-        match self {
-            Scheduler::Wheel(w) => w.now(),
-            Scheduler::Reference(r) => r.now(),
-        }
-    }
-
-    /// Pending events.
-    pub fn len(&self) -> usize {
-        match self {
-            Scheduler::Wheel(w) => w.len(),
-            Scheduler::Reference(r) => r.len(),
-        }
-    }
-
-    /// Whether nothing is pending.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Health counters of the active path.
-    pub fn stats(&self) -> &WheelStats {
-        match self {
-            Scheduler::Wheel(w) => w.stats(),
-            Scheduler::Reference(r) => r.stats(),
-        }
-    }
-
-    /// Schedule `payload` at `time`.
-    ///
-    /// # Errors
-    ///
-    /// [`PostError::InPast`] when `time` is behind the hand.
-    pub fn post(&mut self, time: Time, domain: DomainId, payload: P) -> Result<u64, PostError> {
-        match self {
-            Scheduler::Wheel(w) => w.post(time, domain, payload),
-            Scheduler::Reference(r) => r.post(time, domain, payload),
-        }
-    }
-
-    /// Due time of the earliest pending event.
-    pub fn peek_time(&self) -> Option<Time> {
-        match self {
-            Scheduler::Wheel(w) => w.peek_time(),
-            Scheduler::Reference(r) => r.peek_time(),
-        }
-    }
-
-    /// Pop the minimum `(time, domain, seq)` event.
-    pub fn pop_next(&mut self) -> Option<Event<P>> {
-        match self {
-            Scheduler::Wheel(w) => w.pop_next(),
-            Scheduler::Reference(r) => r.pop_next(),
-        }
-    }
-
-    /// Cancel a pending event.
-    pub fn cancel(&mut self, token: u64) -> bool {
-        match self {
-            Scheduler::Wheel(w) => w.cancel(token),
-            Scheduler::Reference(r) => r.cancel(token),
-        }
-    }
-
-    /// Move a pending event to `new_time`.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`TimerWheel::reschedule`].
-    pub fn reschedule(&mut self, token: u64, new_time: Time) -> Result<u64, PostError> {
-        match self {
-            Scheduler::Wheel(w) => w.reschedule(token, new_time),
-            Scheduler::Reference(r) => r.reschedule(token, new_time),
-        }
-    }
-
-    /// Pop-and-deliver every event due at or before `until`.
-    pub fn drain_due(&mut self, until: Time, sink: &mut impl EventSink<P>) -> usize {
-        match self {
-            Scheduler::Wheel(w) => w.drain_due(until, sink),
-            Scheduler::Reference(r) => r.drain_due(until, sink),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use hermes_rtl::rng::DetRng;
+
+    /// The sorted reference scheduler: the wheel's API and pop order,
+    /// implemented as a flat min-scan. It is the oracle the wheel is
+    /// checked against, never a production path.
+    struct ReferenceQueue<P> {
+        now: Time,
+        entries: Vec<Entry<P>>,
+        next_seq: u64,
+        stats: WheelStats,
+    }
+
+    impl<P> ReferenceQueue<P> {
+        fn new() -> Self {
+            ReferenceQueue { now: 0, entries: Vec::new(), next_seq: 0, stats: WheelStats::default() }
+        }
+
+        fn len(&self) -> usize {
+            self.entries.len()
+        }
+
+        fn post(&mut self, time: Time, domain: DomainId, payload: P) -> Result<u64, PostError> {
+            if time < self.now {
+                return Err(PostError::InPast { time, now: self.now });
+            }
+            let seq = self.next_seq;
+            self.next_seq += 1;
+            self.entries.push(Entry { time, domain, seq, payload });
+            self.stats.posted += 1;
+            Ok(seq)
+        }
+
+        fn peek_time(&self) -> Option<Time> {
+            self.entries.iter().map(|e| e.time).min()
+        }
+
+        fn pop_next(&mut self) -> Option<Event<P>> {
+            if self.entries.is_empty() {
+                return None;
+            }
+            let best = (1..self.entries.len())
+                .fold(0, |b, i| if self.entries[i].key() < self.entries[b].key() { i } else { b });
+            let entry = self.entries.swap_remove(best);
+            self.now = entry.time;
+            self.stats.popped += 1;
+            Some(Event {
+                time: entry.time,
+                domain: entry.domain,
+                seq: entry.seq,
+                payload: entry.payload,
+            })
+        }
+
+        fn cancel(&mut self, token: u64) -> bool {
+            match self.entries.iter().position(|e| e.seq == token) {
+                Some(pos) => {
+                    self.entries.swap_remove(pos);
+                    self.stats.cancelled += 1;
+                    true
+                }
+                None => false,
+            }
+        }
+
+        fn reschedule(&mut self, token: u64, new_time: Time) -> Result<u64, PostError> {
+            let Some(pos) = self.entries.iter().position(|e| e.seq == token) else {
+                return Err(PostError::UnknownToken(token));
+            };
+            if new_time < self.now {
+                return Err(PostError::InPast { time: new_time, now: self.now });
+            }
+            let entry = self.entries.swap_remove(pos);
+            self.stats.cancelled += 1;
+            self.post(new_time, entry.domain, entry.payload)
+        }
+    }
 
     fn ids() -> (DomainId, DomainId, DomainId) {
         let mut reg = DomainRegistry::new();
@@ -823,9 +661,9 @@ mod tests {
                 break;
             }
         }
-        assert_eq!(wheel.stats().posted, reference.stats().posted);
-        assert_eq!(wheel.stats().popped, reference.stats().popped);
-        assert_eq!(wheel.stats().cancelled, reference.stats().cancelled);
+        assert_eq!(wheel.stats().posted, reference.stats.posted);
+        assert_eq!(wheel.stats().popped, reference.stats.popped);
+        assert_eq!(wheel.stats().cancelled, reference.stats.cancelled);
         assert!(wheel.stats().cascades > 0, "the op stream must exercise the calendar");
     }
 
@@ -838,17 +676,15 @@ mod tests {
             }
         }
         let (a, b, _) = ids();
-        for kernel in [true, false] {
-            let mut s = Scheduler::new(kernel);
-            s.post(5, b, 50).unwrap();
-            s.post(2, a, 20).unwrap();
-            s.post(5, a, 51).unwrap();
-            s.post(9, a, 90).unwrap();
-            let mut log = Log(Vec::new());
-            assert_eq!(s.drain_due(5, &mut log), 3);
-            assert_eq!(log.0, [(2, 0, 20), (5, 0, 51), (5, 1, 50)]);
-            assert_eq!(s.len(), 1, "the tick-9 event stays pending");
-            assert_eq!(s.peek_time(), Some(9));
-        }
+        let mut w = TimerWheel::new();
+        w.post(5, b, 50).unwrap();
+        w.post(2, a, 20).unwrap();
+        w.post(5, a, 51).unwrap();
+        w.post(9, a, 90).unwrap();
+        let mut log = Log(Vec::new());
+        assert_eq!(w.drain_due(5, &mut log), 3);
+        assert_eq!(log.0, [(2, 0, 20), (5, 0, 51), (5, 1, 50)]);
+        assert_eq!(w.len(), 1, "the tick-9 event stays pending");
+        assert_eq!(w.peek_time(), Some(9));
     }
 }

@@ -1626,7 +1626,7 @@ mod tests {
     /// A deep scalar chain, one op per rank, settles in order on the
     /// event-driven path and agrees with full settling.
     #[test]
-    fn partitioned_deep_chain_is_correct() {
+    fn deep_chain_event_settle_matches_full_settle() {
         let mut nl = Netlist::new("chain");
         let a = nl.add_input("a", 8);
         let mut cur = a;

@@ -14,10 +14,8 @@
 //! chaos [`FaultPlan`] posts its whole timeline up front, and the run
 //! loop pops the earliest timer that still matches the current state
 //! (timers are validated at pop, so superseded ones are skipped, never
-//! acted on). Engines run on the timer wheel;
-//! [`ServeEngine::with_event_kernel`] selects the sorted reference
-//! scheduler instead. Both pop in the identical `(time, domain, seq)`
-//! order, so the choice is a speed choice, never a results choice.
+//! acted on). The timer wheel pops in the total `(time, domain, seq)`
+//! order, so a run is a replayable function of its inputs.
 
 use crate::model::AcceleratorModel;
 use crate::pool::{Batch, Pool};
@@ -25,7 +23,7 @@ use crate::queue::Backlog;
 use crate::request::{RejectReason, Request, ShedReason, Verdict};
 use crate::Tick;
 use hermes_chaos::plan::{FaultKind, FaultPlan};
-use hermes_kernel::{DomainId, DomainRegistry, Scheduler, WheelStats};
+use hermes_kernel::{DomainId, DomainRegistry, TimerWheel, WheelStats};
 use hermes_obs::hash::fnv1a_words;
 use hermes_obs::slo::{RequestOutcome, SloEngine};
 use hermes_obs::{ClockDomain, Histogram, Recorder, TraceCtx, WallMark};
@@ -300,9 +298,6 @@ pub struct ServeEngine {
     /// independent) but only sampled ones are kept and recorded.
     traces: HashMap<u64, TraceCtx>,
     now: Tick,
-    /// Timer-wheel path when on, sorted reference when off; identical
-    /// pop order either way.
-    event_kernel: bool,
     memo: TimerMemo,
     /// [`Self::next_due`]'s last answer; `None` once the state has moved.
     next_due: Cell<Option<Option<Tick>>>,
@@ -350,7 +345,6 @@ impl ServeEngine {
             slo: None,
             traces: HashMap::new(),
             now: 0,
-            event_kernel: true,
             memo: TimerMemo {
                 window: vec![None; classes],
                 safe: vec![None; classes],
@@ -415,15 +409,6 @@ impl ServeEngine {
         self
     }
 
-    /// Select the scheduler for this engine: `true` (the default)
-    /// schedules wakes on the timer wheel, `false` on the sorted
-    /// reference. Results are byte-identical either way.
-    #[must_use]
-    pub fn with_event_kernel(mut self, on: bool) -> Self {
-        self.event_kernel = on;
-        self
-    }
-
     /// The attached SLO engine (inspect states/verdicts after `run`).
     pub fn slo(&self) -> Option<&SloEngine> {
         self.slo.as_ref()
@@ -449,11 +434,6 @@ impl ServeEngine {
     /// when a recorder is attached after the shards were spawned).
     pub fn set_recorder(&mut self, obs: Recorder) {
         self.obs = obs;
-    }
-
-    /// In-place form of [`Self::with_event_kernel`] (fleet wiring).
-    pub fn set_event_kernel(&mut self, on: bool) {
-        self.event_kernel = on;
     }
 
     /// One verdict per offered request, in decision order (accounting
@@ -620,7 +600,7 @@ impl ServeEngine {
     /// live timer is exactly the minimum pending event tick, so the
     /// serve clock advances event to event with no per-tick polling.
     pub fn run(&mut self) -> ServeReport {
-        let mut sched: Scheduler<ServeTimer> = Scheduler::new(self.event_kernel);
+        let mut sched: TimerWheel<ServeTimer> = TimerWheel::new();
         let domains = ServeDomains::register();
         // chaos has a single timeline: the whole plan posts up front
         // instead of being peeked every step
@@ -1027,7 +1007,7 @@ impl ServeEngine {
     /// Post one timer kind's current due tick, unless it is not in the
     /// future or the same tick is already pending for that kind.
     fn post_timer(
-        sched: &mut Scheduler<ServeTimer>,
+        sched: &mut TimerWheel<ServeTimer>,
         memo: &mut Option<Tick>,
         due: Option<Tick>,
         now: Tick,
@@ -1045,7 +1025,7 @@ impl ServeEngine {
     /// Post the next due tick of every phase after a step. Superseded
     /// timers (the state moved on) stay in the kernel and are skipped at
     /// pop by [`Self::next_wake`]'s liveness check.
-    fn post_timers(&mut self, sched: &mut Scheduler<ServeTimer>, d: &ServeDomains) {
+    fn post_timers(&mut self, sched: &mut TimerWheel<ServeTimer>, d: &ServeDomains) {
         let now = self.now;
         let svc1 = self.model.service_cycles(1);
         let arrival = self.arrivals.get(self.cursor).map(|r| r.arrival);
@@ -1105,7 +1085,7 @@ impl ServeEngine {
     /// live. Every phase's current due tick is pending (posted after the
     /// last step), so the first live pop is exactly the minimum pending
     /// event tick strictly after `now`; `None` means the run is done.
-    fn next_wake(&mut self, sched: &mut Scheduler<ServeTimer>) -> Option<Tick> {
+    fn next_wake(&mut self, sched: &mut TimerWheel<ServeTimer>) -> Option<Tick> {
         while let Some(ev) = sched.pop_next() {
             // a timer at or behind the serve clock is always superseded
             if ev.time > self.now && self.timer_live(ev.payload, ev.time) {
@@ -1214,7 +1194,7 @@ mod tests {
     /// A replay of the same stream reports byte-identically and stays
     /// fully accounted.
     #[test]
-    fn reports_identical_across_jobs() {
+    fn reports_identical_on_replay() {
         for load in [60, 180] {
             let (r1, v1) = run_with(ServeConfig::default(), load, 3);
             let (r2, v2) = run_with(ServeConfig::default(), load, 3);
@@ -1246,7 +1226,7 @@ mod tests {
 
     /// A chaos run replays byte-identically and stays fully accounted.
     #[test]
-    fn chaos_run_identical_across_jobs() {
+    fn chaos_run_identical_on_replay() {
         let mk = || {
             let wl = WorkloadConfig::default().at_load_pct(150);
             let arrivals = workload::generate(5, &wl);
@@ -1301,7 +1281,7 @@ mod tests {
     /// the same schedule; with one instance, batches run back to back and
     /// a batch's members are the requests served on the same finish tick.
     #[test]
-    fn panicking_model_identical_across_jobs() {
+    fn panicking_model_sheds_exactly_the_hostile_batches() {
         let hostile_input = |xs: &[i64]| xs.iter().any(|&x| x % 5 == 0);
         let hostile = AcceleratorModel::new("hostile", 20, 40, move |xs| {
             assert!(!hostile_input(xs), "hostile input");
@@ -1463,8 +1443,9 @@ mod tests {
         assert!(gauged, "alert state exported as a gauge on transition");
     }
 
+    /// The SLO engine's verdict feed replays identically.
     #[test]
-    fn slo_feed_is_identical_across_jobs() {
+    fn slo_feed_is_identical_on_replay() {
         use hermes_obs::slo::{SloObjective, SloSpec};
         let run = || {
             let wl = WorkloadConfig::default().at_load_pct(250);

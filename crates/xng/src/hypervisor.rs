@@ -11,13 +11,12 @@
 //! The per-cycle engine is exact but wasteful when every core is quiet
 //! (native partitions between activations, yielded or halted guests):
 //! nothing can happen until the next slot boundary or watchdog deadline.
-//! With the unified event kernel enabled (the default, see DESIGN.md §14;
-//! [`Hypervisor::set_event_kernel`] turns it off), [`Hypervisor::run`] posts those deadlines
-//! into a [`hermes_kernel::Scheduler`] and fast-forwards quiet gaps in
-//! one `bulk_advance` instead of polling every tick. Every popped timer
-//! is validated against live state before it is trusted, so the schedule
-//! — dispatch instants, watchdog expiries, HM escalations, statistics —
-//! is bit-identical to the polling engine.
+//! [`Hypervisor::run`] therefore posts those deadlines into the unified
+//! event kernel's [`hermes_kernel::TimerWheel`] (DESIGN.md §14) and
+//! fast-forwards quiet gaps in one `bulk_advance` instead of polling
+//! every tick. Every popped timer is validated against live state before
+//! it is trusted, so the schedule — dispatch instants, watchdog expiries,
+//! HM escalations, statistics — is bit-identical to polling every tick.
 
 use crate::config::{IsolationMode, XngConfig};
 use crate::health::{HealthMonitor, HmAction, HmEvent};
@@ -30,7 +29,7 @@ use crate::{PartitionId, XngError};
 use hermes_cpu::cluster::{Cluster, CORE_COUNT};
 use hermes_cpu::hart::{Event, TrapCause};
 use hermes_cpu::mpu::{reprogram_cost, MpuRegion, Privilege, GATE_CROSS_CYCLES};
-use hermes_kernel::{DomainId, DomainRegistry, Scheduler, WheelStats};
+use hermes_kernel::{DomainId, DomainRegistry, TimerWheel, WheelStats};
 use hermes_obs::{ClockDomain, Recorder, TraceCtx};
 
 /// Flight-recorder subsystem name used by the hypervisor.
@@ -117,15 +116,6 @@ impl XngMemo {
             watchdog: vec![None; partitions],
         }
     }
-
-    /// Forget every memoised post. Used when pending entries may have
-    /// been consumed without becoming the current time (a budget-capped
-    /// advance): reposting duplicates is harmless, missing a wake is not.
-    fn clear(&mut self) {
-        self.dispatch = [None; CORE_COUNT];
-        self.retire = [None; CORE_COUNT];
-        self.watchdog.iter_mut().for_each(|w| *w = None);
-    }
 }
 
 /// The hypervisor.
@@ -161,11 +151,9 @@ pub struct Hypervisor {
     /// Causal trace context attached to dispatch instants (see
     /// [`Hypervisor::set_trace_ctx`]).
     trace: TraceCtx,
-    /// Whether [`run`](Hypervisor::run) fast-forwards quiet gaps through
-    /// the unified event kernel (DESIGN.md §14).
-    event_kernel: bool,
-    /// The persistent timer scheduler (wheel or reference, per the knob).
-    sched: Scheduler<XngTimer>,
+    /// The persistent timer wheel [`run`](Hypervisor::run) fast-forwards
+    /// quiet gaps through (DESIGN.md §14).
+    sched: TimerWheel<XngTimer>,
     domains: XngDomains,
     memo: XngMemo,
     /// Ticks executed by the full per-cycle engine.
@@ -211,24 +199,13 @@ impl Hypervisor {
             key_installed: [false; CORE_COUNT],
             obs: Recorder::disabled(),
             trace: TraceCtx::untraced(),
-            event_kernel: true,
-            sched: Scheduler::new(true),
+            sched: TimerWheel::new(),
             domains: XngDomains::register(),
             memo,
             ticks_polled: 0,
             ticks_skipped: 0,
             config,
         })
-    }
-
-    /// Select the event kernel (`true`, the default) or the per-cycle
-    /// polling engine (`false`) for this hypervisor — the oracle hook for
-    /// identity tests and experiments. Resets the scheduler: pending
-    /// timers are re-derived from live state.
-    pub fn set_event_kernel(&mut self, on: bool) {
-        self.event_kernel = on;
-        self.sched = Scheduler::new(on);
-        self.memo.clear();
     }
 
     /// Ticks that ran the full per-cycle engine.
@@ -497,10 +474,10 @@ impl Hypervisor {
     /// Run for `cycles` hypervisor cycles (stops early if the health
     /// monitor halts the system).
     ///
-    /// With the event kernel enabled, quiet stretches — no core active,
-    /// no mode change pending, nothing due this tick — are crossed in one
-    /// bulk advance to the next scheduled timer instead of one engine
-    /// pass per cycle. The observable schedule is identical either way.
+    /// Quiet stretches — no core active, no mode change pending, nothing
+    /// due this tick — are crossed in one bulk advance to the next
+    /// scheduled timer instead of one engine pass per cycle. The
+    /// observable schedule is identical to polling every tick.
     ///
     /// # Errors
     ///
@@ -511,7 +488,7 @@ impl Hypervisor {
             if self.hm.system_halted {
                 break;
             }
-            if self.event_kernel && self.idle_now() && !self.due_now() {
+            if self.idle_now() && !self.due_now() {
                 self.post_timers();
                 let horizon = self.time + remaining;
                 let k = match self.next_wake(horizon) {
@@ -623,7 +600,7 @@ impl Hypervisor {
     }
 
     fn post_timer(
-        sched: &mut Scheduler<XngTimer>,
+        sched: &mut TimerWheel<XngTimer>,
         memo: &mut Option<u64>,
         due: u64,
         now: u64,
@@ -1760,9 +1737,23 @@ mod tests {
         assert!(hv.stats(b).activations > 5, "healthy partition unaffected");
     }
 
-    /// Build the same watchdog + restart-limit + guest scenario twice —
-    /// event kernel forced off (per-cycle polling) and on (fast-forward)
-    /// — and require the observable schedule to be bit-identical.
+    /// The polling oracle: `run` without the event kernel, one full engine
+    /// pass per tick, stopping early once the health monitor halts the
+    /// system.
+    fn run_polling(hv: &mut Hypervisor, cycles: u64) {
+        for _ in 0..cycles {
+            if hv.hm.system_halted {
+                break;
+            }
+            hv.tick().unwrap();
+            hv.ticks_polled += 1;
+        }
+    }
+
+    /// Build the same watchdog + restart-limit + guest scenario twice:
+    /// one copy for the polling oracle ([`run_polling`]), one for the
+    /// fast-forwarding `run`. The observable schedule must be
+    /// bit-identical.
     fn kernel_equivalence_pair() -> (Hypervisor, Hypervisor) {
         let build = || {
             let mut cfg = XngConfig::new("eq");
@@ -1793,10 +1784,8 @@ mod tests {
                 .unwrap();
             (hv, a, b, g)
         };
-        let (mut off, ..) = build();
-        off.set_event_kernel(false);
-        let (mut on, ..) = build();
-        on.set_event_kernel(true);
+        let (off, ..) = build();
+        let (on, ..) = build();
         (off, on)
     }
 
@@ -1806,7 +1795,7 @@ mod tests {
         // several run() calls with awkward budgets exercise the horizon
         // cap: timers due beyond one call's budget must fire on the next
         for budget in [777u64, 1, 4_321, 9_999, 2, 15_000] {
-            off.run(budget).unwrap();
+            run_polling(&mut off, budget);
             on.run(budget).unwrap();
             assert_eq!(off.time(), on.time());
         }
@@ -1834,7 +1823,7 @@ mod tests {
     #[test]
     fn event_kernel_skips_most_quiet_ticks() {
         let (mut off, mut on) = kernel_equivalence_pair();
-        off.run(40_000).unwrap();
+        run_polling(&mut off, 40_000);
         on.run(40_000).unwrap();
         assert!(
             on.ticks_polled() * 10 <= off.ticks_polled(),
@@ -1848,7 +1837,7 @@ mod tests {
 
     #[test]
     fn mode_change_matches_under_event_kernel() {
-        let build = |kernel: bool| {
+        let build = |polling: bool| {
             let mut cfg = XngConfig::new("modes");
             let a = cfg.add_partition(PartitionConfig::new("nominal"));
             let b = cfg.add_partition(PartitionConfig::new("safe"));
@@ -1857,7 +1846,6 @@ mod tests {
             safe_plans[0] = Plan::new(vec![Slot::new(b, 2_000)]);
             let mode = cfg.add_mode("safe", safe_plans);
             let mut hv = Hypervisor::new(cfg).unwrap();
-            hv.set_event_kernel(kernel);
             hv.attach_native(a, native_task("nominal", |c| {
                 c.consume(10);
                 Ok(())
@@ -1868,12 +1856,19 @@ mod tests {
                 Ok(())
             }))
             .unwrap();
-            hv.run(10_000).unwrap();
+            let run = |hv: &mut Hypervisor| {
+                if polling {
+                    run_polling(hv, 10_000);
+                } else {
+                    hv.run(10_000).unwrap();
+                }
+            };
+            run(&mut hv);
             hv.request_mode_change(mode).unwrap();
-            hv.run(10_000).unwrap();
+            run(&mut hv);
             hv
         };
-        let (off, on) = (build(false), build(true));
+        let (off, on) = (build(true), build(false));
         for p in 0..2u32 {
             assert_eq!(off.stats(PartitionId(p)), on.stats(PartitionId(p)));
         }

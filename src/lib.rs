@@ -29,7 +29,7 @@
 //! | [`par`] | `hermes-par` | std-only coarse-grain fan-out engine (deterministic `par_map_jobs`) |
 //! | [`obs`] | `hermes-obs` | deterministic flight recorder: spans/events, metrics, bounded rings |
 //! | [`serve`] | `hermes-serve` | deadline-aware accelerator serving: admission, batching, pools, shedding |
-//! | [`kernel`] | `hermes-kernel` | unified discrete-event kernel: hierarchical timer wheel, reference queue |
+//! | [`kernel`] | `hermes-kernel` | unified discrete-event kernel: hierarchical timer wheel |
 //! | [`fleet`] | `hermes-fleet` | sharded serving fleet: consistent-hash routing, autoscaling, failover |
 //!
 //! ## Quickstart
