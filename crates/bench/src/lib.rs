@@ -30,12 +30,11 @@
 //! recording call.
 //!
 //! No library crate reads the process environment: every engine runs its
-//! default, and the alternates (the oracles E13/E16 compare against) are
-//! reachable only through typed hooks — `Simulator::new_with_packing`,
-//! `Simulator::set_event_driven`, `cache::set_bypass` and
-//! `par::set_jobs_override`. DESIGN.md's "Engine selection" table names
-//! the test that pins each one. The event kernel has no alternate: the
-//! timer wheel is the only scheduler, and its oracles live in tests.
+//! default, and the alternates are reachable only through typed hooks —
+//! `cache::set_bypass` and `par::set_jobs_override`. DESIGN.md's "Engine
+//! selection" table names the test that pins each one. The RTL settle
+//! engine and the event kernel have no alternate: their oracles (the
+//! reference interpreter, the sorted reference queue) live in tests.
 
 pub mod e1_hls_flow;
 pub mod e2_fpga_flow;
@@ -131,7 +130,7 @@ pub fn all_experiments() -> Vec<Experiment> {
         ("e8", "Radiation hardening (§I)", e8_radiation::run),
         ("e9", "Dataflow vs monolithic FSM (§II)", e9_dataflow::run),
         ("e10", "Cross-layer chaos campaigns (§III-IV)", e10_chaos::run),
-        ("e11", "Throughput: serial vs parallel, hot-path gains", e11_throughput::run),
+        ("e11", "Throughput: serial vs parallel, multi-start placement", e11_throughput::run),
         ("e12", "Observability overhead (tracing on vs off)", e12_observability::run),
         (
             "e13",

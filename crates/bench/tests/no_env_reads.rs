@@ -13,6 +13,8 @@
 //! * The timer wheel is the only event queue: no engine carries a knob
 //!   that selects another scheduler, and the sorted reference queue
 //!   lives only in the wheel's own tests, as their oracle.
+//! * The RTL simulator has one settle engine: no knob selects packing or
+//!   full settling, and the reference interpreter lives in test support.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -196,6 +198,31 @@ fn one_scheduler_path() {
     assert!(
         hits.is_empty(),
         "a second scheduler path outside the wheel's tests:\n{}",
+        hits.join("\n")
+    );
+}
+
+/// Names that select or implement a second RTL settle engine beside the
+/// simulator's event drain.
+const SECOND_SETTLE_ENGINE: [&str; 4] =
+    ["new_with_packing", "set_event_driven", "BaselineSimulator", "fn settle_full"];
+
+#[test]
+fn one_settle_engine() {
+    let mut hits = Vec::new();
+    for (rel, text) in library_sources() {
+        if !rel.starts_with("crates/") {
+            continue;
+        }
+        for (i, line) in text.lines().enumerate() {
+            if SECOND_SETTLE_ENGINE.iter().any(|name| line.contains(name)) {
+                hits.push(format!("{rel}:{}: {}", i + 1, line.trim()));
+            }
+        }
+    }
+    assert!(
+        hits.is_empty(),
+        "a second settle engine in library code:\n{}",
         hits.join("\n")
     );
 }

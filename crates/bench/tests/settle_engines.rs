@@ -1,32 +1,30 @@
-//! Every RTL settle engine, run in lockstep on real HLS netlists.
+//! The RTL settle engine, run in lockstep with the reference interpreter
+//! on real HLS netlists.
 //!
 //! The randomized differential tests in `hermes-rtl` cover generated
 //! netlists; this test covers what the HLS flow actually emits. Every
-//! suite kernel, plus the E16 `acc` kernel tiled four times, is built
-//! once per engine through the typed hooks (`Simulator::new_with_packing`
-//! and `Simulator::set_event_driven`). Each simulator is reset and given
-//! the kernel's scalar arguments, then all of them step together while
-//! every net value is compared against the scalar full-settle oracle on
-//! every cycle. Kernels with an external-memory port read a fixed
-//! pseudo-random word per address, so their datapaths see varied data.
+//! suite kernel, plus the E16 `acc` kernel tiled four times, is run on
+//! the production `Simulator` and on the independent full-settle
+//! `ReferenceSimulator` (`crates/rtl/tests/support/reference.rs`). Both
+//! are reset and given the kernel's scalar arguments, then step together
+//! while every net value and every register's state is compared on every
+//! cycle, and the traced output rows at the end. Kernels with an
+//! external-memory port read a fixed pseudo-random word per address, so
+//! their datapaths see varied data.
+
+#[path = "../../rtl/tests/support/reference.rs"]
+mod reference;
 
 use hermes_bench::{e16_wordparallel::ACC_SRC, kernels};
 use hermes_hls::ir::ParamBinding;
 use hermes_hls::{Design, HlsFlow};
 use hermes_obs::Recorder;
-use hermes_rtl::netlist::{NetId, Netlist};
+use hermes_rtl::netlist::{CellId, CellOp, NetId, Netlist};
 use hermes_rtl::sim::Simulator;
+use reference::ReferenceSimulator;
 
 /// Cycles each design is stepped for after the arguments are applied.
 const CYCLES: u64 = 3_000;
-
-/// `(name, packed, event_driven)`; the first entry is the oracle.
-const ENGINES: [(&str, bool, bool); 4] = [
-    ("scalar-full", false, false),
-    ("scalar-event", false, true),
-    ("packed-full", true, false),
-    ("packed-event", true, true),
-];
 
 /// `arg_<param>` input pokes for the design's scalar parameters, in
 /// parameter order.
@@ -50,44 +48,52 @@ fn memory_word(addr: u64) -> u64 {
 
 fn assert_lockstep(label: &str, nl: &Netlist, pokes: &[(String, u64)]) {
     let nets: Vec<NetId> = nl.nets().map(|(id, _)| id).collect();
+    let reg_cells: Vec<CellId> = nl
+        .cells()
+        .filter(|(_, c)| matches!(c.op, CellOp::Register { .. }))
+        .map(|(cid, _)| cid)
+        .collect();
     let memory = nl
         .net_by_name("m_axi_addr")
         .zip(nl.net_by_name("m_axi_rdata"));
-    let mut sims: Vec<Simulator> = ENGINES
-        .iter()
-        .map(|&(_, packed, event)| {
-            let mut sim = Simulator::new_with_packing(nl, packed).expect("valid netlist");
-            sim.set_event_driven(event);
-            sim.reset();
-            for (name, value) in pokes {
-                sim.poke(name, *value).expect("argument input exists");
-            }
-            sim
-        })
-        .collect();
+    let mut sim = Simulator::new(nl).expect("valid netlist");
+    let mut oracle = ReferenceSimulator::new(nl);
+    sim.enable_trace(nl.outputs());
+    oracle.enable_trace(nl.outputs());
+    sim.reset();
+    oracle.reset();
+    for (name, value) in pokes {
+        let input = nl.net_by_name(name).expect("argument input exists");
+        sim.poke_net(input, *value);
+        oracle.poke_net(input, *value);
+    }
     for cycle in 0..=CYCLES {
         if cycle > 0 {
-            for sim in &mut sims {
-                if let Some((addr, rdata)) = memory {
-                    let word = memory_word(sim.peek_net(addr));
-                    sim.poke_net(rdata, word);
-                }
-                sim.step().expect("step");
+            if let Some((addr, rdata)) = memory {
+                sim.poke_net(rdata, memory_word(sim.peek_net(addr)));
+                oracle.poke_net(rdata, memory_word(oracle.peek_net(addr)));
             }
+            sim.step().expect("step");
+            oracle.step();
         }
-        let (oracle, rest) = sims.split_first().expect("oracle engine");
-        for (sim, (engine, ..)) in rest.iter().zip(&ENGINES[1..]) {
-            for &net in &nets {
-                let (want, got) = (oracle.peek_net(net), sim.peek_net(net));
-                assert_eq!(
-                    got,
-                    want,
-                    "{label}: {engine} diverges from scalar-full on net `{}` at cycle {cycle}",
-                    nl.net(net).name
-                );
-            }
+        for &net in &nets {
+            assert_eq!(
+                sim.peek_net(net),
+                oracle.peek_net(net),
+                "{label}: diverges from the reference on net `{}` at cycle {cycle}",
+                nl.net(net).name
+            );
+        }
+        for &cid in &reg_cells {
+            assert_eq!(
+                sim.register_state(cid),
+                oracle.register_state(cid),
+                "{label}: register {cid} diverges from the reference at cycle {cycle}"
+            );
         }
     }
+    let trace = sim.take_trace().expect("trace enabled");
+    assert_eq!(trace.rows, oracle.rows, "{label}: trace rows diverge");
 }
 
 #[test]

@@ -34,20 +34,17 @@ const MIN_PACK_LANES: usize = 8;
 /// changed, and the bitmap is scanned in topological-rank order across a
 /// `[lo, hi]` watermark window so each op is evaluated at most once per
 /// pass and quiescent logic is skipped entirely (fanout edges only point
-/// to higher ranks, so the scan never revisits an index). The first
-/// settle after construction (and every settle after
-/// [`Self::reset`]) falls back to a full-program evaluation, and
-/// [`Self::set_event_driven`] forces the full path for A/B comparisons.
-/// Both paths produce bit-identical `values`, register state, and traces.
+/// to higher ranks, so the scan never revisits an index). Construction
+/// and [`Self::reset`] queue every op, so the same drain evaluates the
+/// whole program once.
 ///
 /// **Word-parallel lanes** layer on top of the event-driven scan (E16):
 /// at build time, independent 1-bit ops of identical boolean form at the
 /// same topological rank are bit-packed up to 64 to a `u64` word and
 /// evaluated as one bitwise instruction (classic compiled-code
-/// simulation). The scalar `values` array stays authoritative — lanes
-/// scatter on change — so peeks, traces, registers, and scalar consumers
-/// are untouched. [`Self::new`] packs; [`Self::new_with_packing`] pins the
-/// engine on or off.
+/// simulation). A group packs only once it reaches `MIN_PACK_LANES`. The
+/// scalar `values` array stays authoritative — lanes scatter on change —
+/// so peeks, traces, registers, and scalar consumers are untouched.
 #[derive(Debug, Clone)]
 pub struct Simulator<'n> {
     netlist: &'n Netlist,
@@ -76,12 +73,10 @@ pub struct Simulator<'n> {
     packed_nets: Vec<u32>,
     packed_vals: Vec<u64>,
     /// Scalar-equivalent program weight: a packed word counts one per
-    /// lane, so work metrics stay comparable across packing modes.
+    /// lane, so work metrics do not depend on how much of a design packs.
     program_weight: u64,
     /// Total lanes across all packed words (occupancy numerator).
     packed_lanes: u32,
-    /// Whether the word-parallel engine was applied at compile time.
-    packed_enabled: bool,
     /// CSR fanout index: ops reading net `n` are
     /// `fanout_ops[fanout_start[n]..fanout_start[n + 1]]` (ascending).
     fanout_start: Vec<u32>,
@@ -95,12 +90,10 @@ pub struct Simulator<'n> {
     /// (`u32::MAX`/`0` sentinels).
     dirty_lo: u32,
     dirty_hi: u32,
-    /// Next settle must evaluate the full program (construction, reset).
-    needs_full: bool,
-    /// Event-driven settling enabled (see [`Self::set_event_driven`]).
-    event_driven: bool,
-    /// Reusable per-step buffer of next register values.
+    /// Reusable per-step buffers of next register values and of RAM read
+    /// data (`(port a, port b)` per RAM).
     next_regs: Vec<u64>,
+    next_ram: Vec<(u64, u64)>,
     cycle: u64,
     /// Total settle passes executed (steps, pokes, resets).
     settle_passes: u64,
@@ -295,24 +288,11 @@ impl<'n> Simulator<'n> {
     /// Build a simulator after validating the netlist.
     ///
     /// All registers start at 0 and RAMs at their declared init contents.
-    /// The word-parallel engine is on; use [`Self::new_with_packing`] to
-    /// pin it explicitly.
     ///
     /// # Errors
     ///
     /// Propagates any structural error from [`Netlist::validate`].
     pub fn new(netlist: &'n Netlist) -> Result<Self, RtlError> {
-        Self::new_with_packing(netlist, true)
-    }
-
-    /// Build a simulator with the word-parallel engine pinned on or off —
-    /// the A/B hook for differential tests and experiments that compare
-    /// engines.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any structural error from [`Netlist::validate`].
-    pub fn new_with_packing(netlist: &'n Netlist, packed: bool) -> Result<Self, RtlError> {
         netlist.validate()?;
         let order = netlist.combinational_order()?;
         let mut reg_state = Vec::new();
@@ -368,10 +348,11 @@ impl<'n> Simulator<'n> {
             }
         }
         let scalar_ops = Self::compile_settle_ops(netlist, &order);
-        let prog = Self::compile_program(netlist, scalar_ops, packed);
+        let prog = Self::compile_program(netlist, scalar_ops);
         let (fanout_start, fanout_ops) =
             Self::compile_fanout(netlist.net_count(), &prog.ops, &prog.packed, &prog.packed_nets);
         let next_regs = vec![0; regs.len()];
+        let next_ram = vec![(0, 0); rams.len()];
         let dirty = vec![0; prog.ops.len().div_ceil(64)];
         let packed_vals = vec![0; prog.packed.len()];
         let mut sim = Simulator {
@@ -388,21 +369,19 @@ impl<'n> Simulator<'n> {
             packed_vals,
             program_weight: prog.program_weight,
             packed_lanes: prog.packed_lanes,
-            packed_enabled: packed,
             fanout_start,
             fanout_ops,
             dirty,
             dirty_lo: u32::MAX,
             dirty_hi: 0,
-            needs_full: true,
-            event_driven: true,
             next_regs,
+            next_ram,
             cycle: 0,
             settle_passes: 0,
             settle_ops: 0,
             trace: None,
         };
-        sim.settle();
+        sim.settle_all();
         Ok(sim)
     }
 
@@ -472,10 +451,10 @@ impl<'n> Simulator<'n> {
     }
 
     /// Lower the topologically ordered scalar program into the final
-    /// settle program: compute per-op ranks, bit-pack same-form 1-bit ops
-    /// at equal rank into 64-lane words (when `pack`), and re-sort
-    /// rank-major.
-    fn compile_program(netlist: &Netlist, ops: Vec<SettleOp>, pack: bool) -> CompiledProgram {
+    /// settle program: compute per-op ranks, bit-pack groups of at least
+    /// `MIN_PACK_LANES` same-form 1-bit ops at equal rank into 64-lane
+    /// words, and re-sort rank-major.
+    fn compile_program(netlist: &Netlist, ops: Vec<SettleOp>) -> CompiledProgram {
         let program_weight = ops.len() as u64;
         // Rank of every op: 1 + max rank of its producers. `ops` is in
         // topological order, so producers always resolve first.
@@ -500,93 +479,91 @@ impl<'n> Simulator<'n> {
         let mut in_word = vec![false; ops.len()];
         // (rank, order key, op) triples to sort rank-major
         let mut emitted: Vec<(u32, u32, SettleOp)> = Vec::new();
-        if pack {
-            let mut groups: BTreeMap<(u32, u8), Vec<u32>> = BTreeMap::new();
-            for (i, op) in ops.iter().enumerate() {
-                if let Some(tag) = Self::packable_tag(op) {
-                    groups.entry((rank[i], tag)).or_default().push(i as u32);
-                }
+        let mut groups: BTreeMap<(u32, u8), Vec<u32>> = BTreeMap::new();
+        for (i, op) in ops.iter().enumerate() {
+            if let Some(tag) = Self::packable_tag(op) {
+                groups.entry((rank[i], tag)).or_default().push(i as u32);
             }
-            // net id -> (word index << 6) | lane bit, for output lanes
-            let mut lane_of = vec![u64::MAX; netlist.net_count()];
-            for ((r, _tag), members) in &groups {
-                if members.len() < MIN_PACK_LANES {
-                    continue;
-                }
-                for chunk in members.chunks(64) {
-                    let lanes = chunk.len();
-                    let kind = match ops[chunk[0] as usize].kind {
-                        SettleKind::And => PackKind::And,
-                        SettleKind::Or => PackKind::Or,
-                        SettleKind::Xor => PackKind::Xor,
-                        SettleKind::Not => PackKind::Not,
-                        SettleKind::Mux => PackKind::Mux,
-                        SettleKind::Cmp(c) => PackKind::Cmp(c),
-                        _ => unreachable!("packable_tag admits only boolean forms"),
+        }
+        // net id -> (word index << 6) | lane bit, for output lanes
+        let mut lane_of = vec![u64::MAX; netlist.net_count()];
+        for ((r, _tag), members) in &groups {
+            if members.len() < MIN_PACK_LANES {
+                continue;
+            }
+            for chunk in members.chunks(64) {
+                let lanes = chunk.len();
+                let kind = match ops[chunk[0] as usize].kind {
+                    SettleKind::And => PackKind::And,
+                    SettleKind::Or => PackKind::Or,
+                    SettleKind::Xor => PackKind::Xor,
+                    SettleKind::Not => PackKind::Not,
+                    SettleKind::Mux => PackKind::Mux,
+                    SettleKind::Cmp(c) => PackKind::Cmp(c),
+                    _ => unreachable!("packable_tag admits only boolean forms"),
+                };
+                let slots = kind.slots();
+                let ins = packed_nets.len() as u32;
+                let mut src = [u32::MAX; 3];
+                for (s, slot_src) in src.iter_mut().enumerate().take(slots) {
+                    let slot_net = |oi: u32| {
+                        let op = &ops[oi as usize];
+                        [op.a, op.b, op.c][s]
                     };
-                    let slots = kind.slots();
-                    let ins = packed_nets.len() as u32;
-                    let mut src = [u32::MAX; 3];
-                    for (s, slot_src) in src.iter_mut().enumerate().take(slots) {
-                        let slot_net = |oi: u32| {
-                            let op = &ops[oi as usize];
-                            [op.a, op.b, op.c][s]
-                        };
-                        for &oi in chunk {
-                            packed_nets.push(slot_net(oi));
+                    for &oi in chunk {
+                        packed_nets.push(slot_net(oi));
+                    }
+                    // aligned iff every lane reads bit `l` of one word
+                    let mut aligned = None;
+                    for (l, &oi) in chunk.iter().enumerate() {
+                        let lo = lane_of[slot_net(oi) as usize];
+                        if lo == u64::MAX || (lo & 63) != l as u64 {
+                            aligned = None;
+                            break;
                         }
-                        // aligned iff every lane reads bit `l` of one word
-                        let mut aligned = None;
-                        for (l, &oi) in chunk.iter().enumerate() {
-                            let lo = lane_of[slot_net(oi) as usize];
-                            if lo == u64::MAX || (lo & 63) != l as u64 {
+                        let word = (lo >> 6) as u32;
+                        match aligned {
+                            None if l == 0 => aligned = Some(word),
+                            Some(w) if w == word => {}
+                            _ => {
                                 aligned = None;
                                 break;
                             }
-                            let word = (lo >> 6) as u32;
-                            match aligned {
-                                None if l == 0 => aligned = Some(word),
-                                Some(w) if w == word => {}
-                                _ => {
-                                    aligned = None;
-                                    break;
-                                }
-                            }
                         }
-                        *slot_src = aligned.unwrap_or(u32::MAX);
                     }
-                    let outs = packed_nets.len() as u32;
-                    let widx = packed.len() as u32;
-                    for (l, &oi) in chunk.iter().enumerate() {
-                        let out = ops[oi as usize].out;
-                        packed_nets.push(out);
-                        lane_of[out as usize] = (u64::from(widx) << 6) | l as u64;
-                        in_word[oi as usize] = true;
-                    }
-                    let lane_mask = mask(u64::MAX, lanes as u32);
-                    packed.push(PackedWord {
-                        kind,
-                        lanes: lanes as u32,
-                        ins,
-                        outs,
-                        src,
-                        lane_mask,
-                    });
-                    packed_lanes += lanes as u32;
-                    emitted.push((
-                        *r,
-                        chunk[0],
-                        SettleOp {
-                            kind: SettleKind::Packed,
-                            a: widx,
-                            b: 0,
-                            c: 0,
-                            out: ops[chunk[0] as usize].out,
-                            mask: lane_mask,
-                            aux: lanes as u64,
-                        },
-                    ));
+                    *slot_src = aligned.unwrap_or(u32::MAX);
                 }
+                let outs = packed_nets.len() as u32;
+                let widx = packed.len() as u32;
+                for (l, &oi) in chunk.iter().enumerate() {
+                    let out = ops[oi as usize].out;
+                    packed_nets.push(out);
+                    lane_of[out as usize] = (u64::from(widx) << 6) | l as u64;
+                    in_word[oi as usize] = true;
+                }
+                let lane_mask = mask(u64::MAX, lanes as u32);
+                packed.push(PackedWord {
+                    kind,
+                    lanes: lanes as u32,
+                    ins,
+                    outs,
+                    src,
+                    lane_mask,
+                });
+                packed_lanes += lanes as u32;
+                emitted.push((
+                    *r,
+                    chunk[0],
+                    SettleOp {
+                        kind: SettleKind::Packed,
+                        a: widx,
+                        b: 0,
+                        c: 0,
+                        out: ops[chunk[0] as usize].out,
+                        mask: lane_mask,
+                        aux: lanes as u64,
+                    },
+                ));
             }
         }
         for (i, op) in ops.into_iter().enumerate() {
@@ -740,23 +717,6 @@ impl<'n> Simulator<'n> {
         0
     }
 
-    /// Whether word-parallel bit-packing was applied at compile time.
-    pub fn packed(&self) -> bool {
-        self.packed_enabled
-    }
-
-    /// Whether event-driven (activity-gated) settling is enabled.
-    pub fn event_driven(&self) -> bool {
-        self.event_driven
-    }
-
-    /// Force full-program settling (`false`) or activity-gated settling
-    /// (`true`). Both produce bit-identical values and traces; the full
-    /// path is kept for A/B measurement and differential testing.
-    pub fn set_event_driven(&mut self, on: bool) {
-        self.event_driven = on;
-    }
-
     /// Export the simulator's work counters into a flight recorder under
     /// subsystem `sub` (RTL clock domain). `settle_ops` counts evaluated
     /// ops; `settle_ops_full` is the full-evaluation baseline, so the
@@ -825,15 +785,14 @@ impl<'n> Simulator<'n> {
 
     /// Synchronously reset: clears all registers (those declared with reset)
     /// and re-settles. RAM contents are preserved, as on real block RAM.
-    /// The settle after a reset is always a full-program pass.
+    /// The settle after a reset evaluates every op once.
     pub fn reset(&mut self) {
         for r in &self.regs {
             if r.has_reset {
                 self.reg_state[r.slot as usize] = 0;
             }
         }
-        self.needs_full = true;
-        self.settle();
+        self.settle_all();
     }
 
     /// Advance one clock cycle: sample all sequential elements, then settle.
@@ -855,21 +814,10 @@ impl<'n> Simulator<'n> {
                 self.reg_state[r.slot as usize]
             };
         }
-        // Phase 2: commit register state, seeding the event worklist from
-        // every register output whose sampled value actually changed.
-        self.reg_state.copy_from_slice(&self.next_regs);
-        for i in 0..self.regs.len() {
-            let r = self.regs[i];
-            let q = self.reg_state[r.slot as usize];
-            if self.values[r.q as usize] != q {
-                self.values[r.q as usize] = q;
-                self.mark_net(r.q);
-            }
-        }
-        // RAMs: ports sample `values`, which no commit above touches, and
-        // each memory is private to its cell — so read-first reads, the
-        // write commit, and the output drive can be fused per RAM. Output
-        // changes seed the worklist like register outputs.
+        // RAM ports sample the same settled values. Each memory is private
+        // to its cell, so the read-first reads and the write commit fuse
+        // per RAM; the read data waits in `next_ram` until every port has
+        // sampled, since a port may read another RAM's output.
         for i in 0..self.rams.len() {
             let r = self.rams[i];
             let depth = r.depth as usize;
@@ -882,21 +830,26 @@ impl<'n> Simulator<'n> {
             let we_b = port(r.inputs[5]) & 1 == 1;
             let mem = &mut self.ram_state[r.slot as usize];
             // read-first semantics on both ports
-            let (ra, rb) = (mem[addr_a], mem[addr_b]);
+            self.next_ram[i] = (mem[addr_a], mem[addr_b]);
             if we_a {
                 mem[addr_a] = wd_a & r.mask;
             }
             if we_b {
                 mem[addr_b] = wd_b & r.mask;
             }
-            if self.values[r.ra as usize] != ra {
-                self.values[r.ra as usize] = ra;
-                self.mark_net(r.ra);
-            }
-            if self.values[r.rb as usize] != rb {
-                self.values[r.rb as usize] = rb;
-                self.mark_net(r.rb);
-            }
+        }
+        // Phase 2: commit register state and drive RAM read data, seeding
+        // the event worklist from every output whose value actually
+        // changed.
+        self.reg_state.copy_from_slice(&self.next_regs);
+        for i in 0..self.regs.len() {
+            let r = self.regs[i];
+            self.drive(r.q, self.reg_state[r.slot as usize]);
+        }
+        for i in 0..self.rams.len() {
+            let (r, (ra, rb)) = (self.rams[i], self.next_ram[i]);
+            self.drive(r.ra, ra);
+            self.drive(r.rb, rb);
         }
         self.settle();
         self.cycle += 1;
@@ -981,6 +934,15 @@ impl<'n> Simulator<'n> {
         }
     }
 
+    /// Set a sequential output net, queueing its fanout if it changed.
+    #[inline]
+    fn drive(&mut self, net: u32, value: u64) {
+        if self.values[net as usize] != value {
+            self.values[net as usize] = value;
+            self.mark_net(net);
+        }
+    }
+
     /// Queue every op reading `net` for the next event-driven settle pass.
     #[inline]
     fn mark_net(&mut self, net: u32) {
@@ -998,55 +960,25 @@ impl<'n> Simulator<'n> {
         }
     }
 
-    /// One settle pass. Full-program evaluation on the first pass after
-    /// construction/reset (and always when event-driven settling is
-    /// disabled), otherwise an event-driven scan of the dirty window.
-    fn settle(&mut self) {
-        self.settle_passes += 1;
-        if self.needs_full || !self.event_driven {
-            self.needs_full = false;
-            // a full pass covers every queued op — drop the marks
-            if self.dirty_lo <= self.dirty_hi {
-                for w in self.dirty_lo as usize / 64..=self.dirty_hi as usize / 64 {
-                    self.dirty[w] = 0;
-                }
-                self.dirty_lo = u32::MAX;
-                self.dirty_hi = 0;
-            }
-            self.settle_full();
-        } else {
-            self.settle_event();
-        }
-    }
-
-    /// Evaluate the entire compiled program in rank-major order.
-    fn settle_full(&mut self) {
-        self.settle_ops += self.program_weight;
-        // Sequential outputs first: registers continuously drive their state.
+    /// Drive every register output and queue every op, then settle: the
+    /// drain evaluates the whole program exactly once, in rank order
+    /// (construction and reset).
+    fn settle_all(&mut self) {
         for r in &self.regs {
             self.values[r.q as usize] = self.reg_state[r.slot as usize];
         }
-        for op in &self.ops {
-            if op.kind == SettleKind::Packed {
-                let (pw, new, mut changed) = eval_packed(
-                    op.a as usize,
-                    &self.packed,
-                    &self.packed_nets,
-                    &mut self.packed_vals,
-                    &self.values,
-                );
-                // scatter changed lanes; the full path never marks
-                while changed != 0 {
-                    let l = changed.trailing_zeros();
-                    let net = self.packed_nets[(pw.outs + l) as usize];
-                    self.values[net as usize] = (new >> l) & 1;
-                    changed &= changed - 1;
-                }
-            } else {
-                let v = eval_op_with(|n| self.values[n as usize], op);
-                self.values[op.out as usize] = v;
+        let n = self.ops.len();
+        if n > 0 {
+            self.dirty.fill(u64::MAX);
+            // the drain indexes `ops` by bit: keep the bits past the last
+            // op clear
+            if !n.is_multiple_of(64) {
+                self.dirty[n / 64] = mask(u64::MAX, (n % 64) as u32);
             }
+            self.dirty_lo = 0;
+            self.dirty_hi = n as u32 - 1;
         }
+        self.settle();
     }
 
     /// Scan the dirty window in topological-rank order. Ranks only grow
@@ -1058,7 +990,8 @@ impl<'n> Simulator<'n> {
     /// linear bitmap scan beats a priority queue here: the window is
     /// usually a small slice of the program, and the per-visited-op cost
     /// is one branch instead of heap maintenance.
-    fn settle_event(&mut self) {
+    fn settle(&mut self) {
+        self.settle_passes += 1;
         let mut wi = self.dirty_lo as usize / 64;
         // `dirty_hi` is re-read every iteration: evaluated ops may extend
         // the window forward (never backward) by marking their fanout —
@@ -1110,7 +1043,7 @@ impl<'n> Simulator<'n> {
 /// bit gather), apply the boolean form once across all lanes, and publish
 /// the new output word. Returns the word descriptor, the new value, and
 /// the changed-lane bitmask; the caller scatters changed lanes into
-/// `values` (and marks fanout on event-driven paths).
+/// `values` and marks their fanout.
 #[inline]
 fn eval_packed(
     w: usize,
@@ -1192,11 +1125,6 @@ fn eval_op_with<R: Fn(u32) -> u64>(read: R, op: &SettleOp) -> u64 {
         SettleKind::Packed => unreachable!("packed ops route through eval_packed"),
     };
     v & op.mask
-}
-
-/// Convenience helper implementing [`Comparison`] lookup for simulator users.
-pub fn comparison_result(c: Comparison, a: u64, b: u64, width: u32) -> bool {
-    c.apply(a, b, width)
 }
 
 #[cfg(test)]
@@ -1381,69 +1309,53 @@ mod tests {
     }
 
     /// A counter next to a quiescent constant-fed subtree: event-driven
-    /// settling must produce bit-identical values while evaluating far
-    /// fewer ops (the quiescent chain settles once and never again).
+    /// settling must evaluate far fewer ops than a full pass per settle
+    /// (the quiescent chain settles once and never again).
     #[test]
     fn event_driven_skips_quiescent_logic() {
-        let build = || {
-            let mut nl = Netlist::new("mix");
-            let one = nl.add_net("one", 8);
-            let q = nl.add_net("q", 8);
-            let next = nl.add_net("next", 8);
-            nl.add_cell("c1", CellOp::Const { value: 1 }, &[], &[one])
-                .unwrap();
-            nl.add_cell("add", CellOp::Add, &[q, one], &[next]).unwrap();
-            nl.add_cell(
-                "r",
-                CellOp::Register {
-                    has_enable: false,
-                    has_reset: true,
-                },
-                &[next],
-                &[q],
-            )
+        let mut nl = Netlist::new("mix");
+        let one = nl.add_net("one", 8);
+        let q = nl.add_net("q", 8);
+        let next = nl.add_net("next", 8);
+        nl.add_cell("c1", CellOp::Const { value: 1 }, &[], &[one])
             .unwrap();
-            // quiescent: a chain of NOTs hanging off the constant
-            let mut cur = one;
-            for i in 0..16 {
-                let y = nl.add_net(format!("n{i}"), 8);
-                nl.add_cell(format!("not{i}"), CellOp::Not, &[cur], &[y])
-                    .unwrap();
-                cur = y;
-            }
-            nl.mark_output(q);
-            nl.mark_output(cur);
-            nl
-        };
-        let nl_e = build();
-        let nl_f = build();
-        let mut ev = Simulator::new(&nl_e).unwrap();
-        let mut full = Simulator::new(&nl_f).unwrap();
-        full.set_event_driven(false);
-        assert!(ev.event_driven());
-        assert!(!full.event_driven());
-        for _ in 0..50 {
-            ev.step().unwrap();
-            full.step().unwrap();
-            for (nid, _) in nl_e.nets() {
-                assert_eq!(ev.peek_net(nid), full.peek_net(nid), "net {nid}");
-            }
+        nl.add_cell("add", CellOp::Add, &[q, one], &[next]).unwrap();
+        nl.add_cell(
+            "r",
+            CellOp::Register {
+                has_enable: false,
+                has_reset: true,
+            },
+            &[next],
+            &[q],
+        )
+        .unwrap();
+        // quiescent: a chain of NOTs hanging off the constant
+        let mut cur = one;
+        for i in 0..16 {
+            let y = nl.add_net(format!("n{i}"), 8);
+            nl.add_cell(format!("not{i}"), CellOp::Not, &[cur], &[y])
+                .unwrap();
+            cur = y;
         }
-        assert_eq!(ev.settle_passes(), full.settle_passes());
-        assert_eq!(
-            full.settle_ops(),
-            full.settle_passes() * full.settle_program_len() as u64,
-            "full path evaluates the whole program every pass"
-        );
+        nl.mark_output(q);
+        nl.mark_output(cur);
+        let mut sim = Simulator::new(&nl).unwrap();
+        for cycle in 1..=50u64 {
+            sim.step().unwrap();
+            assert_eq!(sim.peek_net(q), cycle, "counter");
+            // an even number of NOTs is the identity
+            assert_eq!(sim.peek_net(cur), 1, "quiescent chain holds");
+        }
+        let full = sim.settle_passes() * sim.settle_program_len() as u64;
         assert!(
-            ev.settle_ops() < full.settle_ops() / 2,
-            "event-driven must skip the quiescent chain: {} vs {}",
-            ev.settle_ops(),
-            full.settle_ops()
+            sim.settle_ops() < full / 2,
+            "event-driven must skip the quiescent chain: {} vs {full}",
+            sim.settle_ops()
         );
     }
 
-    /// Reset falls back to a full pass and stays bit-identical.
+    /// Reset re-settles the combinational logic from the cleared state.
     #[test]
     fn event_driven_reset_matches_full() {
         let mut nl = Netlist::new("counter");
@@ -1489,6 +1401,16 @@ mod tests {
         sim.poke("a", 5).unwrap();
         assert_eq!(sim.settle_ops(), ops_after_first, "no-change poke is free");
         assert_eq!(sim.peek("y").unwrap(), 0xFA);
+
+        // the same holds for packed lanes
+        let nl = bit_fabric(64);
+        let mut sim = Simulator::new(&nl).unwrap();
+        sim.poke("a5", 1).unwrap();
+        let (ops, passes) = (sim.settle_ops(), sim.settle_passes());
+        sim.poke("a5", 1).unwrap();
+        sim.poke("b9", 0).unwrap();
+        assert_eq!(sim.settle_ops(), ops, "no-change pokes are free");
+        assert_eq!(sim.settle_passes(), passes + 2, "each poke is one pass");
     }
 
     #[test]
@@ -1510,10 +1432,13 @@ mod tests {
     #[test]
     fn new_defaults_to_packed_event_settle() {
         let nl = bit_fabric(64);
-        let sim = Simulator::new(&nl).unwrap();
-        assert!(sim.packed(), "new() packs");
+        let mut sim = Simulator::new(&nl).unwrap();
         assert!(sim.packed_lanes() > 0, "a 64-lane fabric forms packed words");
-        assert!(sim.event_driven(), "new() settles event-driven");
+        sim.poke("a0", 1).unwrap();
+        sim.step().unwrap();
+        let ops = sim.settle_ops();
+        sim.step().unwrap();
+        assert_eq!(sim.settle_ops(), ops, "a quiescent cycle evaluates nothing");
     }
 
     /// A bit-blasted fabric: `lanes` independent 1-bit slices, each with
@@ -1565,66 +1490,71 @@ mod tests {
     #[test]
     fn packing_compiles_wide_one_bit_groups() {
         let nl = bit_fabric(80);
-        let packed = Simulator::new_with_packing(&nl, true).unwrap();
-        let scalar = Simulator::new_with_packing(&nl, false).unwrap();
-        assert!(packed.packed());
-        assert!(!scalar.packed());
-        assert_eq!(packed.settle_program_len(), scalar.settle_program_len());
+        let packed = Simulator::new(&nl).unwrap();
         assert_eq!(packed.settle_program_len(), 80 * 4);
         // 4 forms × 80 lanes → 4 full words + 4 remainder words of 16
         assert_eq!(packed.packed_words(), 8);
         assert_eq!(packed.packed_lanes(), 80 * 4);
         assert_eq!(packed.settle_words(), 8);
-        assert_eq!(scalar.packed_words(), 0);
-        assert_eq!(scalar.settle_words(), 80 * 4);
         // occupancy: 320 lanes over 8 words = 62.5%
         assert_eq!(packed.lane_occupancy_permille(), 625);
     }
 
-    /// Packed, scalar, and full-settle evaluation stay bit-identical
-    /// through pokes, steps, and resets; the full path's op counter keeps
-    /// the packing-invariant `passes × program_len` identity.
+    /// A group packs only once it reaches `MIN_PACK_LANES`: one lane
+    /// short, every op stays scalar; at the threshold, each of the
+    /// fabric's four boolean forms packs into one word.
     #[test]
-    fn packed_matches_scalar_and_full() {
-        let nl = bit_fabric(70);
-        let mut packed = Simulator::new_with_packing(&nl, true).unwrap();
-        let mut scalar = Simulator::new_with_packing(&nl, false).unwrap();
-        let mut full = Simulator::new_with_packing(&nl, true).unwrap();
-        full.set_event_driven(false);
-        let mut rng = crate::rng::DetRng::new(0xE16);
-        for cycle in 0..200u32 {
-            if cycle % 3 == 0 {
-                let i = (rng.next_u64() % 70) as usize;
-                let v = rng.next_u64() & 1;
-                for s in [&mut packed, &mut scalar, &mut full] {
-                    s.poke(&format!("a{i}"), v).unwrap();
-                    s.poke(&format!("b{i}"), v ^ 1).unwrap();
+    fn packing_starts_at_min_pack_lanes() {
+        let nl = bit_fabric(MIN_PACK_LANES - 1);
+        let sim = Simulator::new(&nl).unwrap();
+        assert_eq!(sim.packed_words(), 0);
+        assert_eq!(sim.settle_words(), sim.settle_program_len());
+        let nl = bit_fabric(MIN_PACK_LANES);
+        let sim = Simulator::new(&nl).unwrap();
+        assert_eq!(sim.packed_words(), 4, "one word per form");
+        assert_eq!(sim.packed_lanes(), MIN_PACK_LANES * 4);
+        assert_eq!(sim.settle_words(), 4);
+    }
+
+    /// Construction and every reset evaluate the whole program exactly
+    /// once: one pass of `settle_program_len()` ops. Checked on a packed
+    /// program (8 words, a partial bitmap word) and a 300-op scalar chain
+    /// (several bitmap words, the last one partial).
+    #[test]
+    fn construction_and_reset_cost_one_full_pass() {
+        let fabric = bit_fabric(70);
+        let mut chain = Netlist::new("chain");
+        let mut cur = chain.add_input("a", 8);
+        for i in 0..300 {
+            let y = chain.add_net(format!("n{i}"), 8);
+            chain
+                .add_cell(format!("not{i}"), CellOp::Not, &[cur], &[y])
+                .unwrap();
+            cur = y;
+        }
+        chain.mark_output(cur);
+        for (nl, input) in [(&fabric, "a3"), (&chain, "a")] {
+            let mut sim = Simulator::new(nl).unwrap();
+            let len = sim.settle_program_len() as u64;
+            assert_eq!(sim.settle_passes(), 1, "{}: construction", nl.name());
+            assert_eq!(sim.settle_ops(), len, "{}: construction", nl.name());
+            let mut rng = crate::rng::DetRng::new(0xE16);
+            for round in 0..3 {
+                for _ in 0..20 {
+                    sim.poke(input, rng.next_u64()).unwrap();
+                    sim.step().unwrap();
                 }
-            }
-            if cycle == 97 {
-                for s in [&mut packed, &mut scalar, &mut full] {
-                    s.reset();
-                }
-            }
-            for s in [&mut packed, &mut scalar, &mut full] {
-                s.step().unwrap();
-            }
-            for (nid, _) in nl.nets() {
-                let v = packed.peek_net(nid);
-                assert_eq!(v, scalar.peek_net(nid), "net {nid} vs scalar");
-                assert_eq!(v, full.peek_net(nid), "net {nid} vs full");
+                let (ops, passes) = (sim.settle_ops(), sim.settle_passes());
+                sim.reset();
+                assert_eq!(sim.settle_passes(), passes + 1, "{} reset {round}", nl.name());
+                assert_eq!(sim.settle_ops(), ops + len, "{} reset {round}", nl.name());
             }
         }
-        assert_eq!(packed.settle_passes(), scalar.settle_passes());
-        assert_eq!(
-            full.settle_ops(),
-            full.settle_passes() * full.settle_program_len() as u64,
-            "lane-weighted counting keeps the full-pass identity"
-        );
     }
 
     /// A deep scalar chain, one op per rank, settles in order on the
-    /// event-driven path and agrees with full settling.
+    /// event-driven path: a poke that flips every net costs exactly the
+    /// full program, like a full settle.
     #[test]
     fn deep_chain_event_settle_matches_full_settle() {
         let mut nl = Netlist::new("chain");
@@ -1637,16 +1567,14 @@ mod tests {
             cur = y;
         }
         nl.mark_output(cur);
-        let mut sim = Simulator::new_with_packing(&nl, true).unwrap();
-        let mut full = Simulator::new_with_packing(&nl, true).unwrap();
-        full.set_event_driven(false);
+        let mut sim = Simulator::new(&nl).unwrap();
         assert_eq!(sim.settle_words(), 300);
         for v in [0x5A, 0x00, 0xFF] {
+            let ops = sim.settle_ops();
             sim.poke("a", v).unwrap();
-            full.poke("a", v).unwrap();
             // even number of NOTs → identity
             assert_eq!(sim.peek_net(cur), v);
-            assert_eq!(full.peek_net(cur), v);
+            assert_eq!(sim.settle_ops() - ops, 300, "every op flips");
         }
         assert_eq!(sim.settle_parallel_passes(), 0, "settling is serial");
     }

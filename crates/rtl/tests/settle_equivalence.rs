@@ -1,16 +1,21 @@
-//! Differential property tests for the settle engines: on randomly
-//! generated netlists, the event-driven and bit-packed simulators must
-//! agree with a forced scalar full-program simulator on every net value,
-//! every register's stored state, and every trace row,
-//! across long runs of random pokes and mid-run resets (deterministic
-//! `DetRng` loops — no external dependencies). Generator profiles bias
-//! toward RAM-heavy, wide-bus, and 1-bit-heavy shapes so each engine's
-//! fast paths (packed words, aligned slots) are all exercised.
+//! Differential property tests for the settle engine: on randomly
+//! generated netlists, the production simulator (event-driven, bit-packed
+//! where groups are wide enough) must agree with the independent
+//! full-settle interpreter in `support/reference.rs` on every net value,
+//! every register's stored state, and every trace row, across long runs
+//! of random pokes and mid-run resets (deterministic `DetRng` loops — no
+//! external dependencies). Generator profiles bias toward RAM-heavy,
+//! wide-bus, and 1-bit-heavy shapes so the engine's fast paths (packed
+//! words, aligned slots) are all exercised.
+
+#[path = "support/reference.rs"]
+mod reference;
 
 use hermes_rtl::component::Comparison;
 use hermes_rtl::netlist::{CellId, CellOp, NetId, Netlist};
 use hermes_rtl::rng::DetRng;
 use hermes_rtl::sim::Simulator;
+use reference::ReferenceSimulator;
 
 /// Shape bias for the random netlist generator.
 #[derive(Clone, Copy)]
@@ -250,81 +255,11 @@ fn random_netlist_with(rng: &mut DetRng, profile: Profile) -> Netlist {
     nl
 }
 
-#[test]
-fn event_driven_settle_equals_full_settle() {
-    let mut rng = DetRng::new(0xE13_5E771E);
-    for case in 0..24u64 {
-        let nl = random_netlist(&mut rng);
-        nl.validate().expect("generated netlist is structurally valid");
-        let inputs: Vec<NetId> = nl.inputs().to_vec();
-        let reg_cells: Vec<CellId> = nl
-            .cells()
-            .filter(|(_, c)| matches!(c.op, CellOp::Register { .. }))
-            .map(|(cid, _)| cid)
-            .collect();
-        let traced: Vec<NetId> = nl.nets().map(|(id, _)| id).take(8).collect();
-
-        let mut ev = Simulator::new(&nl).expect("event sim builds");
-        let mut full = Simulator::new(&nl).expect("full sim builds");
-        ev.set_event_driven(true);
-        full.set_event_driven(false);
-        ev.enable_trace(&traced);
-        full.enable_trace(&traced);
-
-        for cycle in 0..1000u64 {
-            if rng.chance(0.3) {
-                let id = inputs[rng.below(inputs.len() as u64) as usize];
-                let v = rng.next_u64();
-                ev.poke_net(id, v);
-                full.poke_net(id, v);
-            }
-            if rng.chance(0.005) {
-                ev.reset();
-                full.reset();
-            }
-            ev.step().expect("event step");
-            full.step().expect("full step");
-            for (nid, _) in nl.nets() {
-                assert_eq!(
-                    ev.peek_net(nid),
-                    full.peek_net(nid),
-                    "case {case} cycle {cycle}: net {nid} diverged"
-                );
-            }
-            for &cid in &reg_cells {
-                assert_eq!(
-                    ev.register_state(cid),
-                    full.register_state(cid),
-                    "case {case} cycle {cycle}: register {cid} diverged"
-                );
-            }
-        }
-        assert_eq!(ev.settle_passes(), full.settle_passes(), "case {case}");
-        assert!(
-            ev.settle_ops() <= full.settle_ops(),
-            "case {case}: event-driven can never do more work"
-        );
-        let (te, tf) = (ev.take_trace().unwrap(), full.take_trace().unwrap());
-        assert_eq!(te.rows, tf.rows, "case {case}: trace rows diverged");
-        assert_eq!(
-            te.render(&nl),
-            tf.render(&nl),
-            "case {case}: rendered traces diverged"
-        );
-    }
-}
-
-/// Drive a panel of simulators in lockstep through random pokes, mid-run
-/// resets, and steps, asserting every net, register, and trace row stays
-/// identical to the reference (index 0) throughout.
-fn lockstep(
-    nl: &Netlist,
-    sims: &mut [(&'static str, Simulator)],
-    rng: &mut DetRng,
-    cycles: u64,
-    reset_p: f64,
-    tag: &str,
-) {
+/// Drive the production simulator and the reference in lockstep through
+/// random pokes, mid-run resets, and steps, asserting every net, register,
+/// and trace row stays identical throughout.
+fn lockstep(nl: &Netlist, rng: &mut DetRng, cycles: u64, reset_p: f64, tag: &str) {
+    nl.validate().expect("generated netlist is structurally valid");
     let inputs: Vec<NetId> = nl.inputs().to_vec();
     let reg_cells: Vec<CellId> = nl
         .cells()
@@ -332,53 +267,57 @@ fn lockstep(
         .map(|(cid, _)| cid)
         .collect();
     let traced: Vec<NetId> = nl.nets().map(|(id, _)| id).take(8).collect();
-    for (_, s) in sims.iter_mut() {
-        s.enable_trace(&traced);
-    }
+    let mut sim = Simulator::new(nl).expect("sim builds");
+    let mut oracle = ReferenceSimulator::new(nl);
+    sim.enable_trace(&traced);
+    oracle.enable_trace(&traced);
     for cycle in 0..cycles {
         if !inputs.is_empty() && rng.chance(0.3) {
             let id = inputs[rng.below(inputs.len() as u64) as usize];
             let v = rng.next_u64();
-            for (_, s) in sims.iter_mut() {
-                s.poke_net(id, v);
-            }
+            sim.poke_net(id, v);
+            oracle.poke_net(id, v);
         }
         if rng.chance(reset_p) {
-            for (_, s) in sims.iter_mut() {
-                s.reset();
-            }
+            sim.reset();
+            oracle.reset();
         }
-        for (_, s) in sims.iter_mut() {
-            s.step().expect("step");
+        sim.step().expect("step");
+        oracle.step();
+        for (nid, _) in nl.nets() {
+            assert_eq!(
+                sim.peek_net(nid),
+                oracle.peek_net(nid),
+                "{tag} cycle {cycle}: net {nid} diverged from the reference"
+            );
         }
-        let (ref_name, reference) = &sims[0];
-        for (name, s) in &sims[1..] {
-            for (nid, _) in nl.nets() {
-                assert_eq!(
-                    s.peek_net(nid),
-                    reference.peek_net(nid),
-                    "{tag} cycle {cycle}: net {nid} diverged ({name} vs {ref_name})"
-                );
-            }
-            for &cid in &reg_cells {
-                assert_eq!(
-                    s.register_state(cid),
-                    reference.register_state(cid),
-                    "{tag} cycle {cycle}: register {cid} diverged ({name} vs {ref_name})"
-                );
-            }
+        for &cid in &reg_cells {
+            assert_eq!(
+                sim.register_state(cid),
+                oracle.register_state(cid),
+                "{tag} cycle {cycle}: register {cid} diverged from the reference"
+            );
         }
     }
-    let reference = sims[0].1.take_trace().unwrap();
-    for (name, s) in &mut sims[1..] {
-        let t = s.take_trace().unwrap();
-        assert_eq!(t.rows, reference.rows, "{tag}: trace rows diverged ({name})");
+    assert!(
+        sim.settle_ops() <= sim.settle_passes() * sim.settle_program_len() as u64,
+        "{tag}: event-driven can never do more work than full passes"
+    );
+    let trace = sim.take_trace().expect("trace enabled");
+    assert_eq!(trace.rows, oracle.rows, "{tag}: trace rows diverged");
+}
+
+#[test]
+fn event_driven_settle_equals_full_settle() {
+    let mut rng = DetRng::new(0xE13_5E771E);
+    for case in 0..24u64 {
+        let nl = random_netlist(&mut rng);
+        lockstep(&nl, &mut rng, 1000, 0.005, &format!("case {case}"));
     }
 }
 
-/// Triple check across generator profiles: packed-event vs scalar-event
-/// vs scalar-full must stay bit-identical on RAM-heavy, wide-bus, and
-/// 1-bit-heavy netlists through frequent mid-run resets.
+/// The reference check across generator profiles: RAM-heavy, wide-bus,
+/// and 1-bit-heavy netlists through frequent mid-run resets.
 #[test]
 fn packed_scalar_full_triple_check() {
     let mut rng = DetRng::new(0xE16_7121);
@@ -389,30 +328,7 @@ fn packed_scalar_full_triple_check() {
     ] {
         for case in 0..8u64 {
             let nl = random_netlist_with(&mut rng, profile);
-            nl.validate().expect("generated netlist is structurally valid");
-            let mut full = Simulator::new_with_packing(&nl, false).expect("full sim");
-            full.set_event_driven(false);
-            let packed = Simulator::new_with_packing(&nl, true).expect("packed sim");
-            let scalar = Simulator::new_with_packing(&nl, true).expect("scalar sim");
-            let mut scalar = scalar;
-            // keep one event-driven sim genuinely scalar even on netlists
-            // where the compiler would pack
-            if scalar.packed_words() > 0 {
-                scalar = Simulator::new_with_packing(&nl, false).expect("scalar rebuild");
-            }
-            let mut sims = [
-                ("scalar_full", full),
-                ("packed_event", packed),
-                ("scalar_event", scalar),
-            ];
-            lockstep(
-                &nl,
-                &mut sims,
-                &mut rng,
-                400,
-                0.02,
-                &format!("{pname} case {case}"),
-            );
+            lockstep(&nl, &mut rng, 400, 0.02, &format!("{pname} case {case}"));
         }
     }
 }
