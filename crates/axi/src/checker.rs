@@ -42,7 +42,7 @@ impl ProtocolChecker {
     }
 
     /// Advance the checker across `n` cycles at once. Only legal when no
-    /// channel activity happens in the crossed interval (the event-kernel
+    /// channel activity happens in the crossed interval (the testbench's
     /// fast-forward over provably quiet slave cycles): the checker is
     /// purely reactive, so skipping inactive cycles cannot miss a rule.
     pub fn tick_n(&mut self, n: u64) {

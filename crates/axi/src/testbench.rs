@@ -11,7 +11,6 @@ use crate::master::AxiMaster;
 use crate::memory::{AxiMemory, MemoryTiming};
 use crate::transaction::Response;
 use crate::AxiError;
-use hermes_kernel::{DomainId, DomainRegistry, TimerWheel, WheelStats};
 
 /// Aggregated traffic statistics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -122,37 +121,6 @@ impl BusStats {
     }
 }
 
-/// A timer posted into the event kernel during a blocking wait: either
-/// the end of the slave's provably-quiet gap or the caller's timeout /
-/// idle-budget deadline. The earlier one wins the wait quantum; the
-/// loser is cancelled so it cannot linger as a stale entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum AxiTimer {
-    /// The slave can do observable work again (latency/stall drained).
-    MemoryReady,
-    /// The caller's timeout or idle budget expires.
-    Deadline,
-}
-
-/// Event-kernel domain ids for the bus timers; `(time, domain, seq)`
-/// tie-break makes a gap ending exactly at the deadline resolve to the
-/// memory wake deterministically.
-#[derive(Debug)]
-struct AxiDomains {
-    memory: DomainId,
-    timeout: DomainId,
-}
-
-impl AxiDomains {
-    fn register() -> Self {
-        let mut reg = DomainRegistry::new();
-        AxiDomains {
-            memory: reg.register("axi.memory"),
-            timeout: reg.register("axi.timeout"),
-        }
-    }
-}
-
 /// The testbench harness.
 #[derive(Debug)]
 pub struct AxiTestbench {
@@ -164,10 +132,6 @@ pub struct AxiTestbench {
     pub timeout_cycles: u64,
     /// Optional retry policy (off by default — errors surface immediately).
     pub retry: Option<RetryPolicy>,
-    /// Wait timers: blocking waits fast-forward quiet slave cycles
-    /// through the unified event kernel (DESIGN.md §14).
-    sched: TimerWheel<AxiTimer>,
-    domains: AxiDomains,
     /// Bus cycles advanced one step at a time.
     ticks_polled: u64,
     /// Bus cycles crossed by quiet-gap fast-forward.
@@ -190,8 +154,6 @@ impl AxiTestbench {
             stats: BusStats::default(),
             timeout_cycles: 1_000_000,
             retry: None,
-            sched: TimerWheel::new(),
-            domains: AxiDomains::register(),
             ticks_polled: 0,
             ticks_skipped: 0,
         }
@@ -203,8 +165,8 @@ impl AxiTestbench {
         self
     }
 
-    /// Bus cycles advanced one step at a time (the polled work the event
-    /// kernel could not skip).
+    /// Bus cycles advanced one step at a time (the polled work that
+    /// quiet-gap fast-forward could not skip).
     pub fn ticks_polled(&self) -> u64 {
         self.ticks_polled
     }
@@ -212,11 +174,6 @@ impl AxiTestbench {
     /// Bus cycles crossed by quiet-gap fast-forward.
     pub fn ticks_skipped(&self) -> u64 {
         self.ticks_skipped
-    }
-
-    /// Event-kernel scheduler counters (posted/popped/cancelled/…).
-    pub fn kernel_stats(&self) -> &WheelStats {
-        self.sched.stats()
     }
 
     /// Direct (zero-time) access to the slave memory for initialization.
@@ -250,37 +207,16 @@ impl AxiTestbench {
     /// toward `stop` (the absolute cycle where the caller's timeout check
     /// or idle budget fires) and return the cycles advanced.
     ///
-    /// With the slave provably quiet, the quiet gap's end and the
-    /// deadline are posted as timers; the earlier pop wins, the loser is
-    /// cancelled, and the whole span up to the winner is crossed in one
-    /// bulk advance. Otherwise — the slave can do observable work next
-    /// cycle — this is exactly one [`step`].
+    /// With the slave provably quiet, the span up to the earlier of the
+    /// quiet gap's end and `stop` (DESIGN.md §14) is crossed in one bulk
+    /// advance. Otherwise — the slave can do observable work next cycle
+    /// — this is exactly one [`step`].
     fn advance_toward(&mut self, stop: u64) -> u64 {
         let now = self.stats.cycles;
         if now < stop {
             let quiet = self.memory.quiet_cycles();
             if quiet > 0 {
-                let mem = (quiet < u64::MAX - now).then(|| {
-                    self.sched
-                        .post(now + quiet, self.domains.memory, AxiTimer::MemoryReady)
-                        .expect("quiet gap ends in the future")
-                });
-                let deadline = self
-                    .sched
-                    .post(stop, self.domains.timeout, AxiTimer::Deadline)
-                    .expect("deadline is in the future");
-                let ev = self.sched.pop_next().expect("a timer was just posted");
-                match ev.payload {
-                    AxiTimer::MemoryReady => {
-                        self.sched.cancel(deadline);
-                    }
-                    AxiTimer::Deadline => {
-                        if let Some(token) = mem {
-                            self.sched.cancel(token);
-                        }
-                    }
-                }
-                let k = ev.time - now;
+                let k = quiet.min(stop - now);
                 self.memory.advance_quiet(k);
                 self.checker.tick_n(k);
                 self.stats.cycles += k;
@@ -696,22 +632,6 @@ mod tests {
             tb.ticks_polled() + tb.ticks_skipped(),
             tb.stats().cycles,
             "every bus cycle is either polled or skipped"
-        );
-    }
-
-    #[test]
-    fn event_kernel_cancels_the_losing_wait_timer() {
-        let (tb, _) = drive();
-        let ks = tb.kernel_stats();
-        assert!(ks.posted > 0 && ks.popped > 0);
-        assert!(
-            ks.cancelled > 0,
-            "each wait quantum cancels its losing timer: {ks:?}"
-        );
-        assert_eq!(
-            ks.posted,
-            ks.popped + ks.cancelled,
-            "no timer lingers: every post is popped or cancelled"
         );
     }
 

@@ -1,26 +1,22 @@
-//! E18 — Unified discrete-event kernel: cross-layer fast-forward wins.
+//! E18 — Cross-layer fast-forward wins.
 //!
-//! PR 9 replaced the three biggest polling loops — the serving engine's
-//! per-tick arrival/completion scan, the XNG hypervisor's quiet-tick
-//! march, and the AXI testbench's latency/timeout wait loops — with one
-//! hierarchical timer-wheel kernel (`crates/kernel`, DESIGN.md §14).
-//! The host is a single shared core, so E18 proves the win the only way
-//! that is deterministic there: **algorithmically**, by counting the
-//! scheduler passes each layer actually executes (polled ticks) against
-//! the simulated ticks it fast-forwards over (skipped ticks).
+//! The serving engine, the XNG hypervisor and the AXI testbench each skip
+//! quiet time: after every step a layer takes the minimum of the due
+//! ticks it computes from live state and jumps straight there
+//! (DESIGN.md §14) instead of polling every tick. E18 proves the win the
+//! only way that is deterministic on a shared host: **algorithmically**,
+//! by counting the scheduler passes each layer actually executes (polled
+//! ticks) against the simulated ticks it fast-forwards over (skipped
+//! ticks).
 //!
-//! (a) runs each layer's co-sim leg with the event kernel on — serve at
-//! 50% offered load under a pool chaos campaign, an XNG schedule with
-//! native tasks + a yielding guest + an expiring watchdog, and an AXI
-//! command sequence with slow memory, error retries, a stall-tripped
-//! timeout, and an idle window — and gates the cross-layer polled-tick
-//! reduction at **>= 10x**. Row order is itself produced by the kernel:
-//! each leg's completion is posted to a [`TimerWheel`] and drained
-//! through an [`EventSink`] in `(time, domain, seq)` order.
-//! (b) exports the wheel health counters (occupancy, overflow, cascades)
-//! per layer and in aggregate through `hermes-obs` under `kernel`.
+//! (a) runs each layer's co-sim leg — serve at 50% offered load under a
+//! pool chaos campaign, an XNG schedule with native tasks + a yielding
+//! guest + an expiring watchdog, and an AXI command sequence with slow
+//! memory, error retries, a stall-tripped timeout, and an idle window —
+//! and gates the cross-layer polled-tick reduction at **>= 10x**. Rows
+//! are ordered by span (ties keep the serve, xng, axi order).
 //!
-//! The kernel moves *when work happens on the host*, never *what the
+//! Fast-forward moves *when work happens on the host*, never *what the
 //! simulation computes*. Tests hold that identity against oracles kept
 //! in test code: `determinism.rs::event_kernel_knob_never_moves_results`
 //! pins a digest of all three legs recorded from the polling engines,
@@ -35,7 +31,6 @@ use hermes_axi::memory::MemoryTiming;
 use hermes_axi::testbench::{AxiTestbench, RetryPolicy};
 use hermes_chaos::plan::{FaultPlan, FaultPlanConfig};
 use hermes_cpu::memmap::layout;
-use hermes_kernel::{DomainRegistry, Event, EventSink, TimerWheel, WheelStats};
 use hermes_serve::engine::ServeEngine;
 use hermes_serve::workload;
 use hermes_xng::config::{MemRegion, PartitionConfig, Plan, Slot, XngConfig};
@@ -58,8 +53,6 @@ struct LayerRun {
     polled: u64,
     /// Ticks fast-forwarded.
     skipped: u64,
-    /// Wheel health counters.
-    wheel: WheelStats,
 }
 
 impl LayerRun {
@@ -95,7 +88,6 @@ fn serve_leg() -> LayerRun {
         span: report.makespan,
         polled: engine.wakes(),
         skipped: report.makespan.saturating_sub(engine.wakes()),
-        wheel: *engine.kernel_stats(),
     }
 }
 
@@ -149,7 +141,6 @@ fn xng_leg() -> LayerRun {
         span: hv.time(),
         polled: hv.ticks_polled(),
         skipped: hv.ticks_skipped(),
-        wheel: *hv.kernel_stats(),
     }
 }
 
@@ -191,42 +182,19 @@ fn axi_leg() -> LayerRun {
         span: tb.stats().cycles,
         polled: tb.ticks_polled(),
         skipped: tb.ticks_skipped(),
-        wheel: *tb.kernel_stats(),
     }
 }
 
-/// Run E18, tracing wheel counters into `obs` under `kernel`. Every leg
-/// runs inline, so `jobs` is unused.
-pub fn run(_jobs: usize, obs: &hermes_obs::Recorder) -> ExperimentOutput {
-    let legs = [serve_leg(), xng_leg(), axi_leg()];
+/// Run E18. Every leg runs inline, so `jobs` is unused, and it records
+/// nothing into `obs`.
+pub fn run(_jobs: usize, _obs: &hermes_obs::Recorder) -> ExperimentOutput {
+    let mut legs = [serve_leg(), xng_leg(), axi_leg()];
+    legs.sort_by_key(|leg| leg.span);
 
-    // The kernel merges its own result rows: one completion event per
-    // layer, posted at that layer's span and drained through an
-    // EventSink — E18a's row order is the wheel's deterministic
-    // `(time, domain, seq)` pop order, exercising the sink contract in
-    // production rather than only in unit tests.
-    let mut registry = DomainRegistry::new();
-    let mut wheel: TimerWheel<usize> = TimerWheel::new();
-    for (idx, leg) in legs.iter().enumerate() {
-        let domain = registry.register(leg.name);
-        wheel.post(leg.span, domain, idx).expect("leg spans are positive");
-    }
-    struct MergeOrder(Vec<usize>);
-    impl EventSink<usize> for MergeOrder {
-        fn deliver(&mut self, ev: Event<usize>) {
-            self.0.push(ev.payload);
-        }
-    }
-    let mut merged = MergeOrder(Vec::new());
-    let horizon = legs.iter().map(|l| l.span).max().expect("three legs");
-    let delivered = wheel.drain_due(horizon, &mut merged);
-    assert_eq!(delivered, legs.len(), "every layer completion drains");
-
-    // E18a: polled-vs-skipped ledger per layer, in kernel merge order.
+    // E18a: polled-vs-skipped ledger per layer, shortest span first.
     let mut ledger = Table::new(&["layer", "span_ticks", "polled", "skipped", "reduction_x"]);
     let (mut total_span, mut total_polled, mut total_skipped) = (0u64, 0u64, 0u64);
-    for &idx in &merged.0 {
-        let leg = &legs[idx];
+    for leg in &legs {
         assert!(leg.skipped > 0, "{} leg must fast-forward", leg.name);
         ledger.row(cells![leg.name, leg.span, leg.polled, leg.skipped, leg.reduction()]);
         total_span += leg.span;
@@ -237,67 +205,16 @@ pub fn run(_jobs: usize, obs: &hermes_obs::Recorder) -> ExperimentOutput {
     ledger.row(cells!["total", total_span, total_polled, total_skipped, total_reduction]);
     assert!(
         total_reduction >= 10,
-        "event kernel must cut cross-layer scheduler passes >= 10x \
+        "fast-forward must cut cross-layer scheduler passes >= 10x \
          (span {total_span}, polled {total_polled})"
     );
 
-    // E18b: wheel health counters, per layer and aggregated, exported
-    // through hermes-obs under `kernel`.
-    let mut health = Table::new(&[
-        "layer",
-        "posted",
-        "popped",
-        "cancelled",
-        "cascades",
-        "max_occupancy",
-        "max_overflow",
-    ]);
-    let mut agg = WheelStats::default();
-    for leg in &legs {
-        let w = &leg.wheel;
-        assert!(w.posted > 0 && w.popped > 0, "{} leg uses the wheel: {w:?}", leg.name);
-        health.row(cells![
-            leg.name,
-            w.posted,
-            w.popped,
-            w.cancelled,
-            w.cascades,
-            w.max_occupancy,
-            w.max_overflow
-        ]);
-        agg.posted += w.posted;
-        agg.popped += w.popped;
-        agg.cancelled += w.cancelled;
-        agg.cascades += w.cascades;
-        agg.cascaded_events += w.cascaded_events;
-        agg.max_occupancy = agg.max_occupancy.max(w.max_occupancy);
-        agg.max_overflow = agg.max_overflow.max(w.max_overflow);
-    }
-    health.row(cells![
-        "total",
-        agg.posted,
-        agg.popped,
-        agg.cancelled,
-        agg.cascades,
-        agg.max_occupancy,
-        agg.max_overflow
-    ]);
-    assert!(
-        agg.max_overflow > 0 && agg.cascades > 0,
-        "long horizons must exercise the overflow calendar: {agg:?}"
-    );
-    agg.export(obs, "kernel");
-
     let text = format!(
-        "E18a: polled vs skipped scheduler passes per layer (kernel on), \
-         rows in the wheel's own merge order; gate: total reduction >= 10x\n{}\n\
-         E18b: timer-wheel health counters (kernel on), exported under `kernel`\n{}",
+        "E18a: polled vs skipped scheduler passes per layer, rows in span order; \
+         gate: total reduction >= 10x\n{}",
         ledger.render(),
-        health.render(),
     );
-    ExperimentOutput::new(text)
-        .with("e18a", "event-kernel polled-tick reduction", ledger)
-        .with("e18b", "timer-wheel health counters", health)
+    ExperimentOutput::new(text).with("e18a", "event-kernel polled-tick reduction", ledger)
 }
 
 #[cfg(test)]
@@ -310,7 +227,6 @@ mod tests {
     fn each_leg_fast_forwards_and_matches_the_polling_engine() {
         for leg in [serve_leg(), xng_leg(), axi_leg()] {
             assert!(leg.skipped > 0, "{} must skip", leg.name);
-            assert!(leg.wheel.posted >= leg.wheel.popped);
         }
     }
 

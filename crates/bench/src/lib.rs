@@ -33,8 +33,9 @@
 //! default, and the alternates are reachable only through typed hooks —
 //! `cache::set_bypass` and `par::set_jobs_override`. DESIGN.md's "Engine
 //! selection" table names the test that pins each one. The RTL settle
-//! engine and the event kernel have no alternate: their oracles (the
-//! reference interpreter, the sorted reference queue) live in tests.
+//! engine and the fast-forward wake rules have no alternate: their
+//! oracles (the reference interpreter, the per-tick polling loops) live
+//! in tests.
 
 pub mod e1_hls_flow;
 pub mod e2_fpga_flow;

@@ -56,9 +56,8 @@ fn e16_parallel_matches_serial() {
     assert_eq!(strip(&serial), strip(&parallel));
 }
 
-/// E18's legs all run inline; like every other experiment its tables
-/// (tick ledgers, wheel counters) must not move with
-/// the worker count.
+/// E18's legs all run inline; like every other experiment its tick
+/// ledger must not move with the worker count.
 #[test]
 fn e18_parallel_matches_serial() {
     let serial = hermes_bench::e18_eventkernel::run(1, &Recorder::disabled()).text;
@@ -85,11 +84,11 @@ fn e19_parallel_matches_serial() {
 /// serve, the per-tick loops for XNG and AXI.
 const E18_POLLED_DIGEST: u64 = 0x7b89_6546_e81b_3b5c;
 
-/// The event kernel moves *when work happens on the host*, never *what
-/// the simulation computes*. E18's serving leg (E14-shaped: chaos on the
+/// Fast-forward moves *when work happens on the host*, never *what the
+/// simulation computes*. E18's serving leg (E14-shaped: chaos on the
 /// pool), hypervisor leg (E10-shaped: crashes, restarts, an expiring
-/// watchdog) and AXI leg (SLVERR retries, a timeout, idle gaps) run on
-/// the timer wheel and must reproduce the digest the polling engines
+/// watchdog) and AXI leg (SLVERR retries, a timeout, idle gaps) jump to
+/// their next due tick and must reproduce the digest the polling engines
 /// recorded: the serve report render; the hypervisor's clock,
 /// escalations, HM log and per-partition stats; the AXI per-operation
 /// costs and bus statistics.
@@ -112,6 +111,20 @@ fn event_kernel_knob_never_moves_results() {
     }
     h.str(&format!("{:?}", tb.stats()));
     assert_eq!(h.finish(), E18_POLLED_DIGEST, "E18 digest moved: {:#018x}", h.finish());
+}
+
+/// Scheduler passes of E18's serve, XNG and AXI legs, recorded when every
+/// wake still came off a timer wheel. The digest above pins results; this
+/// pins how much work fast-forward leaves, so a wake rule that also woke
+/// on ticks with nothing due fails here.
+const E18_POLLED: [u64; 3] = [1128, 474, 59];
+
+#[test]
+fn e18_polled_ticks_are_pinned() {
+    use hermes_bench::e18_eventkernel::{axi_run, serve_run, xng_run};
+    let (_, engine) = serve_run();
+    let polled = [engine.wakes(), xng_run().ticks_polled(), axi_run().0.ticks_polled()];
+    assert_eq!(polled, E18_POLLED, "serve wakes, XNG and AXI polled ticks");
 }
 
 /// The flight recorder holds the same contract as the tables: a trace

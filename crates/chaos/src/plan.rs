@@ -477,21 +477,6 @@ impl FaultPlan {
         self.events.get(self.cursor).map(|e| e.cycle)
     }
 
-    /// The distinct cycles of every undrained event, in order — the
-    /// event-kernel drivers post the whole fault timeline up front
-    /// instead of peeking the plan every tick.
-    pub fn pending_cycles(&self) -> impl Iterator<Item = u64> + '_ {
-        let mut last = None;
-        self.events[self.cursor..].iter().filter_map(move |e| {
-            if last == Some(e.cycle) {
-                None
-            } else {
-                last = Some(e.cycle);
-                Some(e.cycle)
-            }
-        })
-    }
-
     /// Map a normalized 16-bit position onto `[0, size)`.
     pub fn scale(pos_num: u16, size: u64) -> u64 {
         (u64::from(pos_num) * size) >> 16

@@ -3,10 +3,11 @@
 //! Every shard is an independent [`ServeEngine`] (own admission queue,
 //! own accelerator pool) that the fleet drives externally through the
 //! serve crate's stepping API (`submit`/`advance`/`next_due`). The fleet
-//! itself runs on a single [`hermes_kernel::TimerWheel`] timeline with
-//! five timer domains — arrival, shard, chaos, scaler, revive — popped in
-//! deterministic `(time, domain, seq)` order, so the whole fleet is as
-//! replayable as one engine: byte-identical on every replay.
+//! clock jumps from wake to wake: after each step it takes the minimum
+//! of every due tick it can compute from live state — next arrival, each
+//! shard's `next_due`, each dead shard's revive, the next chaos fault and
+//! autoscaler evaluation — so the whole fleet is as replayable as one
+//! engine: byte-identical on every replay.
 //!
 //! Routing: a request's tenant hashes onto the consistent-hash
 //! [`HashRing`]; that home shard takes it unless the home's queue
@@ -32,7 +33,6 @@ use crate::ring::HashRing;
 use crate::scaler::{Autoscaler, FleetSample, ScaleAction, ScalerConfig};
 use crate::{mix64, Tick};
 use hermes_chaos::plan::{FaultKind, FaultPlan};
-use hermes_kernel::{DomainId, DomainRegistry, TimerWheel, WheelStats};
 use hermes_obs::{ClockDomain, Histogram, Recorder};
 use hermes_serve::engine::{ServeConfig, ServeEngine, ServeReport};
 use hermes_serve::model::AcceleratorModel;
@@ -91,48 +91,19 @@ struct Shard {
     report: Option<ServeReport>,
 }
 
-/// The fleet timers posted into the kernel, one domain each.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FleetTimer {
-    /// Next request reaches the balancer.
-    Arrival,
-    /// Shard `i` has work due (its `next_due`).
-    Shard(usize),
-    /// A scheduled chaos fault.
-    Chaos,
-    /// The next autoscaler evaluation.
-    Scaler,
-    /// Shard `i`'s outage ends.
-    Revive(usize),
-}
-
-struct FleetDomains {
-    arrival: DomainId,
-    shard: DomainId,
-    chaos: DomainId,
-    scaler: DomainId,
-    revive: DomainId,
-}
-
-impl FleetDomains {
-    fn register() -> Self {
-        let mut reg = DomainRegistry::new();
-        FleetDomains {
-            arrival: reg.register("arrival"),
-            shard: reg.register("shard"),
-            chaos: reg.register("chaos"),
-            scaler: reg.register("scaler"),
-            revive: reg.register("revive"),
-        }
-    }
-}
-
-/// Last posted due tick per timer kind (see the serve engine's memo).
-#[derive(Debug, Default)]
-struct FleetMemo {
-    arrival: Option<Tick>,
-    shard: Vec<Option<Tick>>,
-    scaler: Option<Tick>,
+/// What [`FleetEngine::kernel_stats`] returns. The fleet holds no timer
+/// queue, so every field is always 0; the type stays only because the
+/// benchmark still reads it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct KernelStats {
+    /// No timer queue, always 0.
+    pub posted: u64,
+    /// No timer queue, always 0.
+    pub popped: u64,
+    /// No timer queue, always 0.
+    pub cancelled: u64,
+    /// No timer queue, always 0.
+    pub cascades: u64,
 }
 
 /// The accounted outcome of one fleet run.
@@ -201,7 +172,7 @@ impl FleetReport {
     }
 
     /// Deterministic multi-line rendering — the byte-identity artifact
-    /// the CI replay/kernel-knob gates diff. Includes every shard's own
+    /// the CI replay gates diff. Includes every shard's own
     /// render, so a single diverging shard is immediately visible.
     pub fn render(&self) -> String {
         let mut s = String::new();
@@ -253,14 +224,10 @@ pub struct FleetEngine {
     scaler: Option<Autoscaler>,
     obs: Recorder,
     now: Tick,
-    memo: FleetMemo,
-    /// `(revive tick, shard)` pairs awaiting a timer post.
-    pending_revives: Vec<(Tick, usize)>,
     next_eval: Tick,
     /// Cumulative merged latency snapshot at the last scaler evaluation.
     prev_latency: Option<Histogram>,
     wakes: u64,
-    kernel_stats: WheelStats,
     // accounting
     offered: u64,
     balancer_shed: u64,
@@ -285,12 +252,9 @@ impl FleetEngine {
             scaler: None,
             obs: Recorder::disabled(),
             now: 0,
-            memo: FleetMemo::default(),
-            pending_revives: Vec::new(),
             next_eval: 0,
             prev_latency: None,
             wakes: 0,
-            kernel_stats: WheelStats::default(),
             cursor: 0,
             offered: 0,
             balancer_shed: 0,
@@ -352,9 +316,10 @@ impl FleetEngine {
         &self.obs
     }
 
-    /// Scheduler counters of the last `run`.
-    pub fn kernel_stats(&self) -> &WheelStats {
-        &self.kernel_stats
+    /// Timer-queue counters; the fleet holds no timer queue, so always 0.
+    /// Kept only for the benchmark, which still reads them.
+    pub fn kernel_stats(&self) -> KernelStats {
+        KernelStats::default()
     }
 
     /// Live (routable) shard indices, ascending.
@@ -371,7 +336,6 @@ impl FleetEngine {
         self.shards.push(Shard { engine, state: ShardState::Live, report: None });
         self.ring.add(i);
         self.routed.push(0);
-        self.memo.shard.push(None);
     }
 
     /// Route one request: consistent-hash home, power-of-two-choices
@@ -410,7 +374,6 @@ impl FleetEngine {
         self.shard_kills += 1;
         self.shards[victim].state = ShardState::Dead { until };
         self.ring.remove(victim);
-        self.pending_revives.push((until, victim));
         self.obs.instant(
             "fleet",
             "shard-kill",
@@ -598,102 +561,45 @@ impl FleetEngine {
         }
     }
 
-    fn post_timer(
-        sched: &mut TimerWheel<FleetTimer>,
-        memo: &mut Option<Tick>,
-        due: Option<Tick>,
-        now: Tick,
-        domain: DomainId,
-        timer: FleetTimer,
-    ) {
-        if let Some(t) = due {
-            if t > now && *memo != Some(t) {
-                sched.post(t, domain, timer).expect("future timer posts");
-                *memo = Some(t);
-            }
-        }
-    }
-
-    fn post_timers(&mut self, sched: &mut TimerWheel<FleetTimer>, d: &FleetDomains) {
+    /// The earliest tick strictly after `now` at which anything is due:
+    /// the next arrival, each Live or Draining shard's own `next_due`,
+    /// each Dead shard's revive, and — only while work remains — the next
+    /// chaos fault and autoscaler evaluation. `None` ends the run.
+    fn next_due(&self) -> Option<Tick> {
         let now = self.now;
-        let arrival = self.arrivals.get(self.cursor).map(|r| r.arrival);
-        Self::post_timer(sched, &mut self.memo.arrival, arrival, now, d.arrival, FleetTimer::Arrival);
-        for i in 0..self.shards.len() {
-            let due = match self.shards[i].state {
-                ShardState::Live | ShardState::Draining => self.shards[i].engine.next_due(),
-                _ => None,
-            };
-            Self::post_timer(sched, &mut self.memo.shard[i], due, now, d.shard, FleetTimer::Shard(i));
-        }
-        if self.scaler.is_some() && self.work_remains() {
-            let eval = Some(self.next_eval);
-            Self::post_timer(sched, &mut self.memo.scaler, eval, now, d.scaler, FleetTimer::Scaler);
-        }
-        for (t, i) in std::mem::take(&mut self.pending_revives) {
-            sched.post(t, d.revive, FleetTimer::Revive(i)).expect("revive is in the future");
-        }
-    }
-
-    /// Whether a popped timer still predicts tick `t` against live state.
-    fn timer_live(&self, timer: FleetTimer, t: Tick) -> bool {
-        match timer {
-            FleetTimer::Arrival => {
-                self.arrivals.get(self.cursor).map(|r| r.arrival) == Some(t)
-            }
-            FleetTimer::Shard(i) => match self.shards.get(i).map(|s| s.state) {
-                Some(ShardState::Live | ShardState::Draining) => {
-                    self.shards[i].engine.next_due() == Some(t)
+        let mut due: Option<Tick> = None;
+        let mut consider = |t: Option<Tick>| {
+            if let Some(t) = t {
+                if t > now && due.is_none_or(|d| t < d) {
+                    due = Some(t);
                 }
-                _ => false,
-            },
-            FleetTimer::Chaos => {
-                self.work_remains()
-                    && self.plan.as_ref().and_then(FaultPlan::peek_cycle) == Some(t)
             }
-            FleetTimer::Scaler => {
-                self.scaler.is_some() && self.work_remains() && self.next_eval == t
-            }
-            FleetTimer::Revive(i) => {
-                self.shards.get(i).map(|s| s.state) == Some(ShardState::Dead { until: t })
-            }
+        };
+        consider(self.arrivals.get(self.cursor).map(|r| r.arrival));
+        for shard in &self.shards {
+            consider(match shard.state {
+                ShardState::Live | ShardState::Draining => shard.engine.next_due(),
+                ShardState::Dead { until } => Some(until),
+                ShardState::Retired => None,
+            });
         }
-    }
-
-    fn next_wake(&mut self, sched: &mut TimerWheel<FleetTimer>) -> Option<Tick> {
-        while let Some(ev) = sched.pop_next() {
-            if ev.time > self.now && self.timer_live(ev.payload, ev.time) {
-                return Some(ev.time);
-            }
+        if self.work_remains() {
+            consider(self.plan.as_ref().and_then(FaultPlan::peek_cycle));
+            consider(self.scaler.as_ref().map(|_| self.next_eval));
         }
-        None
+        due
     }
 
     /// Run the fleet to completion and account every request.
     pub fn run(&mut self) -> FleetReport {
-        let mut sched: TimerWheel<FleetTimer> = TimerWheel::new();
-        let domains = FleetDomains::register();
-        if let Some(plan) = &self.plan {
-            for cycle in plan.pending_cycles() {
-                if cycle > 0 {
-                    sched
-                        .post(cycle, domains.chaos, FleetTimer::Chaos)
-                        .expect("fault timeline is in the future");
-                }
-            }
-        }
         loop {
             self.step();
             self.wakes += 1;
-            self.post_timers(&mut sched, &domains);
-            match self.next_wake(&mut sched) {
-                Some(t) => {
-                    debug_assert!(t > self.now, "fleet clock must advance");
-                    self.now = t;
-                }
+            match self.next_due() {
+                Some(t) => self.now = t,
                 None => break,
             }
         }
-        self.kernel_stats = *sched.stats();
         self.finalize()
     }
 

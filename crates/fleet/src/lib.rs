@@ -20,16 +20,17 @@
 //!   p99 deadline-pressure burn, drain-then-kill on sustained idleness;
 //! * [`engine`] — the [`FleetEngine`](engine::FleetEngine): routes each
 //!   request to its home shard (load-aware power-of-two-choices fallback
-//!   under pressure), steps every shard on one `hermes-kernel` timeline,
+//!   under pressure), steps every shard on one fleet clock,
 //!   applies `ShardKill` chaos by evacuating and re-routing the victim's
 //!   work, and produces the accounted [`FleetReport`](engine::FleetReport).
 //!
 //! ## Determinism contract
 //!
-//! The whole fleet advances on a single [`hermes_kernel::TimerWheel`]
-//! timeline; every routing, scaling, and failover decision is a function
-//! of tick arithmetic and seeded draws. Each shard evaluates its batch
-//! payloads inline, so fleet reports are byte-identical on every replay.
+//! The whole fleet advances on one clock that wakes at the earliest due
+//! tick of any shard or fleet phase; every routing, scaling, and
+//! failover decision is a function of tick arithmetic and seeded draws.
+//! Each shard evaluates its batch payloads inline, so fleet reports are
+//! byte-identical on every replay.
 //!
 //! ## Accounting invariant
 //!

@@ -9,13 +9,12 @@
 //! the configuration, the arrival stream, and the fault plan. A batch's
 //! payloads are evaluated inline on the calling thread, in batch order.
 //!
-//! Wake times come from the unified event kernel (`hermes-kernel`,
-//! DESIGN.md §14): every phase posts its next due tick as a timer, the
-//! chaos [`FaultPlan`] posts its whole timeline up front, and the run
-//! loop pops the earliest timer that still matches the current state
-//! (timers are validated at pop, so superseded ones are skipped, never
-//! acted on). The timer wheel pops in the total `(time, domain, seq)`
-//! order, so a run is a replayable function of its inputs.
+//! The next wake is a minimum, not a queue (DESIGN.md §14): after each
+//! step the engine computes every phase's next due tick from live state
+//! (next arrival, pool transition, pending chaos fault while work
+//! remains, earliest expiry, each class's batch window and last safe
+//! dispatch) and jumps to the earliest one strictly after `now`. Nothing
+//! is held between steps, so nothing can go stale.
 
 use crate::model::AcceleratorModel;
 use crate::pool::{Batch, Pool};
@@ -23,7 +22,6 @@ use crate::queue::Backlog;
 use crate::request::{RejectReason, Request, ShedReason, Verdict};
 use crate::Tick;
 use hermes_chaos::plan::{FaultKind, FaultPlan};
-use hermes_kernel::{DomainId, DomainRegistry, TimerWheel, WheelStats};
 use hermes_obs::hash::fnv1a_words;
 use hermes_obs::slo::{RequestOutcome, SloEngine};
 use hermes_obs::{ClockDomain, Histogram, Recorder, TraceCtx, WallMark};
@@ -222,59 +220,6 @@ pub struct DrainResidue {
     pub in_flight: usize,
 }
 
-/// The serve-clock timers the engine posts into the event kernel. Each
-/// is validated against the live state at pop time: a popped timer whose
-/// kind no longer predicts that tick is superseded and skipped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ServeTimer {
-    /// Next request arrival (always fires: arrivals never move).
-    Arrival,
-    /// Next pool transition: batch completion or instance recovery.
-    Pool,
-    /// A scheduled chaos fault (the whole plan posts up front).
-    Chaos,
-    /// Earliest queued deadline expires (sheds at deadline + 1).
-    Expiry,
-    /// A class's batch window ages out.
-    Window(usize),
-    /// A class head's last safe dispatch tick.
-    Safe(usize),
-}
-
-/// Last posted due time per timer kind — a timer already pending for
-/// the same tick is not re-posted (pending is guaranteed: the kernel
-/// hand trails the serve clock, so a memoized future tick is unpopped).
-#[derive(Debug, Clone, Default)]
-struct TimerMemo {
-    arrival: Option<Tick>,
-    pool: Option<Tick>,
-    expiry: Option<Tick>,
-    window: Vec<Option<Tick>>,
-    safe: Vec<Option<Tick>>,
-}
-
-/// The kernel domains of the serve clock, in same-tick priority order.
-struct ServeDomains {
-    arrival: DomainId,
-    pool: DomainId,
-    chaos: DomainId,
-    expiry: DomainId,
-    batch: DomainId,
-}
-
-impl ServeDomains {
-    fn register() -> Self {
-        let mut reg = DomainRegistry::new();
-        ServeDomains {
-            arrival: reg.register("arrival"),
-            pool: reg.register("pool"),
-            chaos: reg.register("chaos"),
-            expiry: reg.register("expiry"),
-            batch: reg.register("batch"),
-        }
-    }
-}
-
 /// The deadline-aware serving engine.
 pub struct ServeEngine {
     cfg: ServeConfig,
@@ -298,13 +243,10 @@ pub struct ServeEngine {
     /// independent) but only sampled ones are kept and recorded.
     traces: HashMap<u64, TraceCtx>,
     now: Tick,
-    memo: TimerMemo,
     /// [`Self::next_due`]'s last answer; `None` once the state has moved.
     next_due: Cell<Option<Option<Tick>>>,
     /// Ticks the engine actually woke on (== processed steps).
     wakes: u64,
-    /// Scheduler counters of the last `run` (E18 exports these).
-    kernel_stats: WheelStats,
     // accounting
     verdicts: Vec<(u64, Verdict)>,
     /// Requests this engine is accountable for: every admission-phase
@@ -345,14 +287,8 @@ impl ServeEngine {
             slo: None,
             traces: HashMap::new(),
             now: 0,
-            memo: TimerMemo {
-                window: vec![None; classes],
-                safe: vec![None; classes],
-                ..TimerMemo::default()
-            },
             next_due: Cell::new(None),
             wakes: 0,
-            kernel_stats: WheelStats::default(),
             cursor: 0,
             incoming: Vec::new(),
             draining: false,
@@ -420,11 +356,6 @@ impl ServeEngine {
         self.wakes
     }
 
-    /// Scheduler counters of the last `run` (wheel occupancy, cascades).
-    pub fn kernel_stats(&self) -> &WheelStats {
-        &self.kernel_stats
-    }
-
     /// The attached recorder (absorb it into a parent after `run`).
     pub fn recorder(&self) -> &Recorder {
         &self.obs
@@ -468,8 +399,8 @@ impl ServeEngine {
     }
 
     /// The earliest tick strictly after `now` at which this engine has
-    /// work due — the externally driven equivalent of the timers `run`
-    /// would post. `None` means the engine is idle until new work is
+    /// work due — where `run` wakes next, and where a fleet must advance
+    /// this shard. `None` means the engine is idle until new work is
     /// submitted.
     ///
     /// Answered from a memo: the fleet asks every shard several times per
@@ -594,38 +525,18 @@ impl ServeEngine {
 
     /// Run to completion: every offered request ends in a verdict.
     ///
-    /// The loop is timer-driven: after each phased step the engine posts
-    /// the next due tick of every phase into the kernel, then pops wake
-    /// candidates until one still matches the live state. The first
-    /// live timer is exactly the minimum pending event tick, so the
-    /// serve clock advances event to event with no per-tick polling.
+    /// After each phased step the serve clock jumps straight to
+    /// [`Self::next_due`], the earliest tick at which any phase has work,
+    /// so the clock advances event to event with no per-tick polling.
     pub fn run(&mut self) -> ServeReport {
-        let mut sched: TimerWheel<ServeTimer> = TimerWheel::new();
-        let domains = ServeDomains::register();
-        // chaos has a single timeline: the whole plan posts up front
-        // instead of being peeked every step
-        if let Some(plan) = &self.plan {
-            for cycle in plan.pending_cycles() {
-                if cycle > 0 {
-                    sched
-                        .post(cycle, domains.chaos, ServeTimer::Chaos)
-                        .expect("fault timeline is in the future");
-                }
-            }
-        }
         loop {
             self.step();
             self.wakes += 1;
-            self.post_timers(&mut sched, &domains);
-            match self.next_wake(&mut sched) {
-                Some(t) => {
-                    debug_assert!(t > self.now, "event clock must advance");
-                    self.now = t;
-                }
+            match self.next_due() {
+                Some(t) => self.now = t,
                 None => break,
             }
         }
-        self.kernel_stats = *sched.stats();
         self.finalize()
     }
 
@@ -1002,97 +913,6 @@ impl ServeEngine {
             // Other subsystems' faults target the boot/bus campaigns.
             _ => {}
         }
-    }
-
-    /// Post one timer kind's current due tick, unless it is not in the
-    /// future or the same tick is already pending for that kind.
-    fn post_timer(
-        sched: &mut TimerWheel<ServeTimer>,
-        memo: &mut Option<Tick>,
-        due: Option<Tick>,
-        now: Tick,
-        domain: DomainId,
-        timer: ServeTimer,
-    ) {
-        if let Some(t) = due {
-            if t > now && *memo != Some(t) {
-                sched.post(t, domain, timer).expect("future timer posts");
-                *memo = Some(t);
-            }
-        }
-    }
-
-    /// Post the next due tick of every phase after a step. Superseded
-    /// timers (the state moved on) stay in the kernel and are skipped at
-    /// pop by [`Self::next_wake`]'s liveness check.
-    fn post_timers(&mut self, sched: &mut TimerWheel<ServeTimer>, d: &ServeDomains) {
-        let now = self.now;
-        let svc1 = self.model.service_cycles(1);
-        let arrival = self.arrivals.get(self.cursor).map(|r| r.arrival);
-        Self::post_timer(sched, &mut self.memo.arrival, arrival, now, d.arrival, ServeTimer::Arrival);
-        let pool = self.pool.next_transition();
-        Self::post_timer(sched, &mut self.memo.pool, pool, now, d.pool, ServeTimer::Pool);
-        // expiry: deadline < now sheds, so the wake lands at deadline + 1
-        let expiry = self.backlog.earliest_deadline().map(|dl| dl + 1);
-        Self::post_timer(sched, &mut self.memo.expiry, expiry, now, d.expiry, ServeTimer::Expiry);
-        for class in 0..self.backlog.class_count() {
-            let window = self.backlog.oldest_arrival(class).map(|o| o + self.cfg.batch_window);
-            Self::post_timer(
-                sched,
-                &mut self.memo.window[class],
-                window,
-                now,
-                d.batch,
-                ServeTimer::Window(class),
-            );
-            // last safe dispatch of the class head
-            let safe = self.backlog.head_deadline(class).map(|h| h.saturating_sub(svc1));
-            Self::post_timer(
-                sched,
-                &mut self.memo.safe[class],
-                safe,
-                now,
-                d.batch,
-                ServeTimer::Safe(class),
-            );
-        }
-    }
-
-    /// Whether a popped timer still predicts tick `t` — i.e. its kind's
-    /// current due tick is exactly `t`. Chaos timers additionally only
-    /// matter while work remains (the engine never wakes just to apply a
-    /// fault to an empty, finished system).
-    fn timer_live(&self, timer: ServeTimer, t: Tick) -> bool {
-        let svc1 = self.model.service_cycles(1);
-        match timer {
-            ServeTimer::Arrival => self.arrivals.get(self.cursor).map(|r| r.arrival) == Some(t),
-            ServeTimer::Pool => self.pool.next_transition() == Some(t),
-            ServeTimer::Chaos => {
-                !(self.backlog.is_empty() && self.cursor >= self.arrivals.len())
-                    && self.plan.as_ref().and_then(FaultPlan::peek_cycle) == Some(t)
-            }
-            ServeTimer::Expiry => self.backlog.earliest_deadline().map(|d| d + 1) == Some(t),
-            ServeTimer::Window(class) => {
-                self.backlog.oldest_arrival(class).map(|o| o + self.cfg.batch_window) == Some(t)
-            }
-            ServeTimer::Safe(class) => {
-                self.backlog.head_deadline(class).map(|h| h.saturating_sub(svc1)) == Some(t)
-            }
-        }
-    }
-
-    /// Pop the next wake tick: the earliest pending timer that is still
-    /// live. Every phase's current due tick is pending (posted after the
-    /// last step), so the first live pop is exactly the minimum pending
-    /// event tick strictly after `now`; `None` means the run is done.
-    fn next_wake(&mut self, sched: &mut TimerWheel<ServeTimer>) -> Option<Tick> {
-        while let Some(ev) = sched.pop_next() {
-            // a timer at or behind the serve clock is always superseded
-            if ev.time > self.now && self.timer_live(ev.payload, ev.time) {
-                return Some(ev.time);
-            }
-        }
-        None
     }
 
     fn finalize(&mut self) -> ServeReport {

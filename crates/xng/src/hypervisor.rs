@@ -11,12 +11,11 @@
 //! The per-cycle engine is exact but wasteful when every core is quiet
 //! (native partitions between activations, yielded or halted guests):
 //! nothing can happen until the next slot boundary or watchdog deadline.
-//! [`Hypervisor::run`] therefore posts those deadlines into the unified
-//! event kernel's [`hermes_kernel::TimerWheel`] (DESIGN.md §14) and
-//! fast-forwards quiet gaps in one `bulk_advance` instead of polling
-//! every tick. Every popped timer is validated against live state before
-//! it is trusted, so the schedule — dispatch instants, watchdog expiries,
-//! HM escalations, statistics — is bit-identical to polling every tick.
+//! [`Hypervisor::run`] therefore takes the minimum of those deadlines,
+//! recomputed from live state (DESIGN.md §14), and fast-forwards the
+//! quiet gap in one `bulk_advance` instead of polling every tick. The
+//! schedule — dispatch instants, watchdog expiries, HM escalations,
+//! statistics — is bit-identical to polling every tick.
 
 use crate::config::{IsolationMode, XngConfig};
 use crate::health::{HealthMonitor, HmAction, HmEvent};
@@ -29,7 +28,6 @@ use crate::{PartitionId, XngError};
 use hermes_cpu::cluster::{Cluster, CORE_COUNT};
 use hermes_cpu::hart::{Event, TrapCause};
 use hermes_cpu::mpu::{reprogram_cost, MpuRegion, Privilege, GATE_CROSS_CYCLES};
-use hermes_kernel::{DomainId, DomainRegistry, TimerWheel, WheelStats};
 use hermes_obs::{ClockDomain, Recorder, TraceCtx};
 
 /// Flight-recorder subsystem name used by the hypervisor.
@@ -65,59 +63,6 @@ struct CoreSched {
     cycles_at_dispatch: u64,
 }
 
-/// A timer posted into the event kernel. The payload carries only the
-/// timer's identity — its due time is recomputed from live hypervisor
-/// state at pop, so stale entries (superseded by a mode change, failover,
-/// or watchdog kick) are recognised and discarded.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum XngTimer {
-    /// `switching` on this core reaches zero (slot dispatch).
-    Dispatch(usize),
-    /// This core's current slot elapses (retire + next-slot switch).
-    Retire(usize),
-    /// This partition's liveness watchdog deadline.
-    Watchdog(usize),
-}
-
-/// Event-kernel domain ids for the hypervisor's timer classes; the
-/// `(time, domain, seq)` tie-break keeps same-tick pops deterministic.
-struct XngDomains {
-    dispatch: DomainId,
-    retire: DomainId,
-    watchdog: DomainId,
-}
-
-impl XngDomains {
-    fn register() -> Self {
-        let mut reg = DomainRegistry::new();
-        XngDomains {
-            dispatch: reg.register("xng.dispatch"),
-            retire: reg.register("xng.retire"),
-            watchdog: reg.register("xng.watchdog"),
-        }
-    }
-}
-
-/// Last posted due time per timer, so an unchanged deadline is not
-/// reposted every wake. A memoised time `t > now` is guaranteed to still
-/// be pending in the scheduler: pops only consume entries up to the
-/// winning wake, which becomes the new `now`.
-struct XngMemo {
-    dispatch: [Option<u64>; CORE_COUNT],
-    retire: [Option<u64>; CORE_COUNT],
-    watchdog: Vec<Option<u64>>,
-}
-
-impl XngMemo {
-    fn new(partitions: usize) -> Self {
-        XngMemo {
-            dispatch: [None; CORE_COUNT],
-            retire: [None; CORE_COUNT],
-            watchdog: vec![None; partitions],
-        }
-    }
-}
-
 /// The hypervisor.
 pub struct Hypervisor {
     config: XngConfig,
@@ -151,11 +96,6 @@ pub struct Hypervisor {
     /// Causal trace context attached to dispatch instants (see
     /// [`Hypervisor::set_trace_ctx`]).
     trace: TraceCtx,
-    /// The persistent timer wheel [`run`](Hypervisor::run) fast-forwards
-    /// quiet gaps through (DESIGN.md §14).
-    sched: TimerWheel<XngTimer>,
-    domains: XngDomains,
-    memo: XngMemo,
     /// Ticks executed by the full per-cycle engine.
     ticks_polled: u64,
     /// Quiet ticks fast-forwarded without entering the engine.
@@ -181,7 +121,6 @@ impl Hypervisor {
             ..CoreSched::default()
         };
         let watchdogs = vec![None; config.partitions.len()];
-        let memo = XngMemo::new(config.partitions.len());
         Ok(Hypervisor {
             cluster: Cluster::new(),
             ports,
@@ -199,9 +138,6 @@ impl Hypervisor {
             key_installed: [false; CORE_COUNT],
             obs: Recorder::disabled(),
             trace: TraceCtx::untraced(),
-            sched: TimerWheel::new(),
-            domains: XngDomains::register(),
-            memo,
             ticks_polled: 0,
             ticks_skipped: 0,
             config,
@@ -213,15 +149,9 @@ impl Hypervisor {
         self.ticks_polled
     }
 
-    /// Quiet ticks fast-forwarded by the event kernel instead of being
-    /// polled.
+    /// Quiet ticks fast-forwarded instead of being polled.
     pub fn ticks_skipped(&self) -> u64 {
         self.ticks_skipped
-    }
-
-    /// Event-kernel scheduler counters (posted/popped/cascades/occupancy).
-    pub fn kernel_stats(&self) -> &WheelStats {
-        self.sched.stats()
     }
 
     /// Attach a flight recorder: every partition dispatch
@@ -475,8 +405,8 @@ impl Hypervisor {
     /// monitor halts the system).
     ///
     /// Quiet stretches — no core active, no mode change pending, nothing
-    /// due this tick — are crossed in one bulk advance to the next
-    /// scheduled timer instead of one engine pass per cycle. The
+    /// due this tick — are crossed in one bulk advance to the next due
+    /// tick instead of one engine pass per cycle. The
     /// observable schedule is identical to polling every tick.
     ///
     /// # Errors
@@ -489,9 +419,8 @@ impl Hypervisor {
                 break;
             }
             if self.idle_now() && !self.due_now() {
-                self.post_timers();
                 let horizon = self.time + remaining;
-                let k = match self.next_wake(horizon) {
+                let k = match self.next_due().filter(|&t| t <= horizon) {
                     Some(wake) => wake - self.time,
                     // nothing fires in (now, horizon]: the whole budget
                     // is quiet time
@@ -523,9 +452,8 @@ impl Hypervisor {
                 .any(|(i, w)| w.is_some() && self.partitions[i].mode == PartitionMode::Halted)
     }
 
-    /// Whether any timer fires on the *current* tick (those are never
-    /// posted — the kernel only holds strictly-future times — so the
-    /// engine must run now).
+    /// Whether any deadline falls on the *current* tick ([`Self::next_due`]
+    /// only sees strictly-future ones, so the engine must run now).
     fn due_now(&self) -> bool {
         for core in 0..CORE_COUNT {
             if self.config.plans[core].slots.is_empty() {
@@ -549,116 +477,32 @@ impl Hypervisor {
         })
     }
 
-    /// Post every strictly-future timer deadline into the scheduler,
-    /// memo-deduplicated so an unchanged deadline is posted once.
-    fn post_timers(&mut self) {
+    /// The earliest tick strictly after `now` at which anything can
+    /// happen: each core's dispatch (its `switching` window closes) or
+    /// retire (its slot elapses) tick, and the armed watchdog of each
+    /// partition that is not halted. Everything is recomputed from live
+    /// state, so a mode change, failover or watchdog kick can never leave
+    /// a stale deadline behind.
+    fn next_due(&self) -> Option<u64> {
         let now = self.time;
-        for core in 0..CORE_COUNT {
-            if self.config.plans[core].slots.is_empty() {
-                continue;
-            }
+        let cores = (0..CORE_COUNT).filter_map(|core| {
+            let slots = &self.config.plans[core].slots;
             let cs = &self.cores[core];
-            if cs.switching > 0 {
-                let due = now + cs.switching - 1;
-                Self::post_timer(
-                    &mut self.sched,
-                    &mut self.memo.dispatch[core],
-                    due,
-                    now,
-                    self.domains.dispatch,
-                    XngTimer::Dispatch(core),
-                );
+            if slots.is_empty() {
+                None
+            } else if cs.switching > 0 {
+                Some(now + cs.switching - 1)
             } else {
-                let slot = self.config.plans[core].slots[cs.slot_idx];
-                let due = now + slot.duration.saturating_sub(cs.elapsed + 1);
-                Self::post_timer(
-                    &mut self.sched,
-                    &mut self.memo.retire[core],
-                    due,
-                    now,
-                    self.domains.retire,
-                    XngTimer::Retire(core),
-                );
+                Some(now + slots[cs.slot_idx].duration.saturating_sub(cs.elapsed + 1))
             }
-        }
-        for i in 0..self.watchdogs.len() {
-            let Some(deadline) = self.watchdogs[i] else {
-                continue;
-            };
-            if self.partitions[i].mode == PartitionMode::Halted {
-                continue;
-            }
-            Self::post_timer(
-                &mut self.sched,
-                &mut self.memo.watchdog[i],
-                deadline,
-                now,
-                self.domains.watchdog,
-                XngTimer::Watchdog(i),
-            );
-        }
-    }
-
-    fn post_timer(
-        sched: &mut TimerWheel<XngTimer>,
-        memo: &mut Option<u64>,
-        due: u64,
-        now: u64,
-        domain: DomainId,
-        timer: XngTimer,
-    ) {
-        if due > now && *memo != Some(due) {
-            sched
-                .post(due, domain, timer)
-                .expect("timer deadline is in the future");
-            *memo = Some(due);
-        }
-    }
-
-    /// Whether a popped timer still reflects live state: its due time,
-    /// recomputed now, must equal the posted time.
-    fn timer_live(&self, timer: XngTimer, t: u64) -> bool {
-        match timer {
-            XngTimer::Dispatch(core) => {
-                let cs = &self.cores[core];
-                !self.config.plans[core].slots.is_empty()
-                    && cs.switching > 0
-                    && self.time + cs.switching - 1 == t
-            }
-            XngTimer::Retire(core) => {
-                let cs = &self.cores[core];
-                if self.config.plans[core].slots.is_empty() || cs.switching > 0 {
-                    return false;
-                }
-                let slot = self.config.plans[core].slots[cs.slot_idx];
-                self.time + slot.duration.saturating_sub(cs.elapsed + 1) == t
-            }
-            XngTimer::Watchdog(pid) => {
-                self.watchdogs[pid] == Some(t)
-                    && self.partitions[pid].mode != PartitionMode::Halted
-            }
-        }
-    }
-
-    /// Pop until a live timer surfaces; its time is the next tick where
-    /// anything can happen. Stale pops (superseded deadlines) are
-    /// discarded — validation makes them harmless. Entries beyond
-    /// `horizon` (the farthest this `run` may advance) are left pending,
-    /// so the kernel's hand never runs ahead of hypervisor time and every
-    /// memoised post stays either pending or behind `now`.
-    fn next_wake(&mut self, horizon: u64) -> Option<u64> {
-        loop {
-            match self.sched.peek_time() {
-                None => return None,
-                Some(t) if t > horizon => return None,
-                Some(_) => {
-                    let ev = self.sched.pop_next().expect("peeked entry pops");
-                    if ev.time > self.time && self.timer_live(ev.payload, ev.time) {
-                        return Some(ev.time);
-                    }
-                }
-            }
-        }
+        });
+        let watchdogs = self
+            .watchdogs
+            .iter()
+            .zip(&self.partitions)
+            .filter(|(_, p)| p.mode != PartitionMode::Halted)
+            .filter_map(|(w, _)| *w);
+        cores.chain(watchdogs).filter(|&t| t > now).min()
     }
 
     /// Apply `k` quiet ticks at once: exactly the state every skipped
@@ -1737,7 +1581,7 @@ mod tests {
         assert!(hv.stats(b).activations > 5, "healthy partition unaffected");
     }
 
-    /// The polling oracle: `run` without the event kernel, one full engine
+    /// The polling oracle: `run` without fast-forward, one full engine
     /// pass per tick, stopping early once the health monitor halts the
     /// system.
     fn run_polling(hv: &mut Hypervisor, cycles: u64) {
@@ -1793,7 +1637,7 @@ mod tests {
     fn event_kernel_schedule_is_bit_identical_to_polling() {
         let (mut off, mut on) = kernel_equivalence_pair();
         // several run() calls with awkward budgets exercise the horizon
-        // cap: timers due beyond one call's budget must fire on the next
+        // cap: deadlines beyond one call's budget must fire on the next
         for budget in [777u64, 1, 4_321, 9_999, 2, 15_000] {
             run_polling(&mut off, budget);
             on.run(budget).unwrap();
@@ -1831,8 +1675,6 @@ mod tests {
             on.ticks_polled(),
             off.ticks_polled()
         );
-        let ks = on.kernel_stats();
-        assert!(ks.posted > 0 && ks.popped > 0);
     }
 
     #[test]

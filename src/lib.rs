@@ -29,7 +29,6 @@
 //! | [`par`] | `hermes-par` | std-only coarse-grain fan-out engine (deterministic `par_map_jobs`) |
 //! | [`obs`] | `hermes-obs` | deterministic flight recorder: spans/events, metrics, bounded rings |
 //! | [`serve`] | `hermes-serve` | deadline-aware accelerator serving: admission, batching, pools, shedding |
-//! | [`kernel`] | `hermes-kernel` | unified discrete-event kernel: hierarchical timer wheel |
 //! | [`fleet`] | `hermes-fleet` | sharded serving fleet: consistent-hash routing, autoscaling, failover |
 //!
 //! ## Quickstart
@@ -55,7 +54,6 @@ pub use hermes_eucalyptus as eucalyptus;
 pub use hermes_fleet as fleet;
 pub use hermes_fpga as fpga;
 pub use hermes_hls as hls;
-pub use hermes_kernel as kernel;
 pub use hermes_obs as obs;
 pub use hermes_par as par;
 pub use hermes_rad as rad;
