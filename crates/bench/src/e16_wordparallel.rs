@@ -10,13 +10,15 @@
 //! * **E16a** — compiled-program structure: packing per design
 //!   (deterministic).
 //! * **E16b** — the E11 sim workload (`acc` alone): cycles, return value,
-//!   evaluated settle ops against the full-pass baseline, and the
-//!   activity factor.
+//!   evaluated settle ops against the full-pass baseline, the activity
+//!   factor, and the register samples the gated clock edge took.
 //! * **E16c** — the same kernel tiled into an SoC-scale fabric
 //!   (`Netlist::tiled`), the workload class packing and gating target,
-//!   with every tile active and with one. The *one-active-tile* row is
-//!   the headline gate: full passes would evaluate at least 10× the ops
-//!   the event drain does (asserted in every profile).
+//!   with every tile active and with one. The *one-active-tile* row
+//!   carries the two headline gates, asserted in every profile: full
+//!   passes would evaluate at least 10× the ops the event drain does,
+//!   and sampling every register on every edge at least 10× the
+//!   register samples the gated edge takes.
 //!
 //! That the engine agrees with full evaluation is held by the
 //! reference-interpreter tests (`rtl/tests/settle_equivalence.rs`,
@@ -55,6 +57,10 @@ struct KernelRun {
     /// `settle_passes × settle_program_len`: what evaluating the whole
     /// program on every pass would cost.
     full_ops: u64,
+    register_evals: u64,
+    /// `cycles × registers`: what sampling every register on every edge
+    /// would cost.
+    full_register_evals: u64,
     secs: f64,
 }
 
@@ -89,6 +95,8 @@ fn run_kernel(
         ret: sim.peek_net(ret),
         settle_ops: sim.settle_ops(),
         full_ops: sim.settle_passes() * sim.settle_program_len() as u64,
+        register_evals: sim.register_evals(),
+        full_register_evals: sim.cycle() * sim.register_count() as u64,
         secs,
     }
 }
@@ -110,8 +118,8 @@ pub fn run(_jobs: usize, obs: &hermes_obs::Recorder) -> ExperimentOutput {
 
     // E16a: what the settle-program compiler produced for each design.
     let mut structure = Table::new(&[
-        "design", "nets", "program_ops", "program_words", "packed_words", "packed_lanes",
-        "occupancy_pm",
+        "design", "nets", "registers", "program_ops", "program_words", "packed_words",
+        "packed_lanes", "occupancy_pm",
     ]);
     for (name, nl) in [("acc", acc_nl), (soc_nl.name(), &soc_nl)] {
         let sim = Simulator::new(nl).expect("valid netlist");
@@ -123,6 +131,7 @@ pub fn run(_jobs: usize, obs: &hermes_obs::Recorder) -> ExperimentOutput {
         structure.row(cells![
             name,
             nl.net_count(),
+            sim.register_count(),
             sim.settle_program_len(),
             sim.settle_words(),
             sim.packed_words(),
@@ -145,7 +154,8 @@ pub fn run(_jobs: usize, obs: &hermes_obs::Recorder) -> ExperimentOutput {
         ("soc-all-active", &soc_nl, soc_pokes(SOC_COPIES, true), soc_done, soc_ret, 1),
         ("soc-one-active", &soc_nl, soc_pokes(SOC_COPIES, false), soc_done, soc_ret, 1),
     ];
-    let columns = ["scenario", "cycles", "ret", "settle_ops", "full_ops", "activity"];
+    let columns =
+        ["scenario", "cycles", "ret", "settle_ops", "full_ops", "activity", "register_evals"];
     let (mut workload, mut soc) = (Table::new(&columns), Table::new(&columns));
     for (scenario, nl, pokes, done, ret, reps) in &scenarios {
         let run = run_kernel(nl, pokes, *done, *ret, *reps);
@@ -157,6 +167,7 @@ pub fn run(_jobs: usize, obs: &hermes_obs::Recorder) -> ExperimentOutput {
             run.settle_ops,
             run.full_ops,
             format!("{activity:.4}"),
+            run.register_evals,
         ];
         if *scenario == "acc-single" {
             workload.row(row);
@@ -173,6 +184,14 @@ pub fn run(_jobs: usize, obs: &hermes_obs::Recorder) -> ExperimentOutput {
                 "one-active fabric: full-pass ops {} < 10x evaluated ops {}",
                 run.full_ops,
                 run.settle_ops
+            );
+            // The same gate for the clock edge: idle tiles' registers
+            // must not be sampled.
+            assert!(
+                run.full_register_evals >= 10 * run.register_evals,
+                "one-active fabric: cycles x registers {} < 10x register evals {}",
+                run.full_register_evals,
+                run.register_evals
             );
         }
         let kcps = (u64::from(*reps) * run.cycles) as f64 / run.secs / 1e3;
@@ -243,5 +262,9 @@ mod tests {
         assert_eq!(tiled.cycles, alone.cycles);
         assert_eq!(tiled.ret, alone.ret);
         assert!(tiled.settle_ops < tiled.full_ops, "idle tiles are skipped");
+        assert!(
+            tiled.register_evals < tiled.full_register_evals,
+            "idle tiles' registers are not sampled"
+        );
     }
 }

@@ -2,10 +2,12 @@
 //!
 //! Each [`Simulator::step`] performs one clock cycle:
 //!
-//! 1. **Settle** — propagate values through the combinational cells in
-//!    topological order.
-//! 2. **Clock edge** — every sequential cell (register, RAM) samples its
-//!    inputs simultaneously and updates its state.
+//! 1. **Clock edge** — the sequential cells sample the settled values
+//!    simultaneously and update their state: every RAM port, and every
+//!    register whose `d` or `en` net changed since it last sampled (a
+//!    register whose inputs are unchanged would reload its own value).
+//! 2. **Settle** — propagate the changed outputs through the
+//!    combinational cells in topological order.
 //!
 //! This is the discipline a synchronous single-clock design obeys on real
 //! hardware and is sufficient to validate HLS-generated FSM + datapath
@@ -38,6 +40,15 @@ const MIN_PACK_LANES: usize = 8;
 /// and [`Self::reset`] queue every op, so the same drain evaluates the
 /// whole program once.
 ///
+/// The **clock edge is gated the same way**: each register's `d` and
+/// `en` nets carry fanout entries to the register's own bit in the dirty
+/// bitmap (the words below the ops'), and [`Self::step`] samples only the
+/// set register bits, in slot order. A register none of whose inputs
+/// changed since it last sampled would compute `next = en ? d : q` equal
+/// to its `q`, so skipping it is exact; [`Self::register_evals`] counts
+/// the samples taken. Construction and [`Self::reset`] set every register bit. RAM
+/// ports sample every cycle.
+///
 /// **Word-parallel lanes** layer on top of the event-driven scan (E16):
 /// at build time, independent 1-bit ops of identical boolean form at the
 /// same topological rank are bit-packed up to 64 to a `u64` word and
@@ -57,7 +68,8 @@ pub struct Simulator<'n> {
     /// Cell id → slot in `reg_state`/`ram_state`; `u32::MAX` for
     /// combinational cells.
     seq_slot: Vec<u32>,
-    /// Precomputed register descriptors, in cell order.
+    /// Precomputed register descriptors, in cell order; index = slot in
+    /// `reg_state`.
     regs: Vec<RegInfo>,
     /// Precomputed RAM descriptors, in cell order.
     rams: Vec<RamInfo>,
@@ -77,36 +89,43 @@ pub struct Simulator<'n> {
     program_weight: u64,
     /// Total lanes across all packed words (occupancy numerator).
     packed_lanes: u32,
-    /// CSR fanout index: ops reading net `n` are
-    /// `fanout_ops[fanout_start[n]..fanout_start[n + 1]]` (ascending).
+    /// CSR fanout index: the readers of net `n` are the `dirty` bits
+    /// `fanout[fanout_start[n]..fanout_start[n + 1]]` — ops as
+    /// `op_base + op` (ascending), then register slots.
     fanout_start: Vec<u32>,
-    fanout_ops: Vec<u32>,
-    /// Per-op "queued this pass" bitmap, one bit per op in 64-op words
-    /// (`dirty[op / 64]` bit `op % 64`): the event scan skips 64 clean
-    /// ops per load instead of one.
+    fanout: Vec<u32>,
+    /// "Queued" bitmap in 64-bit words: bit `slot` for each register
+    /// (sample at the next edge), then bit `op_base + op` for each op
+    /// (evaluate this pass). The event scan skips 64 clean ops per load
+    /// instead of one.
     dirty: Vec<u64>,
-    /// Watermark window of queued op indices: the next event-driven pass
-    /// scans `dirty[dirty_lo..=dirty_hi]`. Empty when `lo > hi`
-    /// (`u32::MAX`/`0` sentinels).
+    /// Bit index of op 0 in `dirty`: the register slots rounded up to
+    /// whole words.
+    op_base: u32,
+    /// Watermark window of queued bit indices: the next event-driven pass
+    /// scans `dirty[dirty_lo..=dirty_hi]`, starting no lower than
+    /// `op_base` (register marks may lower `dirty_lo`; no register bit
+    /// lies above an op bit, so `dirty_hi` is an op whenever one is
+    /// queued). Empty when `lo > hi` (`u32::MAX`/`0` sentinels).
     dirty_lo: u32,
     dirty_hi: u32,
-    /// Reusable per-step buffers of next register values and of RAM read
-    /// data (`(port a, port b)` per RAM).
-    next_regs: Vec<u64>,
+    /// Reusable per-step buffers of `(slot, next value)` for the sampled
+    /// registers, and of RAM read data (`(port a, port b)` per RAM).
+    reg_commits: Vec<(u32, u64)>,
     next_ram: Vec<(u64, u64)>,
     cycle: u64,
     /// Total settle passes executed (steps, pokes, resets).
     settle_passes: u64,
     /// Total settle ops *evaluated* across all passes (lane-weighted).
     settle_ops: u64,
+    /// Total register samples across all clock edges.
+    register_evals: u64,
     trace: Option<Trace>,
 }
 
 /// Precomputed per-register data for the clock-edge phase.
 #[derive(Debug, Clone, Copy)]
 struct RegInfo {
-    /// Slot in `reg_state`.
-    slot: u32,
     /// Net index of the data input.
     d: u32,
     /// Net index of the enable input, or `u32::MAX` when always enabled.
@@ -306,11 +325,9 @@ impl<'n> Simulator<'n> {
                     has_enable,
                     has_reset,
                 } => {
-                    let slot = reg_state.len() as u32;
-                    seq_slot[cid.0 as usize] = slot;
+                    seq_slot[cid.0 as usize] = reg_state.len() as u32;
                     reg_state.push(0);
                     regs.push(RegInfo {
-                        slot,
                         d: cell.inputs[0].0,
                         en: if *has_enable {
                             cell.inputs[1].0
@@ -349,11 +366,18 @@ impl<'n> Simulator<'n> {
         }
         let scalar_ops = Self::compile_settle_ops(netlist, &order);
         let prog = Self::compile_program(netlist, scalar_ops);
-        let (fanout_start, fanout_ops) =
-            Self::compile_fanout(netlist.net_count(), &prog.ops, &prog.packed, &prog.packed_nets);
-        let next_regs = vec![0; regs.len()];
+        let op_base = (regs.len().div_ceil(64) * 64) as u32;
+        let (fanout_start, fanout) = Self::compile_fanout(
+            netlist.net_count(),
+            &prog.ops,
+            &prog.packed,
+            &prog.packed_nets,
+            &regs,
+            op_base,
+        );
+        let reg_commits = Vec::with_capacity(regs.len());
         let next_ram = vec![(0, 0); rams.len()];
-        let dirty = vec![0; prog.ops.len().div_ceil(64)];
+        let dirty = vec![0; op_base as usize / 64 + prog.ops.len().div_ceil(64)];
         let packed_vals = vec![0; prog.packed.len()];
         let mut sim = Simulator {
             netlist,
@@ -370,29 +394,35 @@ impl<'n> Simulator<'n> {
             program_weight: prog.program_weight,
             packed_lanes: prog.packed_lanes,
             fanout_start,
-            fanout_ops,
+            fanout,
             dirty,
             dirty_lo: u32::MAX,
             dirty_hi: 0,
-            next_regs,
+            op_base,
+            reg_commits,
             next_ram,
             cycle: 0,
             settle_passes: 0,
             settle_ops: 0,
+            register_evals: 0,
             trace: None,
         };
         sim.settle_all();
         Ok(sim)
     }
 
-    /// Build the CSR net→op fanout index over the compiled program: for
-    /// every live input slot of every op, one edge from the input net to
-    /// the op. A packed op contributes one edge per lane input net.
+    /// Build the CSR net→reader fanout index over the compiled program:
+    /// for every live input slot of every op, one edge from the input net
+    /// to the op's bit `op_base + op`. A packed op contributes one edge
+    /// per lane input net. After a net's op edges come its register
+    /// edges: one to bit `slot` per register reading it as `d` or `en`.
     fn compile_fanout(
         net_count: usize,
         ops: &[SettleOp],
         packed: &[PackedWord],
         packed_nets: &[u32],
+        regs: &[RegInfo],
+        op_base: u32,
     ) -> (Vec<u32>, Vec<u32>) {
         let op_inputs = |op: &SettleOp| -> Vec<u32> {
             if op.kind == SettleKind::Packed {
@@ -403,25 +433,38 @@ impl<'n> Simulator<'n> {
                 [op.a, op.b, op.c][..op.input_count()].to_vec()
             }
         };
-        let mut counts = vec![0u32; net_count + 1];
-        for op in ops {
-            for net in op_inputs(op) {
-                counts[net as usize + 1] += 1;
+        let reg_inputs = |r: &RegInfo| -> Vec<u32> {
+            if r.en == u32::MAX || r.en == r.d {
+                vec![r.d]
+            } else {
+                vec![r.d, r.en]
             }
+        };
+        let mut counts = vec![0u32; net_count + 1];
+        for net in ops.iter().flat_map(op_inputs).chain(regs.iter().flat_map(reg_inputs)) {
+            counts[net as usize + 1] += 1;
         }
         for i in 1..counts.len() {
             counts[i] += counts[i - 1];
         }
         let fanout_start = counts.clone();
         let mut cursor = counts;
-        let mut fanout_ops = vec![0u32; *fanout_start.last().unwrap_or(&0) as usize];
-        for (idx, op) in ops.iter().enumerate() {
-            for net in op_inputs(op) {
-                fanout_ops[cursor[net as usize] as usize] = idx as u32;
+        let mut fanout = vec![0u32; *fanout_start.last().unwrap_or(&0) as usize];
+        let op_edges = ops
+            .iter()
+            .enumerate()
+            .map(|(i, op)| (i as u32 + op_base, op_inputs(op)));
+        let reg_edges = regs
+            .iter()
+            .enumerate()
+            .map(|(slot, r)| (slot as u32, reg_inputs(r)));
+        for (entry, nets) in op_edges.chain(reg_edges) {
+            for net in nets {
+                fanout[cursor[net as usize] as usize] = entry;
                 cursor[net as usize] += 1;
             }
         }
-        (fanout_start, fanout_ops)
+        (fanout_start, fanout)
     }
 
     /// Whether `op` may join a packed word, and under which group tag.
@@ -676,6 +719,18 @@ impl<'n> Simulator<'n> {
         self.settle_ops
     }
 
+    /// Total register samples across all clock edges. Ungated, every edge
+    /// would sample every register: the baseline is
+    /// [`cycle`](Self::cycle) × [`register_count`](Self::register_count).
+    pub fn register_evals(&self) -> u64 {
+        self.register_evals
+    }
+
+    /// Number of `Register` cells.
+    pub fn register_count(&self) -> usize {
+        self.regs.len()
+    }
+
     /// Length of the compiled combinational settle program in *scalar*
     /// ops (the per-pass op count a full, non-event-driven evaluation
     /// pays). Bit-packing folds lanes into shared words but each lane
@@ -720,12 +775,15 @@ impl<'n> Simulator<'n> {
     /// Export the simulator's work counters into a flight recorder under
     /// subsystem `sub` (RTL clock domain). `settle_ops` counts evaluated
     /// ops; `settle_ops_full` is the full-evaluation baseline, so the
-    /// activity factor is their quotient.
+    /// activity factor is their quotient. `register_evals` and
+    /// `register_evals_full` are the same pair for the clock edge.
     pub fn obs_export(&self, obs: &hermes_obs::Recorder, sub: &str) {
         obs.counter_add(sub, "cycles", self.cycle);
         obs.counter_add(sub, "settle_passes", self.settle_passes);
         obs.counter_add(sub, "settle_ops", self.settle_ops);
         obs.counter_add(sub, "settle_ops_full", self.settle_passes * self.program_weight);
+        obs.counter_add(sub, "register_evals", self.register_evals);
+        obs.counter_add(sub, "register_evals_full", self.cycle * self.regs.len() as u64);
         obs.gauge_set(sub, "settle_program_len", self.program_weight as i64);
         obs.gauge_set(sub, "settle_packed_words", self.packed.len() as i64);
         obs.gauge_set(sub, "settle_packed_lanes", self.packed_lanes as i64);
@@ -774,7 +832,16 @@ impl<'n> Simulator<'n> {
     }
 
     /// Drive a primary input by id.
+    ///
+    /// `id` must be one of the netlist's primary inputs (checked in debug
+    /// builds, as [`Self::poke`] checks names). Any other net is driven
+    /// by a cell: a poked register output, say, would not be re-driven
+    /// at the next clock edge unless the register loaded a new value.
     pub fn poke_net(&mut self, id: NetId, value: u64) {
+        debug_assert!(
+            self.netlist.inputs().contains(&id),
+            "poke_net: net {id} is not a primary input"
+        );
         let new = mask(value, self.netlist.net(id).width);
         if self.values[id.0 as usize] != new {
             self.values[id.0 as usize] = new;
@@ -785,34 +852,49 @@ impl<'n> Simulator<'n> {
 
     /// Synchronously reset: clears all registers (those declared with reset)
     /// and re-settles. RAM contents are preserved, as on real block RAM.
-    /// The settle after a reset evaluates every op once.
+    /// The settle after a reset evaluates every op once, and the next
+    /// clock edge samples every register.
     pub fn reset(&mut self) {
-        for r in &self.regs {
+        for (r, state) in self.regs.iter().zip(&mut self.reg_state) {
             if r.has_reset {
-                self.reg_state[r.slot as usize] = 0;
+                *state = 0;
             }
         }
         self.settle_all();
     }
 
-    /// Advance one clock cycle: sample all sequential elements, then settle.
+    /// Advance one clock cycle: sample the sequential elements, then
+    /// settle.
     ///
     /// # Errors
     ///
     /// Currently infallible but kept fallible for forward compatibility with
     /// X-propagation checks.
     pub fn step(&mut self) -> Result<(), RtlError> {
-        // Phase 1: compute next state for every sequential cell from the
-        // *currently settled* values (simultaneous sampling). Register
-        // next-values go into the persistent scratch buffer — the hot path
-        // allocates nothing.
-        for r in &self.regs {
-            let load = r.en == u32::MAX || self.values[r.en as usize] & 1 == 1;
-            self.next_regs[r.slot as usize] = if load {
-                self.values[r.d as usize] & r.mask
-            } else {
-                self.reg_state[r.slot as usize]
-            };
+        // Phase 1: compute next state from the *currently settled* values
+        // (simultaneous sampling), for the registers whose `d` or `en`
+        // changed since they last sampled. Next values wait in the
+        // persistent `reg_commits` buffer — the hot path allocates
+        // nothing.
+        for w in 0..self.op_base as usize / 64 {
+            let mut word = self.dirty[w];
+            if word == 0 {
+                continue;
+            }
+            self.dirty[w] = 0;
+            self.register_evals += u64::from(word.count_ones());
+            while word != 0 {
+                let slot = w * 64 + word.trailing_zeros() as usize;
+                word &= word - 1;
+                let r = self.regs[slot];
+                let load = r.en == u32::MAX || self.values[r.en as usize] & 1 == 1;
+                let next = if load {
+                    self.values[r.d as usize] & r.mask
+                } else {
+                    self.reg_state[slot]
+                };
+                self.reg_commits.push((slot as u32, next));
+            }
         }
         // RAM ports sample the same settled values. Each memory is private
         // to its cell, so the read-first reads and the write commit fuse
@@ -839,13 +921,14 @@ impl<'n> Simulator<'n> {
             }
         }
         // Phase 2: commit register state and drive RAM read data, seeding
-        // the event worklist from every output whose value actually
-        // changed.
-        self.reg_state.copy_from_slice(&self.next_regs);
-        for i in 0..self.regs.len() {
-            let r = self.regs[i];
-            self.drive(r.q, self.reg_state[r.slot as usize]);
+        // the event worklist (and the next edge's register bits) from
+        // every output whose value actually changed.
+        for i in 0..self.reg_commits.len() {
+            let (slot, v) = self.reg_commits[i];
+            self.reg_state[slot as usize] = v;
+            self.drive(self.regs[slot as usize].q, v);
         }
+        self.reg_commits.clear();
         for i in 0..self.rams.len() {
             let (r, (ra, rb)) = (self.rams[i], self.next_ram[i]);
             self.drive(r.ra, ra);
@@ -943,45 +1026,46 @@ impl<'n> Simulator<'n> {
         }
     }
 
-    /// Queue every op reading `net` for the next event-driven settle pass.
+    /// Queue every op reading `net` for the next event-driven settle pass,
+    /// and every register reading it for the next clock edge. The marks
+    /// are branch-free: an op bit that is already set lies inside the
+    /// window, so widening to it changes nothing; a register bit lies
+    /// below every op bit, so it can lower `dirty_lo` (the settle scan
+    /// starts no lower than `op_base`) and raise `dirty_hi` only while no
+    /// op is queued.
     #[inline]
     fn mark_net(&mut self, net: u32) {
         let lo = self.fanout_start[net as usize] as usize;
         let hi = self.fanout_start[net as usize + 1] as usize;
         for k in lo..hi {
-            let op = self.fanout_ops[k];
-            let (w, bit) = (op as usize / 64, 1u64 << (op % 64));
-            let word = self.dirty[w];
-            if word & bit == 0 {
-                self.dirty[w] = word | bit;
-                self.dirty_lo = self.dirty_lo.min(op);
-                self.dirty_hi = self.dirty_hi.max(op);
-            }
+            let idx = self.fanout[k];
+            self.dirty[idx as usize / 64] |= 1u64 << (idx % 64);
+            self.dirty_lo = self.dirty_lo.min(idx);
+            self.dirty_hi = self.dirty_hi.max(idx);
         }
     }
 
-    /// Drive every register output and queue every op, then settle: the
-    /// drain evaluates the whole program exactly once, in rank order
+    /// Drive every register output, queue every op and every register,
+    /// then settle: the drain evaluates the whole program exactly once,
+    /// in rank order, and the next edge samples every register
     /// (construction and reset).
     fn settle_all(&mut self) {
-        for r in &self.regs {
-            self.values[r.q as usize] = self.reg_state[r.slot as usize];
+        for (r, &state) in self.regs.iter().zip(&self.reg_state) {
+            self.values[r.q as usize] = state;
         }
+        let ob = self.op_base as usize / 64;
+        set_first_bits(&mut self.dirty[..ob], self.regs.len());
         let n = self.ops.len();
         if n > 0 {
-            self.dirty.fill(u64::MAX);
-            // the drain indexes `ops` by bit: keep the bits past the last
-            // op clear
-            if !n.is_multiple_of(64) {
-                self.dirty[n / 64] = mask(u64::MAX, (n % 64) as u32);
-            }
-            self.dirty_lo = 0;
-            self.dirty_hi = n as u32 - 1;
+            set_first_bits(&mut self.dirty[ob..], n);
+            self.dirty_lo = self.op_base;
+            self.dirty_hi = self.op_base + n as u32 - 1;
         }
         self.settle();
     }
 
-    /// Scan the dirty window in topological-rank order. Ranks only grow
+    /// Scan the op part of the dirty window in topological-rank order,
+    /// leaving register bits for the next clock edge. Ranks only grow
     /// along fanout edges (the program is rank-major sorted), so a mark
     /// made during the scan always lands ahead of the cursor — raising
     /// `dirty_hi` at most — and each queued op is reached after all of its
@@ -992,7 +1076,7 @@ impl<'n> Simulator<'n> {
     /// is one branch instead of heap maintenance.
     fn settle(&mut self) {
         self.settle_passes += 1;
-        let mut wi = self.dirty_lo as usize / 64;
+        let mut wi = (self.dirty_lo as usize / 64).max(self.op_base as usize / 64);
         // `dirty_hi` is re-read every iteration: evaluated ops may extend
         // the window forward (never backward) by marking their fanout —
         // into higher bits of the current word or into later words.
@@ -1007,7 +1091,7 @@ impl<'n> Simulator<'n> {
             }
             let b = word.trailing_zeros();
             self.dirty[wi] = word & !(1u64 << b);
-            let i = wi * 64 + b as usize;
+            let i = wi * 64 + b as usize - self.op_base as usize;
             let op = self.ops[i];
             if op.kind == SettleKind::Packed {
                 let (pw, new, mut changed) = eval_packed(
@@ -1036,6 +1120,15 @@ impl<'n> Simulator<'n> {
         }
         self.dirty_lo = u32::MAX;
         self.dirty_hi = 0;
+    }
+}
+
+/// Set bits `0..n` of `bitmap` (`n.div_ceil(64)` words) and keep the bits
+/// past `n` clear: scans index ops and registers by bit.
+fn set_first_bits(bitmap: &mut [u64], n: usize) {
+    bitmap.fill(u64::MAX);
+    if !n.is_multiple_of(64) {
+        bitmap[n / 64] = mask(u64::MAX, (n % 64) as u32);
     }
 }
 
@@ -1596,5 +1689,145 @@ mod tests {
             assert_eq!(sim.peek_net(nid), twin.peek_net(nid), "net {nid}");
         }
         assert_eq!(sim.settle_ops(), twin.settle_ops());
+    }
+
+    /// `n` independent 8-bit counters `q_i' = q_i + 1`, each loading only
+    /// while its own input `en_i` is 1.
+    fn enabled_counters(n: usize) -> Netlist {
+        let mut nl = Netlist::new("counters");
+        let one = nl.add_net("one", 8);
+        nl.add_cell("c1", CellOp::Const { value: 1 }, &[], &[one])
+            .unwrap();
+        for i in 0..n {
+            let en = nl.add_input(format!("en{i}"), 1);
+            let q = nl.add_net(format!("q{i}"), 8);
+            let next = nl.add_net(format!("next{i}"), 8);
+            nl.add_cell(format!("add{i}"), CellOp::Add, &[q, one], &[next])
+                .unwrap();
+            nl.add_cell(
+                format!("r{i}"),
+                CellOp::Register {
+                    has_enable: true,
+                    has_reset: true,
+                },
+                &[next, en],
+                &[q],
+            )
+            .unwrap();
+            nl.mark_output(q);
+        }
+        nl
+    }
+
+    /// With one of 8 counters enabled, every edge after the first samples
+    /// exactly that counter: the others' `d` and `en` never change.
+    #[test]
+    fn clock_edge_samples_only_registers_whose_inputs_changed() {
+        let nl = enabled_counters(8);
+        let mut sim = Simulator::new(&nl).unwrap();
+        assert_eq!(sim.register_count(), 8);
+        sim.poke("en3", 1).unwrap();
+        sim.step().unwrap();
+        assert_eq!(
+            sim.register_evals(),
+            8,
+            "the first edge samples every register"
+        );
+        for cycle in 2..=20u64 {
+            let evals = sim.register_evals();
+            sim.step().unwrap();
+            assert_eq!(sim.register_evals() - evals, 1, "cycle {cycle}");
+            for i in 0..8 {
+                let want = if i == 3 { cycle } else { 0 };
+                assert_eq!(sim.peek(&format!("q{i}")).unwrap(), want, "q{i} at {cycle}");
+            }
+        }
+    }
+
+    /// A held register (en = 0, d ≠ q) is not sampled while nothing
+    /// changes, and loads on the first edge after `en` rises.
+    #[test]
+    fn held_register_loads_on_the_edge_after_enable_rises() {
+        let mut nl = Netlist::new("held");
+        let d = nl.add_input("d", 8);
+        let en = nl.add_input("en", 1);
+        let q = nl.add_net("q", 8);
+        nl.add_cell(
+            "r",
+            CellOp::Register {
+                has_enable: true,
+                has_reset: true,
+            },
+            &[d, en],
+            &[q],
+        )
+        .unwrap();
+        nl.mark_output(q);
+        let mut sim = Simulator::new(&nl).unwrap();
+        sim.poke("d", 42).unwrap();
+        sim.run(5).unwrap();
+        assert_eq!(sim.peek("q").unwrap(), 0, "disabled register holds");
+        assert_eq!(sim.register_evals(), 1, "quiet edges sample nothing");
+        sim.poke("en", 1).unwrap();
+        sim.step().unwrap();
+        assert_eq!(sim.peek("q").unwrap(), 42);
+        assert_eq!(sim.register_evals(), 2);
+    }
+
+    /// A shift chain of registers with no logic between the stages moves
+    /// a value one stage per edge: a register's commit marks the next
+    /// stage for the following edge, never for the current one.
+    #[test]
+    fn register_shift_chain_advances_one_stage_per_cycle() {
+        let mut nl = Netlist::new("shift");
+        let mut cur = nl.add_input("in", 8);
+        let mut stages = Vec::new();
+        for i in 0..4 {
+            let q = nl.add_net(format!("s{i}"), 8);
+            nl.add_cell(
+                format!("r{i}"),
+                CellOp::Register {
+                    has_enable: false,
+                    has_reset: true,
+                },
+                &[cur],
+                &[q],
+            )
+            .unwrap();
+            stages.push(q);
+            cur = q;
+        }
+        nl.mark_output(cur);
+        let mut sim = Simulator::new(&nl).unwrap();
+        sim.poke("in", 7).unwrap();
+        for cycle in 0..4 {
+            sim.step().unwrap();
+            if cycle == 0 {
+                sim.poke("in", 0).unwrap();
+            }
+            for (i, &q) in stages.iter().enumerate() {
+                let want = if i == cycle { 7 } else { 0 };
+                assert_eq!(sim.peek_net(q), want, "stage {i} after edge {cycle}");
+            }
+        }
+    }
+
+    /// `reset()` re-arms every register: the next edge samples all of
+    /// them, even those whose inputs have not changed since.
+    #[test]
+    fn first_edge_after_reset_samples_every_register() {
+        let nl = enabled_counters(70);
+        let mut sim = Simulator::new(&nl).unwrap();
+        sim.poke("en5", 1).unwrap();
+        sim.run(10).unwrap();
+        sim.reset();
+        assert_eq!(sim.peek("q5").unwrap(), 0);
+        let evals = sim.register_evals();
+        sim.step().unwrap();
+        assert_eq!(sim.register_evals() - evals, 70, "every register samples");
+        assert_eq!(sim.peek("q5").unwrap(), 1);
+        let evals = sim.register_evals();
+        sim.step().unwrap();
+        assert_eq!(sim.register_evals() - evals, 1, "then only the active one");
     }
 }

@@ -5,8 +5,9 @@
 //! every register's stored state, and every trace row, across long runs
 //! of random pokes and mid-run resets (deterministic `DetRng` loops — no
 //! external dependencies). Generator profiles bias toward RAM-heavy,
-//! wide-bus, and 1-bit-heavy shapes so the engine's fast paths (packed
-//! words, aligned slots) are all exercised.
+//! wide-bus, 1-bit-heavy and register-heavy shapes so the engine's fast
+//! paths (packed words, aligned slots, the gated clock edge) are all
+//! exercised.
 
 #[path = "support/reference.rs"]
 mod reference;
@@ -32,6 +33,11 @@ struct Profile {
     ram_bias: u64,
     /// RAM depth range high bound.
     ram_depth_hi: u64,
+    /// Extra kind-roll weight landing on the register arm (0 = baseline
+    /// 1/20). A non-zero weight also wires registers to each other: `d`
+    /// often reads an earlier register's `q`, and `en` is sometimes the
+    /// `d` net itself.
+    reg_bias: u64,
 }
 
 const BASELINE: Profile = Profile {
@@ -42,6 +48,7 @@ const BASELINE: Profile = Profile {
     cells_hi: 40,
     ram_bias: 0,
     ram_depth_hi: 17,
+    reg_bias: 0,
 };
 
 /// RAM-dominated: every other cell is a dual-port memory, deeper than
@@ -75,6 +82,18 @@ const BIT_HEAVY: Profile = Profile {
     ..BASELINE
 };
 
+/// Register-dominated: about half the cells are registers of 1 to 64
+/// bits, chained `q` to `d` with no logic between, so the clock edge's
+/// dirty marking carries most of the activity.
+const REG_HEAVY: Profile = Profile {
+    w_hi: 65,
+    bit_bias: 0.4,
+    cells_lo: 20,
+    cells_hi: 80,
+    reg_bias: 18,
+    ..BASELINE
+};
+
 /// Build a random, structurally valid netlist: combinational cells only
 /// read already-created nets (so the graph is acyclic by construction),
 /// registers and RAMs may read anything and source fresh nets.
@@ -85,6 +104,7 @@ fn random_netlist(rng: &mut DetRng) -> Netlist {
 fn random_netlist_with(rng: &mut DetRng, profile: Profile) -> Netlist {
     let mut nl = Netlist::new("rand");
     let mut pool: Vec<NetId> = Vec::new();
+    let mut reg_qs: Vec<NetId> = Vec::new();
     for i in 0..rng.range_u64(1, 5) {
         pool.push(nl.add_input(format!("in{i}"), rng.range_u64(profile.w_lo, profile.w_hi) as u32));
     }
@@ -99,8 +119,11 @@ fn random_netlist_with(rng: &mut DetRng, profile: Profile) -> Netlist {
             }
         };
         // rolls past the named arms land on the RAM arm; `ram_bias`
-        // widens that tail
-        let kind = rng.below(20 + profile.ram_bias);
+        // widens that tail, and `reg_bias` adds a tail of register rolls
+        let kind = match rng.below(20 + profile.ram_bias + profile.reg_bias) {
+            k if k >= 20 + profile.ram_bias => 18,
+            k => k,
+        };
         let a = pick(rng, &pool);
         let b = pick(rng, &pool);
         let sel = pick(rng, &pool);
@@ -213,7 +236,16 @@ fn random_netlist_with(rng: &mut DetRng, profile: Profile) -> Netlist {
             18 => {
                 let has_enable = rng.chance(0.5);
                 let q = nl.add_net(format!("q{c}"), w(rng));
-                let ins: Vec<NetId> = if has_enable { vec![a, sel] } else { vec![a] };
+                let (mut d, mut en) = (a, sel);
+                if profile.reg_bias > 0 {
+                    if !reg_qs.is_empty() && rng.chance(0.6) {
+                        d = pick(rng, &reg_qs);
+                    }
+                    if rng.chance(0.3) {
+                        en = d;
+                    }
+                }
+                let ins: Vec<NetId> = if has_enable { vec![d, en] } else { vec![d] };
                 nl.add_cell(
                     format!("c{c}"),
                     CellOp::Register {
@@ -224,6 +256,7 @@ fn random_netlist_with(rng: &mut DetRng, profile: Profile) -> Netlist {
                     &[q],
                 )
                 .unwrap();
+                reg_qs.push(q);
                 q
             }
             _ => {
@@ -317,7 +350,8 @@ fn event_driven_settle_equals_full_settle() {
 }
 
 /// The reference check across generator profiles: RAM-heavy, wide-bus,
-/// and 1-bit-heavy netlists through frequent mid-run resets.
+/// 1-bit-heavy and register-heavy netlists through frequent mid-run
+/// resets.
 #[test]
 fn packed_scalar_full_triple_check() {
     let mut rng = DetRng::new(0xE16_7121);
@@ -325,6 +359,7 @@ fn packed_scalar_full_triple_check() {
         ("ram_heavy", RAM_HEAVY),
         ("wide_bus", WIDE_BUS),
         ("bit_heavy", BIT_HEAVY),
+        ("reg_heavy", REG_HEAVY),
     ] {
         for case in 0..8u64 {
             let nl = random_netlist_with(&mut rng, profile);
