@@ -9,8 +9,10 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 # Identity gates under the optimizer: the NXmap-flow and fleet digests
 # were recorded in both profiles, so a speed change that only holds in
-# debug builds fails here.
+# debug builds fails here. The placer's own determinism, multi-start and
+# overflow tests run under the optimizer beside them.
 cargo test -q --release -p hermes-bench --test flow_identity --test fleet_identity
+cargo test -q --release -p hermes-fpga
 
 # Parallel determinism gate: the worker count is a throughput knob, never a
 # results knob. Run the fanned-out experiments serial and 4-wide (via the

@@ -1,6 +1,6 @@
 //! E11 — Throughput baseline: wall-clock of the heavy engines, serial vs
 //! parallel at 1/2/4 workers, and multi-start placement against the
-//! single anneal.
+//! single start.
 //!
 //! Timings are wall-clock on the build host and vary run to run; the
 //! structural facts the tables also record — bit-identical output across
@@ -57,7 +57,7 @@ pub fn run(jobs: usize, _obs: &hermes_obs::Recorder) -> ExperimentOutput {
         }
     }
 
-    // multi-start placement: quality and cost vs the single anneal
+    // multi-start placement: quality and cost vs the single start
     let hls = HlsFlow::new().unroll_limit(0);
     let design = suite().remove(3).compile(&hls, &untraced); // fir
     let device = DeviceProfile::ng_medium_like();
@@ -92,7 +92,7 @@ pub fn run(jobs: usize, _obs: &hermes_obs::Recorder) -> ExperimentOutput {
     let text = format!(
         "E11a: build-host parallel capacity\n{}\n\
          E11c: parallel engines, serial vs 2 and 4 workers (bit-identical output asserted)\n{}\n\
-         E11d: multi-start placement (fir), best-of-4 vs single anneal\n{}",
+         E11d: multi-start placement (fir), best-of-4 vs single start\n{}",
         host.render(),
         par.render(),
         place.render(),

@@ -29,9 +29,9 @@ pub struct FlowOptions {
     /// Multicycle path exceptions from the HLS schedule (coarse cell name
     /// → allowed settle cycles); see [`crate::timing::MulticycleHints`].
     pub multicycle: MulticycleHints,
-    /// Number of independent annealing starts; the best (lowest-HPWL)
+    /// Number of independent placement starts; the best (lowest-HPWL)
     /// result wins. Starts run in parallel across [`hermes_par::jobs`]
-    /// workers; `1` keeps the classic single-anneal flow.
+    /// workers; `1` keeps the classic single-start flow.
     pub place_starts: u32,
 }
 
@@ -95,7 +95,7 @@ pub struct FlowReport {
 pub struct PlacementSummary {
     /// Final HPWL.
     pub hpwl: f64,
-    /// Initial HPWL before annealing.
+    /// HPWL of the constructive placement the descent starts from.
     pub initial_hpwl: f64,
     /// Accepted / tried move counts.
     pub moves: (u64, u64),
@@ -204,7 +204,7 @@ impl NxFlow {
     /// [`run_with_artifacts`](NxFlow::run_with_artifacts) with
     /// flight-recorder output: one `Seq`-clocked span per NXmap stage
     /// (synth → place → route → sta → bitgen, ts = stage index) with the
-    /// stage's headline metric, plus per-annealing-epoch placer samples
+    /// stage's headline metric, plus per-sweep placer samples
     /// via [`Placer::place`].
     ///
     /// # Errors

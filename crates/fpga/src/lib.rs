@@ -2,7 +2,7 @@
 //!
 //! NG-ULTRA device model and NXmap-analogue implementation flow for the
 //! HERMES ecosystem: logic synthesis (technology mapping of coarse netlists
-//! to LUT4/FF/DSP/RAMB primitives), simulated-annealing placement, routing
+//! to LUT4/FF/DSP/RAMB primitives), greedy-descent placement, routing
 //! estimation, static timing analysis, and synthetic bitstream generation.
 //!
 //! The real NG-ULTRA fabric and the NXmap design suite are proprietary; this

@@ -1,10 +1,13 @@
-//! Simulated-annealing placement.
+//! Constructive placement refined by a greedy descent.
 //!
 //! Assigns every primitive cell to a fabric site: logic primitives (LUTs,
 //! carries, flip-flops) to logic tiles, DSP blocks to DSP columns, block
-//! RAMs to RAM columns, and I/O pads to the device perimeter. The annealer
-//! minimizes total half-perimeter wirelength (HPWL), the classic placement
-//! objective; the result drives routing estimation and timing analysis.
+//! RAMs to RAM columns, and I/O pads to the device perimeter. A serpentine
+//! constructive fill is refined by a zero-temperature descent on total
+//! half-perimeter wirelength (HPWL), the classic placement objective: a
+//! move is a range-limited hop of one logic cell, kept only if HPWL does
+//! not grow and the target tile has room. The result drives routing
+//! estimation and timing analysis.
 
 use crate::device::DeviceProfile;
 use crate::primitives::{Csr, PCellId, PrimNetlist, Primitive};
@@ -15,6 +18,10 @@ use hermes_rtl::rng::DetRng;
 /// Flight-recorder subsystem name used by the placer.
 const OBS_SUB: &str = "fpga.place";
 
+/// Range limit of a move, in tiles per axis (best of 8/16/24 on the
+/// suite's summed HPWL).
+const RANGE_LIMIT: u16 = 24;
+
 /// A placed design: one `(x, y)` site per primitive cell.
 #[derive(Debug, Clone)]
 pub struct Placement {
@@ -22,11 +29,11 @@ pub struct Placement {
     pub locations: Vec<(u16, u16)>,
     /// Final total half-perimeter wirelength, in tile units.
     pub hpwl: f64,
-    /// HPWL of the initial (pre-annealing) placement, for reporting.
+    /// HPWL of the constructive placement the descent starts from.
     pub initial_hpwl: f64,
-    /// Annealing moves attempted.
+    /// Descent moves attempted.
     pub moves_tried: u64,
-    /// Annealing moves accepted.
+    /// Descent moves accepted.
     pub moves_accepted: u64,
 }
 
@@ -44,17 +51,18 @@ impl Placement {
     }
 }
 
-/// Annealing effort level, trading runtime for quality.
+/// Placement effort: moves per movable cell of a greedy descent, trading
+/// runtime for quality.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Effort {
-    /// Initial placement only (fastest, for smoke tests).
+    /// Constructive placement only (fastest, for smoke tests).
     Zero,
-    /// Short anneal.
+    /// 4 moves per movable cell.
     Low,
-    /// Balanced anneal (default).
+    /// 16 moves per movable cell (default).
     #[default]
     Medium,
-    /// Long anneal for quality-critical runs.
+    /// 64 moves per movable cell, for quality-critical runs.
     High,
 }
 
@@ -62,9 +70,9 @@ impl Effort {
     fn moves_per_cell(self) -> u64 {
         match self {
             Effort::Zero => 0,
-            Effort::Low => 8,
-            Effort::Medium => 32,
-            Effort::High => 128,
+            Effort::Low => 4,
+            Effort::Medium => 16,
+            Effort::High => 64,
         }
     }
 }
@@ -183,11 +191,11 @@ impl Placer {
         }
     }
 
-    /// One seeded anneal: one instant event per annealing epoch (`Seq`
-    /// clock, ts = epoch index) sampling temperature and cost, plus move
-    /// counters — the per-epoch cost curve an NXmap placement log would
+    /// One seeded descent: one instant event per sweep (`Seq` clock, ts =
+    /// sweep index) sampling the moves accepted and the cost, plus move
+    /// counters — the per-sweep cost curve an NXmap placement log would
     /// show.
-    fn anneal(&self, prim: &PrimNetlist, obs: &Recorder) -> Result<Placement, FpgaError> {
+    fn descend(&self, prim: &PrimNetlist, obs: &Recorder) -> Result<Placement, FpgaError> {
         let mut rng = DetRng::new(self.seed);
         let classes: Vec<SiteClass> = prim
             .cells()
@@ -232,7 +240,7 @@ impl Placer {
             locations[cid.0 as usize] = site_of(classes[cid.0 as usize])?;
         }
 
-        // Multi-pin nets in net-id order (the anneal's f64 accumulation
+        // Multi-pin nets in net-id order (the descent's f64 accumulation
         // order), and for each cell the indices of the nets it sits on:
         // one entry per pin, so a net the cell sits on twice lists twice.
         let net_pins = prim.net_pins();
@@ -257,9 +265,6 @@ impl Placer {
         // the boxes of nets on the moved cell (O(pins-touched)), instead of
         // recomputing every affected net's pin list twice per move.
         let mut boxes: Vec<NetBox> = nets.iter().map(|pins| sites(&locations, pins)).collect();
-        let total = |locations: &[(u16, u16)]| -> f64 {
-            nets.iter().map(|pins| sites(locations, pins).hpwl()).sum()
-        };
 
         let initial_hpwl: f64 = boxes.iter().map(NetBox::hpwl).sum();
         let mut cost = initial_hpwl;
@@ -271,31 +276,30 @@ impl Placer {
             .filter(|&i| classes[i as usize] == SiteClass::Logic)
             .collect();
 
+        // Logic cells per tile, kept current move by move: a move into a
+        // full tile is rejected, so no tile ever holds more than
+        // `logic_cap` cells and the result needs no legalization.
+        let cols = self.device.grid_cols as usize;
+        let tile = |(x, y): (u16, u16)| y as usize * cols + x as usize;
+        let mut occupancy = vec![0usize; cols * self.device.grid_rows as usize];
+        for &c in &movable {
+            occupancy[tile(locations[c as usize])] += 1;
+        }
+
         let mut moves_tried = 0u64;
         let mut moves_accepted = 0u64;
-        if !movable.is_empty() && !logic_sites.is_empty() && self.effort != Effort::Zero {
-            let total_moves = self.effort.moves_per_cell() * movable.len() as u64;
-            let temp0 = (cost / nets.rows().max(1) as f64).max(1.0) * 2.0;
-            let mut temp = temp0;
-            let cooling = 0.92f64;
-            let moves_per_temp = (movable.len() as u64 * 4).max(64);
-            let mut done = 0u64;
-            let max_dim = self.device.grid_cols.max(self.device.grid_rows) as f64;
-            let mut best_cost = cost;
-            let mut best_locations = locations.clone();
+        if !movable.is_empty() {
             // Scratch for candidate boxes of the nets touched by one move,
             // reused across moves to stay allocation-free in steady state.
             let mut candidate: Vec<(usize, NetBox)> = Vec::new();
-            let mut epoch = 0u64;
-            while done < total_moves {
-                // Move window shrinks with temperature (VPR-style range limit).
-                let win = ((max_dim * (temp / temp0).min(1.0)) as i32).max(2);
-                for _ in 0..moves_per_temp.min(total_moves - done) {
+            for epoch in 0..self.effort.moves_per_cell() {
+                let mut accepted = 0u64;
+                for _ in 0..movable.len() {
                     moves_tried += 1;
                     let cell = movable[rng.below(movable.len() as u64) as usize];
                     let old_site = locations[cell as usize];
-                    let new_site = self.windowed_site(&mut rng, old_site, win, &logic_sites);
-                    if new_site == old_site {
+                    let new_site = self.windowed_site(&mut rng, old_site);
+                    if new_site == old_site || occupancy[tile(new_site)] >= logic_cap {
                         continue;
                     }
                     // Delta over affected nets, from cached bounding boxes:
@@ -335,17 +339,18 @@ impl Placer {
                         after += candidate[candidate.len() - 1].1.hpwl();
                     }
                     let delta = after - before;
-                    let accept = delta <= 0.0 || rng.next_f64() < (-delta / temp).exp();
-                    if accept {
+                    if delta <= 0.0 {
                         locations[cell as usize] = new_site;
+                        occupancy[tile(old_site)] -= 1;
+                        occupancy[tile(new_site)] += 1;
                         for &(i, b) in &candidate {
                             boxes[i] = b;
                         }
                         cost += delta;
-                        moves_accepted += 1;
+                        accepted += 1;
                     }
                 }
-                done += moves_per_temp;
+                moves_accepted += accepted;
                 if obs.enabled() {
                     obs.instant(
                         OBS_SUB,
@@ -354,29 +359,19 @@ impl Placer {
                         epoch,
                         &[
                             ("seed", self.seed.to_string()),
-                            ("temp", format!("{temp:.4}")),
+                            ("accepted", accepted.to_string()),
                             ("cost", format!("{cost:.1}")),
                         ],
                     );
                 }
-                epoch += 1;
-                temp *= cooling;
-                if cost < best_cost {
-                    best_cost = cost;
-                    best_locations.copy_from_slice(&locations);
-                }
-                if temp < 0.01 {
-                    break;
-                }
             }
-            if best_cost < cost {
-                locations.copy_from_slice(&best_locations);
-            }
-            // note: capacity is relaxed during annealing (multiple logic
-            // cells may share a tile up to luts_per_tile); a final
-            // legalization pass redistributes overfull tiles.
-            self.legalize(&mut locations, &classes, &logic_sites);
-            cost = total(&locations);
+            debug_assert_eq!(
+                cost,
+                nets.iter()
+                    .map(|pins| sites(&locations, pins).hpwl())
+                    .sum::<f64>(),
+                "incremental cost"
+            );
         }
 
         obs.counter_add(OBS_SUB, "moves_tried", moves_tried);
@@ -391,14 +386,14 @@ impl Placer {
         })
     }
 
-    /// Place the primitive netlist: run `starts` independent anneals
+    /// Place the primitive netlist: run `starts` independent descents
     /// (seeds `seed, seed+1, …`) across `jobs` workers and keep the
     /// lowest-HPWL result, ties broken by lowest start index.
     ///
-    /// Each anneal is seed-deterministic and the winner is selected by
+    /// Each descent is seed-deterministic and the winner is selected by
     /// value, so the outcome is identical regardless of worker count or
-    /// scheduling; `starts = 1` is the single anneal at `seed`. Each
-    /// anneal records one instant event per epoch (temperature and cost)
+    /// scheduling; `starts = 1` is the single descent at `seed`. Each
+    /// descent records one instant event per sweep (moves accepted and cost)
     /// plus move counters into its own [`Recorder::child`]; the children
     /// are absorbed back **in seed order** after the parallel map, so the
     /// merged trace is bit-identical regardless of worker count.
@@ -416,7 +411,7 @@ impl Placer {
     ) -> Result<Placement, FpgaError> {
         let starts = starts.max(1);
         if starts == 1 {
-            return self.anneal(prim, obs);
+            return self.descend(prim, obs);
         }
         let seeds: Vec<u64> = (0..u64::from(starts))
             .map(|i| self.seed.wrapping_add(i))
@@ -428,7 +423,7 @@ impl Placer {
                 effort: self.effort,
                 seed,
             }
-            .anneal(prim, &child);
+            .descend(prim, &child);
             (placed, child)
         })
         .map_err(|e| FpgaError::Internal {
@@ -448,82 +443,35 @@ impl Placer {
         Ok(best)
     }
 
-    /// Pick a legal logic site within `win` tiles of `from` (falling back to
-    /// a uniformly random logic site when the window holds none).
-    fn windowed_site(
-        &self,
-        rng: &mut DetRng,
-        from: (u16, u16),
-        win: i32,
-        logic_sites: &[(u16, u16)],
-    ) -> (u16, u16) {
+    /// Pick a logic site within [`RANGE_LIMIT`] tiles of `from`, or `from`
+    /// itself (no move) when eight draws all land on DSP or RAM columns.
+    fn windowed_site(&self, rng: &mut DetRng, from: (u16, u16)) -> (u16, u16) {
         let cols = self.device.grid_cols as i32;
         let rows = self.device.grid_rows as i32;
+        let win = i64::from(RANGE_LIMIT);
         for _ in 0..8 {
-            let x = (i32::from(from.0) + rng.range_i64(-i64::from(win), i64::from(win)) as i32).clamp(1, cols - 2);
-            let y = (i32::from(from.1) + rng.range_i64(-i64::from(win), i64::from(win)) as i32).clamp(1, rows - 2);
+            let x = (i32::from(from.0) + rng.range_i64(-win, win) as i32).clamp(1, cols - 2);
+            let y = (i32::from(from.1) + rng.range_i64(-win, win) as i32).clamp(1, rows - 2);
             if !self.device.is_dsp_column(x as u32) && !self.device.is_ram_column(x as u32) {
                 return (x as u16, y as u16);
             }
         }
-        logic_sites[rng.below(logic_sites.len() as u64) as usize]
+        from
     }
 
-    /// Spread logic cells so no tile exceeds its LUT capacity.
-    fn legalize(
-        &self,
-        locations: &mut [(u16, u16)],
-        classes: &[SiteClass],
-        logic_sites: &[(u16, u16)],
-    ) {
-        let cap = self.device.luts_per_tile as usize * 2; // LUT + FF sites
-        let cols = self.device.grid_cols as usize;
-        let tile = |(x, y): (u16, u16)| y as usize * cols + x as usize;
-        let mut occupancy = vec![0usize; cols * self.device.grid_rows as usize];
-        for (i, &loc) in locations.iter().enumerate() {
-            if classes[i] == SiteClass::Logic {
-                occupancy[tile(loc)] += 1;
-            }
-        }
-        let mut free: Vec<(u16, u16)> = logic_sites
-            .iter()
-            .filter(|&&s| occupancy[tile(s)] < cap)
-            .copied()
-            .collect();
-        for i in 0..locations.len() {
-            if classes[i] != SiteClass::Logic {
-                continue;
-            }
-            let loc = locations[i];
-            let occ = &mut occupancy[tile(loc)];
-            if *occ > cap {
-                *occ -= 1;
-                // move to nearest free tile
-                if let Some((best_idx, _)) = free
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, s)| s.0.abs_diff(loc.0) as u32 + s.1.abs_diff(loc.1) as u32)
-                {
-                    let target = free[best_idx];
-                    locations[i] = target;
-                    let t = &mut occupancy[tile(target)];
-                    *t += 1;
-                    if *t >= cap {
-                        free.swap_remove(best_idx);
-                    }
-                }
-            }
-        }
-    }
-
+    /// Logic sites in serpentine column order: alternate logic columns
+    /// walk up and down, so the greedy fill steps to a neighbouring tile
+    /// when it turns into the next column.
     fn logic_sites(&self) -> Vec<(u16, u16)> {
+        let rows = 1..self.device.grid_rows.saturating_sub(1);
         let mut v = Vec::new();
-        for x in 1..self.device.grid_cols.saturating_sub(1) {
-            if self.device.is_dsp_column(x) || self.device.is_ram_column(x) {
-                continue;
-            }
-            for y in 1..self.device.grid_rows.saturating_sub(1) {
-                v.push((x as u16, y as u16));
+        let logic_cols = (1..self.device.grid_cols.saturating_sub(1))
+            .filter(|&x| !self.device.is_dsp_column(x) && !self.device.is_ram_column(x));
+        for (i, x) in logic_cols.enumerate() {
+            if i % 2 == 0 {
+                v.extend(rows.clone().map(|y| (x as u16, y as u16)));
+            } else {
+                v.extend(rows.clone().rev().map(|y| (x as u16, y as u16)));
             }
         }
         v
@@ -604,21 +552,6 @@ mod tests {
     }
 
     #[test]
-    fn annealing_improves_or_matches_hpwl() {
-        let prim = sample_prim();
-        let p = Placer::new(DeviceProfile::ng_medium_like(), Effort::Medium, 7)
-            .place(&prim, 1, 1, &Recorder::disabled())
-            .unwrap();
-        assert!(
-            p.hpwl <= p.initial_hpwl * 1.05,
-            "anneal should not badly regress: {} -> {}",
-            p.initial_hpwl,
-            p.hpwl
-        );
-        assert!(p.moves_accepted > 0);
-    }
-
-    #[test]
     fn dsp_cells_land_on_dsp_columns() {
         let prim = sample_prim();
         let dev = DeviceProfile::ng_medium_like();
@@ -669,7 +602,7 @@ mod tests {
     fn single_start_multi_matches_place() {
         let prim = sample_prim();
         let placer = Placer::new(DeviceProfile::ng_medium_like(), Effort::Low, 11);
-        let a = placer.anneal(&prim, &Recorder::disabled()).unwrap();
+        let a = placer.descend(&prim, &Recorder::disabled()).unwrap();
         let b = placer.place(&prim, 1, 4, &Recorder::disabled()).unwrap();
         assert_eq!(a.locations, b.locations);
     }

@@ -3,7 +3,7 @@
 //! The std-only parallel execution engine of the HERMES workspace.
 //!
 //! Every layer of the flow — the per-kernel HLS→FPGA pipeline, the
-//! Eucalyptus characterization sweep, the multi-start annealing placer,
+//! Eucalyptus characterization sweep, the multi-start placer,
 //! and the chaos campaigns — consists of *independent, deterministic*
 //! units of work. [`par_map_jobs`] runs such units across a scoped thread
 //! pool (`std::thread::scope`, zero external dependencies, no leaked

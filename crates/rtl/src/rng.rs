@@ -1,6 +1,6 @@
 //! Deterministic seeded pseudo-random number generator.
 //!
-//! The whole ecosystem draws stimuli, fault schedules, and annealing moves
+//! The whole ecosystem draws stimuli, fault schedules, and placement moves
 //! from this one generator so that every run is exactly reproducible from a
 //! seed — the repo builds offline with no external `rand` dependency, and a
 //! chaos campaign or placement result can be replayed bit-for-bit.
