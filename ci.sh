@@ -16,7 +16,9 @@ cargo test -q --release -p hermes-fpga
 
 # Parallel determinism gate: the worker count is a throughput knob, never a
 # results knob. Run the fanned-out experiments serial and 4-wide (via the
-# --jobs flag) and diff everything except the wall-clock lines.
+# --jobs flag) and diff everything except the wall-clock lines. E16 asserts
+# its one-active-tile settle and register gates (>= 10x each) in code, so
+# a broken gate fails here.
 EXP=target/release/experiments
 strip_timing() { grep -v "completed in" "$1" > "$1.stripped"; }
 "$EXP" --jobs 1 e1 e2 e7 e10 e14 e15 e16 e19 > /tmp/hermes_serial.txt
@@ -86,9 +88,8 @@ grep -q '"schema": "hermes-trace/v1"' /tmp/hermes_e12_trace.json \
   || { echo "ci: e12 trace missing schema line" >&2; exit 1; }
 python3 -c "import json; json.load(open('/tmp/hermes_e12_trace.json'))"
 
-# E13 smoke: event-driven settle + characterization cache must run end to
-# end, emit schema'd JSON, and report a sane activity factor (0 < f <= 1)
-# for every kernel.
+# E13 smoke: event-driven settle must run end to end, emit schema'd
+# JSON, and report a sane activity factor (0 < f <= 1) for every kernel.
 "$EXP" e13 --json /tmp/hermes_e13_smoke.json > /dev/null
 python3 - <<'PY'
 import json
@@ -151,27 +152,6 @@ for row in tables["e15d"]["rows"]:
     assert int(row["attempts"]) == int(row["attributed"]), f"unattributed fuzz: {row}"
     assert int(row["silent"]) == 0, f"silent fuzzed hypercall: {row}"
 print("ci: e15 zero-silent-leak gate holds")
-PY
-
-# E16 smoke: the word-parallel simulation experiment must run end to end,
-# emit schema'd JSON, pack lanes on the tiled fabric, and clear the
-# headline gate: on the one-active-tile SoC scenario, full passes would
-# evaluate at least 10x the settle ops the event drain does. The gate
-# counts work, not wall clock, so it holds on any host (E16 asserts it
-# in code too).
-"$EXP" e16 --json /tmp/hermes_e16_smoke.json > /dev/null
-python3 - <<'PY'
-import json
-doc = json.load(open('/tmp/hermes_e16_smoke.json'))
-assert doc["schema"] == "hermes-bench/v1"
-tables = {t["id"]: t for e in doc["experiments"] for t in e["tables"]}
-soc = [r for r in tables["e16a"]["rows"] if r["design"] != "acc"]
-assert soc and all(int(r["packed_lanes"]) > 0 for r in soc), "tiled fabric must pack lanes"
-gate = [r for r in tables["e16c"]["rows"] if r["scenario"] == "soc-one-active"]
-assert len(gate) == 1, "missing the one-active gate row"
-full, ops = int(gate[0]["full_ops"]), int(gate[0]["settle_ops"])
-assert full >= 10 * ops, f"gate: full-pass ops {full} < 10x evaluated ops {ops}"
-print(f"ci: e16 gate holds (full passes {full / ops:.0f}x the evaluated settle ops)")
 PY
 
 # E17: causal tracing, critical-path profiling, SLO burn-rate alerting.

@@ -1,30 +1,19 @@
-//! E13 — Event-driven settle and the shared characterization cache.
+//! E13 — Event-driven settle.
 //!
-//! Two orthogonal hot-path optimizations:
-//!
-//! * **Activity-gated settling** (`crates/rtl`): the simulator drains a
-//!   dirty worklist in topological-rank order instead of evaluating the
-//!   whole compiled settle program every pass. E13a reports the per-kernel
-//!   *activity factor*: evaluated ops over the full-evaluation baseline
-//!   `settle_passes × settle_program_len` of the same run. That the
-//!   drain agrees with full evaluation is held by the reference-interpreter
-//!   tests (`rtl/tests/settle_equivalence.rs`, `tests/settle_engines.rs`).
-//! * **Shared characterization cache** (`crates/eucalyptus` →
-//!   `crates/hls`): a suite of kernel flows characterizes each device
-//!   once instead of once per flow. E13c times the E2 flow suite with the
-//!   cache bypassed (every flow pays its own sweep — the pre-change
-//!   behaviour) and with the cache active, and reports the hit/miss/bypass
-//!   counter deltas.
-//!
-//! Wall-clock columns vary run to run; the structural claims (identical
-//! E2 tables, activity factor in `(0, 1]`) are asserted, not just printed.
+//! The simulator (`crates/rtl`) drains a dirty worklist in
+//! topological-rank order instead of evaluating the whole compiled settle
+//! program every pass. E13a reports the per-kernel *activity factor*:
+//! evaluated ops over the full-evaluation baseline
+//! `settle_passes × settle_program_len` of the same run, asserted to lie
+//! in `(0, 1]`. That the drain agrees with full evaluation is held by the
+//! reference-interpreter tests (`rtl/tests/settle_equivalence.rs`,
+//! `tests/settle_engines.rs`).
 
 use crate::cells;
 use crate::table::Table;
 use crate::ExperimentOutput;
 use hermes_hls::HlsFlow;
 use hermes_rtl::sim::Simulator;
-use std::time::Instant;
 
 /// Argument pokes for one kernel run: `(net name, value)`.
 type Pokes = &'static [(&'static str, u64)];
@@ -86,9 +75,9 @@ fn run_kernel(nl: &hermes_rtl::netlist::Netlist, pokes: &[(&str, u64)]) -> SimRu
     }
 }
 
-/// Run E13 with a flight recorder (RTL counters under `rtl-event`); the
-/// E13c cache comparison runs E2 on `jobs` workers.
-pub fn run(jobs: usize, obs: &hermes_obs::Recorder) -> ExperimentOutput {
+/// Run E13 with a flight recorder (RTL counters under `rtl-event`). The
+/// kernels run serially, so `jobs` is unused.
+pub fn run(_jobs: usize, obs: &hermes_obs::Recorder) -> ExperimentOutput {
     // E13a: per-kernel activity factor, evaluated vs full-pass ops.
     let hls = HlsFlow::new().unroll_limit(0);
     let mut act = Table::new(&[
@@ -125,58 +114,11 @@ pub fn run(jobs: usize, obs: &hermes_obs::Recorder) -> ExperimentOutput {
         sim.obs_export(obs, "rtl-event");
     }
 
-    // E13c: E2 flow suite with the characterization cache bypassed
-    // (pre-change behaviour: one sweep per flow) vs shared.
-    let untraced = hermes_obs::Recorder::disabled();
-    let mut cachet = Table::new(&[
-        "mode", "wall_ms", "sweeps_run", "cache_hits", "identical", "speedup",
-    ]);
-    let s0 = hermes_eucalyptus::cache::stats();
-    hermes_eucalyptus::cache::set_bypass(true);
-    let start = Instant::now();
-    let bypassed = crate::e2_fpga_flow::run(jobs, &untraced);
-    let bypass_ms = start.elapsed().as_secs_f64() * 1e3;
-    hermes_eucalyptus::cache::set_bypass(false);
-    let s1 = hermes_eucalyptus::cache::stats();
-    let start = Instant::now();
-    let cached = crate::e2_fpga_flow::run(jobs, &untraced);
-    let cached_ms = start.elapsed().as_secs_f64() * 1e3;
-    let s2 = hermes_eucalyptus::cache::stats();
-    assert_eq!(
-        bypassed.text, cached.text,
-        "cache must not change the E2 tables"
-    );
-    assert!(
-        s1.bypasses - s0.bypasses >= 1,
-        "bypassed run must have skipped the store"
-    );
-    cachet.row(cells![
-        "bypass (sweep per flow)",
-        format!("{bypass_ms:.0}"),
-        s1.bypasses - s0.bypasses,
-        0,
-        "-",
-        "1.00x",
-    ]);
-    cachet.row(cells![
-        "shared cache",
-        format!("{cached_ms:.0}"),
-        s2.misses - s1.misses,
-        s2.hits - s1.hits,
-        "yes",
-        format!("{:.2}x", bypass_ms / cached_ms),
-    ]);
-
     let text = format!(
-        "E13a: settle activity factor per kernel (evaluated vs full-pass ops)\n{}\n\
-         E13c: E2 flow suite, characterization sweep per flow vs shared cache ({} workers)\n{}",
+        "E13a: settle activity factor per kernel (evaluated vs full-pass ops)\n{}",
         act.render(),
-        jobs,
-        cachet.render(),
     );
-    ExperimentOutput::new(text)
-        .with("e13a", "settle activity factor", act)
-        .with("e13c", "characterization cache", cachet)
+    ExperimentOutput::new(text).with("e13a", "settle activity factor", act)
 }
 
 #[cfg(test)]

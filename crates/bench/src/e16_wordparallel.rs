@@ -1,20 +1,18 @@
-//! E16 — Word-parallel bit-packed RTL settle.
+//! E16 — Activity-gated RTL settle on a tiled SoC fabric.
 //!
-//! A hot-path layer on top of the E13 event-driven settle (`crates/rtl`):
-//! independent 1-bit ops of identical boolean form are bit-packed up to
-//! 64 per `u64` word at settle-program build time and evaluated as one
-//! bitwise instruction each.
+//! The E13 event-driven settle and the gated clock edge (`crates/rtl`),
+//! measured where activity is localized: the `acc` kernel tiled into a
+//! fabric of independent copies.
 //!
 //! Sub-experiments:
 //!
-//! * **E16a** — compiled-program structure: packing per design
-//!   (deterministic).
+//! * **E16a** — compiled-program structure per design (deterministic).
 //! * **E16b** — the E11 sim workload (`acc` alone): cycles, return value,
 //!   evaluated settle ops against the full-pass baseline, the activity
 //!   factor, and the register samples the gated clock edge took.
 //! * **E16c** — the same kernel tiled into an SoC-scale fabric
-//!   (`Netlist::tiled`), the workload class packing and gating target,
-//!   with every tile active and with one. The *one-active-tile* row
+//!   (`Netlist::tiled`), the workload class gating targets, with every
+//!   tile active and with one. The *one-active-tile* row
 //!   carries the two headline gates, asserted in every profile: full
 //!   passes would evaluate at least 10× the ops the event drain does,
 //!   and sampling every register on every edge at least 10× the
@@ -108,8 +106,8 @@ fn soc_pokes(copies: usize, all: bool) -> Vec<(String, u64)> {
     (0..tiles).map(|k| (format!("u{k}_arg_n"), SOC_ARG)).collect()
 }
 
-/// Run E16, tracing into `obs` (the packing counters export under
-/// `rtl-par`). Settling is serial, so `jobs` is unused.
+/// Run E16, tracing into `obs` (the fabric's settle counters export
+/// under `rtl-par`). Settling is serial, so `jobs` is unused.
 pub fn run(_jobs: usize, obs: &hermes_obs::Recorder) -> ExperimentOutput {
     let design = HlsFlow::new().unroll_limit(0).compile(ACC_SRC).expect("acc compiles");
     let acc_nl = design.netlist();
@@ -117,32 +115,20 @@ pub fn run(_jobs: usize, obs: &hermes_obs::Recorder) -> ExperimentOutput {
     soc_nl.validate().expect("tiled netlist is valid");
 
     // E16a: what the settle-program compiler produced for each design.
-    let mut structure = Table::new(&[
-        "design", "nets", "registers", "program_ops", "program_words", "packed_words",
-        "packed_lanes", "occupancy_pm",
-    ]);
+    let mut structure = Table::new(&["design", "nets", "registers", "program_ops"]);
     for (name, nl) in [("acc", acc_nl), (soc_nl.name(), &soc_nl)] {
         let sim = Simulator::new(nl).expect("valid netlist");
-        assert!(
-            sim.settle_words() <= sim.settle_program_len(),
-            "{name}: packing can only shrink the walked program"
-        );
-        assert!(name == "acc" || sim.packed_lanes() > 0, "tiled fabric must pack some lanes");
         structure.row(cells![
             name,
             nl.net_count(),
             sim.register_count(),
-            sim.settle_program_len(),
-            sim.settle_words(),
-            sim.packed_words(),
-            sim.packed_lanes(),
-            sim.lane_occupancy_permille(),
+            sim.settle_program_len()
         ]);
     }
 
     // E16b: the E11 sim workload; E16c: the tiled SoC fabric with every
     // tile active, then one active tile (the localized-activity scenario
-    // event gating and packing target). One engine, one row per scenario.
+    // event gating targets). One engine, one row per scenario.
     let mut timing_lines = String::new();
     let mut wall = Table::new(&["scenario", "wall_ms", "kcycles_s"]);
     let acc_done = acc_nl.net_by_name("done").expect("done net");
@@ -202,8 +188,8 @@ pub fn run(_jobs: usize, obs: &hermes_obs::Recorder) -> ExperimentOutput {
         ));
     }
 
-    // Export the packing counters so trace consumers see lane occupancy
-    // alongside the E13 activity factor.
+    // Export the fabric's settle counters so trace consumers see its
+    // activity factor alongside E13's.
     {
         let mut sim = Simulator::new(&soc_nl).expect("valid netlist");
         sim.poke("u0_arg_n", 64).expect("u0_arg_n exists");
@@ -214,7 +200,7 @@ pub fn run(_jobs: usize, obs: &hermes_obs::Recorder) -> ExperimentOutput {
     }
 
     let text = format!(
-        "E16a: compiled settle-program structure (word-packing)\n{}\n\
+        "E16a: compiled settle-program structure\n{}\n\
          E16b: E11 sim workload acc({E11_ARG}) x{E11_REPS}\n{}\n\
          E16c: SoC fabric acc x{SOC_COPIES} (arg {SOC_ARG}), all tiles vs one tile active\n{}\n{}",
         structure.render(),
@@ -233,13 +219,33 @@ pub fn run(_jobs: usize, obs: &hermes_obs::Recorder) -> ExperimentOutput {
 mod tests {
     use super::*;
 
+    /// Work is additive over tiles: with every tile driven identically, a
+    /// fabric of `k` tiles costs exactly `k` times the settle ops and
+    /// register samples of the kernel alone, from construction to `done`.
     #[test]
-    fn tiled_fabric_packs_and_partitions() {
+    fn tiled_work_is_additive() {
         let design = HlsFlow::new().unroll_limit(0).compile(ACC_SRC).expect("acc");
-        let nl = design.netlist().tiled(8);
-        let sim = Simulator::new(&nl).expect("sim");
-        assert!(sim.packed_lanes() >= 8, "8 tiles share identical 1-bit forms");
-        assert!(sim.settle_words() < sim.settle_program_len());
+        let acc = design.netlist();
+        let net = |nl: &Netlist, name: &str| nl.net_by_name(name).expect(name);
+        let alone = run_kernel(
+            acc,
+            &[("arg_n".to_string(), 40)],
+            net(acc, "done"),
+            net(acc, "ret_q"),
+            1,
+        );
+        for k in [8, 16] {
+            let nl = acc.tiled(k);
+            let pokes: Vec<(String, u64)> = (0..k).map(|t| (format!("u{t}_arg_n"), 40)).collect();
+            let tiled = run_kernel(&nl, &pokes, net(&nl, "u0_done"), net(&nl, "u0_ret_q"), 1);
+            assert_eq!(tiled.cycles, alone.cycles, "x{k}: cycles");
+            assert_eq!(tiled.settle_ops, k as u64 * alone.settle_ops, "x{k}: settle ops");
+            assert_eq!(
+                tiled.register_evals,
+                k as u64 * alone.register_evals,
+                "x{k}: register samples"
+            );
+        }
     }
 
     /// A tile of the fabric computes what the kernel alone computes, in

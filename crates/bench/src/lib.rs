@@ -22,17 +22,17 @@
 //! type). `jobs` is the worker count: E1/E2/E3/E7/E10 fan their
 //! coarse, independent units (suite kernels, seeds, the Eucalyptus
 //! sweep, placement starts) over `hermes-par`, E11 reports it and
-//! E12/E13 pass it on to the experiments they time; the others, E15–E19
-//! included, run serially and ignore it. Any worker count renders
+//! E12 passes it on to the experiments it times; the others, E13 and
+//! E15–E19 included, run serially and ignore it. Any worker count renders
 //! bit-identical tables. `obs` is the
 //! flight recorder; callers that do not trace pass
 //! [`hermes_obs::Recorder::disabled`], which costs one branch per
 //! recording call.
 //!
 //! No library crate reads the process environment: every engine runs its
-//! default, and the alternates are reachable only through typed hooks —
-//! `cache::set_bypass` and `par::set_jobs_override`. DESIGN.md's "Engine
-//! selection" table names the test that pins each one. The RTL settle
+//! default, and the one alternate, the worker count, is reachable only
+//! through a typed hook, `par::set_jobs_override`. DESIGN.md's "Engine
+//! selection" table names the test that pins it. The RTL settle
 //! engine and the fast-forward wake rules have no alternate: their
 //! oracles (the reference interpreter, the per-tick polling loops) live
 //! in tests.
@@ -135,7 +135,7 @@ pub fn all_experiments() -> Vec<Experiment> {
         ("e12", "Observability overhead (tracing on vs off)", e12_observability::run),
         (
             "e13",
-            "Event-driven settle + shared characterization cache",
+            "Event-driven settle: activity factor per kernel",
             e13_eventdriven::run,
         ),
         (
@@ -150,7 +150,7 @@ pub fn all_experiments() -> Vec<Experiment> {
         ),
         (
             "e16",
-            "Word-parallel bit-packed settle",
+            "Activity-gated settle on a tiled SoC fabric",
             e16_wordparallel::run,
         ),
         (

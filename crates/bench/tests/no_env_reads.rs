@@ -203,9 +203,18 @@ fn one_scheduler_path() {
 }
 
 /// Names that select or implement a second RTL settle engine beside the
-/// simulator's event drain.
-const SECOND_SETTLE_ENGINE: [&str; 4] =
-    ["new_with_packing", "set_event_driven", "BaselineSimulator", "fn settle_full"];
+/// simulator's event drain, or a second kind of settle op inside it (the
+/// deleted word-parallel packing layer).
+const SECOND_SETTLE_ENGINE: [&str; 8] = [
+    "new_with_packing",
+    "set_event_driven",
+    "BaselineSimulator",
+    "fn settle_full",
+    "PackedWord",
+    "eval_packed",
+    "MIN_PACK_LANES",
+    "bit_apply",
+];
 
 #[test]
 fn one_settle_engine() {

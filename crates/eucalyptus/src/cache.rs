@@ -13,10 +13,6 @@
 //! two differently tuned profiles with the same name never alias), and
 //! the signature canonically renders the sweep's widths, pipeline depths,
 //! and the characterizer's kind list.
-//!
-//! For A/B measurement and tests that must observe a cold sweep, the
-//! cache has a programmatic bypass, [`set_bypass`]. Bypassed calls
-//! neither read nor populate the store.
 
 use crate::library::CharacterizationLibrary;
 use crate::sweep::{Eucalyptus, SweepConfig};
@@ -24,47 +20,11 @@ use crate::CharError;
 use hermes_fpga::device::DeviceProfile;
 use hermes_obs::hash::Fnv1a;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 type Store = Mutex<HashMap<(u64, String), Arc<CharacterizationLibrary>>>;
 
 static CACHE: OnceLock<Store> = OnceLock::new();
-static HITS: AtomicU64 = AtomicU64::new(0);
-static MISSES: AtomicU64 = AtomicU64::new(0);
-static BYPASSES: AtomicU64 = AtomicU64::new(0);
-static BYPASS: AtomicBool = AtomicBool::new(false);
-
-/// Cache effectiveness counters (process-wide, monotonic).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CacheStats {
-    /// Calls served from the store.
-    pub hits: u64,
-    /// Calls that ran a sweep and populated the store.
-    pub misses: u64,
-    /// Calls that skipped the store entirely (bypass knob).
-    pub bypasses: u64,
-}
-
-/// Current process-wide cache counters.
-pub fn stats() -> CacheStats {
-    CacheStats {
-        hits: HITS.load(Ordering::Relaxed),
-        misses: MISSES.load(Ordering::Relaxed),
-        bypasses: BYPASSES.load(Ordering::Relaxed),
-    }
-}
-
-/// Programmatic bypass knob: `true` makes every [`characterize_shared`]
-/// call run a fresh sweep without touching the store (tests, A/B runs).
-pub fn set_bypass(on: bool) {
-    BYPASS.store(on, Ordering::Relaxed);
-}
-
-/// Whether caching is currently bypassed ([`set_bypass`]).
-pub fn bypassed() -> bool {
-    BYPASS.load(Ordering::Relaxed)
-}
 
 /// FNV-1a over a canonical rendering of every device-profile field
 /// (floats by bit pattern), so any tuning difference changes the key.
@@ -155,18 +115,12 @@ pub fn characterize_shared(
     euc: &Eucalyptus,
     sweep: &SweepConfig,
 ) -> Result<Arc<CharacterizationLibrary>, CharError> {
-    if bypassed() {
-        BYPASSES.fetch_add(1, Ordering::Relaxed);
-        return euc.characterize(sweep).map(Arc::new);
-    }
     let key = (device_fingerprint(euc.device()), sweep_signature(euc, sweep));
     let store = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
     let mut map = store.lock().unwrap_or_else(|e| e.into_inner());
     if let Some(lib) = map.get(&key) {
-        HITS.fetch_add(1, Ordering::Relaxed);
         return Ok(Arc::clone(lib));
     }
-    MISSES.fetch_add(1, Ordering::Relaxed);
     let lib = Arc::new(euc.characterize(sweep)?);
     map.insert(key, Arc::clone(&lib));
     Ok(lib)
@@ -175,15 +129,6 @@ pub fn characterize_shared(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Serializes the tests that touch the process-global store, counters
-    /// and bypass flag, so one test's bypass window or miss never lands
-    /// inside another's before/after reading.
-    static GLOBALS: Mutex<()> = Mutex::new(());
-
-    fn lock_globals() -> std::sync::MutexGuard<'static, ()> {
-        GLOBALS.lock().unwrap_or_else(|e| e.into_inner())
-    }
 
     #[test]
     fn fingerprint_separates_profiles() {
@@ -225,37 +170,28 @@ mod tests {
 
     #[test]
     fn shared_sweep_hits_after_miss_and_returns_same_arc() {
-        let _globals = lock_globals();
         let euc = Eucalyptus::new(DeviceProfile::ng_medium_like())
             .with_kinds(vec![hermes_rtl::component::ComponentKind::Not]);
-        // a sweep config no other test uses, so the first call is a miss
+        // a sweep config no other test uses
         let sweep = SweepConfig { widths: vec![5], pipeline_stages: vec![0] };
-        let before = stats();
         let a = characterize_shared(&euc, &sweep).expect("sweep succeeds");
         let b = characterize_shared(&euc, &sweep).expect("sweep cached");
-        let after = stats();
         assert!(Arc::ptr_eq(&a, &b), "second call shares the first library");
-        assert_eq!(after.misses, before.misses + 1);
-        assert!(after.hits > before.hits);
         assert_eq!(a.len(), 1, "not x width 5 x 1 stage");
     }
 
+    /// The cache never changes results: a shared library renders exactly
+    /// as a fresh sweep of the same key.
     #[test]
-    fn bypass_skips_the_store() {
-        let _globals = lock_globals();
-        let euc = Eucalyptus::new(DeviceProfile::ng_medium_like())
-            .with_kinds(vec![hermes_rtl::component::ComponentKind::Not]);
-        let sweep = SweepConfig { widths: vec![6], pipeline_stages: vec![0] };
-        set_bypass(true);
-        let a = characterize_shared(&euc, &sweep).expect("sweep succeeds");
-        let b = characterize_shared(&euc, &sweep).expect("sweep succeeds");
-        set_bypass(false);
-        assert!(!Arc::ptr_eq(&a, &b), "bypassed calls never share");
-        let s = stats();
-        assert!(s.bypasses >= 2);
-        // the store was not populated under bypass: this is a miss
-        let before = stats().misses;
-        let _ = characterize_shared(&euc, &sweep).expect("sweep succeeds");
-        assert_eq!(stats().misses, before + 1);
+    fn shared_library_renders_as_a_fresh_sweep() {
+        let euc = Eucalyptus::new(DeviceProfile::ng_medium_like());
+        let sweep = SweepConfig { widths: vec![6, 12], pipeline_stages: vec![0, 1] };
+        let shared = characterize_shared(&euc, &sweep).expect("sweep succeeds");
+        let fresh = euc.characterize(&sweep).expect("sweep succeeds");
+        assert!(!fresh.is_empty());
+        assert_eq!(shared.to_xml(), fresh.to_xml());
+        // a hit renders the same too
+        let hit = characterize_shared(&euc, &sweep).expect("sweep cached");
+        assert_eq!(hit.to_xml(), fresh.to_xml());
     }
 }

@@ -37,7 +37,7 @@ pub mod library;
 pub mod sweep;
 pub mod templates;
 
-pub use cache::{characterize_shared, CacheStats};
+pub use cache::characterize_shared;
 pub use library::{CharEntry, CharacterizationLibrary};
 pub use sweep::{Eucalyptus, SweepConfig};
 

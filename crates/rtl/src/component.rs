@@ -161,23 +161,6 @@ impl Comparison {
             Comparison::GeS => sign_extend(a, width) >= sign_extend(b, width),
         }
     }
-
-    /// The predicate as a bitwise expression over words of *1-bit lanes*:
-    /// bit `i` of the result is `apply(bit i of a, bit i of b, 1)`. This is
-    /// what lets the word-parallel settle evaluate 64 packed single-bit
-    /// comparators in one ALU op. Signed forms read a set bit as `-1`
-    /// (the two's-complement value of a 1-bit signal), so e.g. `LtS` is
-    /// true only for `a=1, b=0`.
-    pub fn bit_apply(self, a: u64, b: u64) -> u64 {
-        match self {
-            Comparison::Eq => !(a ^ b),
-            Comparison::Ne => a ^ b,
-            Comparison::LtU => !a & b,
-            Comparison::GeU => a | !b,
-            Comparison::LtS => a & !b,
-            Comparison::GeS => !a | b,
-        }
-    }
 }
 
 /// A library component specialized by operand widths and pipeline stages.
@@ -335,34 +318,6 @@ mod tests {
 
     fn t(kind: ComponentKind, w: u32) -> ComponentTemplate {
         ComponentTemplate::new(kind, w).expect("valid width")
-    }
-
-    #[test]
-    fn bit_apply_matches_scalar_apply_per_lane() {
-        let all = [
-            Comparison::Eq,
-            Comparison::Ne,
-            Comparison::LtU,
-            Comparison::LtS,
-            Comparison::GeU,
-            Comparison::GeS,
-        ];
-        for cmp in all {
-            // exhaustive over the 4 single-bit operand combinations, placed
-            // on a non-trivial lane to catch shift mistakes
-            for a in 0..2u64 {
-                for b in 0..2u64 {
-                    let lane = 17;
-                    let word = cmp.bit_apply(a << lane, b << lane);
-                    let expect = u64::from(cmp.apply(a, b, 1));
-                    assert_eq!(
-                        (word >> lane) & 1,
-                        expect,
-                        "{cmp:?} lane form diverges from apply() at a={a} b={b}"
-                    );
-                }
-            }
-        }
     }
 
     #[test]

@@ -274,9 +274,9 @@ impl Netlist {
     /// module side by side, every net and cell of copy `k` prefixed
     /// `u<k>_`. Each copy's primary inputs and outputs stay primary, so a
     /// single simulator steps all instances in lock-step. This is how E16
-    /// builds its convolution-scale workloads: replicated kernel netlists
-    /// large enough to exercise the word-parallel and event-driven
-    /// settle paths beyond what any single HLS kernel reaches.
+    /// builds its SoC-scale workloads: replicated kernel netlists large
+    /// enough to exercise the event-driven settle and the gated clock
+    /// edge beyond what any single HLS kernel reaches.
     pub fn tiled(&self, copies: usize) -> Netlist {
         let mut out = Netlist::new(format!("{}_x{copies}", self.name));
         let mut is_input = vec![false; self.nets.len()];

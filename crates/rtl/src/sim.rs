@@ -16,11 +16,6 @@
 use crate::component::Comparison;
 use crate::netlist::{CellId, CellOp, Netlist, NetId};
 use crate::{mask, sign_extend, RtlError};
-use std::collections::BTreeMap;
-
-/// Groups smaller than this stay scalar: packing pays a gather/scatter
-/// tax per word, which only amortizes across enough lanes.
-const MIN_PACK_LANES: usize = 8;
 
 /// Cycle-accurate simulator over a validated [`Netlist`].
 ///
@@ -48,14 +43,6 @@ const MIN_PACK_LANES: usize = 8;
 /// to its `q`, so skipping it is exact; [`Self::register_evals`] counts
 /// the samples taken. Construction and [`Self::reset`] set every register bit. RAM
 /// ports sample every cycle.
-///
-/// **Word-parallel lanes** layer on top of the event-driven scan (E16):
-/// at build time, independent 1-bit ops of identical boolean form at the
-/// same topological rank are bit-packed up to 64 to a `u64` word and
-/// evaluated as one bitwise instruction (classic compiled-code
-/// simulation). A group packs only once it reaches `MIN_PACK_LANES`. The
-/// scalar `values` array stays authoritative — lanes scatter on change —
-/// so peeks, traces, registers, and scalar consumers are untouched.
 #[derive(Debug, Clone)]
 pub struct Simulator<'n> {
     netlist: &'n Netlist,
@@ -74,21 +61,8 @@ pub struct Simulator<'n> {
     /// Precomputed RAM descriptors, in cell order.
     rams: Vec<RamInfo>,
     /// Precompiled settle program in rank-major topological order (stable
-    /// by compile order within a rank). Packed words sit at the rank of
-    /// their lanes.
+    /// by compile order within a rank; see [`rank_major`]).
     ops: Vec<SettleOp>,
-    /// Packed-word table; `packed_nets` holds each word's lane input net
-    /// ids (slot-major) followed by its lane output net ids, and
-    /// `packed_vals` mirrors the last computed output word so aligned
-    /// consumers read one word instead of gathering 64 bits.
-    packed: Vec<PackedWord>,
-    packed_nets: Vec<u32>,
-    packed_vals: Vec<u64>,
-    /// Scalar-equivalent program weight: a packed word counts one per
-    /// lane, so work metrics do not depend on how much of a design packs.
-    program_weight: u64,
-    /// Total lanes across all packed words (occupancy numerator).
-    packed_lanes: u32,
     /// CSR fanout index: the readers of net `n` are the `dirty` bits
     /// `fanout[fanout_start[n]..fanout_start[n + 1]]` — ops as
     /// `op_base + op` (ascending), then register slots.
@@ -116,7 +90,7 @@ pub struct Simulator<'n> {
     cycle: u64,
     /// Total settle passes executed (steps, pokes, resets).
     settle_passes: u64,
-    /// Total settle ops *evaluated* across all passes (lane-weighted).
+    /// Total settle ops *evaluated* across all passes.
     settle_ops: u64,
     /// Total register samples across all clock edges.
     register_evals: u64,
@@ -197,10 +171,6 @@ enum SettleKind {
     ZeroExtend,
     /// `aux` holds the input width.
     SignExtend,
-    /// A word-parallel evaluation of up to 64 packed 1-bit lanes: `a`
-    /// holds the [`PackedWord`] index, `aux` the lane count. Fanout edges
-    /// come from the lane input nets, not the `a`/`b`/`c` slots.
-    Packed,
 }
 
 impl SettleOp {
@@ -208,7 +178,7 @@ impl SettleOp {
     /// hold 0 and must not contribute fanout edges).
     fn input_count(&self) -> usize {
         match self.kind {
-            SettleKind::Const | SettleKind::Packed => 0,
+            SettleKind::Const => 0,
             SettleKind::Not
             | SettleKind::Slice
             | SettleKind::ZeroExtend
@@ -217,62 +187,6 @@ impl SettleOp {
             _ => 2,
         }
     }
-}
-
-/// Boolean form of a [`PackedWord`]: every lane evaluates this op. Only
-/// forms whose 1-bit semantics equal a word-wide bitwise expression are
-/// packable; comparisons lower through [`Comparison::bit_apply`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PackKind {
-    And,
-    Or,
-    Xor,
-    Not,
-    Mux,
-    Cmp(Comparison),
-}
-
-impl PackKind {
-    /// Live input slots per lane (sel/else/then for `Mux`).
-    fn slots(self) -> usize {
-        match self {
-            PackKind::Not => 1,
-            PackKind::Mux => 3,
-            _ => 2,
-        }
-    }
-}
-
-/// One word of up to 64 bit-packed lanes, all evaluating the same
-/// [`PackKind`] at the same topological rank. Lane `l` of input slot `s`
-/// reads net `packed_nets[ins + s*lanes + l]`; lane `l` writes net
-/// `packed_nets[outs + l]`. When a slot's lanes are exactly the output
-/// lanes of one earlier word at matching bit positions (`src[s]`), the
-/// evaluator reads that word's cached output directly — the aligned fast
-/// path that makes a replicated design cost one ALU op per 64 instances.
-#[derive(Debug, Clone, Copy)]
-struct PackedWord {
-    kind: PackKind,
-    /// Lane count (1..=64).
-    lanes: u32,
-    /// Base of the slot-major lane input net ids in `packed_nets`.
-    ins: u32,
-    /// Base of the lane output net ids in `packed_nets`.
-    outs: u32,
-    /// Per-slot aligned source word index, or `u32::MAX` to gather.
-    src: [u32; 3],
-    /// Low `lanes` bits set.
-    lane_mask: u64,
-}
-
-/// Output of [`Simulator::compile_program`]: the rank-major settle
-/// program plus its packing tables.
-struct CompiledProgram {
-    ops: Vec<SettleOp>,
-    packed: Vec<PackedWord>,
-    packed_nets: Vec<u32>,
-    program_weight: u64,
-    packed_lanes: u32,
 }
 
 /// A recorded value-change trace (VCD-lite) of selected nets.
@@ -364,21 +278,14 @@ impl<'n> Simulator<'n> {
                 _ => {}
             }
         }
-        let scalar_ops = Self::compile_settle_ops(netlist, &order);
-        let prog = Self::compile_program(netlist, scalar_ops);
+        let ops = Self::compile_settle_ops(netlist, &order);
+        let ops = rank_major(netlist.net_count(), ops);
         let op_base = (regs.len().div_ceil(64) * 64) as u32;
-        let (fanout_start, fanout) = Self::compile_fanout(
-            netlist.net_count(),
-            &prog.ops,
-            &prog.packed,
-            &prog.packed_nets,
-            &regs,
-            op_base,
-        );
+        let (fanout_start, fanout) =
+            Self::compile_fanout(netlist.net_count(), &ops, &regs, op_base);
         let reg_commits = Vec::with_capacity(regs.len());
         let next_ram = vec![(0, 0); rams.len()];
-        let dirty = vec![0; op_base as usize / 64 + prog.ops.len().div_ceil(64)];
-        let packed_vals = vec![0; prog.packed.len()];
+        let dirty = vec![0; op_base as usize / 64 + ops.len().div_ceil(64)];
         let mut sim = Simulator {
             netlist,
             values: vec![0; netlist.net_count()],
@@ -387,12 +294,7 @@ impl<'n> Simulator<'n> {
             seq_slot,
             regs,
             rams,
-            ops: prog.ops,
-            packed: prog.packed,
-            packed_nets: prog.packed_nets,
-            packed_vals,
-            program_weight: prog.program_weight,
-            packed_lanes: prog.packed_lanes,
+            ops,
             fanout_start,
             fanout,
             dirty,
@@ -413,26 +315,16 @@ impl<'n> Simulator<'n> {
 
     /// Build the CSR net→reader fanout index over the compiled program:
     /// for every live input slot of every op, one edge from the input net
-    /// to the op's bit `op_base + op`. A packed op contributes one edge
-    /// per lane input net. After a net's op edges come its register
-    /// edges: one to bit `slot` per register reading it as `d` or `en`.
+    /// to the op's bit `op_base + op`. After a net's op edges come its
+    /// register edges: one to bit `slot` per register reading it as `d`
+    /// or `en`.
     fn compile_fanout(
         net_count: usize,
         ops: &[SettleOp],
-        packed: &[PackedWord],
-        packed_nets: &[u32],
         regs: &[RegInfo],
         op_base: u32,
     ) -> (Vec<u32>, Vec<u32>) {
-        let op_inputs = |op: &SettleOp| -> Vec<u32> {
-            if op.kind == SettleKind::Packed {
-                let pw = &packed[op.a as usize];
-                let n = pw.kind.slots() * pw.lanes as usize;
-                packed_nets[pw.ins as usize..pw.ins as usize + n].to_vec()
-            } else {
-                [op.a, op.b, op.c][..op.input_count()].to_vec()
-            }
-        };
+        let op_inputs = |op: &SettleOp| [op.a, op.b, op.c][..op.input_count()].to_vec();
         let reg_inputs = |r: &RegInfo| -> Vec<u32> {
             if r.en == u32::MAX || r.en == r.d {
                 vec![r.d]
@@ -465,164 +357,6 @@ impl<'n> Simulator<'n> {
             }
         }
         (fanout_start, fanout)
-    }
-
-    /// Whether `op` may join a packed word, and under which group tag.
-    /// Bitwise forms commute with the 1-bit output mask, so only the
-    /// output must be 1 bit wide; comparisons additionally need 1-bit
-    /// inputs (`aux == 1`) for [`Comparison::bit_apply`] to be exact.
-    fn packable_tag(op: &SettleOp) -> Option<u8> {
-        if op.mask != 1 {
-            return None;
-        }
-        match op.kind {
-            SettleKind::And => Some(0),
-            SettleKind::Or => Some(1),
-            SettleKind::Xor => Some(2),
-            SettleKind::Not => Some(3),
-            SettleKind::Mux => Some(4),
-            SettleKind::Cmp(c) if op.aux == 1 => Some(match c {
-                Comparison::Eq => 5,
-                Comparison::Ne => 6,
-                Comparison::LtU => 7,
-                Comparison::LtS => 8,
-                Comparison::GeU => 9,
-                Comparison::GeS => 10,
-            }),
-            _ => None,
-        }
-    }
-
-    /// Lower the topologically ordered scalar program into the final
-    /// settle program: compute per-op ranks, bit-pack groups of at least
-    /// `MIN_PACK_LANES` same-form 1-bit ops at equal rank into 64-lane
-    /// words, and re-sort rank-major.
-    fn compile_program(netlist: &Netlist, ops: Vec<SettleOp>) -> CompiledProgram {
-        let program_weight = ops.len() as u64;
-        // Rank of every op: 1 + max rank of its producers. `ops` is in
-        // topological order, so producers always resolve first.
-        let mut net_rank = vec![0u32; netlist.net_count()];
-        let mut rank = vec![0u32; ops.len()];
-        for (i, op) in ops.iter().enumerate() {
-            let mut r = 0;
-            for &net in &[op.a, op.b, op.c][..op.input_count()] {
-                r = r.max(net_rank[net as usize]);
-            }
-            rank[i] = r;
-            net_rank[op.out as usize] = r + 1;
-        }
-
-        // Group packable ops by (rank, boolean form) and carve 64-lane
-        // words. BTreeMap iteration ascends by rank, so a word's input
-        // words are always created first (inputs live at lower ranks) and
-        // `lane_of` can resolve aligned slots.
-        let mut packed: Vec<PackedWord> = Vec::new();
-        let mut packed_nets: Vec<u32> = Vec::new();
-        let mut packed_lanes = 0u32;
-        let mut in_word = vec![false; ops.len()];
-        // (rank, order key, op) triples to sort rank-major
-        let mut emitted: Vec<(u32, u32, SettleOp)> = Vec::new();
-        let mut groups: BTreeMap<(u32, u8), Vec<u32>> = BTreeMap::new();
-        for (i, op) in ops.iter().enumerate() {
-            if let Some(tag) = Self::packable_tag(op) {
-                groups.entry((rank[i], tag)).or_default().push(i as u32);
-            }
-        }
-        // net id -> (word index << 6) | lane bit, for output lanes
-        let mut lane_of = vec![u64::MAX; netlist.net_count()];
-        for ((r, _tag), members) in &groups {
-            if members.len() < MIN_PACK_LANES {
-                continue;
-            }
-            for chunk in members.chunks(64) {
-                let lanes = chunk.len();
-                let kind = match ops[chunk[0] as usize].kind {
-                    SettleKind::And => PackKind::And,
-                    SettleKind::Or => PackKind::Or,
-                    SettleKind::Xor => PackKind::Xor,
-                    SettleKind::Not => PackKind::Not,
-                    SettleKind::Mux => PackKind::Mux,
-                    SettleKind::Cmp(c) => PackKind::Cmp(c),
-                    _ => unreachable!("packable_tag admits only boolean forms"),
-                };
-                let slots = kind.slots();
-                let ins = packed_nets.len() as u32;
-                let mut src = [u32::MAX; 3];
-                for (s, slot_src) in src.iter_mut().enumerate().take(slots) {
-                    let slot_net = |oi: u32| {
-                        let op = &ops[oi as usize];
-                        [op.a, op.b, op.c][s]
-                    };
-                    for &oi in chunk {
-                        packed_nets.push(slot_net(oi));
-                    }
-                    // aligned iff every lane reads bit `l` of one word
-                    let mut aligned = None;
-                    for (l, &oi) in chunk.iter().enumerate() {
-                        let lo = lane_of[slot_net(oi) as usize];
-                        if lo == u64::MAX || (lo & 63) != l as u64 {
-                            aligned = None;
-                            break;
-                        }
-                        let word = (lo >> 6) as u32;
-                        match aligned {
-                            None if l == 0 => aligned = Some(word),
-                            Some(w) if w == word => {}
-                            _ => {
-                                aligned = None;
-                                break;
-                            }
-                        }
-                    }
-                    *slot_src = aligned.unwrap_or(u32::MAX);
-                }
-                let outs = packed_nets.len() as u32;
-                let widx = packed.len() as u32;
-                for (l, &oi) in chunk.iter().enumerate() {
-                    let out = ops[oi as usize].out;
-                    packed_nets.push(out);
-                    lane_of[out as usize] = (u64::from(widx) << 6) | l as u64;
-                    in_word[oi as usize] = true;
-                }
-                let lane_mask = mask(u64::MAX, lanes as u32);
-                packed.push(PackedWord {
-                    kind,
-                    lanes: lanes as u32,
-                    ins,
-                    outs,
-                    src,
-                    lane_mask,
-                });
-                packed_lanes += lanes as u32;
-                emitted.push((
-                    *r,
-                    chunk[0],
-                    SettleOp {
-                        kind: SettleKind::Packed,
-                        a: widx,
-                        b: 0,
-                        c: 0,
-                        out: ops[chunk[0] as usize].out,
-                        mask: lane_mask,
-                        aux: lanes as u64,
-                    },
-                ));
-            }
-        }
-        for (i, op) in ops.into_iter().enumerate() {
-            if !in_word[i] {
-                emitted.push((rank[i], i as u32, op));
-            }
-        }
-        emitted.sort_by_key(|&(r, key, _)| (r, key));
-
-        CompiledProgram {
-            ops: emitted.into_iter().map(|(_, _, op)| op).collect(),
-            packed,
-            packed_nets,
-            program_weight,
-            packed_lanes,
-        }
     }
 
     /// Lower the topologically ordered combinational cells into the compact
@@ -731,39 +465,22 @@ impl<'n> Simulator<'n> {
         self.regs.len()
     }
 
-    /// Length of the compiled combinational settle program in *scalar*
-    /// ops (the per-pass op count a full, non-event-driven evaluation
-    /// pays). Bit-packing folds lanes into shared words but each lane
-    /// still counts as one op here, so this figure — and every
-    /// `settle_ops` identity built on it — is packing-invariant.
+    /// Length of the compiled combinational settle program: the per-pass
+    /// op count a full, non-event-driven evaluation pays.
     pub fn settle_program_len(&self) -> usize {
-        self.program_weight as usize
-    }
-
-    /// Number of program *words* actually walked per full pass: scalar
-    /// ops plus one entry per packed 64-lane word.
-    pub fn settle_words(&self) -> usize {
         self.ops.len()
     }
 
-    /// Number of packed 64-lane words in the compiled program.
-    pub fn packed_words(&self) -> usize {
-        self.packed.len()
-    }
-
-    /// Total 1-bit lanes folded into packed words.
+    /// Always 0: nothing is bit-packed. Kept for perfbench; delete with
+    /// the next benchmark change.
     pub fn packed_lanes(&self) -> usize {
-        self.packed_lanes as usize
+        0
     }
 
-    /// Mean packed-word lane occupancy in permille (0 when nothing
-    /// packed): 1000 means every packed word carries a full 64 lanes.
+    /// Always 0: nothing is bit-packed. Kept for perfbench; delete with
+    /// the next benchmark change.
     pub fn lane_occupancy_permille(&self) -> u64 {
-        if self.packed.is_empty() {
-            0
-        } else {
-            self.packed_lanes as u64 * 1000 / (self.packed.len() as u64 * 64)
-        }
+        0
     }
 
     /// Always 0: settling is serial. Kept for perfbench; delete with the
@@ -781,13 +498,11 @@ impl<'n> Simulator<'n> {
         obs.counter_add(sub, "cycles", self.cycle);
         obs.counter_add(sub, "settle_passes", self.settle_passes);
         obs.counter_add(sub, "settle_ops", self.settle_ops);
-        obs.counter_add(sub, "settle_ops_full", self.settle_passes * self.program_weight);
+        let full = self.settle_passes * self.ops.len() as u64;
+        obs.counter_add(sub, "settle_ops_full", full);
         obs.counter_add(sub, "register_evals", self.register_evals);
         obs.counter_add(sub, "register_evals_full", self.cycle * self.regs.len() as u64);
-        obs.gauge_set(sub, "settle_program_len", self.program_weight as i64);
-        obs.gauge_set(sub, "settle_packed_words", self.packed.len() as i64);
-        obs.gauge_set(sub, "settle_packed_lanes", self.packed_lanes as i64);
-        obs.gauge_set(sub, "settle_lane_occupancy", self.lane_occupancy_permille() as i64);
+        obs.gauge_set(sub, "settle_program_len", self.ops.len() as i64);
         obs.gauge_set(sub, "nets", self.netlist.net_count() as i64);
         obs.instant(
             sub,
@@ -1093,29 +808,11 @@ impl<'n> Simulator<'n> {
             self.dirty[wi] = word & !(1u64 << b);
             let i = wi * 64 + b as usize - self.op_base as usize;
             let op = self.ops[i];
-            if op.kind == SettleKind::Packed {
-                let (pw, new, mut changed) = eval_packed(
-                    op.a as usize,
-                    &self.packed,
-                    &self.packed_nets,
-                    &mut self.packed_vals,
-                    &self.values,
-                );
-                self.settle_ops += u64::from(pw.lanes);
-                while changed != 0 {
-                    let l = changed.trailing_zeros();
-                    let net = self.packed_nets[(pw.outs + l) as usize];
-                    self.values[net as usize] = (new >> l) & 1;
-                    self.mark_net(net);
-                    changed &= changed - 1;
-                }
-            } else {
-                let v = eval_op_with(|n| self.values[n as usize], &op);
-                self.settle_ops += 1;
-                if self.values[op.out as usize] != v {
-                    self.values[op.out as usize] = v;
-                    self.mark_net(op.out);
-                }
+            let v = eval_op(&self.values, &op);
+            self.settle_ops += 1;
+            if self.values[op.out as usize] != v {
+                self.values[op.out as usize] = v;
+                self.mark_net(op.out);
             }
         }
         self.dirty_lo = u32::MAX;
@@ -1132,55 +829,39 @@ fn set_first_bits(bitmap: &mut [u64], n: usize) {
     }
 }
 
-/// Evaluate one packed word: read each input slot (aligned word read or
-/// bit gather), apply the boolean form once across all lanes, and publish
-/// the new output word. Returns the word descriptor, the new value, and
-/// the changed-lane bitmask; the caller scatters changed lanes into
-/// `values` and marks their fanout.
-#[inline]
-fn eval_packed(
-    w: usize,
-    packed: &[PackedWord],
-    packed_nets: &[u32],
-    packed_vals: &mut [u64],
-    values: &[u64],
-) -> (PackedWord, u64, u64) {
-    let pw = packed[w];
-    let lanes = pw.lanes as usize;
-    let slot = |s: usize| -> u64 {
-        if pw.src[s] != u32::MAX {
-            // aligned fast path: the slot's lanes are bit 0..lanes of one
-            // earlier word, whose cached output is always current
-            packed_vals[pw.src[s] as usize]
-        } else {
-            let base = pw.ins as usize + s * lanes;
-            let mut word = 0u64;
-            for l in 0..lanes {
-                word |= (values[packed_nets[base + l] as usize] & 1) << l;
-            }
-            word
-        }
-    };
-    let v = match pw.kind {
-        PackKind::And => slot(0) & slot(1),
-        PackKind::Or => slot(0) | slot(1),
-        PackKind::Xor => slot(0) ^ slot(1),
-        PackKind::Not => !slot(0),
-        PackKind::Mux => {
-            let sel = slot(0);
-            (sel & slot(2)) | (!sel & slot(1))
-        }
-        PackKind::Cmp(c) => c.bit_apply(slot(0), slot(1)),
-    };
-    let new = v & pw.lane_mask;
-    let old = packed_vals[w];
-    packed_vals[w] = new;
-    (pw, new, old ^ new)
+/// Re-sort a topologically ordered program rank-major: an op's rank is
+/// 1 + the highest rank of the ops driving its inputs (0 when it reads
+/// only inputs and sequential outputs), and ops keep their order within a
+/// rank. Any topological order settles correctly, since fanout edges
+/// still point only forward; this one is kept for speed. On the
+/// 256-tile `acc` fabric with every tile active, settling in
+/// `combinational_order()`'s order as-is made a run about a third
+/// slower (perfbench `rtl-dense` p50 17.2 → 22.8 ms, medians of four
+/// alternating pairs on a 2-vCPU host).
+fn rank_major(net_count: usize, ops: Vec<SettleOp>) -> Vec<SettleOp> {
+    let mut net_rank = vec![0u32; net_count];
+    let mut ranked: Vec<(u32, SettleOp)> = ops
+        .into_iter()
+        .map(|op| {
+            let inputs = [op.a, op.b, op.c];
+            let rank = inputs[..op.input_count()]
+                .iter()
+                .map(|&n| net_rank[n as usize])
+                .max()
+                .unwrap_or(0);
+            net_rank[op.out as usize] = rank + 1;
+            (rank, op)
+        })
+        .collect();
+    // stable: equal ranks keep their topological order
+    ranked.sort_by_key(|&(rank, _)| rank);
+    ranked.into_iter().map(|(_, op)| op).collect()
 }
 
-/// Evaluate one compiled scalar settle op, reading inputs through `read`.
+/// Evaluate one compiled settle op over the current net values.
 #[inline]
-fn eval_op_with<R: Fn(u32) -> u64>(read: R, op: &SettleOp) -> u64 {
+fn eval_op(values: &[u64], op: &SettleOp) -> u64 {
+    let read = |n: u32| values[n as usize];
     let a = read(op.a);
     let v = match op.kind {
         SettleKind::Add => a.wrapping_add(read(op.b)),
@@ -1215,7 +896,6 @@ fn eval_op_with<R: Fn(u32) -> u64>(read: R, op: &SettleOp) -> u64 {
         SettleKind::Slice => a >> op.aux,
         SettleKind::ZeroExtend => a,
         SettleKind::SignExtend => sign_extend(a, op.aux as u32) as u64,
-        SettleKind::Packed => unreachable!("packed ops route through eval_packed"),
     };
     v & op.mask
 }
@@ -1495,7 +1175,7 @@ mod tests {
         assert_eq!(sim.settle_ops(), ops_after_first, "no-change poke is free");
         assert_eq!(sim.peek("y").unwrap(), 0xFA);
 
-        // the same holds for packed lanes
+        // the same holds across a fabric of 1-bit slices
         let nl = bit_fabric(64);
         let mut sim = Simulator::new(&nl).unwrap();
         sim.poke("a5", 1).unwrap();
@@ -1526,7 +1206,6 @@ mod tests {
     fn new_defaults_to_packed_event_settle() {
         let nl = bit_fabric(64);
         let mut sim = Simulator::new(&nl).unwrap();
-        assert!(sim.packed_lanes() > 0, "a 64-lane fabric forms packed words");
         sim.poke("a0", 1).unwrap();
         sim.step().unwrap();
         let ops = sim.settle_ops();
@@ -1535,9 +1214,8 @@ mod tests {
     }
 
     /// A bit-blasted fabric: `lanes` independent 1-bit slices, each with
-    /// an identical mix of packable forms (Xor, Not, Mux, Cmp) plus a
-    /// per-lane register. With `lanes >= 64` each form fills at least one
-    /// full packed word.
+    /// an identical mix of 1-bit forms (Xor, Not, Mux, Cmp) plus a
+    /// per-lane register.
     fn bit_fabric(lanes: usize) -> Netlist {
         let mut nl = Netlist::new("bits");
         for i in 0..lanes {
@@ -1577,42 +1255,10 @@ mod tests {
         nl
     }
 
-    /// Packing folds groups of identical 1-bit ops into 64-lane words:
-    /// the walked program shrinks while the scalar-op weight (and every
-    /// counter identity built on it) is preserved.
-    #[test]
-    fn packing_compiles_wide_one_bit_groups() {
-        let nl = bit_fabric(80);
-        let packed = Simulator::new(&nl).unwrap();
-        assert_eq!(packed.settle_program_len(), 80 * 4);
-        // 4 forms × 80 lanes → 4 full words + 4 remainder words of 16
-        assert_eq!(packed.packed_words(), 8);
-        assert_eq!(packed.packed_lanes(), 80 * 4);
-        assert_eq!(packed.settle_words(), 8);
-        // occupancy: 320 lanes over 8 words = 62.5%
-        assert_eq!(packed.lane_occupancy_permille(), 625);
-    }
-
-    /// A group packs only once it reaches `MIN_PACK_LANES`: one lane
-    /// short, every op stays scalar; at the threshold, each of the
-    /// fabric's four boolean forms packs into one word.
-    #[test]
-    fn packing_starts_at_min_pack_lanes() {
-        let nl = bit_fabric(MIN_PACK_LANES - 1);
-        let sim = Simulator::new(&nl).unwrap();
-        assert_eq!(sim.packed_words(), 0);
-        assert_eq!(sim.settle_words(), sim.settle_program_len());
-        let nl = bit_fabric(MIN_PACK_LANES);
-        let sim = Simulator::new(&nl).unwrap();
-        assert_eq!(sim.packed_words(), 4, "one word per form");
-        assert_eq!(sim.packed_lanes(), MIN_PACK_LANES * 4);
-        assert_eq!(sim.settle_words(), 4);
-    }
-
     /// Construction and every reset evaluate the whole program exactly
-    /// once: one pass of `settle_program_len()` ops. Checked on a packed
-    /// program (8 words, a partial bitmap word) and a 300-op scalar chain
-    /// (several bitmap words, the last one partial).
+    /// once: one pass of `settle_program_len()` ops. Checked on a 280-op
+    /// fabric of 1-bit slices and a 300-op chain (several bitmap words,
+    /// the last one partial in both).
     #[test]
     fn construction_and_reset_cost_one_full_pass() {
         let fabric = bit_fabric(70);
@@ -1661,7 +1307,7 @@ mod tests {
         }
         nl.mark_output(cur);
         let mut sim = Simulator::new(&nl).unwrap();
-        assert_eq!(sim.settle_words(), 300);
+        assert_eq!(sim.settle_program_len(), 300);
         for v in [0x5A, 0x00, 0xFF] {
             let ops = sim.settle_ops();
             sim.poke("a", v).unwrap();
@@ -1672,8 +1318,8 @@ mod tests {
         assert_eq!(sim.settle_parallel_passes(), 0, "settling is serial");
     }
 
-    /// Simulator::clone preserves all state, including packed words and
-    /// dirty bookkeeping.
+    /// Simulator::clone preserves all state, including the dirty
+    /// bookkeeping.
     #[test]
     fn clone_preserves_packed_state() {
         let nl = bit_fabric(64);

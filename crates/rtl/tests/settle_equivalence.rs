@@ -1,13 +1,13 @@
 //! Differential property tests for the settle engine: on randomly
-//! generated netlists, the production simulator (event-driven, bit-packed
-//! where groups are wide enough) must agree with the independent
-//! full-settle interpreter in `support/reference.rs` on every net value,
-//! every register's stored state, and every trace row, across long runs
-//! of random pokes and mid-run resets (deterministic `DetRng` loops — no
+//! generated netlists, the production simulator (event-driven settle,
+//! gated clock edge) must agree with the independent full-settle
+//! interpreter in `support/reference.rs` on every net value, every
+//! register's stored state, and every trace row, across long runs of
+//! random pokes and mid-run resets (deterministic `DetRng` loops — no
 //! external dependencies). Generator profiles bias toward RAM-heavy,
 //! wide-bus, 1-bit-heavy and register-heavy shapes so the engine's fast
-//! paths (packed words, aligned slots, the gated clock edge) are all
-//! exercised.
+//! paths (the rank-major event scan over wide and narrow masks, the gated
+//! clock edge) are all exercised.
 
 #[path = "support/reference.rs"]
 mod reference;
@@ -24,7 +24,7 @@ struct Profile {
     /// Net width range (inclusive low, exclusive high).
     w_lo: u64,
     w_hi: u64,
-    /// Probability that a width roll is forced to 1 bit (packing fodder).
+    /// Probability that a width roll is forced to 1 bit.
     bit_bias: f64,
     /// Cell count range.
     cells_lo: u64,
@@ -62,8 +62,8 @@ const RAM_HEAVY: Profile = Profile {
     ..BASELINE
 };
 
-/// Wide buses only (33–64 bits): nothing packs, shifts and sign
-/// arithmetic run at full width.
+/// Wide buses only (33–64 bits): shifts and sign arithmetic run at full
+/// width.
 const WIDE_BUS: Profile = Profile {
     w_lo: 33,
     w_hi: 65,
@@ -73,8 +73,8 @@ const WIDE_BUS: Profile = Profile {
 };
 
 /// 1-bit-heavy: most nets are single-bit and the netlist is large, so
-/// the compiler forms many packed words (including partial and aligned
-/// ones).
+/// 1-bit logic, muxes and comparisons (signed ones included) dominate
+/// the program.
 const BIT_HEAVY: Profile = Profile {
     bit_bias: 0.75,
     cells_lo: 60,
@@ -353,7 +353,7 @@ fn event_driven_settle_equals_full_settle() {
 /// 1-bit-heavy and register-heavy netlists through frequent mid-run
 /// resets.
 #[test]
-fn packed_scalar_full_triple_check() {
+fn every_profile_matches_the_reference() {
     let mut rng = DetRng::new(0xE16_7121);
     for (pname, profile) in [
         ("ram_heavy", RAM_HEAVY),

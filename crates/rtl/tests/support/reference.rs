@@ -4,7 +4,7 @@
 //! order and evaluates each cell straight from its [`CellOp`];
 //! sequential state lives in hash maps keyed by cell id. Nothing here is
 //! shared with `hermes_rtl::sim`: no compiled program, no fanout index,
-//! no packing, and its own width, sign and comparison arithmetic. A bug
+//! and its own width, sign and comparison arithmetic. A bug
 //! in the production settle program therefore cannot agree with itself
 //! here. Included by path from the tests that run the production
 //! `Simulator` in lockstep against it.
