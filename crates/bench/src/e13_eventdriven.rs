@@ -79,6 +79,7 @@ fn run_kernel(nl: &hermes_rtl::netlist::Netlist, pokes: &[(&str, u64)]) -> SimRu
 /// kernels run serially, so `jobs` is unused.
 pub fn run(_jobs: usize, obs: &hermes_obs::Recorder) -> ExperimentOutput {
     // E13a: per-kernel activity factor, evaluated vs full-pass ops.
+    assert!(KERNELS.len() >= 3, "E13a covers at least three kernels");
     let hls = HlsFlow::new().unroll_limit(0);
     let mut act = Table::new(&[
         "kernel", "cycles", "program_ops", "full_ops", "event_ops", "activity", "reduction",

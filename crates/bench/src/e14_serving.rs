@@ -135,6 +135,7 @@ pub fn run(_jobs: usize, obs: &hermes_obs::Recorder) -> ExperimentOutput {
     let base = workload_cfg(&model, &serve_cfg());
 
     // E14a: offered-load sweep, underload -> 2x saturation.
+    assert!(LOADS.len() >= 4 && LOADS.iter().any(|&l| l >= 150), "E14a: >= 4 loads reaching 150%");
     let mut sweep = Table::new(&[
         "load_pct",
         "offered",

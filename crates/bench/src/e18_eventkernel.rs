@@ -196,11 +196,13 @@ pub fn run(_jobs: usize, _obs: &hermes_obs::Recorder) -> ExperimentOutput {
     let (mut total_span, mut total_polled, mut total_skipped) = (0u64, 0u64, 0u64);
     for leg in &legs {
         assert!(leg.skipped > 0, "{} leg must fast-forward", leg.name);
+        assert_eq!(leg.polled + leg.skipped, leg.span, "{} ticks polled or skipped", leg.name);
         ledger.row(cells![leg.name, leg.span, leg.polled, leg.skipped, leg.reduction()]);
         total_span += leg.span;
         total_polled += leg.polled;
         total_skipped += leg.skipped;
     }
+    assert_eq!(total_polled + total_skipped, total_span, "the ledger totals close");
     let total_reduction = total_span / total_polled.max(1);
     ledger.row(cells!["total", total_span, total_polled, total_skipped, total_reduction]);
     assert!(
@@ -228,13 +230,5 @@ mod tests {
         for leg in [serve_leg(), xng_leg(), axi_leg()] {
             assert!(leg.skipped > 0, "{} must skip", leg.name);
         }
-    }
-
-    #[test]
-    fn cross_layer_reduction_clears_the_gate() {
-        let legs = [serve_leg(), xng_leg(), axi_leg()];
-        let span: u64 = legs.iter().map(|l| l.span).sum();
-        let polled: u64 = legs.iter().map(|l| l.polled).sum();
-        assert!(span / polled.max(1) >= 10, "span {span} polled {polled}");
     }
 }

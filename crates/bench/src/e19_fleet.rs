@@ -140,6 +140,7 @@ pub fn run(_jobs: usize, obs: &hermes_obs::Recorder) -> ExperimentOutput {
         "skew_x100",
         "accounted",
     ]);
+    assert_eq!(SWEEP.map(|(shards, _)| shards), [4, 8, 16], "E19a sweeps 4, 8 and 16 shards");
     let mut points = Vec::new();
     for &(shards, requests) in &SWEEP {
         let arrivals = workload::generate(SEED, &stream_cfg(requests));

@@ -1,9 +1,13 @@
-//! Minimal JSON document model and writer (std-only, no dependencies).
+//! Minimal JSON document model, writer and reader (std-only, no
+//! dependencies).
 //!
 //! Just enough JSON for the structured experiment output behind the
 //! `experiments --json <path>` flag and the `BENCH_hermes.json` perf
 //! trajectory: objects, arrays, strings, integers, and floats, rendered
 //! deterministically (insertion order, fixed float formatting).
+//! [`Json::parse`] reads back exactly what [`Json::render`] writes, so
+//! `Json::parse(&doc.render()) == Ok(doc)`; the committed-baseline gates
+//! (`tests/gates.rs`) read `BENCH_hermes.json` through it.
 
 use std::fmt::Write as _;
 
@@ -67,9 +71,10 @@ impl Json {
             }
             Json::Num(f) => {
                 if f.is_finite() {
-                    // shortest-roundtrip formatting; a whole float prints
-                    // without a decimal point, which is still a JSON number
-                    let _ = write!(out, "{f}");
+                    // shortest-roundtrip formatting that keeps a whole
+                    // float's `.0`, so it reads back as a float, not an
+                    // integer
+                    let _ = write!(out, "{f:?}");
                 } else {
                     out.push_str("null");
                 }
@@ -113,6 +118,125 @@ impl Json {
                 out.push('}');
             }
         }
+    }
+
+    /// Read a document back: the inverse of [`Json::render`], so
+    /// `Json::parse(&doc.render()) == Ok(doc)`. A recursive-descent reader
+    /// over the grammar `render` emits (the `null` of a non-finite float
+    /// reads back as NaN); anything else is an `Err` naming the byte offset.
+    pub fn parse(text: &str) -> Result<Json, String> {
+        let mut r = Reader { text, at: 0 };
+        let value = r.value()?;
+        let end = r.eat("") && r.at == text.len(); // only whitespace may follow
+        end.then_some(value).ok_or_else(|| r.err("trailing characters"))
+    }
+}
+
+type Parsed<T> = Result<T, String>;
+
+/// Cursor over a document being parsed.
+struct Reader<'a> {
+    text: &'a str,
+    at: usize,
+}
+
+impl Reader<'_> {
+    fn err(&self, what: &str) -> String {
+        format!("{what} at byte {}", self.at)
+    }
+
+    /// Skip whitespace, then consume `lit` if the input continues with it.
+    fn eat(&mut self, lit: &str) -> bool {
+        let rest = self.text[self.at..].trim_start_matches([' ', '\n', '\r', '\t']);
+        let hit = rest.starts_with(lit);
+        self.at = self.text.len() - rest.len() + if hit { lit.len() } else { 0 };
+        hit
+    }
+
+    fn expect(&mut self, lit: &str) -> Parsed<()> {
+        self.eat(lit).then_some(()).ok_or_else(|| self.err(&format!("expected `{lit}`")))
+    }
+
+    /// Comma-separated `item`s up to `close` (the opener already eaten).
+    fn list<T>(&mut self, close: &str, item: impl Fn(&mut Self) -> Parsed<T>) -> Parsed<Vec<T>> {
+        let mut items = Vec::new();
+        while !self.eat(close) {
+            if !items.is_empty() {
+                self.expect(",")?;
+            }
+            items.push(item(self)?);
+        }
+        Ok(items)
+    }
+
+    fn value(&mut self) -> Parsed<Json> {
+        if self.eat("{") {
+            let pair = |r: &mut Self| {
+                let key = r.string()?;
+                r.expect(":")?;
+                Ok((key, r.value()?))
+            };
+            return self.list("}", pair).map(Json::Obj);
+        }
+        if self.eat("[") {
+            return self.list("]", Self::value).map(Json::Arr);
+        }
+        if self.text[self.at..].starts_with('"') {
+            return self.string().map(Json::Str);
+        }
+        for (lit, v) in [
+            ("true", Json::Bool(true)),
+            ("false", Json::Bool(false)),
+            ("null", Json::Num(f64::NAN)),
+        ] {
+            if self.eat(lit) {
+                return Ok(v);
+            }
+        }
+        let rest = &self.text[self.at..];
+        let len = rest.find(|c| !"+-.0123456789eE".contains(c)).unwrap_or(rest.len());
+        let token = &rest[..len];
+        let value = if token.contains(['.', 'e', 'E']) {
+            token.parse().ok().filter(|f: &f64| f.is_finite()).map(Json::Num)
+        } else {
+            token.parse().ok().map(Json::Int)
+        };
+        let value = value.ok_or_else(|| self.err(&format!("expected a value, found {token:?}")))?;
+        self.at += token.len();
+        Ok(value)
+    }
+
+    fn string(&mut self) -> Parsed<String> {
+        self.expect("\"")?;
+        let text = self.text;
+        let mut chars = text[self.at..].char_indices();
+        let mut out = String::new();
+        while let Some((i, c)) = chars.next() {
+            out.push(match c {
+                '"' => {
+                    self.at += i + 1;
+                    return Ok(out);
+                }
+                '\\' => match chars.next().map(|(_, e)| e) {
+                    Some('"') => '"',
+                    Some('\\') => '\\',
+                    Some('n') => '\n',
+                    Some('r') => '\r',
+                    Some('t') => '\t',
+                    Some('u') => {
+                        let hex: String = chars.by_ref().take(4).map(|(_, h)| h).collect();
+                        u32::from_str_radix(&hex, 16)
+                            .ok()
+                            .and_then(char::from_u32)
+                            .ok_or_else(|| self.err("bad \\u escape"))?
+                    }
+                    _ => return Err(self.err("bad escape")),
+                },
+                c if c < ' ' => return Err(self.err("raw control character in string")),
+                c => c,
+            });
+        }
+        Err(self.err("unterminated string"))
     }
 }
 
@@ -167,54 +291,39 @@ mod tests {
     }
 
     #[test]
-    fn escaping_round_trips_through_a_json_parser() {
+    fn every_value_kind_round_trips() {
         // every escape class the writer knows: quote, backslash, the named
         // control characters, and a bare control character (\u0007)
         let nasty = "q:\" b:\\ n:\n r:\r t:\t bell:\u{7} unicode:é";
-        let rendered = Json::obj(vec![(nasty, Json::Str(nasty.into()))]).render();
-        // hand-rolled unescape of the rendered string literal: the exact
-        // inverse of `escape_into` proves the writer emits valid JSON
-        // string syntax without an external parser
-        let unescape = |lit: &str| -> String {
-            let mut out = String::new();
-            let mut chars = lit.chars();
-            while let Some(c) = chars.next() {
-                if c != '\\' {
-                    out.push(c);
-                    continue;
-                }
-                match chars.next() {
-                    Some('"') => out.push('"'),
-                    Some('\\') => out.push('\\'),
-                    Some('n') => out.push('\n'),
-                    Some('r') => out.push('\r'),
-                    Some('t') => out.push('\t'),
-                    Some('u') => {
-                        let hex: String = (0..4).filter_map(|_| chars.next()).collect();
-                        let code = u32::from_str_radix(&hex, 16).expect("4 hex digits");
-                        out.push(char::from_u32(code).expect("valid scalar"));
-                    }
-                    other => panic!("unknown escape \\{other:?}"),
-                }
-            }
-            out
-        };
-        // rendered form: {\n  "<key>": "<value>"\n}\n — pull out both
-        // string literals and invert them
-        let body = rendered.trim();
-        let inner = body
-            .strip_prefix('{')
-            .and_then(|s| s.strip_suffix('}'))
-            .expect("object")
-            .trim();
-        let (key_lit, val_lit) = {
-            let mid = inner.find("\": \"").expect("separator");
-            (&inner[1..mid], &inner[mid + 4..inner.len() - 1])
-        };
-        assert_eq!(unescape(key_lit), nasty);
-        assert_eq!(unescape(val_lit), nasty);
+        let doc = Json::obj(vec![
+            (nasty, Json::Str(nasty.into())),
+            ("int", Json::Int(-42)),
+            ("float", Json::Num(-0.125)),
+            ("whole", Json::Num(3.0)),
+            ("tiny", Json::Num(1e-9)),
+            ("flags", Json::Arr(vec![Json::Bool(true), Json::Bool(false)])),
+            ("empty_arr", Json::Arr(vec![])),
+            ("empty_obj", Json::Obj(vec![])),
+        ]);
+        let rendered = doc.render();
         assert!(rendered.contains("\\u0007"), "bare control char escaped");
         assert!(!rendered.contains('\u{7}'), "no raw control char emitted");
+        assert_eq!(Json::parse(&rendered), Ok(doc));
+    }
+
+    #[test]
+    fn experiment_tables_round_trip() {
+        // E4 prints whole-valued float cells ("8.0"): they must read back
+        // as floats, not integers
+        let doc = crate::e4_axi::run(1, &hermes_obs::Recorder::disabled()).to_json();
+        assert_eq!(Json::parse(&doc.render()), Ok(doc));
+    }
+
+    #[test]
+    fn malformed_documents_are_rejected() {
+        for bad in ["[1, 2,]", r#"{"a": 1,}"#, "\"open", "NaN", "{} x", "", "[1 2]", r#""\q""#] {
+            assert!(Json::parse(bad).is_err(), "{bad:?} must not parse");
+        }
     }
 
     #[test]
@@ -229,5 +338,7 @@ mod tests {
         // a directly constructed non-finite Num renders as null, not NaN
         assert_eq!(Json::Num(f64::NAN).render().trim(), "null");
         assert_eq!(Json::Num(f64::INFINITY).render().trim(), "null");
+        // ... and reads back as NaN
+        assert!(matches!(Json::parse("null"), Ok(Json::Num(f)) if f.is_nan()));
     }
 }

@@ -126,6 +126,7 @@ mod tests {
         assert!(doc.contains("\"segment_totals\""));
         assert!(doc.contains("\"dropped_events\": 0"));
         assert_eq!(doc, profile_document(&sample_profile()).render());
+        assert_eq!(Json::parse(&doc), Ok(profile_document(&prof)));
         assert!(!doc.contains("wall"), "profiles carry no wall-clock channel");
     }
 

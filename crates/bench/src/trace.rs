@@ -232,6 +232,7 @@ mod tests {
         assert!(doc.contains("\"dur\": 1"));
         assert!(doc.contains("\"best_hpwl_x10\""));
         assert!(doc.contains("\"read_latency\""));
+        assert_eq!(Json::parse(&doc), Ok(trace_document(&sample())));
     }
 
     #[test]
@@ -244,6 +245,7 @@ mod tests {
         let stripped: Vec<&str> = doc.lines().filter(|l| !l.contains("\"wall")).collect();
         assert!(!stripped.iter().any(|l| l.contains("wall")));
         assert!(doc.lines().any(|l| l.contains("\"wall_ns\"")));
+        assert_eq!(Json::parse(&doc), Ok(trace_document(&r)));
     }
 
     #[test]
@@ -266,6 +268,7 @@ mod tests {
         assert!(doc.contains("\"process_name\""));
         assert!(doc.contains("\"ph\": \"X\""));
         assert!(doc.contains("\"ph\": \"i\""));
+        assert_eq!(Json::parse(&doc), Ok(chrome_trace(&sample())));
     }
 
     #[test]

@@ -41,6 +41,15 @@ fn e10_parallel_matches_serial() {
     assert_eq!(serial, parallel);
 }
 
+/// E13 and E14 run serially; their tables, and the gates their `run()`
+/// asserts, must not move with `--jobs`.
+#[test]
+fn e13_e14_parallel_match_serial() {
+    for run in [hermes_bench::e13_eventdriven::run, hermes_bench::e14_serving::run] {
+        assert_eq!(run(1, &Recorder::disabled()).text, run(4, &Recorder::disabled()).text);
+    }
+}
+
 /// E16 settles serially whatever the worker count: its tables (engine
 /// equivalence verdicts, cycle counts) must not move with `--jobs`.
 #[test]

@@ -1,0 +1,79 @@
+//! Committed-baseline gates: figures in the checked-in `BENCH_hermes.json`
+//! that must hold, read through `Json::parse`. E17b's overhead is wall
+//! clock, too noisy on a shared host to assert on a live run, so it is
+//! gated here on the committed file; E17a, E18a and E19a are also
+//! asserted live in their experiment's `run()`.
+
+use hermes_bench::json::Json;
+
+const BASELINE: &str = include_str!("../../../BENCH_hermes.json");
+
+/// `value[key]`; panics unless `value` is an object holding `key`.
+fn at<'a>(value: &'a Json, key: &str) -> &'a Json {
+    let Json::Obj(pairs) = value else { panic!("not an object: {value:?}") };
+    pairs.iter().find(|(k, _)| k == key).map_or_else(|| panic!("no `{key}` field"), |(_, v)| v)
+}
+
+fn items(value: &Json) -> &[Json] {
+    let Json::Arr(items) = value else { panic!("not an array: {value:?}") };
+    items
+}
+
+fn int(value: &Json) -> i64 {
+    let Json::Int(i) = value else { panic!("not an integer: {value:?}") };
+    *i
+}
+
+/// The rows of committed table `id`, e.g. `"e17b"`.
+fn rows(id: &str) -> Vec<Json> {
+    let doc = Json::parse(BASELINE).expect("BENCH_hermes.json parses");
+    items(at(&doc, "experiments"))
+        .iter()
+        .flat_map(|e| items(at(e, "tables")))
+        .find(|t| at(t, "id") == &Json::Str(id.into()))
+        .map(|t| items(at(t, "rows")).to_vec())
+        .unwrap_or_else(|| panic!("no committed table {id}"))
+}
+
+/// The row whose `key` column holds `want`.
+fn row<'a>(rows: &'a [Json], key: &str, want: Json) -> &'a Json {
+    rows.iter()
+        .find(|r| at(r, key) == &want)
+        .unwrap_or_else(|| panic!("no row with {key} = {want:?}"))
+}
+
+#[test]
+fn baseline_is_writer_output() {
+    assert_eq!(Json::parse(BASELINE).map(|doc| doc.render()).as_deref(), Ok(BASELINE));
+}
+
+/// Sampled tracing (16‰) adds < 5% over the untraced recorder: how
+/// `ServeConfig::trace_sample_permille` keeps always-on tracing affordable.
+#[test]
+fn e17b_sampled_tracing_overhead_under_5_pct() {
+    let pct = int(at(row(&rows("e17b"), "sample_permille", Json::Int(16)), "vs_untraced_pct"));
+    assert!(pct < 5, "committed sampled-tracing overhead {pct}% >= 5%");
+}
+
+#[test]
+fn e17a_some_point_pages() {
+    let paged = rows("e17a").iter().any(|r| at(r, "alert") == &Json::Str("page".into()));
+    assert!(paged, "committed e17a never pages");
+}
+
+#[test]
+fn e18a_total_reduction_at_least_10x() {
+    let reduction = int(at(row(&rows("e18a"), "layer", Json::Str("total".into())), "reduction_x"));
+    assert!(reduction >= 10, "committed e18 reduction {reduction}x < 10x");
+}
+
+/// A >= 1M-request sweep whose 8-shard point keeps consistent-hash +
+/// po2c routing skew within 1.5x of even.
+#[test]
+fn e19a_million_requests_and_8_shard_skew_within_1_5x() {
+    let sweep = rows("e19a");
+    let offered: i64 = sweep.iter().map(|r| int(at(r, "offered"))).sum();
+    assert!(offered >= 1_000_000, "committed e19a offers {offered} < 1M requests");
+    let skew = int(at(row(&sweep, "shards", Json::Int(8)), "skew_x100"));
+    assert!(skew <= 150, "committed e19 routing skew {skew} > 150");
+}

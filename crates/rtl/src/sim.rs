@@ -1203,7 +1203,7 @@ mod tests {
     }
 
     #[test]
-    fn new_defaults_to_packed_event_settle() {
+    fn quiescent_cycle_evaluates_nothing() {
         let nl = bit_fabric(64);
         let mut sim = Simulator::new(&nl).unwrap();
         sim.poke("a0", 1).unwrap();
@@ -1321,7 +1321,7 @@ mod tests {
     /// Simulator::clone preserves all state, including the dirty
     /// bookkeeping.
     #[test]
-    fn clone_preserves_packed_state() {
+    fn clone_preserves_settle_state() {
         let nl = bit_fabric(64);
         let mut sim = Simulator::new(&nl).unwrap();
         sim.poke("a3", 1).unwrap();
