@@ -6,7 +6,6 @@
 //! this level are single-bit (except DSP/RAM bus stubs, which stay bundled —
 //! placement treats each bundle as one net).
 
-use std::collections::HashMap;
 use std::fmt;
 
 /// Identifier of a primitive-level net.
@@ -30,7 +29,7 @@ impl fmt::Display for PCellId {
 }
 
 /// A fabric primitive.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Primitive {
     /// 4-input lookup table. `truth` bit `i` gives the output for input
     /// pattern `i` (input 0 is the LSB of the pattern).
@@ -91,19 +90,83 @@ impl Primitive {
     }
 }
 
-/// An instantiated primitive with its connectivity.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PCell {
-    /// Instance name (derived from the source coarse cell).
-    pub name: String,
+/// An instantiated primitive with its connectivity: a borrowed view of one
+/// record of a [`PrimNetlist`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PCell<'a> {
     /// The primitive kind and configuration.
     pub prim: Primitive,
     /// Input nets.
-    pub inputs: Vec<PNetId>,
+    pub inputs: &'a [PNetId],
     /// Output nets.
-    pub outputs: Vec<PNetId>,
-    /// Name of the coarse cell this primitive was expanded from.
-    pub source: String,
+    pub outputs: &'a [PNetId],
+    /// The coarse cell this primitive was expanded from, as an index into
+    /// [`PrimNetlist::string`] (`<io>` for pads, `<const>` for the shared
+    /// constant drivers).
+    pub source: u32,
+}
+
+/// A keyed instance name: an interned base string followed by up to three
+/// parts, each a static suffix and an optional index. The `{cell}_st{s}_nb_n{i}`
+/// name of a divider stage inverter is
+/// `CellName::of(cell).at("_st", s).tag("_nb").at("_n", i)`. Names are kept
+/// in this form and rendered only on demand ([`PrimNetlist::cell_name`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CellName {
+    base: u32,
+    parts: [(&'static str, u32); 3],
+}
+
+/// Index of a part that carries no number.
+const NO_INDEX: u32 = u32::MAX;
+
+impl CellName {
+    /// A name that is just the interned string `base`.
+    pub fn of(base: u32) -> Self {
+        CellName {
+            base,
+            parts: [("", NO_INDEX); 3],
+        }
+    }
+
+    /// Append `suffix` followed by the decimal `index`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the name already has three parts.
+    pub fn at(self, suffix: &'static str, index: u32) -> Self {
+        self.push(suffix, index)
+    }
+
+    /// Append `suffix` alone.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the name already has three parts.
+    pub fn tag(self, suffix: &'static str) -> Self {
+        self.push(suffix, NO_INDEX)
+    }
+
+    fn push(mut self, suffix: &'static str, index: u32) -> Self {
+        let free = self
+            .parts
+            .iter()
+            .position(|&p| p == ("", NO_INDEX))
+            .expect("a cell name has at most three parts");
+        self.parts[free] = (suffix, index);
+        self
+    }
+}
+
+/// One cell's record: its pins are `pins[start..start + n_in]` (inputs)
+/// followed by `n_out` outputs.
+#[derive(Debug, Clone, Copy)]
+struct CellRec {
+    prim: Primitive,
+    start: u32,
+    n_in: u32,
+    n_out: u32,
+    source: u32,
 }
 
 /// Resource totals of a primitive netlist.
@@ -134,13 +197,20 @@ impl fmt::Display for Utilization {
 }
 
 /// A netlist of fabric primitives.
+///
+/// Adding a cell allocates nothing per cell beyond amortized growth of
+/// flat tables: every cell's pins live in one shared `pins` vector, its
+/// name is a [`CellName`] key in a side table, and its source is an index
+/// into `strings`, which holds each base name and source once.
 #[derive(Debug, Clone, Default)]
 pub struct PrimNetlist {
     /// Module name carried over from the coarse netlist.
     pub name: String,
-    cells: Vec<PCell>,
+    cells: Vec<CellRec>,
+    names: Vec<CellName>,
+    pins: Vec<PNetId>,
+    strings: Vec<String>,
     net_count: u32,
-    net_names: HashMap<u32, String>,
 }
 
 impl PrimNetlist {
@@ -159,39 +229,68 @@ impl PrimNetlist {
         id
     }
 
-    /// Allocate a fresh named net (names kept only for debugging).
-    pub fn new_named_net(&mut self, name: impl Into<String>) -> PNetId {
-        let id = self.new_net();
-        self.net_names.insert(id.0, name.into());
-        id
+    /// Store a string (a source or the base of cell names) and return its
+    /// index. Strings are not deduplicated: two coarse cells that share a
+    /// name get two indices with equal text.
+    pub fn add_string(&mut self, s: &str) -> u32 {
+        self.strings.push(s.to_owned());
+        (self.strings.len() - 1) as u32
+    }
+
+    /// The string behind an index from [`add_string`](Self::add_string).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the index does not belong to this netlist.
+    pub fn string(&self, id: u32) -> &str {
+        &self.strings[id as usize]
+    }
+
+    /// Every stored string, indexed as [`PCell::source`] indexes them.
+    pub fn strings(&self) -> &[String] {
+        &self.strings
     }
 
     /// Add a primitive cell.
     pub fn add(
         &mut self,
-        name: impl Into<String>,
+        name: CellName,
         prim: Primitive,
-        inputs: Vec<PNetId>,
-        outputs: Vec<PNetId>,
-        source: impl Into<String>,
+        inputs: &[PNetId],
+        outputs: &[PNetId],
+        source: u32,
     ) -> PCellId {
         let id = PCellId(self.cells.len() as u32);
-        self.cells.push(PCell {
-            name: name.into(),
+        self.cells.push(CellRec {
             prim,
-            inputs,
-            outputs,
-            source: source.into(),
+            start: self.pins.len() as u32,
+            n_in: inputs.len() as u32,
+            n_out: outputs.len() as u32,
+            source,
         });
+        self.names.push(name);
+        self.pins.extend_from_slice(inputs);
+        self.pins.extend_from_slice(outputs);
         id
     }
 
+    fn view(&self, rec: &CellRec) -> PCell<'_> {
+        let start = rec.start as usize;
+        let mid = start + rec.n_in as usize;
+        PCell {
+            prim: rec.prim,
+            inputs: &self.pins[start..mid],
+            outputs: &self.pins[mid..mid + rec.n_out as usize],
+            source: rec.source,
+        }
+    }
+
     /// All cells with ids.
-    pub fn cells(&self) -> impl Iterator<Item = (PCellId, &PCell)> {
+    pub fn cells(&self) -> impl Iterator<Item = (PCellId, PCell<'_>)> {
         self.cells
             .iter()
             .enumerate()
-            .map(|(i, c)| (PCellId(i as u32), c))
+            .map(|(i, c)| (PCellId(i as u32), self.view(c)))
     }
 
     /// The cell behind an id.
@@ -199,8 +298,27 @@ impl PrimNetlist {
     /// # Panics
     ///
     /// Panics if the id does not belong to this netlist.
-    pub fn cell(&self, id: PCellId) -> &PCell {
-        &self.cells[id.0 as usize]
+    pub fn cell(&self, id: PCellId) -> PCell<'_> {
+        self.view(&self.cells[id.0 as usize])
+    }
+
+    /// Render the instance name of a cell (derived from its source coarse
+    /// cell, e.g. `add_c3` for bit 3 of the carry chain of `add`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the id does not belong to this netlist.
+    pub fn cell_name(&self, id: PCellId) -> String {
+        use fmt::Write as _;
+        let name = &self.names[id.0 as usize];
+        let mut out = self.strings[name.base as usize].clone();
+        for &(suffix, index) in &name.parts {
+            out.push_str(suffix);
+            if index != NO_INDEX {
+                let _ = write!(out, "{index}");
+            }
+        }
+        out
     }
 
     /// Total number of cells.
@@ -211,11 +329,6 @@ impl PrimNetlist {
     /// Total number of nets allocated.
     pub fn net_count(&self) -> u32 {
         self.net_count
-    }
-
-    /// Debug name of a net, if it was given one.
-    pub fn net_name(&self, id: PNetId) -> Option<&str> {
-        self.net_names.get(&id.0).map(String::as_str)
     }
 
     /// Compute resource totals.
@@ -243,10 +356,9 @@ impl PrimNetlist {
     pub fn net_pins(&self) -> Csr<PCellId> {
         let pins = self.cells.iter().enumerate().flat_map(|(i, c)| {
             let cid = PCellId(i as u32);
-            c.inputs
-                .iter()
-                .chain(&c.outputs)
-                .map(move |n| (n.0 as usize, cid))
+            let start = c.start as usize;
+            let end = start + (c.n_in + c.n_out) as usize;
+            self.pins[start..end].iter().map(move |n| (n.0 as usize, cid))
         });
         Csr::from_pairs(self.net_count as usize, pins)
     }
@@ -342,6 +454,20 @@ pub mod truth {
     }
 }
 
+/// Add a cell whose name and source are both the plain string `name`:
+/// the hand-built netlists of unit tests.
+#[cfg(test)]
+pub(crate) fn add_plain(
+    p: &mut PrimNetlist,
+    name: &str,
+    prim: Primitive,
+    inputs: &[PNetId],
+    outputs: &[PNetId],
+) -> PCellId {
+    let s = p.add_string(name);
+    p.add(CellName::of(s), prim, inputs, outputs, s)
+}
+
 #[cfg(test)]
 mod tests {
     use super::truth::*;
@@ -375,24 +501,13 @@ mod tests {
         let n0 = p.new_net();
         let n1 = p.new_net();
         let n2 = p.new_net();
-        p.add(
-            "l0",
-            Primitive::Lut4 {
-                truth: AND2,
-                used_inputs: 2,
-            },
-            vec![n0, n1],
-            vec![n2],
-            "src",
-        );
-        p.add("c0", Primitive::Carry, vec![n0, n1], vec![n2], "src");
-        p.add(
-            "f0",
-            Primitive::Dff { has_enable: false },
-            vec![n2],
-            vec![n0],
-            "src",
-        );
+        let lut = Primitive::Lut4 {
+            truth: AND2,
+            used_inputs: 2,
+        };
+        add_plain(&mut p, "l0", lut, &[n0, n1], &[n2]);
+        add_plain(&mut p, "c0", Primitive::Carry, &[n0, n1], &[n2]);
+        add_plain(&mut p, "f0", Primitive::Dff { has_enable: false }, &[n2], &[n0]);
         let u = p.utilization();
         assert_eq!(u.luts, 2);
         assert_eq!(u.carries, 1);
@@ -406,27 +521,47 @@ mod tests {
         let a = p.new_net();
         let y = p.new_net();
         let unused = p.new_net();
-        let l = p.add(
-            "l",
-            Primitive::Lut4 {
-                truth: AND2,
-                used_inputs: 2,
-            },
-            vec![a, a],
-            vec![y],
-            "s",
-        );
-        let f = p.add(
-            "f",
-            Primitive::Dff { has_enable: false },
-            vec![y],
-            vec![a],
-            "s",
-        );
+        let lut = Primitive::Lut4 {
+            truth: AND2,
+            used_inputs: 2,
+        };
+        let l = add_plain(&mut p, "l", lut, &[a, a], &[y]);
+        let f = add_plain(&mut p, "f", Primitive::Dff { has_enable: false }, &[y], &[a]);
         let pins = p.net_pins();
         assert_eq!(pins.rows(), 3);
         assert_eq!(pins.row(a.0 as usize), &[l, l, f]);
         assert_eq!(pins.row(y.0 as usize), &[l, f]);
         assert!(pins.row(unused.0 as usize).is_empty());
+    }
+
+    #[test]
+    fn cells_view_flat_pins_and_names_render_from_parts() {
+        let mut p = PrimNetlist::new("t");
+        let (a, b, y) = (p.new_net(), p.new_net(), p.new_net());
+        let base = p.add_string("div");
+        let src = p.add_string("<io>");
+        let name = CellName::of(base).at("_st", 7).tag("_nb").at("_n", 12);
+        let first = p.add(name, Primitive::Carry, &[a, b], &[y], base);
+        let pad = p.add(
+            CellName::of(base).at("_pad", 0),
+            Primitive::IoPad { is_input: false },
+            &[y],
+            &[],
+            src,
+        );
+        assert_eq!(p.cell_name(first), "div_st7_nb_n12");
+        assert_eq!(p.cell_name(pad), "div_pad0");
+        let c = p.cell(first);
+        assert_eq!((c.inputs, c.outputs), (&[a, b][..], &[y][..]));
+        assert_eq!(p.string(c.source), "div");
+        let c = p.cell(pad);
+        assert_eq!((c.inputs, c.outputs), (&[y][..], &[][..]));
+        assert_eq!(p.string(c.source), "<io>");
+    }
+
+    #[test]
+    #[should_panic(expected = "at most three parts")]
+    fn a_fourth_name_part_panics() {
+        let _ = CellName::of(0).tag("_a").tag("_b").tag("_c").tag("_d");
     }
 }

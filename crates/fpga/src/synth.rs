@@ -13,11 +13,10 @@
 //! * registers → DFFs, memories → block RAMs sized by the device model.
 
 use crate::device::DeviceProfile;
-use crate::primitives::{truth, PNetId, PrimNetlist, Primitive, Utilization};
+use crate::primitives::{truth, CellName, PNetId, PrimNetlist, Primitive, Utilization};
 use crate::FpgaError;
 use hermes_rtl::component::Comparison;
 use hermes_rtl::netlist::{CellOp, Netlist, NetId};
-use std::collections::HashMap;
 
 /// Outcome of technology mapping.
 #[derive(Debug, Clone)]
@@ -50,14 +49,25 @@ pub struct Synthesizer {
 
 struct MapCtx {
     prim: PrimNetlist,
-    bits: HashMap<NetId, Vec<PNetId>>,
+    /// Coarse net `n`'s bits are the primitive nets
+    /// `first[n]..first[n + 1]`, allocated contiguously before mapping.
+    first: Vec<u32>,
+    /// The string `const`, base of the shared constant drivers' names.
+    const_name: u32,
+    /// The source `<const>` of the shared constant drivers.
+    const_src: u32,
     zero: Option<PNetId>,
     one: Option<PNetId>,
 }
 
 impl MapCtx {
     fn bit(&self, net: NetId, i: usize) -> PNetId {
-        self.bits[&net][i]
+        PNetId(self.first[net.0 as usize] + i as u32)
+    }
+
+    fn bits(&self, net: NetId) -> Vec<PNetId> {
+        let n = net.0 as usize;
+        (self.first[n]..self.first[n + 1]).map(PNetId).collect()
     }
 
     fn const_bit(&mut self, value: bool) -> PNetId {
@@ -65,16 +75,16 @@ impl MapCtx {
         if let Some(n) = cached {
             return n;
         }
-        let n = self.prim.new_named_net(if value { "const1" } else { "const0" });
+        let n = self.prim.new_net();
         self.prim.add(
-            format!("const_{}", u8::from(value)),
+            CellName::of(self.const_name).at("_", u32::from(value)),
             Primitive::Lut4 {
                 truth: if value { 0xFFFF } else { 0x0000 },
                 used_inputs: 0,
             },
-            vec![],
-            vec![n],
-            "<const>",
+            &[],
+            &[n],
+            self.const_src,
         );
         if value {
             self.one = Some(n);
@@ -84,14 +94,7 @@ impl MapCtx {
         n
     }
 
-    fn lut(
-        &mut self,
-        name: String,
-        truth: u16,
-        used: u8,
-        inputs: Vec<PNetId>,
-        source: &str,
-    ) -> PNetId {
+    fn lut(&mut self, name: CellName, truth: u16, used: u8, inputs: &[PNetId], source: u32) -> PNetId {
         let out = self.prim.new_net();
         self.prim.add(
             name,
@@ -100,49 +103,52 @@ impl MapCtx {
                 used_inputs: used,
             },
             inputs,
-            vec![out],
+            &[out],
             source,
         );
         out
     }
 
     /// Carry element: inputs `[a, b, cin]`, outputs `[sum, cout]`.
-    fn carry(&mut self, name: String, a: PNetId, b: PNetId, cin: PNetId, source: &str) -> (PNetId, PNetId) {
+    fn carry(&mut self, name: CellName, a: PNetId, b: PNetId, cin: PNetId, source: u32) -> (PNetId, PNetId) {
         let sum = self.prim.new_net();
         let cout = self.prim.new_net();
         self.prim
-            .add(name, Primitive::Carry, vec![a, b, cin], vec![sum, cout], source);
+            .add(name, Primitive::Carry, &[a, b, cin], &[sum, cout], source);
         (sum, cout)
     }
 
-    /// Ripple add of two bit vectors; returns (sum bits, carry out).
+    /// Ripple add of two bit vectors; returns (sum bits, carry out). Bit
+    /// `i`'s carry element is named `{name}_c{i}`.
     fn ripple_add(
         &mut self,
-        name: &str,
+        name: CellName,
         a: &[PNetId],
         b: &[PNetId],
         cin: PNetId,
-        source: &str,
+        source: u32,
     ) -> (Vec<PNetId>, PNetId) {
         let mut carry = cin;
         let mut sums = Vec::with_capacity(a.len());
         for i in 0..a.len() {
-            let (s, c) = self.carry(format!("{name}_c{i}"), a[i], b[i], carry, source);
+            let (s, c) = self.carry(name.at("_c", i as u32), a[i], b[i], carry, source);
             sums.push(s);
             carry = c;
         }
         (sums, carry)
     }
 
-    fn invert_all(&mut self, name: &str, bits: &[PNetId], source: &str) -> Vec<PNetId> {
+    /// Invert every bit; bit `i`'s inverter is named `{name}_n{i}`.
+    fn invert_all(&mut self, name: CellName, bits: &[PNetId], source: u32) -> Vec<PNetId> {
         bits.iter()
             .enumerate()
-            .map(|(i, &b)| self.lut(format!("{name}_n{i}"), truth::NOT1, 1, vec![b], source))
+            .map(|(i, &b)| self.lut(name.at("_n", i as u32), truth::NOT1, 1, &[b], source))
             .collect()
     }
 
-    /// OR-reduce a set of bits with a balanced LUT tree.
-    fn or_reduce(&mut self, name: &str, bits: &[PNetId], source: &str) -> PNetId {
+    /// OR-reduce a set of bits with a balanced LUT tree; LUT `i` of layer
+    /// `d` is named `{name}_or{d}_{i}`.
+    fn or_reduce(&mut self, name: CellName, bits: &[PNetId], source: u32) -> PNetId {
         assert!(!bits.is_empty());
         let mut layer: Vec<PNetId> = bits.to_vec();
         let mut depth = 0;
@@ -151,10 +157,10 @@ impl MapCtx {
             for (i, pair) in layer.chunks(2).enumerate() {
                 if pair.len() == 2 {
                     next.push(self.lut(
-                        format!("{name}_or{depth}_{i}"),
+                        name.at("_or", depth).at("_", i as u32),
                         truth::OR2,
                         2,
-                        vec![pair[0], pair[1]],
+                        pair,
                         source,
                     ));
                 } else {
@@ -169,10 +175,10 @@ impl MapCtx {
 
     /// Unsigned `a >= b` via a borrow chain; returns the carry-out of
     /// `a + !b + 1`.
-    fn geu(&mut self, name: &str, a: &[PNetId], b: &[PNetId], source: &str) -> PNetId {
-        let nb = self.invert_all(&format!("{name}_nb"), b, source);
+    fn geu(&mut self, name: CellName, a: &[PNetId], b: &[PNetId], source: u32) -> PNetId {
+        let nb = self.invert_all(name.tag("_nb"), b, source);
         let one = self.const_bit(true);
-        let (_, cout) = self.ripple_add(&format!("{name}_sub"), a, &nb, one, source);
+        let (_, cout) = self.ripple_add(name.tag("_sub"), a, &nb, one, source);
         cout
     }
 }
@@ -197,46 +203,45 @@ impl Synthesizer {
     /// device capacity.
     pub fn synthesize(&self, netlist: &Netlist) -> Result<SynthResult, FpgaError> {
         netlist.validate()?;
+        let mut prim = PrimNetlist::new(netlist.name());
+        let const_name = prim.add_string("const");
+        let const_src = prim.add_string("<const>");
+        let io_src = prim.add_string("<io>");
+
+        // Pre-allocate per-bit nets for every coarse net, contiguously.
+        let mut first = Vec::with_capacity(netlist.net_count() + 1);
+        first.push(0);
+        for (_, net) in netlist.nets() {
+            for _ in 0..net.width {
+                prim.new_net();
+            }
+            first.push(prim.net_count());
+        }
         let mut ctx = MapCtx {
-            prim: PrimNetlist::new(netlist.name()),
-            bits: HashMap::new(),
+            prim,
+            first,
+            const_name,
+            const_src,
             zero: None,
             one: None,
         };
 
-        // Pre-allocate per-bit nets for every coarse net.
-        for (nid, net) in netlist.nets() {
-            let bits = (0..net.width)
-                .map(|i| ctx.prim.new_named_net(format!("{}[{}]", net.name, i)))
-                .collect();
-            ctx.bits.insert(nid, bits);
-        }
-
         // I/O pads.
-        for &inp in netlist.inputs() {
-            let w = netlist.net(inp).width;
-            for i in 0..w as usize {
-                let b = ctx.bit(inp, i);
-                ctx.prim.add(
-                    format!("{}_pad{}", netlist.net(inp).name, i),
-                    Primitive::IoPad { is_input: true },
-                    vec![],
-                    vec![b],
-                    "<io>",
-                );
-            }
-        }
-        for &out in netlist.outputs() {
-            let w = netlist.net(out).width;
-            for i in 0..w as usize {
-                let b = ctx.bit(out, i);
-                ctx.prim.add(
-                    format!("{}_pad{}", netlist.net(out).name, i),
-                    Primitive::IoPad { is_input: false },
-                    vec![b],
-                    vec![],
-                    "<io>",
-                );
+        for (ports, is_input) in [(netlist.inputs(), true), (netlist.outputs(), false)] {
+            for &port in ports {
+                let net = netlist.net(port);
+                let base = ctx.prim.add_string(&net.name);
+                for i in 0..net.width {
+                    let b = ctx.bit(port, i as usize);
+                    let (ins, outs) = if is_input { (&[][..], &[b][..]) } else { (&[b][..], &[][..]) };
+                    ctx.prim.add(
+                        CellName::of(base).at("_pad", i),
+                        Primitive::IoPad { is_input },
+                        ins,
+                        outs,
+                        io_src,
+                    );
+                }
             }
         }
 
@@ -286,12 +291,9 @@ impl Synthesizer {
         netlist: &Netlist,
         cell: &hermes_rtl::netlist::Cell,
     ) -> Result<(), FpgaError> {
-        let name = cell.name.clone();
-        let in_bits: Vec<Vec<PNetId>> = cell
-            .inputs
-            .iter()
-            .map(|&n| ctx.bits[&n].clone())
-            .collect();
+        let src = ctx.prim.add_string(&cell.name);
+        let name = CellName::of(src);
+        let in_bits: Vec<Vec<PNetId>> = cell.inputs.iter().map(|&n| ctx.bits(n)).collect();
         let out_w = cell
             .outputs
             .first()
@@ -302,19 +304,32 @@ impl Synthesizer {
         // with buffer LUTs (keeps pre-allocation simple and uniform; buffers
         // model the fabric's output muxing and are counted as LUTs, which
         // slightly over-approximates area — acceptable and conservative).
-        let drive_out = |ctx: &mut MapCtx, outs: &[PNetId], computed: &[PNetId], src: &str| {
+        let drive_out = |ctx: &mut MapCtx, outs: &[PNetId], computed: &[PNetId]| {
             for (i, (&o, &c)) in outs.iter().zip(computed.iter()).enumerate() {
                 ctx.prim.add(
-                    format!("{src}_buf{i}"),
+                    name.at("_buf", i as u32),
                     Primitive::Lut4 {
                         truth: truth::BUF1,
                         used_inputs: 1,
                     },
-                    vec![c],
-                    vec![o],
+                    &[c],
+                    &[o],
                     src,
                 );
             }
+        };
+        // One LUT per bit on a pre-allocated output net.
+        let lut_onto = |ctx: &mut MapCtx, name: CellName, truth: u16, used: u8, ins: &[PNetId], out: PNetId| {
+            ctx.prim.add(
+                name,
+                Primitive::Lut4 {
+                    truth,
+                    used_inputs: used,
+                },
+                ins,
+                &[out],
+                src,
+            );
         };
 
         match &cell.op {
@@ -322,15 +337,15 @@ impl Synthesizer {
                 let a = &in_bits[0];
                 let b0 = &in_bits[1];
                 let (b, cin) = if matches!(cell.op, CellOp::Sub) {
-                    let nb = ctx.invert_all(&format!("{name}_nb"), b0, &name);
+                    let nb = ctx.invert_all(name.tag("_nb"), b0, src);
                     (nb, ctx.const_bit(true))
                 } else {
                     (b0.clone(), ctx.const_bit(false))
                 };
                 let n = a.len().min(b.len()).min(out_w);
-                let (sums, _) = ctx.ripple_add(&name, &a[..n], &b[..n], cin, &name);
-                let outs = ctx.bits[&cell.outputs[0]].clone();
-                drive_out(ctx, &outs[..n], &sums, &name);
+                let (sums, _) = ctx.ripple_add(name, &a[..n], &b[..n], cin, src);
+                let outs = ctx.bits(cell.outputs[0]);
+                drive_out(ctx, &outs[..n], &sums);
             }
             CellOp::And | CellOp::Or | CellOp::Xor => {
                 let tt = match cell.op {
@@ -338,83 +353,49 @@ impl Synthesizer {
                     CellOp::Or => truth::OR2,
                     _ => truth::XOR2,
                 };
-                let outs = ctx.bits[&cell.outputs[0]].clone();
-                for i in 0..out_w.min(in_bits[0].len()).min(in_bits[1].len()) {
-                    let (a, b) = (in_bits[0][i], in_bits[1][i]);
-                    ctx.prim.add(
-                        format!("{name}_l{i}"),
-                        Primitive::Lut4 {
-                            truth: tt,
-                            used_inputs: 2,
-                        },
-                        vec![a, b],
-                        vec![outs[i]],
-                        &name,
-                    );
+                let pairs = in_bits[0].iter().zip(&in_bits[1]).take(out_w);
+                for (i, (&a, &b)) in pairs.enumerate() {
+                    let out = ctx.bit(cell.outputs[0], i);
+                    lut_onto(ctx, name.at("_l", i as u32), tt, 2, &[a, b], out);
                 }
             }
             CellOp::Not => {
-                let outs = ctx.bits[&cell.outputs[0]].clone();
-                for i in 0..out_w.min(in_bits[0].len()) {
-                    let a = in_bits[0][i];
-                    ctx.prim.add(
-                        format!("{name}_l{i}"),
-                        Primitive::Lut4 {
-                            truth: truth::NOT1,
-                            used_inputs: 1,
-                        },
-                        vec![a],
-                        vec![outs[i]],
-                        &name,
-                    );
+                for (i, &a) in in_bits[0].iter().take(out_w).enumerate() {
+                    let out = ctx.bit(cell.outputs[0], i);
+                    lut_onto(ctx, name.at("_l", i as u32), truth::NOT1, 1, &[a], out);
                 }
             }
             CellOp::Mux => {
                 let sel = in_bits[0][0];
-                let outs = ctx.bits[&cell.outputs[0]].clone();
-                for (i, &out) in outs.iter().enumerate().take(out_w) {
+                for i in 0..out_w {
                     let a = in_bits[1].get(i).copied().unwrap_or_else(|| ctx.const_bit(false));
                     let b = in_bits[2].get(i).copied().unwrap_or_else(|| ctx.const_bit(false));
-                    ctx.prim.add(
-                        format!("{name}_m{i}"),
-                        Primitive::Lut4 {
-                            truth: truth::MUX21,
-                            used_inputs: 3,
-                        },
-                        vec![a, b, sel],
-                        vec![out],
-                        &name,
-                    );
+                    let out = ctx.bit(cell.outputs[0], i);
+                    lut_onto(ctx, name.at("_m", i as u32), truth::MUX21, 3, &[a, b, sel], out);
                 }
             }
             CellOp::Cmp(c) => {
-                let (a, b) = (in_bits[0].clone(), in_bits[1].clone());
+                let (a, b) = (&in_bits[0], &in_bits[1]);
                 let result = match c {
                     Comparison::Eq | Comparison::Ne => {
                         let diffs: Vec<PNetId> = (0..a.len())
                             .map(|i| {
-                                ctx.lut(
-                                    format!("{name}_x{i}"),
-                                    truth::XOR2,
-                                    2,
-                                    vec![a[i], b[i]],
-                                    &name,
-                                )
+                                ctx.lut(name.at("_x", i as u32), truth::XOR2, 2, &[a[i], b[i]], src)
                             })
                             .collect();
-                        let any = ctx.or_reduce(&name, &diffs, &name);
+                        let any = ctx.or_reduce(name, &diffs, src);
                         if matches!(c, Comparison::Eq) {
-                            ctx.lut(format!("{name}_inv"), truth::NOT1, 1, vec![any], &name)
+                            ctx.lut(name.tag("_inv"), truth::NOT1, 1, &[any], src)
                         } else {
                             any
                         }
                     }
                     Comparison::GeU | Comparison::LtU => {
-                        let ge = ctx.geu(&name, &a, &b, &name);
+                        let ge = ctx.geu(name, a, b, src);
                         if matches!(c, Comparison::GeU) {
                             ge
                         } else {
-                            ctx.lut(format!("{name}_inv"), truth::NOT1, 1, vec![ge], &name)
+                            ctx.lut(name.tag("_inv"), truth::NOT1, 1, &[ge], src)
                         }
                     }
                     Comparison::GeS | Comparison::LtS => {
@@ -422,24 +403,22 @@ impl Synthesizer {
                         let mut ab = a.clone();
                         let mut bb = b.clone();
                         let msb = a.len() - 1;
-                        ab[msb] =
-                            ctx.lut(format!("{name}_fa"), truth::NOT1, 1, vec![a[msb]], &name);
-                        bb[msb] =
-                            ctx.lut(format!("{name}_fb"), truth::NOT1, 1, vec![b[msb]], &name);
-                        let ge = ctx.geu(&name, &ab, &bb, &name);
+                        ab[msb] = ctx.lut(name.tag("_fa"), truth::NOT1, 1, &[a[msb]], src);
+                        bb[msb] = ctx.lut(name.tag("_fb"), truth::NOT1, 1, &[b[msb]], src);
+                        let ge = ctx.geu(name, &ab, &bb, src);
                         if matches!(c, Comparison::GeS) {
                             ge
                         } else {
-                            ctx.lut(format!("{name}_inv"), truth::NOT1, 1, vec![ge], &name)
+                            ctx.lut(name.tag("_inv"), truth::NOT1, 1, &[ge], src)
                         }
                     }
                 };
-                let outs = ctx.bits[&cell.outputs[0]].clone();
-                drive_out(ctx, &outs[..1], &[result], &name);
+                let out = ctx.bit(cell.outputs[0], 0);
+                drive_out(ctx, &[out], &[result]);
             }
             CellOp::Shl | CellOp::ShrL | CellOp::ShrA => {
                 let a = in_bits[0].clone();
-                let sh = in_bits[1].clone();
+                let sh = &in_bits[1];
                 let w = a.len();
                 let stages = (usize::BITS - (w.max(2) - 1).leading_zeros()) as usize;
                 let fill = match cell.op {
@@ -469,38 +448,34 @@ impl Synthesizer {
                             }
                         };
                         next.push(ctx.lut(
-                            format!("{name}_s{s}_{i}"),
+                            name.at("_s", s as u32).at("_", i as u32),
                             truth::MUX21,
                             3,
-                            vec![cur[i], shifted, sel],
-                            &name,
+                            &[cur[i], shifted, sel],
+                            src,
                         ));
                     }
                     cur = next;
                 }
-                let outs = ctx.bits[&cell.outputs[0]].clone();
+                let outs = ctx.bits(cell.outputs[0]);
                 let n = out_w.min(cur.len());
-                drive_out(ctx, &outs[..n], &cur[..n], &name);
+                drive_out(ctx, &outs[..n], &cur[..n]);
             }
             CellOp::Mul => {
                 let w = in_bits[0].len() as u32;
                 let dsps = self.device.dsps_for_multiplier(w);
-                let outs = ctx.bits[&cell.outputs[0]].clone();
+                let outs = ctx.bits(cell.outputs[0]);
                 if dsps == 1 {
-                    let inputs: Vec<PNetId> = in_bits[0]
-                        .iter()
-                        .chain(in_bits[1].iter())
-                        .copied()
-                        .collect();
+                    let inputs = [in_bits[0].as_slice(), in_bits[1].as_slice()].concat();
                     ctx.prim.add(
-                        format!("{name}_dsp"),
+                        name.tag("_dsp"),
                         Primitive::Dsp {
                             width: w as u8,
                             pipelined: false,
                         },
-                        inputs,
-                        outs,
-                        &name,
+                        &inputs,
+                        &outs,
+                        src,
                     );
                 } else {
                     // Tile into dsp_width x dsp_width partial products and
@@ -510,25 +485,19 @@ impl Synthesizer {
                     let mut partials: Vec<Vec<PNetId>> = Vec::new();
                     for ia in 0..n {
                         for ib in 0..n {
-                            let a_sl: Vec<PNetId> = in_bits[0]
-                                [ia * dw..((ia + 1) * dw).min(w as usize)]
-                                .to_vec();
-                            let b_sl: Vec<PNetId> = in_bits[1]
-                                [ib * dw..((ib + 1) * dw).min(w as usize)]
-                                .to_vec();
+                            let a_sl = &in_bits[0][ia * dw..((ia + 1) * dw).min(w as usize)];
+                            let b_sl = &in_bits[1][ib * dw..((ib + 1) * dw).min(w as usize)];
                             let p: Vec<PNetId> =
                                 (0..out_w).map(|_| ctx.prim.new_net()).collect();
-                            let inputs: Vec<PNetId> =
-                                a_sl.iter().chain(b_sl.iter()).copied().collect();
                             ctx.prim.add(
-                                format!("{name}_dsp{ia}_{ib}"),
+                                name.at("_dsp", ia as u32).at("_", ib as u32),
                                 Primitive::Dsp {
                                     width: dw as u8,
                                     pipelined: false,
                                 },
-                                inputs,
-                                p.clone(),
-                                &name,
+                                &[a_sl, b_sl].concat(),
+                                &p,
+                                src,
                             );
                             partials.push(p);
                         }
@@ -536,164 +505,132 @@ impl Synthesizer {
                     let mut acc = partials[0].clone();
                     for (k, p) in partials.iter().enumerate().skip(1) {
                         let cin = ctx.const_bit(false);
-                        let (sum, _) =
-                            ctx.ripple_add(&format!("{name}_acc{k}"), &acc, p, cin, &name);
+                        let (sum, _) = ctx.ripple_add(name.at("_acc", k as u32), &acc, p, cin, src);
                         acc = sum;
                     }
-                    drive_out(ctx, &outs[..acc.len().min(out_w)], &acc, &name);
+                    drive_out(ctx, &outs[..acc.len().min(out_w)], &acc);
                 }
             }
             CellOp::Div | CellOp::Mod => {
                 // Unrolled restoring divider: `w` stages, each a conditional
                 // subtract (carry chain + mux row).
                 let w = in_bits[0].len();
-                let a = in_bits[0].clone();
-                let b = in_bits[1].clone();
+                let a = &in_bits[0];
+                let b = &in_bits[1];
                 let zero = ctx.const_bit(false);
                 let one = ctx.const_bit(true);
                 let mut rem: Vec<PNetId> = vec![zero; w];
                 let mut quot: Vec<PNetId> = Vec::with_capacity(w);
                 for s in (0..w).rev() {
+                    let stage = name.at("_st", s as u32);
                     // shift remainder left, bring in bit a[s]
                     let mut shifted = Vec::with_capacity(w);
                     shifted.push(a[s]);
                     shifted.extend_from_slice(&rem[..w - 1]);
                     // trial subtract: shifted - b
-                    let nb = ctx.invert_all(&format!("{name}_st{s}_nb"), &b, &name);
-                    let (diff, cout) =
-                        ctx.ripple_add(&format!("{name}_st{s}"), &shifted, &nb, one, &name);
+                    let nb = ctx.invert_all(stage.tag("_nb"), b, src);
+                    let (diff, cout) = ctx.ripple_add(stage, &shifted, &nb, one, src);
                     // if cout==1 (no borrow) keep diff, else keep shifted
                     let mut nrem = Vec::with_capacity(w);
                     for i in 0..w {
                         nrem.push(ctx.lut(
-                            format!("{name}_st{s}_m{i}"),
+                            stage.at("_m", i as u32),
                             truth::MUX21,
                             3,
-                            vec![shifted[i], diff[i], cout],
-                            &name,
+                            &[shifted[i], diff[i], cout],
+                            src,
                         ));
                     }
                     rem = nrem;
                     quot.push(cout);
                 }
                 quot.reverse();
-                let outs = ctx.bits[&cell.outputs[0]].clone();
+                let outs = ctx.bits(cell.outputs[0]);
                 let chosen = if matches!(cell.op, CellOp::Div) {
                     quot
                 } else {
                     rem
                 };
                 let n = out_w.min(chosen.len());
-                drive_out(ctx, &outs[..n], &chosen[..n], &name);
+                drive_out(ctx, &outs[..n], &chosen[..n]);
             }
             CellOp::Const { value } => {
-                let outs = ctx.bits[&cell.outputs[0]].clone();
-                for (i, &o) in outs.iter().enumerate() {
+                for i in 0..out_w {
                     let bit = (*value >> i) & 1 == 1;
-                    ctx.prim.add(
-                        format!("{name}_c{i}"),
-                        Primitive::Lut4 {
-                            truth: if bit { 0xFFFF } else { 0x0000 },
-                            used_inputs: 0,
-                        },
-                        vec![],
-                        vec![o],
-                        &name,
-                    );
+                    let out = ctx.bit(cell.outputs[0], i);
+                    let tt = if bit { 0xFFFF } else { 0x0000 };
+                    lut_onto(ctx, name.at("_c", i as u32), tt, 0, &[], out);
                 }
             }
             CellOp::Slice { lo, .. } => {
-                let outs = ctx.bits[&cell.outputs[0]].clone();
-                for (i, &o) in outs.iter().enumerate() {
+                for i in 0..out_w {
                     let src_i = *lo as usize + i;
-                    let src = in_bits[0]
+                    let from = in_bits[0]
                         .get(src_i)
                         .copied()
                         .unwrap_or_else(|| ctx.const_bit(false));
-                    ctx.prim.add(
-                        format!("{name}_b{i}"),
-                        Primitive::Lut4 {
-                            truth: truth::BUF1,
-                            used_inputs: 1,
-                        },
-                        vec![src],
-                        vec![o],
-                        &name,
-                    );
+                    let out = ctx.bit(cell.outputs[0], i);
+                    lut_onto(ctx, name.at("_b", i as u32), truth::BUF1, 1, &[from], out);
                 }
             }
             CellOp::ZeroExtend | CellOp::SignExtend => {
-                let outs = ctx.bits[&cell.outputs[0]].clone();
                 let iw = in_bits[0].len();
                 let fill = if matches!(cell.op, CellOp::SignExtend) {
                     in_bits[0][iw - 1]
                 } else {
                     ctx.const_bit(false)
                 };
-                for (i, &o) in outs.iter().enumerate() {
-                    let src = if i < iw { in_bits[0][i] } else { fill };
-                    ctx.prim.add(
-                        format!("{name}_b{i}"),
-                        Primitive::Lut4 {
-                            truth: truth::BUF1,
-                            used_inputs: 1,
-                        },
-                        vec![src],
-                        vec![o],
-                        &name,
-                    );
+                for i in 0..out_w {
+                    let from = in_bits[0].get(i).copied().unwrap_or(fill);
+                    let out = ctx.bit(cell.outputs[0], i);
+                    lut_onto(ctx, name.at("_b", i as u32), truth::BUF1, 1, &[from], out);
                 }
             }
             CellOp::Register { has_enable, .. } => {
-                let outs = ctx.bits[&cell.outputs[0]].clone();
                 let en = if *has_enable {
                     Some(in_bits[1][0])
                 } else {
                     None
                 };
-                for (i, &o) in outs.iter().enumerate() {
+                for i in 0..out_w {
                     let d = in_bits[0]
                         .get(i)
                         .copied()
                         .unwrap_or_else(|| ctx.const_bit(false));
-                    let mut inputs = vec![d];
-                    if let Some(e) = en {
-                        inputs.push(e);
-                    }
+                    let inputs = [d, en.unwrap_or(d)];
+                    let n_in = if en.is_some() { 2 } else { 1 };
+                    let out = ctx.bit(cell.outputs[0], i);
                     ctx.prim.add(
-                        format!("{name}_ff{i}"),
+                        name.at("_ff", i as u32),
                         Primitive::Dff {
                             has_enable: en.is_some(),
                         },
-                        inputs,
-                        vec![o],
-                        &name,
+                        &inputs[..n_in],
+                        &[out],
+                        src,
                     );
                 }
             }
             CellOp::RamTdp { depth, .. } => {
                 let w = netlist.net(cell.outputs[0]).width;
                 let count = self.device.rams_for(*depth, w);
-                let all_inputs: Vec<PNetId> = in_bits.iter().flatten().copied().collect();
-                let ra = ctx.bits[&cell.outputs[0]].clone();
-                let rb = ctx.bits[&cell.outputs[1]].clone();
+                let all_inputs = in_bits.concat();
+                let ports = [ctx.bits(cell.outputs[0]), ctx.bits(cell.outputs[1])].concat();
                 for k in 0..count {
                     let outs: Vec<PNetId> = if k == 0 {
-                        ra.iter().chain(rb.iter()).copied().collect()
+                        ports.clone()
                     } else {
-                        (0..ra.len() + rb.len())
-                            .map(|_| ctx.prim.new_net())
-                            .collect()
+                        (0..ports.len()).map(|_| ctx.prim.new_net()).collect()
                     };
                     ctx.prim.add(
-                        format!("{name}_ramb{k}"),
+                        name.at("_ramb", k),
                         Primitive::Ramb {
                             depth: *depth,
                             width: w.min(64) as u8,
                         },
-                        all_inputs.clone(),
-                        outs,
-                        &name,
+                        &all_inputs,
+                        &outs,
+                        src,
                     );
                 }
             }

@@ -115,10 +115,10 @@ impl Analyzer {
         let mut driver: Vec<Option<PCellId>> = vec![None; nets];
         let mut fanout = vec![0u32; nets];
         for (cid, c) in prim.cells() {
-            for &o in &c.outputs {
+            for &o in c.outputs {
                 driver[o.0 as usize] = Some(cid);
             }
-            for &i in &c.inputs {
+            for &i in c.inputs {
                 fanout[i.0 as usize] += 1;
             }
         }
@@ -142,7 +142,7 @@ impl Analyzer {
         for (cid, c) in prim.cells() {
             if c.prim.is_sequential() || matches!(c.prim, Primitive::IoPad { is_input: true }) {
                 let launch = self.cell_delay(&c.prim);
-                for &o in &c.outputs {
+                for &o in c.outputs {
                     let a = launch + wire[o.0 as usize];
                     let e = &mut arrival[o.0 as usize];
                     if e.is_none_or(|(old, _)| a > old) {
@@ -177,12 +177,20 @@ impl Analyzer {
             .copied()
             .filter(|c| indeg[c.0 as usize] == 0)
             .collect();
+        // multicycle exception: cell and interconnect delay inside the
+        // excepted cone are amortized over the allowed settle cycles; one
+        // scale per source string, looked up once
+        let scale: Vec<f64> = prim
+            .strings()
+            .iter()
+            .map(|s| self.multicycle.get(s).map_or(1.0, |&f| f64::from(f.max(1))))
+            .collect();
         let mut pred_of: Vec<Option<PCellId>> = vec![None; prim.cell_count()];
         while let Some(cid) = queue.pop() {
             let c = prim.cell(cid);
             let mut best = 0.0f64;
             let mut best_pred = None;
-            for &i in &c.inputs {
+            for &i in c.inputs {
                 if let Some((a, src)) = arrival[i.0 as usize] {
                     if a > best {
                         best = a;
@@ -192,14 +200,8 @@ impl Analyzer {
             }
             pred_of[cid.0 as usize] = best_pred;
             let d = self.cell_delay(&c.prim);
-            // multicycle exception: cell and interconnect delay inside the
-            // excepted cone are amortized over the allowed settle cycles
-            let scale = self
-                .multicycle
-                .get(&c.source)
-                .map(|&f| f64::from(f.max(1)))
-                .unwrap_or(1.0);
-            for &o in &c.outputs {
+            let scale = scale[c.source as usize];
+            for &o in c.outputs {
                 let a = best + (d + wire[o.0 as usize]) / scale;
                 let e = &mut arrival[o.0 as usize];
                 if e.is_none_or(|(old, _)| a >= old) {
@@ -225,7 +227,7 @@ impl Analyzer {
                 continue;
             }
             let setup = self.sink_setup(&c.prim);
-            for &i in &c.inputs {
+            for &i in c.inputs {
                 if let Some((a, _)) = arrival[i.0 as usize] {
                     let total = a + setup;
                     if total > critical {
@@ -246,14 +248,14 @@ impl Analyzer {
         let mut guard = 0;
         while let Some(cid) = cur {
             let c = prim.cell(cid);
-            critical_cells.push(c.name.clone());
+            critical_cells.push(prim.cell_name(cid));
             if matches!(c.prim, Primitive::Lut4 { .. } | Primitive::Carry) {
                 logic_levels += 1;
             }
             // predecessor through worst input
             cur = pred_of[cid.0 as usize].or_else(|| {
                 let mut best: Option<(f64, PCellId)> = None;
-                for &i in &c.inputs {
+                for &i in c.inputs {
                     if let Some((a, src)) = arrival[i.0 as usize] {
                         if best.map(|(b, _)| a > b).unwrap_or(true) {
                             best = Some((a, src));
@@ -369,37 +371,19 @@ mod tests {
 
     #[test]
     fn multiply_driven_net_resolves_to_its_last_writer() {
-        use crate::primitives::{truth, PrimNetlist};
+        use crate::primitives::{add_plain, truth, PrimNetlist};
         let lut = Primitive::Lut4 {
             truth: truth::BUF1,
             used_inputs: 1,
         };
         let mut p = PrimNetlist::new("t");
         let (a, b, n, y) = (p.new_net(), p.new_net(), p.new_net(), p.new_net());
-        p.add(
-            "pad_a",
-            Primitive::IoPad { is_input: true },
-            vec![],
-            vec![a],
-            "s",
-        );
-        p.add(
-            "pad_b",
-            Primitive::IoPad { is_input: true },
-            vec![],
-            vec![b],
-            "s",
-        );
-        p.add("first", lut.clone(), vec![a], vec![n], "s");
-        p.add("last", lut.clone(), vec![b], vec![n], "s");
-        p.add("sink", lut, vec![n], vec![y], "s");
-        p.add(
-            "pad_y",
-            Primitive::IoPad { is_input: false },
-            vec![y],
-            vec![],
-            "s",
-        );
+        add_plain(&mut p, "pad_a", Primitive::IoPad { is_input: true }, &[], &[a]);
+        add_plain(&mut p, "pad_b", Primitive::IoPad { is_input: true }, &[], &[b]);
+        add_plain(&mut p, "first", lut, &[a], &[n]);
+        add_plain(&mut p, "last", lut, &[b], &[n]);
+        add_plain(&mut p, "sink", lut, &[n], &[y]);
+        add_plain(&mut p, "pad_y", Primitive::IoPad { is_input: false }, &[y], &[]);
         let r = Analyzer::new(DeviceProfile::ng_medium_like()).analyze(&p, None, 10.0);
         assert_eq!(r.critical_cells, ["pad_b", "last", "sink", "pad_y"]);
     }
