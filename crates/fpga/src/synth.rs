@@ -809,4 +809,111 @@ mod tests {
         assert_eq!(r.report.per_cell[0].0, "op");
         assert!(r.report.per_cell[0].1 > 0);
     }
+
+    /// Every instance name the mapper emits, in cell order.
+    fn names(nl: &Netlist) -> Vec<String> {
+        let p = synth(nl).prim;
+        p.cells().map(|(id, _)| p.cell_name(id)).collect()
+    }
+
+    fn assert_names(nl: &Netlist, expected: &[String]) {
+        let got = names(nl);
+        for e in expected {
+            assert!(got.contains(e), "{e} missing from {got:?}");
+        }
+    }
+
+    #[test]
+    fn keyed_names_render_as_the_format_strings() {
+        let (name, i, s, d) = ("op", 3, 2, 1);
+        assert_names(
+            &two_op(CellOp::Add, 4),
+            &[
+                format!("{}_pad{}", "a", i),
+                format!("{}_pad{}", "y", i),
+                format!("const_{}", 0),
+                format!("{name}_c{i}"),
+                format!("{name}_buf{i}"),
+            ],
+        );
+        assert_names(
+            &two_op(CellOp::Sub, 4),
+            &[format!("{name}_nb_n{i}"), format!("const_{}", 1)],
+        );
+        assert_names(&two_op(CellOp::Shl, 8), &[format!("{name}_s{s}_{i}")]);
+        assert_names(&two_op(CellOp::Mul, 16), &[format!("{name}_dsp")]);
+        let (a, b, k) = (1, 0, 2);
+        assert_names(
+            &two_op(CellOp::Mul, 32),
+            &[format!("{name}_dsp{a}_{b}"), format!("{name}_acc{k}_c{i}")],
+        );
+        assert_names(
+            &two_op(CellOp::Div, 4),
+            &[
+                format!("{name}_st{s}_nb_n{i}"),
+                format!("{name}_st{s}_c{i}"),
+                format!("{name}_st{s}_m{i}"),
+            ],
+        );
+        for (cmp, expected) in [
+            (
+                Comparison::Eq,
+                vec![format!("{name}_x{i}"), format!("{name}_or{d}_{}", 0), format!("{name}_inv")],
+            ),
+            (
+                Comparison::LtU,
+                vec![format!("{name}_nb_n{i}"), format!("{name}_sub_c{i}")],
+            ),
+            (Comparison::GeS, vec![format!("{name}_fa"), format!("{name}_fb")]),
+        ] {
+            let mut nl = Netlist::new("t");
+            let x = nl.add_input("a", 4);
+            let y = nl.add_input("b", 4);
+            let z = nl.add_net("y", 1);
+            nl.add_cell(name, CellOp::Cmp(cmp), &[x, y], &[z]).unwrap();
+            nl.mark_output(z);
+            assert_names(&nl, &expected);
+        }
+        let mut nl = Netlist::new("t");
+        let x = nl.add_input("d", 4);
+        let q = nl.add_net("q", 4);
+        let reg = CellOp::Register {
+            has_enable: false,
+            has_reset: true,
+        };
+        nl.add_cell(name, reg, &[x], &[q]).unwrap();
+        nl.mark_output(q);
+        assert_names(&nl, &[format!("{name}_ff{i}")]);
+    }
+
+    #[test]
+    fn ram_names_and_sources_follow_the_coarse_cell() {
+        let mut nl = Netlist::new("t");
+        let ports: Vec<_> = [("aa", 10), ("da", 32), ("wa", 1), ("ab", 10), ("db", 32), ("wb", 1)]
+            .into_iter()
+            .map(|(n, w)| nl.add_input(n, w))
+            .collect();
+        let ra = nl.add_net("ra", 32);
+        let rb = nl.add_net("rb", 32);
+        let ram = CellOp::RamTdp {
+            depth: 1024,
+            init: vec![],
+        };
+        nl.add_cell("m", ram, &ports, &[ra, rb]).unwrap();
+        nl.mark_output(ra);
+        nl.mark_output(rb);
+        let p = synth(&nl).prim;
+        let (id, cell) = p
+            .cells()
+            .find(|(_, c)| matches!(c.prim, Primitive::Ramb { .. }))
+            .expect("a block RAM");
+        assert_eq!(p.cell_name(id), format!("{}_ramb{}", "m", 0));
+        assert_eq!(p.string(cell.source), "m");
+        assert_eq!((cell.inputs.len(), cell.outputs.len()), (86, 64));
+        for (id, cell) in p.cells() {
+            if matches!(cell.prim, Primitive::IoPad { .. }) {
+                assert_eq!(p.string(cell.source), "<io>", "{}", p.cell_name(id));
+            }
+        }
+    }
 }

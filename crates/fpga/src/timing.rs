@@ -388,6 +388,39 @@ mod tests {
         assert_eq!(r.critical_cells, ["pad_b", "last", "sink", "pad_y"]);
     }
 
+    /// Two independent adders, `slow` (32 bits) and `fast` (8 bits): a
+    /// hint scales exactly the primitives of the coarse cell it names. The
+    /// pinned critical paths are those the `String`-keyed lookup gave
+    /// before sources were interned.
+    #[test]
+    fn multicycle_hint_scales_exactly_the_named_cell() {
+        let mut nl = Netlist::new("t");
+        for (name, w) in [("slow", 32), ("fast", 8)] {
+            let a = nl.add_input(format!("{name}_a"), w);
+            let b = nl.add_input(format!("{name}_b"), w);
+            let y = nl.add_net(format!("{name}_y"), w);
+            nl.add_cell(name, CellOp::Add, &[a, b], &[y]).unwrap();
+            nl.mark_output(y);
+        }
+        let dev = DeviceProfile::ng_medium_like();
+        let prim = Synthesizer::new(dev.clone()).synthesize(&nl).unwrap().prim;
+        let critical = |hints: &[(&str, u32)]| {
+            let hints = hints.iter().map(|&(n, f)| (n.to_string(), f)).collect();
+            let r = Analyzer::new(dev.clone())
+                .with_multicycle(hints)
+                .analyze(&prim, None, 10.0);
+            r.critical_path_ns.to_bits()
+        };
+        let none = 0x4020_4ccc_cccc_ccca; // 8.15 ns through `slow`
+        for hints in [&[][..], &[("fast", 4)], &[("slow", 1)], &[("absent", 4)]] {
+            assert_eq!(critical(hints), none, "{hints:?}");
+        }
+        assert_eq!(critical(&[("slow", 2)]), 0x4011_47ae_147a_e145); // 4.32 ns
+        // `slow` at 1/8 leaves `fast` critical, which its own hint then cuts
+        assert_eq!(critical(&[("slow", 8)]), 0x4006_0000_0000_0001); // 2.75 ns
+        assert_eq!(critical(&[("slow", 8), ("fast", 4)]), 0x3ff7_28f5_c28f_5c23); // 1.45 ns
+    }
+
     #[test]
     fn legacy_device_halves_fmax() {
         let nl = adder(32);
