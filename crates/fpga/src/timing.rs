@@ -241,33 +241,34 @@ impl Analyzer {
         let floor = t.ff_clk_to_q_ns + t.ff_setup_ns + t.net_base_ns;
         let critical = critical.max(floor);
 
-        // Recover path.
+        // Recover the path backwards: from the capture cell through its
+        // worst input, then through each combinational cell's recorded
+        // predecessor, ending at the launch point (a sequential cell or an
+        // input pad) or at a cell with no timed input (a constant).
         let mut critical_cells = Vec::new();
         let mut logic_levels = 0u32;
         let mut cur = critical_end;
-        let mut guard = 0;
         while let Some(cid) = cur {
             let c = prim.cell(cid);
             critical_cells.push(prim.cell_name(cid));
             if matches!(c.prim, Primitive::Lut4 { .. } | Primitive::Carry) {
                 logic_levels += 1;
             }
-            // predecessor through worst input
-            cur = pred_of[cid.0 as usize].or_else(|| {
+            cur = if critical_cells.len() == 1 {
                 let mut best: Option<(f64, PCellId)> = None;
                 for &i in c.inputs {
                     if let Some((a, src)) = arrival[i.0 as usize] {
-                        if best.map(|(b, _)| a > b).unwrap_or(true) {
+                        if best.is_none_or(|(b, _)| a > b) {
                             best = Some((a, src));
                         }
                     }
                 }
                 best.map(|(_, s)| s)
-            });
-            guard += 1;
-            if guard > prim.cell_count() {
-                break;
-            }
+            } else if is_comb(&c.prim) {
+                pred_of[cid.0 as usize]
+            } else {
+                None
+            };
         }
         critical_cells.reverse();
 
