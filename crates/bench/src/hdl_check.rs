@@ -7,6 +7,14 @@ fn count(text: &str, word: &str) -> usize {
     text.match_indices(word).count()
 }
 
+/// Count standalone occurrences of an identifier-like keyword: `end`
+/// matches in `end else` but not in `endmodule`, `endcase` or `end_q`.
+fn count_word(text: &str, word: &str) -> usize {
+    text.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_' || c == '$'))
+        .filter(|&t| t == word)
+        .count()
+}
+
 /// Check a Verilog module for basic structural health.
 pub fn lint_verilog(text: &str) -> Result<(), String> {
     if count(text, "module ") != count(text, "endmodule") {
@@ -17,8 +25,9 @@ pub fn lint_verilog(text: &str) -> Result<(), String> {
     if opens != closes {
         return Err(format!("paren imbalance: {opens} vs {closes}"));
     }
-    if count(text, "begin") != count(text, "end\n") + count(text, "end ") {
-        // `endmodule` contains `end`; compare begins against standalone ends
+    let (begins, ends) = (count_word(text, "begin"), count_word(text, "end"));
+    if begins != ends {
+        return Err(format!("begin/end imbalance: {begins} vs {ends}"));
     }
     if !text.contains("input wire clk") {
         return Err("missing clock port".into());
@@ -70,6 +79,15 @@ mod tests {
     fn lints_catch_breakage() {
         assert!(lint_verilog("module x (\ninput wire clk\n);").is_err());
         assert!(lint_verilog("module x (); endmodule").is_err(), "no clk");
+        let ok = "module x (\ninput wire clk\n);\nalways @(posedge clk) begin\n  case (s)\n    0: begin q <= 1; end\n  endcase\nend\nendmodule\n";
+        assert_eq!(lint_verilog(ok), Ok(()));
+        let unclosed = ok.replace("; end\n", ";\n");
+        assert_eq!(
+            lint_verilog(&unclosed),
+            Err("begin/end imbalance: 2 vs 1".into())
+        );
+        let extra = ok.replace("endmodule", "end\nendmodule");
+        assert!(lint_verilog(&extra).is_err(), "a stray end");
         assert!(lint_vhdl("entity x is end entity x;").is_err());
     }
 }
