@@ -106,8 +106,9 @@ pub struct PCell<'a> {
     pub source: u32,
 }
 
-/// A keyed instance name: an interned base string followed by up to three
-/// parts, each a static suffix and an optional index. The `{cell}_st{s}_nb_n{i}`
+/// A keyed instance name: a base string of the netlist (see
+/// [`PrimNetlist::add_string`]) followed by up to three parts, each a
+/// static suffix and an optional index. The `{cell}_st{s}_nb_n{i}`
 /// name of a divider stage inverter is
 /// `CellName::of(cell).at("_st", s).tag("_nb").at("_n", i)`. Names are kept
 /// in this form and rendered only on demand ([`PrimNetlist::cell_name`]).
@@ -121,7 +122,7 @@ pub struct CellName {
 const NO_INDEX: u32 = u32::MAX;
 
 impl CellName {
-    /// A name that is just the interned string `base`.
+    /// A name that is just the netlist string `base`.
     pub fn of(base: u32) -> Self {
         CellName {
             base,
@@ -201,7 +202,8 @@ impl fmt::Display for Utilization {
 /// Adding a cell allocates nothing per cell beyond amortized growth of
 /// flat tables: every cell's pins live in one shared `pins` vector, its
 /// name is a [`CellName`] key in a side table, and its source is an index
-/// into `strings`, which holds each base name and source once.
+/// into `strings`, which holds one entry per coarse cell, port and
+/// constant driver rather than one per primitive.
 #[derive(Debug, Clone, Default)]
 pub struct PrimNetlist {
     /// Module name carried over from the coarse netlist.

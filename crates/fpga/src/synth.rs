@@ -75,17 +75,9 @@ impl MapCtx {
         if let Some(n) = cached {
             return n;
         }
-        let n = self.prim.new_net();
-        self.prim.add(
-            CellName::of(self.const_name).at("_", u32::from(value)),
-            Primitive::Lut4 {
-                truth: if value { 0xFFFF } else { 0x0000 },
-                used_inputs: 0,
-            },
-            &[],
-            &[n],
-            self.const_src,
-        );
+        let name = CellName::of(self.const_name).at("_", u32::from(value));
+        let truth = if value { 0xFFFF } else { 0x0000 };
+        let n = self.lut(name, truth, 0, &[], self.const_src);
         if value {
             self.one = Some(n);
         } else {
@@ -94,18 +86,19 @@ impl MapCtx {
         n
     }
 
+    /// A LUT driving `out`.
+    fn lut_into(&mut self, name: CellName, truth: u16, used: u8, inputs: &[PNetId], out: PNetId, source: u32) {
+        let lut = Primitive::Lut4 {
+            truth,
+            used_inputs: used,
+        };
+        self.prim.add(name, lut, inputs, &[out], source);
+    }
+
+    /// A LUT driving a fresh net, which it returns.
     fn lut(&mut self, name: CellName, truth: u16, used: u8, inputs: &[PNetId], source: u32) -> PNetId {
         let out = self.prim.new_net();
-        self.prim.add(
-            name,
-            Primitive::Lut4 {
-                truth,
-                used_inputs: used,
-            },
-            inputs,
-            &[out],
-            source,
-        );
+        self.lut_into(name, truth, used, inputs, out, source);
         out
     }
 
@@ -306,30 +299,8 @@ impl Synthesizer {
         // slightly over-approximates area — acceptable and conservative).
         let drive_out = |ctx: &mut MapCtx, outs: &[PNetId], computed: &[PNetId]| {
             for (i, (&o, &c)) in outs.iter().zip(computed.iter()).enumerate() {
-                ctx.prim.add(
-                    name.at("_buf", i as u32),
-                    Primitive::Lut4 {
-                        truth: truth::BUF1,
-                        used_inputs: 1,
-                    },
-                    &[c],
-                    &[o],
-                    src,
-                );
+                ctx.lut_into(name.at("_buf", i as u32), truth::BUF1, 1, &[c], o, src);
             }
-        };
-        // One LUT per bit on a pre-allocated output net.
-        let lut_onto = |ctx: &mut MapCtx, name: CellName, truth: u16, used: u8, ins: &[PNetId], out: PNetId| {
-            ctx.prim.add(
-                name,
-                Primitive::Lut4 {
-                    truth,
-                    used_inputs: used,
-                },
-                ins,
-                &[out],
-                src,
-            );
         };
 
         match &cell.op {
@@ -356,13 +327,13 @@ impl Synthesizer {
                 let pairs = in_bits[0].iter().zip(&in_bits[1]).take(out_w);
                 for (i, (&a, &b)) in pairs.enumerate() {
                     let out = ctx.bit(cell.outputs[0], i);
-                    lut_onto(ctx, name.at("_l", i as u32), tt, 2, &[a, b], out);
+                    ctx.lut_into(name.at("_l", i as u32), tt, 2, &[a, b], out, src);
                 }
             }
             CellOp::Not => {
                 for (i, &a) in in_bits[0].iter().take(out_w).enumerate() {
                     let out = ctx.bit(cell.outputs[0], i);
-                    lut_onto(ctx, name.at("_l", i as u32), truth::NOT1, 1, &[a], out);
+                    ctx.lut_into(name.at("_l", i as u32), truth::NOT1, 1, &[a], out, src);
                 }
             }
             CellOp::Mux => {
@@ -371,7 +342,7 @@ impl Synthesizer {
                     let a = in_bits[1].get(i).copied().unwrap_or_else(|| ctx.const_bit(false));
                     let b = in_bits[2].get(i).copied().unwrap_or_else(|| ctx.const_bit(false));
                     let out = ctx.bit(cell.outputs[0], i);
-                    lut_onto(ctx, name.at("_m", i as u32), truth::MUX21, 3, &[a, b, sel], out);
+                    ctx.lut_into(name.at("_m", i as u32), truth::MUX21, 3, &[a, b, sel], out, src);
                 }
             }
             CellOp::Cmp(c) => {
@@ -559,7 +530,7 @@ impl Synthesizer {
                     let bit = (*value >> i) & 1 == 1;
                     let out = ctx.bit(cell.outputs[0], i);
                     let tt = if bit { 0xFFFF } else { 0x0000 };
-                    lut_onto(ctx, name.at("_c", i as u32), tt, 0, &[], out);
+                    ctx.lut_into(name.at("_c", i as u32), tt, 0, &[], out, src);
                 }
             }
             CellOp::Slice { lo, .. } => {
@@ -570,7 +541,7 @@ impl Synthesizer {
                         .copied()
                         .unwrap_or_else(|| ctx.const_bit(false));
                     let out = ctx.bit(cell.outputs[0], i);
-                    lut_onto(ctx, name.at("_b", i as u32), truth::BUF1, 1, &[from], out);
+                    ctx.lut_into(name.at("_b", i as u32), truth::BUF1, 1, &[from], out, src);
                 }
             }
             CellOp::ZeroExtend | CellOp::SignExtend => {
@@ -583,7 +554,7 @@ impl Synthesizer {
                 for i in 0..out_w {
                     let from = in_bits[0].get(i).copied().unwrap_or(fill);
                     let out = ctx.bit(cell.outputs[0], i);
-                    lut_onto(ctx, name.at("_b", i as u32), truth::BUF1, 1, &[from], out);
+                    ctx.lut_into(name.at("_b", i as u32), truth::BUF1, 1, &[from], out, src);
                 }
             }
             CellOp::Register { has_enable, .. } => {

@@ -391,8 +391,8 @@ mod tests {
 
     /// Two independent adders, `slow` (32 bits) and `fast` (8 bits): a
     /// hint scales exactly the primitives of the coarse cell it names. The
-    /// pinned critical paths are those the `String`-keyed lookup gave
-    /// before sources were interned.
+    /// pinned critical paths were recorded with a `String`-keyed hint
+    /// lookup, so they also hold the `u32` source index to its results.
     #[test]
     fn multicycle_hint_scales_exactly_the_named_cell() {
         let mut nl = Netlist::new("t");
