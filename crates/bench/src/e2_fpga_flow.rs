@@ -12,7 +12,6 @@ use crate::table::Table;
 use crate::ExperimentOutput;
 use hermes_fpga::device::DeviceProfile;
 use hermes_fpga::flow::{FlowOptions, NxFlow};
-use hermes_fpga::place::Effort;
 use hermes_hls::HlsFlow;
 
 /// Run E2 on `jobs` workers, tracing into `obs`: each kernel's HLS→FPGA
@@ -21,10 +20,7 @@ use hermes_hls::HlsFlow;
 pub fn run(jobs: usize, obs: &hermes_obs::Recorder) -> ExperimentOutput {
     let hls = HlsFlow::new().unroll_limit(0);
     let device = DeviceProfile::ng_medium_like();
-    let opts = FlowOptions {
-        effort: Effort::Low,
-        ..FlowOptions::default()
-    };
+    let opts = FlowOptions::default();
     let mut t = Table::new(&[
         "kernel", "luts", "ffs", "dsps", "rams", "wirelen", "fmax_mhz", "power_mw",
         "bitstream_B",

@@ -21,7 +21,7 @@
 //! `run(jobs: usize, obs: &Recorder) -> ExperimentOutput` (the [`Runner`]
 //! type). `jobs` is the worker count: E1/E2/E3/E7/E10 fan their
 //! coarse, independent units (suite kernels, seeds, the Eucalyptus
-//! sweep, placement starts) over `hermes-par`, E11 reports it and
+//! sweep) over `hermes-par`, E11 reports it and
 //! E12 passes it on to the experiments it times; the others, E13 and
 //! E15–E19 included, run serially and ignore it. Any worker count renders
 //! bit-identical tables. `obs` is the
@@ -52,7 +52,7 @@ pub mod e12_observability;
 pub mod e13_eventdriven;
 pub mod e14_serving;
 pub mod e15_isolation;
-pub mod e16_wordparallel;
+pub mod e16_activity;
 pub mod e17_tracing;
 pub mod e18_eventkernel;
 pub mod e19_fleet;
@@ -131,7 +131,7 @@ pub fn all_experiments() -> Vec<Experiment> {
         ("e8", "Radiation hardening (§I)", e8_radiation::run),
         ("e9", "Dataflow vs monolithic FSM (§II)", e9_dataflow::run),
         ("e10", "Cross-layer chaos campaigns (§III-IV)", e10_chaos::run),
-        ("e11", "Throughput: serial vs parallel, multi-start placement", e11_throughput::run),
+        ("e11", "Throughput: serial vs parallel", e11_throughput::run),
         ("e12", "Observability overhead (tracing on vs off)", e12_observability::run),
         (
             "e13",
@@ -151,7 +151,7 @@ pub fn all_experiments() -> Vec<Experiment> {
         (
             "e16",
             "Activity-gated settle on a tiled SoC fabric",
-            e16_wordparallel::run,
+            e16_activity::run,
         ),
         (
             "e17",

@@ -215,9 +215,9 @@ mod tests {
             &[("functions", "3".to_string())],
             WallMark::none(),
         );
-        r.instant("fpga", "anneal-epoch", ClockDomain::Seq, 0, &[]);
+        r.instant("fpga", "descent-sweep", ClockDomain::Seq, 0, &[]);
         r.counter_add("hls", "compiles", 1);
-        r.gauge_set("fpga", "best_hpwl_x10", 123);
+        r.gauge_set("serve", "queue_depth", 123);
         r.observe("axi", "read_latency", &[8, 16], 9);
         r
     }
@@ -230,7 +230,7 @@ mod tests {
         assert!(doc.contains("\"name\": \"parse\""));
         assert!(doc.contains("\"kind\": \"span\""));
         assert!(doc.contains("\"dur\": 1"));
-        assert!(doc.contains("\"best_hpwl_x10\""));
+        assert!(doc.contains("\"queue_depth\""));
         assert!(doc.contains("\"read_latency\""));
         assert_eq!(Json::parse(&doc), Ok(trace_document(&sample())));
     }

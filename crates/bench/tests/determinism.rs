@@ -54,8 +54,8 @@ fn e13_e14_parallel_match_serial() {
 /// equivalence verdicts, cycle counts) must not move with `--jobs`.
 #[test]
 fn e16_parallel_matches_serial() {
-    let serial = hermes_bench::e16_wordparallel::run(1, &Recorder::disabled()).text;
-    let parallel = hermes_bench::e16_wordparallel::run(4, &Recorder::disabled()).text;
+    let serial = hermes_bench::e16_activity::run(1, &Recorder::disabled()).text;
+    let parallel = hermes_bench::e16_activity::run(4, &Recorder::disabled()).text;
     let strip = |text: &str| {
         text.lines()
             .filter(|l| !l.contains("completed in"))

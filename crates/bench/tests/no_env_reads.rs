@@ -8,8 +8,9 @@
 //!   recorder as a parameter: no `x` / `x_traced` twins, and one
 //!   `pub fn run` per experiment module.
 //! * Work fans out over `hermes-par` only at a coarse grain, in an
-//!   allow-listed file, and the RTL and serve crates do not depend on
-//!   `hermes-par` at all.
+//!   allow-listed file (the Eucalyptus sweep and four experiments), and
+//!   the RTL, serve and FPGA-flow crates do not depend on `hermes-par`
+//!   at all.
 //! * The timer wheel is the only event queue: no engine carries a knob
 //!   that selects another scheduler, and the sorted reference queue
 //!   lives only in the wheel's own tests, as their oracle.
@@ -129,10 +130,9 @@ fn one_entry_point_per_layer_and_experiment() {
 }
 
 /// The files whose units are coarse enough for a worker hand-off to pay:
-/// multi-start placement, the Eucalyptus sweep, and the experiments that
-/// fan out over suite kernels or seeds.
-const COARSE_FAN_OUTS: [&str; 6] = [
-    "crates/fpga/src/place.rs",
+/// the Eucalyptus sweep and the experiments that fan out over suite
+/// kernels or seeds.
+const COARSE_FAN_OUTS: [&str; 5] = [
     "crates/eucalyptus/src/sweep.rs",
     "crates/bench/src/e1_hls_flow.rs",
     "crates/bench/src/e2_fpga_flow.rs",
@@ -140,9 +140,15 @@ const COARSE_FAN_OUTS: [&str; 6] = [
     "crates/bench/src/e10_chaos.rs",
 ];
 
-/// Crates whose hot paths (one settle pass, one batch) are far finer
-/// than a worker hand-off: they must not depend on `hermes-par`.
-const SERIAL_CRATES: [&str; 2] = ["crates/rtl/Cargo.toml", "crates/serve/Cargo.toml"];
+/// Crates that must not depend on `hermes-par`: the hot paths of RTL and
+/// serve (one settle pass, one batch) are far finer than a worker
+/// hand-off, and the FPGA flow places each design with one serial
+/// descent.
+const SERIAL_CRATES: [&str; 3] = [
+    "crates/rtl/Cargo.toml",
+    "crates/serve/Cargo.toml",
+    "crates/fpga/Cargo.toml",
+];
 
 #[test]
 fn fan_outs_stay_coarse_grained() {

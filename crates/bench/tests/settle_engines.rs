@@ -15,7 +15,7 @@
 #[path = "../../rtl/tests/support/reference.rs"]
 mod reference;
 
-use hermes_bench::{e16_wordparallel::ACC_SRC, kernels};
+use hermes_bench::{e16_activity::ACC_SRC, kernels};
 use hermes_hls::ir::ParamBinding;
 use hermes_hls::{Design, HlsFlow};
 use hermes_obs::Recorder;

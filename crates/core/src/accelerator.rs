@@ -73,8 +73,8 @@ impl Default for AcceleratorFlow {
 }
 
 impl AcceleratorFlow {
-    /// Default flow: 10 ns clock, NG-MEDIUM-like device, low placement
-    /// effort.
+    /// Default flow: 10 ns clock, NG-MEDIUM-like device, constructive
+    /// placement only ([`Effort::Zero`]).
     pub fn new() -> Self {
         AcceleratorFlow {
             hls: HlsFlow::new(),
@@ -103,12 +103,6 @@ impl AcceleratorFlow {
     /// Customize the HLS front half.
     pub fn hls(mut self, hls: HlsFlow) -> Self {
         self.hls = hls;
-        self
-    }
-
-    /// Set placement effort for the implementation half.
-    pub fn effort(mut self, effort: Effort) -> Self {
-        self.fpga_options.effort = effort;
         self
     }
 

@@ -254,7 +254,7 @@ mod tests {
         let dev = DeviceProfile::ng_medium_like();
         let prim = Synthesizer::new(dev.clone()).synthesize(&nl).unwrap().prim;
         let placement = Placer::new(dev.clone(), Effort::Zero, 1)
-            .place(&prim, 1, 1, &Recorder::disabled())
+            .place(&prim, &Recorder::disabled())
             .unwrap();
         Bitstream::generate(&prim, &placement, &dev)
     }

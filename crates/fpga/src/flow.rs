@@ -21,29 +21,21 @@ pub struct FlowOptions {
     pub target_period_ns: f64,
     /// Placement effort.
     pub effort: Effort,
-    /// Deterministic seed for placement.
-    pub seed: u64,
-    /// If true, a timing violation aborts the flow with
-    /// [`FpgaError::TimingNotMet`]; if false it is only reported.
-    pub fail_on_timing: bool,
     /// Multicycle path exceptions from the HLS schedule (coarse cell name
     /// → allowed settle cycles); see [`crate::timing::MulticycleHints`].
     pub multicycle: MulticycleHints,
-    /// Number of independent placement starts; the best (lowest-HPWL)
-    /// result wins. Starts run in parallel across [`hermes_par::jobs`]
-    /// workers; `1` keeps the classic single-start flow.
-    pub place_starts: u32,
 }
+
+/// Seed of the placer's descent: one fixed seed, so a design places the
+/// same way on every run.
+const PLACE_SEED: u64 = 1;
 
 impl Default for FlowOptions {
     fn default() -> Self {
         FlowOptions {
             target_period_ns: 10.0, // 100 MHz
             effort: Effort::Low,
-            seed: 1,
-            fail_on_timing: false,
             multicycle: MulticycleHints::new(),
-            place_starts: 1,
         }
     }
 }
@@ -233,23 +225,15 @@ impl NxFlow {
         );
         let m1 = obs.mark();
         let t1 = Instant::now();
-        let placement = Placer::new(self.device.clone(), self.options.effort, self.options.seed)
-            .place(
-                &synth.prim,
-                self.options.place_starts,
-                hermes_par::jobs(),
-                obs,
-            )?;
+        let placement = Placer::new(self.device.clone(), self.options.effort, PLACE_SEED)
+            .place(&synth.prim, obs)?;
         obs.span(
             SUB,
             "place",
             ClockDomain::Seq,
             1,
             1,
-            &[
-                ("hpwl", format!("{:.1}", placement.hpwl)),
-                ("starts", self.options.place_starts.max(1).to_string()),
-            ],
+            &[("hpwl", format!("{:.1}", placement.hpwl))],
             m1,
         );
         let m2 = obs.mark();
@@ -286,12 +270,6 @@ impl NxFlow {
         );
         let m4 = obs.mark();
         let t4 = Instant::now();
-        if self.options.fail_on_timing && !timing.met() {
-            return Err(FpgaError::TimingNotMet {
-                achieved_mhz: timing.fmax_mhz,
-                requested_mhz: 1000.0 / self.options.target_period_ns,
-            });
-        }
         let bitstream = Bitstream::generate(&synth.prim, &placement, &self.device);
         obs.span(
             SUB,
@@ -403,19 +381,6 @@ mod tests {
             .unwrap();
         art.bitstream.verify().unwrap();
         assert_eq!(art.placement.locations.len(), art.prim.cell_count());
-    }
-
-    #[test]
-    fn fail_on_timing_errors_out() {
-        let opts = FlowOptions {
-            target_period_ns: 0.01, // 100 GHz: impossible
-            fail_on_timing: true,
-            ..FlowOptions::default()
-        };
-        let err = NxFlow::new(DeviceProfile::ng_medium_like(), opts)
-            .run(&mac_design(), &Recorder::disabled())
-            .unwrap_err();
-        assert!(matches!(err, FpgaError::TimingNotMet { .. }));
     }
 
     #[test]

@@ -85,14 +85,7 @@ pub enum FpgaError {
         /// Human-readable detail.
         detail: String,
     },
-    /// Timing closure failed and the flow was asked to treat that as fatal.
-    TimingNotMet {
-        /// Achieved maximum frequency in MHz.
-        achieved_mhz: f64,
-        /// Requested frequency in MHz.
-        requested_mhz: f64,
-    },
-    /// An internal engine failure (e.g. a parallel placement worker died).
+    /// An internal engine failure (e.g. a characterization sweep worker died).
     Internal {
         /// Human-readable detail.
         message: String,
@@ -123,13 +116,6 @@ impl fmt::Display for FpgaError {
             FpgaError::BitstreamMalformed { detail } => {
                 write!(f, "malformed bitstream: {detail}")
             }
-            FpgaError::TimingNotMet {
-                achieved_mhz,
-                requested_mhz,
-            } => write!(
-                f,
-                "timing not met: achieved {achieved_mhz:.1} MHz < requested {requested_mhz:.1} MHz"
-            ),
             FpgaError::Internal { message } => write!(f, "internal flow error: {message}"),
         }
     }

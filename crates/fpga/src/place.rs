@@ -51,19 +51,13 @@ impl Placement {
     }
 }
 
-/// Placement effort: moves per movable cell of a greedy descent, trading
-/// runtime for quality.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// Placement effort: moves per movable cell of a greedy descent.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Effort {
     /// Constructive placement only (fastest, for smoke tests).
     Zero,
-    /// 4 moves per movable cell.
+    /// 4 moves per movable cell (the flow's default).
     Low,
-    /// 16 moves per movable cell (default).
-    #[default]
-    Medium,
-    /// 64 moves per movable cell, for quality-critical runs.
-    High,
 }
 
 impl Effort {
@@ -71,8 +65,6 @@ impl Effort {
         match self {
             Effort::Zero => 0,
             Effort::Low => 4,
-            Effort::Medium => 16,
-            Effort::High => 64,
         }
     }
 }
@@ -191,11 +183,17 @@ impl Placer {
         }
     }
 
-    /// One seeded descent: one instant event per sweep (`Seq` clock, ts =
+    /// Place the primitive netlist: a constructive fill, then one seeded
+    /// descent. Records one instant event per sweep (`Seq` clock, ts =
     /// sweep index) sampling the moves accepted and the cost, plus move
     /// counters — the per-sweep cost curve an NXmap placement log would
     /// show.
-    fn descend(&self, prim: &PrimNetlist, obs: &Recorder) -> Result<Placement, FpgaError> {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FpgaError::ResourceOverflow`] if any site class runs out
+    /// of candidate locations.
+    pub fn place(&self, prim: &PrimNetlist, obs: &Recorder) -> Result<Placement, FpgaError> {
         let mut rng = DetRng::new(self.seed);
         let classes: Vec<SiteClass> = prim
             .cells()
@@ -292,7 +290,7 @@ impl Placer {
             // Scratch for candidate boxes of the nets touched by one move,
             // reused across moves to stay allocation-free in steady state.
             let mut candidate: Vec<(usize, NetBox)> = Vec::new();
-            for epoch in 0..self.effort.moves_per_cell() {
+            for sweep in 0..self.effort.moves_per_cell() {
                 let mut accepted = 0u64;
                 for _ in 0..movable.len() {
                     moves_tried += 1;
@@ -354,11 +352,10 @@ impl Placer {
                 if obs.enabled() {
                     obs.instant(
                         OBS_SUB,
-                        "anneal-epoch",
+                        "descent-sweep",
                         ClockDomain::Seq,
-                        epoch,
+                        sweep,
                         &[
-                            ("seed", self.seed.to_string()),
                             ("accepted", accepted.to_string()),
                             ("cost", format!("{cost:.1}")),
                         ],
@@ -384,63 +381,6 @@ impl Placer {
             moves_tried,
             moves_accepted,
         })
-    }
-
-    /// Place the primitive netlist: run `starts` independent descents
-    /// (seeds `seed, seed+1, …`) across `jobs` workers and keep the
-    /// lowest-HPWL result, ties broken by lowest start index.
-    ///
-    /// Each descent is seed-deterministic and the winner is selected by
-    /// value, so the outcome is identical regardless of worker count or
-    /// scheduling; `starts = 1` is the single descent at `seed`. Each
-    /// descent records one instant event per sweep (moves accepted and cost)
-    /// plus move counters into its own [`Recorder::child`]; the children
-    /// are absorbed back **in seed order** after the parallel map, so the
-    /// merged trace is bit-identical regardless of worker count.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FpgaError::ResourceOverflow`] if any site class runs out
-    /// of candidate locations (the first failing start's error).
-    pub fn place(
-        &self,
-        prim: &PrimNetlist,
-        starts: u32,
-        jobs: usize,
-        obs: &Recorder,
-    ) -> Result<Placement, FpgaError> {
-        let starts = starts.max(1);
-        if starts == 1 {
-            return self.descend(prim, obs);
-        }
-        let seeds: Vec<u64> = (0..u64::from(starts))
-            .map(|i| self.seed.wrapping_add(i))
-            .collect();
-        let results = hermes_par::par_map_jobs(jobs, &seeds, |&seed| {
-            let child = obs.child();
-            let placed = Placer {
-                device: self.device.clone(),
-                effort: self.effort,
-                seed,
-            }
-            .descend(prim, &child);
-            (placed, child)
-        })
-        .map_err(|e| FpgaError::Internal {
-            message: format!("parallel placement worker failed: {e}"),
-        })?;
-        let mut best: Option<Placement> = None;
-        for (p, child) in results {
-            obs.absorb(&child);
-            let p = p?;
-            let better = best.as_ref().is_none_or(|b| p.hpwl < b.hpwl);
-            if better {
-                best = Some(p);
-            }
-        }
-        let best = best.expect("starts >= 1 yields a result");
-        obs.gauge_set(OBS_SUB, "best_hpwl_x10", (best.hpwl * 10.0) as i64);
-        Ok(best)
     }
 
     /// Pick a logic site within [`RANGE_LIMIT`] tiles of `from`, or `from`
@@ -546,7 +486,7 @@ mod tests {
     fn placement_assigns_all_cells() {
         let prim = sample_prim();
         let p = Placer::new(DeviceProfile::ng_medium_like(), Effort::Low, 42)
-            .place(&prim, 1, 1, &Recorder::disabled())
+            .place(&prim, &Recorder::disabled())
             .unwrap();
         assert_eq!(p.locations.len(), prim.cell_count());
     }
@@ -556,7 +496,7 @@ mod tests {
         let prim = sample_prim();
         let dev = DeviceProfile::ng_medium_like();
         let p = Placer::new(dev.clone(), Effort::Zero, 1)
-            .place(&prim, 1, 1, &Recorder::disabled())
+            .place(&prim, &Recorder::disabled())
             .unwrap();
         for (cid, c) in prim.cells() {
             if matches!(c.prim, Primitive::Dsp { .. }) {
@@ -571,40 +511,41 @@ mod tests {
         let prim = sample_prim();
         let dev = DeviceProfile::ng_medium_like();
         let p1 = Placer::new(dev.clone(), Effort::Low, 99)
-            .place(&prim, 1, 1, &Recorder::disabled())
+            .place(&prim, &Recorder::disabled())
             .unwrap();
         let p2 = Placer::new(dev, Effort::Low, 99)
-            .place(&prim, 1, 1, &Recorder::disabled())
+            .place(&prim, &Recorder::disabled())
             .unwrap();
         assert_eq!(p1.locations, p2.locations);
         assert_eq!(p1.hpwl, p2.hpwl);
     }
 
     #[test]
-    fn multi_start_deterministic_and_no_worse() {
+    fn effort_sets_descent_length() {
         let prim = sample_prim();
         let dev = DeviceProfile::ng_medium_like();
-        let placer = Placer::new(dev, Effort::Low, 5);
-        let serial = placer.place(&prim, 4, 1, &Recorder::disabled()).unwrap();
-        let parallel = placer.place(&prim, 4, 4, &Recorder::disabled()).unwrap();
-        assert_eq!(serial.locations, parallel.locations, "worker count changed result");
-        assert_eq!(serial.hpwl, parallel.hpwl);
-        let single = placer.place(&prim, 1, 1, &Recorder::disabled()).unwrap();
-        assert!(
-            serial.hpwl <= single.hpwl,
-            "best-of-4 ({}) worse than single start ({})",
-            serial.hpwl,
-            single.hpwl
-        );
-    }
+        let logic = prim
+            .cells()
+            .filter(|(_, c)| {
+                !matches!(
+                    c.prim,
+                    Primitive::Dsp { .. } | Primitive::Ramb { .. } | Primitive::IoPad { .. }
+                )
+            })
+            .count() as u64;
+        assert!(logic > 0, "sample has no movable cells");
 
-    #[test]
-    fn single_start_multi_matches_place() {
-        let prim = sample_prim();
-        let placer = Placer::new(DeviceProfile::ng_medium_like(), Effort::Low, 11);
-        let a = placer.descend(&prim, &Recorder::disabled()).unwrap();
-        let b = placer.place(&prim, 1, 4, &Recorder::disabled()).unwrap();
-        assert_eq!(a.locations, b.locations);
+        let zero = Placer::new(dev.clone(), Effort::Zero, 7)
+            .place(&prim, &Recorder::disabled())
+            .unwrap();
+        assert_eq!(zero.moves_tried, 0);
+        assert_eq!(zero.hpwl, zero.initial_hpwl);
+
+        let low = Placer::new(dev, Effort::Low, 7)
+            .place(&prim, &Recorder::disabled())
+            .unwrap();
+        assert_eq!(low.moves_tried, 4 * logic);
+        assert!(low.hpwl <= low.initial_hpwl);
     }
 
     #[test]
@@ -616,7 +557,7 @@ mod tests {
         tiny.dsp_columns = vec![];
         tiny.ram_columns = vec![];
         let err = Placer::new(tiny, Effort::Zero, 1)
-            .place(&prim, 1, 1, &Recorder::disabled())
+            .place(&prim, &Recorder::disabled())
             .unwrap_err();
         assert!(matches!(err, FpgaError::ResourceOverflow { .. }));
     }

@@ -20,6 +20,9 @@ pub const TRACKS_PER_CHANNEL: u32 = 512;
 /// fabrics; they contribute wirelength and delay but not channel demand.
 pub const GLOBAL_NET_FANOUT: usize = 64;
 
+/// Channels over capacity tolerated before a route is rejected.
+const OVERFLOW_LIMIT: u32 = 192;
+
 /// Per-design routing results.
 #[derive(Debug, Clone)]
 pub struct RouteReport {
@@ -51,17 +54,12 @@ impl RouteReport {
 #[derive(Debug, Clone)]
 pub struct Router {
     device: DeviceProfile,
-    /// Maximum tolerated channel overflow before the route is rejected.
-    pub max_overflow: u32,
 }
 
 impl Router {
-    /// Create a router for the device with the default overflow tolerance.
+    /// Create a router for the device.
     pub fn new(device: DeviceProfile) -> Self {
-        Router {
-            device,
-            max_overflow: 192,
-        }
+        Router { device }
     }
 
     /// Estimate routing for a placed design.
@@ -69,7 +67,7 @@ impl Router {
     /// # Errors
     ///
     /// Returns [`FpgaError::Unroutable`] if channel overflow exceeds the
-    /// router's tolerance.
+    /// router's tolerance ([`OVERFLOW_LIMIT`]).
     pub fn route(
         &self,
         prim: &PrimNetlist,
@@ -131,7 +129,7 @@ impl Router {
                 overflowed += 1;
             }
         }
-        if overflowed > self.max_overflow {
+        if overflowed > OVERFLOW_LIMIT {
             return Err(FpgaError::Unroutable {
                 overflow: overflowed,
             });
@@ -199,7 +197,7 @@ mod tests {
         let dev = DeviceProfile::ng_medium_like();
         let prim = Synthesizer::new(dev.clone()).synthesize(&nl).unwrap().prim;
         let placement = Placer::new(dev.clone(), Effort::Low, 3)
-            .place(&prim, 1, 1, &Recorder::disabled())
+            .place(&prim, &Recorder::disabled())
             .unwrap();
         Router::new(dev).route(&prim, &placement).unwrap()
     }

@@ -2,7 +2,8 @@
 //!
 //! [`HlsFlow`] is a builder mirroring the Bambu command line: clock
 //! constraint, target device, resource allocation, loop-unroll limit,
-//! chaining, external-memory latency estimates, and top-function selection.
+//! external-memory latency estimates, and top-function selection. The
+//! scheduler always chains operators within the clock period.
 
 use crate::allocate::Allocation;
 use crate::bind::{bind, Binding};
@@ -43,7 +44,6 @@ pub struct HlsFlow {
     device: DeviceProfile,
     allocation: Allocation,
     unroll_limit: u32,
-    chaining: bool,
     ext_read_latency: u32,
     ext_write_latency: u32,
     top: Option<String>,
@@ -58,14 +58,13 @@ impl Default for HlsFlow {
 
 impl HlsFlow {
     /// A flow with default options: 10 ns clock, NG-MEDIUM-like device,
-    /// default allocation, 64-iteration unroll limit, chaining on.
+    /// default allocation, 64-iteration unroll limit.
     pub fn new() -> Self {
         HlsFlow {
             clock_ns: 10.0,
             device: DeviceProfile::ng_medium_like(),
             allocation: Allocation::default(),
             unroll_limit: 64,
-            chaining: true,
             ext_read_latency: 14,
             ext_write_latency: 8,
             top: None,
@@ -94,12 +93,6 @@ impl HlsFlow {
     /// Set the full-unroll iteration limit (0 disables unrolling).
     pub fn unroll_limit(mut self, limit: u32) -> Self {
         self.unroll_limit = limit;
-        self
-    }
-
-    /// Enable or disable operator chaining.
-    pub fn chaining(mut self, on: bool) -> Self {
-        self.chaining = on;
         self
     }
 
@@ -204,7 +197,7 @@ impl HlsFlow {
             .unwrap_or_else(|| library_for(&self.device));
         let sched_opts = ScheduleOptions {
             clock_ns: self.clock_ns,
-            chaining: self.chaining,
+            chaining: true,
             chain_fraction: 0.9,
             ext_mem_read_latency: self.ext_read_latency,
             ext_mem_write_latency: self.ext_write_latency,

@@ -2,13 +2,13 @@
 //!
 //! The std-only parallel execution engine of the HERMES workspace.
 //!
-//! Every layer of the flow — the per-kernel HLS→FPGA pipeline, the
-//! Eucalyptus characterization sweep, the multi-start placer,
-//! and the chaos campaigns — consists of *independent, deterministic*
-//! units of work. [`par_map_jobs`] runs such units across a scoped thread
-//! pool (`std::thread::scope`, zero external dependencies, no leaked
-//! threads) while preserving three invariants the rest of the workspace
-//! relies on:
+//! The coarse fan-outs of the workspace — the per-kernel HLS→FPGA
+//! pipeline, the Eucalyptus characterization sweep and the chaos
+//! campaigns — consist of *independent, deterministic* units of work.
+//! [`par_map_jobs`] runs such units across a scoped thread pool
+//! (`std::thread::scope`, zero external dependencies, no leaked threads)
+//! while preserving three invariants the rest of the workspace relies
+//! on:
 //!
 //! 1. **Deterministic ordering** — results come back in input order, so a
 //!    parallel run renders bit-identical tables to a serial run.
