@@ -10,9 +10,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 # Identity gates under the optimizer: the NXmap-flow and fleet digests
 # were recorded in both profiles, so a speed change that only holds in
 # debug builds fails here. The placer's own determinism, effort and
-# overflow tests run under the optimizer beside them.
+# overflow tests run under the optimizer beside them, and so do the RTL
+# simulator's differential settle tests against the reference interpreter.
 cargo test -q --release -p hermes-bench --test flow_identity --test fleet_identity
 cargo test -q --release -p hermes-fpga
+cargo test -q --release -p hermes-rtl
 
 fail() { echo "ci: $*" >&2; exit 1; }
 

@@ -304,37 +304,39 @@ impl Placer {
                     // edge counts update a box in O(1); only a move taking
                     // the last pins off an edge inward rescans that net.
                     // A cell with several pins on a net lists the net in a
-                    // run (rows are in net order), moved once as a group.
-                    // Summation order mirrors the direct recompute, keeping
-                    // seeded trajectories bit-identical.
+                    // run (rows are in net order): the net is moved once as
+                    // a group and counted once. Summation order mirrors the
+                    // direct recompute, keeping seeded trajectories
+                    // bit-identical.
                     let affected = cell_nets.row(cell as usize);
                     candidate.clear();
                     let mut before = 0.0f64;
                     let mut after = 0.0f64;
                     for (j, &i) in affected.iter().enumerate() {
                         let i = i as usize;
-                        before += boxes[i].hpwl();
-                        if candidate.last().is_none_or(|&(last, _)| last != i) {
-                            let k = affected[j..]
-                                .iter()
-                                .take_while(|&&n| n as usize == i)
-                                .count();
-                            let rescan = || {
-                                NetBox::of(nets.row(i).iter().map(|p| {
-                                    if p.0 == cell {
-                                        new_site
-                                    } else {
-                                        locations[p.0 as usize]
-                                    }
-                                }))
-                            };
-                            let b = boxes[i]
-                                .moved(old_site, new_site, k as u32)
-                                .unwrap_or_else(rescan);
-                            debug_assert_eq!(b, rescan(), "incremental box of net {i}");
-                            candidate.push((i, b));
+                        if candidate.last().is_some_and(|&(last, _)| last == i) {
+                            continue;
                         }
-                        after += candidate[candidate.len() - 1].1.hpwl();
+                        let k = affected[j..]
+                            .iter()
+                            .take_while(|&&n| n as usize == i)
+                            .count();
+                        let rescan = || {
+                            NetBox::of(nets.row(i).iter().map(|p| {
+                                if p.0 == cell {
+                                    new_site
+                                } else {
+                                    locations[p.0 as usize]
+                                }
+                            }))
+                        };
+                        let b = boxes[i]
+                            .moved(old_site, new_site, k as u32)
+                            .unwrap_or_else(rescan);
+                        debug_assert_eq!(b, rescan(), "incremental box of net {i}");
+                        before += boxes[i].hpwl();
+                        after += b.hpwl();
+                        candidate.push((i, b));
                     }
                     let delta = after - before;
                     if delta <= 0.0 {
@@ -546,6 +548,64 @@ mod tests {
             .unwrap();
         assert_eq!(low.moves_tried, 4 * logic);
         assert!(low.hpwl <= low.initial_hpwl);
+    }
+
+    /// A move counts each net on the moved cell once, however many pins
+    /// the cell has on it, so the reported HPWL stays the true HPWL of the
+    /// final sites. Random LUTs each read one net twice, between input
+    /// and output pads on the perimeter.
+    #[test]
+    fn repeated_pins_count_their_net_once() {
+        use crate::primitives::{CellName, PNetId};
+        let dev = DeviceProfile::ng_medium_like();
+        let lut = Primitive::Lut4 {
+            truth: 0x6996,
+            used_inputs: 3,
+        };
+        let pad = |is_input| Primitive::IoPad { is_input };
+        let mut moved = 0;
+        for seed in 0..40u64 {
+            let mut rng = DetRng::new(seed);
+            let mut prim = PrimNetlist::new("dup");
+            let name = CellName::of(prim.add_string("c"));
+            let mut pool: Vec<PNetId> = Vec::new();
+            for _ in 0..16 {
+                let n = prim.new_net();
+                prim.add(name, pad(true), &[], &[n], 0);
+                pool.push(n);
+            }
+            for _ in 0..64 {
+                let mut pick = || pool[rng.below(pool.len() as u64) as usize];
+                let (a, b) = (pick(), pick());
+                let y = prim.new_net();
+                prim.add(name, lut, &[a, b, a], &[y], 0);
+                pool.push(y);
+            }
+            for _ in 0..16 {
+                let n = pool[rng.below(pool.len() as u64) as usize];
+                prim.add(name, pad(false), &[n], &[], 0);
+            }
+            let placed = Placer::new(dev.clone(), Effort::Low, seed)
+                .place(&prim, &Recorder::disabled())
+                .unwrap();
+            let truth: f64 = prim
+                .net_pins()
+                .iter()
+                .filter(|pins| !pins.is_empty())
+                .map(|pins| {
+                    let (mut lo, mut hi) = ((u16::MAX, u16::MAX), (0, 0));
+                    for &p in pins {
+                        let (x, y) = placed.site(p);
+                        lo = (lo.0.min(x), lo.1.min(y));
+                        hi = (hi.0.max(x), hi.1.max(y));
+                    }
+                    f64::from(hi.0 - lo.0) + f64::from(hi.1 - lo.1)
+                })
+                .sum();
+            assert_eq!(placed.hpwl, truth, "seed {seed}: reported vs true HPWL");
+            moved += usize::from(placed.moves_accepted > 0);
+        }
+        assert!(moved >= 30, "only {moved} of 40 descents moved a cell");
     }
 
     #[test]

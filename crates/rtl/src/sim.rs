@@ -15,7 +15,7 @@
 
 use crate::component::Comparison;
 use crate::netlist::{CellId, CellOp, Netlist, NetId};
-use crate::{mask, sign_extend, RtlError};
+use crate::{mask, RtlError};
 
 /// Cycle-accurate simulator over a validated [`Netlist`].
 ///
@@ -43,11 +43,23 @@ use crate::{mask, sign_extend, RtlError};
 /// to its `q`, so skipping it is exact; [`Self::register_evals`] counts
 /// the samples taken. Construction and [`Self::reset`] set every register bit. RAM
 /// ports sample every cycle.
+///
+/// A `ZeroExtend` whose output is at least as wide as its input only
+/// copies a value, since every net value fits its width. Such a cell is
+/// compiled away: its output becomes an **alias** of its input's net, and
+/// every reader (op inputs, register `d`/`en`, RAM ports, [`Self::peek`],
+/// trace rows) reads the aliased net's value slot instead. The HLS
+/// datapath uses these cells as wires (`*_drv`, `*_tie`, `*_alias`).
 #[derive(Debug, Clone)]
 pub struct Simulator<'n> {
     netlist: &'n Netlist,
-    /// Settled net values.
+    /// Settled net values; an alias's slot is never written or read.
     values: Vec<u64>,
+    /// Net → the net whose `values` slot holds its value: itself, or for
+    /// the output of a widening `ZeroExtend`, its input's alias.
+    alias: Vec<u32>,
+    /// Values of the `Const` ops, indexed by their `b` slot.
+    consts: Vec<u64>,
     /// Dense register state, one slot per `Register` cell (see `seq_slot`).
     reg_state: Vec<u64>,
     /// Dense RAM state, one memory per `RamTdp` cell (see `seq_slot`).
@@ -61,7 +73,8 @@ pub struct Simulator<'n> {
     /// Precomputed RAM descriptors, in cell order.
     rams: Vec<RamInfo>,
     /// Precompiled settle program in rank-major topological order (stable
-    /// by compile order within a rank; see [`rank_major`]).
+    /// by compile order within a rank; see [`rank_major`]), without the
+    /// aliasing `ZeroExtend`s.
     ops: Vec<SettleOp>,
     /// CSR fanout index: the readers of net `n` are the `dirty` bits
     /// `fanout[fanout_start[n]..fanout_start[n + 1]]` — ops as
@@ -124,29 +137,41 @@ struct RamInfo {
     rb: u32,
     /// Word count.
     depth: u32,
-    /// Data width mask.
+    /// Data width mask: the width of `rdata_a`, which every stored word
+    /// fits.
     mask: u64,
+    /// Width mask of `rdata_b`, which may be narrower than a word.
+    mask_b: u64,
 }
 
-/// One precompiled combinational evaluation: operation tag plus resolved
-/// net indices and widths, so the settle loop touches nothing else.
+/// One precompiled combinational evaluation, 20 bytes: resolved net
+/// indices, an operation tag and two shift amounts, so the settle loop
+/// touches nothing else. Every net value fits its net's width (the
+/// masked-value invariant), which the shifts rely on.
 #[derive(Debug, Clone, Copy)]
 struct SettleOp {
-    kind: SettleKind,
-    /// Input net indices (unused slots are 0).
+    /// Input net indices, resolved through the net aliases (unused slots
+    /// are 0). A `Const` op keeps its index into the constant table in
+    /// `b` instead.
     a: u32,
     b: u32,
     c: u32,
-    /// Output net index.
+    /// Output net index (never an alias).
     out: u32,
-    /// Output width mask.
-    mask: u64,
-    /// Operation payload: constant value, slice low bit, or input width.
-    aux: u64,
+    kind: SettleKind,
+    /// The result keeps its low `64 - keep` bits: `v & (u64::MAX >> keep)`.
+    keep: u8,
+    /// Slice low bit, or `64 - input width` for the kinds that read their
+    /// input as a signed or width-bounded number (`ShrA`, the
+    /// comparisons, `SignExtend`).
+    aux: u8,
 }
 
-/// Operation tag of a [`SettleOp`].
+const _: () = assert!(std::mem::size_of::<SettleOp>() == 20);
+
+/// Operation tag of a [`SettleOp`]; each comparison predicate has its own.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
 enum SettleKind {
     Add,
     Sub,
@@ -159,17 +184,18 @@ enum SettleKind {
     Not,
     Shl,
     ShrL,
-    /// `aux` holds the input width for sign extension.
     ShrA,
-    /// `aux` holds the comparison input width.
-    Cmp(Comparison),
+    Eq,
+    Ne,
+    LtU,
+    GeU,
+    LtS,
+    GeS,
     Mux,
-    /// `aux` holds the constant value.
     Const,
-    /// `aux` holds the low bit index; `mask` is already the slice mask.
     Slice,
-    ZeroExtend,
-    /// `aux` holds the input width.
+    /// A narrowing `ZeroExtend`: wider or equal ones are net aliases.
+    Trunc,
     SignExtend,
 }
 
@@ -179,14 +205,16 @@ impl SettleOp {
     fn input_count(&self) -> usize {
         match self.kind {
             SettleKind::Const => 0,
-            SettleKind::Not
-            | SettleKind::Slice
-            | SettleKind::ZeroExtend
-            | SettleKind::SignExtend => 1,
+            SettleKind::Not | SettleKind::Slice | SettleKind::Trunc | SettleKind::SignExtend => 1,
             SettleKind::Mux => 3,
             _ => 2,
         }
     }
+}
+
+/// The `keep` shift that bounds a result to `width` bits (`width >= 1`).
+fn keep_shift(width: u32) -> u8 {
+    (64 - width.clamp(1, 64)) as u8
 }
 
 /// A recorded value-change trace (VCD-lite) of selected nets.
@@ -256,7 +284,9 @@ impl<'n> Simulator<'n> {
                 CellOp::RamTdp { depth, init } => {
                     let slot = ram_state.len() as u32;
                     seq_slot[cid.0 as usize] = slot;
-                    let mut mem = init.clone();
+                    let width = netlist.net(cell.outputs[0]).width;
+                    // words hold data-width bits, as a write stores them
+                    let mut mem: Vec<u64> = init.iter().map(|&w| mask(w, width)).collect();
                     mem.resize(*depth as usize, 0);
                     ram_state.push(mem);
                     rams.push(RamInfo {
@@ -272,14 +302,25 @@ impl<'n> Simulator<'n> {
                         ra: cell.outputs[0].0,
                         rb: cell.outputs[1].0,
                         depth: (*depth).max(1),
-                        mask: mask(u64::MAX, netlist.net(cell.outputs[0]).width),
+                        mask: mask(u64::MAX, width),
+                        mask_b: mask(u64::MAX, netlist.net(cell.outputs[1]).width),
                     });
                 }
                 _ => {}
             }
         }
-        let ops = Self::compile_settle_ops(netlist, &order);
+        let (ops, consts, alias) = Self::compile_settle_ops(netlist, &order);
         let ops = rank_major(netlist.net_count(), ops);
+        let resolve = |n: u32| alias[n as usize];
+        for r in &mut regs {
+            r.d = resolve(r.d);
+            if r.en != u32::MAX {
+                r.en = resolve(r.en);
+            }
+        }
+        for r in &mut rams {
+            r.inputs = r.inputs.map(resolve);
+        }
         let op_base = (regs.len().div_ceil(64) * 64) as u32;
         let (fanout_start, fanout) =
             Self::compile_fanout(netlist.net_count(), &ops, &regs, op_base);
@@ -289,6 +330,8 @@ impl<'n> Simulator<'n> {
         let mut sim = Simulator {
             netlist,
             values: vec![0; netlist.net_count()],
+            alias,
+            consts,
             reg_state,
             ram_state,
             seq_slot,
@@ -360,64 +403,97 @@ impl<'n> Simulator<'n> {
     }
 
     /// Lower the topologically ordered combinational cells into the compact
-    /// settle program (resolved net indices, widths, and payloads).
-    fn compile_settle_ops(netlist: &Netlist, order: &[CellId]) -> Vec<SettleOp> {
+    /// settle program (resolved net indices, widths, and payloads), its
+    /// constant table, and the net alias map. Walking in topological order
+    /// resolves a widening `ZeroExtend`'s input to its final alias before
+    /// the cell's output takes it, so chains collapse onto one net.
+    fn compile_settle_ops(
+        netlist: &Netlist,
+        order: &[CellId],
+    ) -> (Vec<SettleOp>, Vec<u64>, Vec<u32>) {
+        let mut alias: Vec<u32> = (0..netlist.net_count() as u32).collect();
         let mut ops = Vec::with_capacity(order.len());
+        let mut consts = Vec::new();
         for &cid in order {
             let cell = netlist.cell(cid);
-            let input = |i: usize| cell.inputs.get(i).map_or(0, |n| n.0);
-            let out_net = cell.outputs[0];
-            let ow = netlist.net(out_net).width;
-            let iw = cell
-                .inputs
-                .first()
-                .map(|&n| netlist.net(n).width)
-                .unwrap_or(ow);
-            let (kind, m, aux) = match &cell.op {
-                CellOp::Add => (SettleKind::Add, mask(u64::MAX, ow), 0),
-                CellOp::Sub => (SettleKind::Sub, mask(u64::MAX, ow), 0),
-                CellOp::Mul => (SettleKind::Mul, mask(u64::MAX, ow), 0),
-                CellOp::Div => (SettleKind::Div, mask(u64::MAX, ow), 0),
-                CellOp::Mod => (SettleKind::Mod, mask(u64::MAX, ow), 0),
-                CellOp::And => (SettleKind::And, mask(u64::MAX, ow), 0),
-                CellOp::Or => (SettleKind::Or, mask(u64::MAX, ow), 0),
-                CellOp::Xor => (SettleKind::Xor, mask(u64::MAX, ow), 0),
-                CellOp::Not => (SettleKind::Not, mask(u64::MAX, ow), 0),
-                CellOp::Shl => (SettleKind::Shl, mask(u64::MAX, ow), 0),
-                CellOp::ShrL => (SettleKind::ShrL, mask(u64::MAX, ow), 0),
-                CellOp::ShrA => (SettleKind::ShrA, mask(u64::MAX, ow), u64::from(iw)),
-                CellOp::Cmp(c) => (
-                    SettleKind::Cmp(*c),
-                    mask(u64::MAX, ow),
-                    u64::from(netlist.net(cell.inputs[0]).width),
-                ),
-                CellOp::Mux => (SettleKind::Mux, mask(u64::MAX, ow), 0),
-                CellOp::Const { value } => (SettleKind::Const, mask(u64::MAX, ow), *value),
-                CellOp::Slice { lo, hi } => (
-                    SettleKind::Slice,
-                    // slice width and output net width both bound the result
-                    mask(mask(u64::MAX, hi - lo + 1), ow),
-                    u64::from(*lo),
-                ),
-                CellOp::ZeroExtend => (SettleKind::ZeroExtend, mask(u64::MAX, ow), 0),
-                CellOp::SignExtend => (
-                    SettleKind::SignExtend,
-                    mask(u64::MAX, ow),
-                    u64::from(netlist.net(cell.inputs[0]).width),
-                ),
+            let out = cell.outputs[0];
+            let ow = netlist.net(out).width;
+            let iw = cell.inputs.first().map_or(0, |&n| netlist.net(n).width);
+            if matches!(cell.op, CellOp::ZeroExtend) && ow >= iw {
+                alias[out.0 as usize] = alias[cell.inputs[0].0 as usize];
+                continue;
+            }
+            // a result that is always the same value: a constant, a
+            // zero-width output, a slice above bit 63, or a comparison of
+            // zero-width operands
+            let fixed = match &cell.op {
                 CellOp::Register { .. } | CellOp::RamTdp { .. } => continue,
+                _ if ow == 0 => Some(0),
+                CellOp::Const { value } => Some(mask(*value, ow)),
+                CellOp::Slice { lo, .. } if *lo >= 64 => Some(0),
+                CellOp::Cmp(c) if iw == 0 => Some(u64::from(c.apply(0, 0, 0))),
+                _ => None,
             };
+            if let Some(value) = fixed {
+                ops.push(SettleOp {
+                    kind: SettleKind::Const,
+                    a: 0,
+                    b: consts.len() as u32,
+                    c: 0,
+                    out: out.0,
+                    keep: 0,
+                    aux: 0,
+                });
+                consts.push(value);
+                continue;
+            }
+            // a zero-width input reads 0, which any shift keeps 0
+            let sign = keep_shift(iw);
+            let (kind, width, aux) = match &cell.op {
+                CellOp::Add => (SettleKind::Add, ow, 0),
+                CellOp::Sub => (SettleKind::Sub, ow, 0),
+                CellOp::Mul => (SettleKind::Mul, ow, 0),
+                CellOp::Div => (SettleKind::Div, ow, 0),
+                CellOp::Mod => (SettleKind::Mod, ow, 0),
+                CellOp::And => (SettleKind::And, ow, 0),
+                CellOp::Or => (SettleKind::Or, ow, 0),
+                CellOp::Xor => (SettleKind::Xor, ow, 0),
+                CellOp::Not => (SettleKind::Not, ow, 0),
+                CellOp::Shl => (SettleKind::Shl, ow, 0),
+                CellOp::ShrL => (SettleKind::ShrL, ow, 0),
+                CellOp::ShrA => (SettleKind::ShrA, ow, sign),
+                CellOp::Cmp(c) => {
+                    let kind = match c {
+                        Comparison::Eq => SettleKind::Eq,
+                        Comparison::Ne => SettleKind::Ne,
+                        Comparison::LtU => SettleKind::LtU,
+                        Comparison::GeU => SettleKind::GeU,
+                        Comparison::LtS => SettleKind::LtS,
+                        Comparison::GeS => SettleKind::GeS,
+                    };
+                    (kind, ow, sign)
+                }
+                CellOp::Mux => (SettleKind::Mux, ow, 0),
+                // slice width and output net width both bound the result
+                CellOp::Slice { lo, hi } => (SettleKind::Slice, ow.min(hi - lo + 1), *lo as u8),
+                CellOp::ZeroExtend => (SettleKind::Trunc, ow, 0),
+                CellOp::SignExtend => (SettleKind::SignExtend, ow, sign),
+                CellOp::Const { .. } | CellOp::Register { .. } | CellOp::RamTdp { .. } => {
+                    unreachable!("handled above")
+                }
+            };
+            let input = |i: usize| cell.inputs.get(i).map_or(0, |n| alias[n.0 as usize]);
             ops.push(SettleOp {
                 kind,
                 a: input(0),
                 b: input(1),
                 c: input(2),
-                out: out_net.0,
-                mask: m,
+                out: out.0,
+                keep: keep_shift(width),
                 aux,
             });
         }
-        ops
+        (ops, consts, alias)
     }
 
     /// Enable tracing of the given nets; samples are appended on every step.
@@ -538,12 +614,12 @@ impl<'n> Simulator<'n> {
             .netlist
             .net_by_name(name)
             .ok_or_else(|| RtlError::UnknownName { name: name.into() })?;
-        Ok(self.values[id.0 as usize])
+        Ok(self.peek_net(id))
     }
 
     /// Read a net's settled value by id.
     pub fn peek_net(&self, id: NetId) -> u64 {
-        self.values[id.0 as usize]
+        self.values[self.alias[id.0 as usize] as usize]
     }
 
     /// Drive a primary input by id.
@@ -647,15 +723,16 @@ impl<'n> Simulator<'n> {
         for i in 0..self.rams.len() {
             let (r, (ra, rb)) = (self.rams[i], self.next_ram[i]);
             self.drive(r.ra, ra);
-            self.drive(r.rb, rb);
+            self.drive(r.rb, rb & r.mask_b);
         }
         self.settle();
         self.cycle += 1;
         if let Some(trace) = &mut self.trace {
+            let (values, alias) = (&self.values, &self.alias);
             let row = trace
                 .nets
                 .iter()
-                .map(|&n| self.values[n.0 as usize])
+                .map(|&n| values[alias[n.0 as usize] as usize])
                 .collect();
             trace.rows.push((self.cycle, row));
         }
@@ -717,7 +794,8 @@ impl<'n> Simulator<'n> {
             .copied()
     }
 
-    /// Overwrite a RAM word directly (testbench backdoor load).
+    /// Overwrite a RAM word directly (testbench backdoor load). The word
+    /// keeps the data width's low bits of `value`, as a port write would.
     pub fn load_ram_word(&mut self, cell: CellId, addr: usize, value: u64) {
         let Some(&slot) = self.seq_slot.get(cell.0 as usize) else {
             return;
@@ -725,10 +803,9 @@ impl<'n> Simulator<'n> {
         if slot == u32::MAX || !matches!(self.netlist.cell(cell).op, CellOp::RamTdp { .. }) {
             return;
         }
-        if let Some(mem) = self.ram_state.get_mut(slot as usize) {
-            if let Some(word) = mem.get_mut(addr) {
-                *word = value;
-            }
+        let keep = self.rams[slot as usize].mask;
+        if let Some(word) = self.ram_state[slot as usize].get_mut(addr) {
+            *word = value & keep;
         }
     }
 
@@ -808,7 +885,7 @@ impl<'n> Simulator<'n> {
             self.dirty[wi] = word & !(1u64 << b);
             let i = wi * 64 + b as usize - self.op_base as usize;
             let op = self.ops[i];
-            let v = eval_op(&self.values, &op);
+            let v = eval_op(&self.values, &self.consts, &op);
             self.settle_ops += 1;
             if self.values[op.out as usize] != v {
                 self.values[op.out as usize] = v;
@@ -860,9 +937,13 @@ fn rank_major(net_count: usize, ops: Vec<SettleOp>) -> Vec<SettleOp> {
 
 /// Evaluate one compiled settle op over the current net values.
 #[inline]
-fn eval_op(values: &[u64], op: &SettleOp) -> u64 {
+fn eval_op(values: &[u64], consts: &[u64], op: &SettleOp) -> u64 {
     let read = |n: u32| values[n as usize];
     let a = read(op.a);
+    // `x << aux` drops the bits above the input width: compared as
+    // integers, the shifted operands order as the width-bounded ones
+    // (unsigned) or their sign extensions (signed) do
+    let signed = |x: u64| ((x << op.aux) as i64) >> op.aux;
     let v = match op.kind {
         SettleKind::Add => a.wrapping_add(read(op.b)),
         SettleKind::Sub => a.wrapping_sub(read(op.b)),
@@ -883,8 +964,13 @@ fn eval_op(values: &[u64], op: &SettleOp) -> u64 {
         SettleKind::Not => !a,
         SettleKind::Shl => a << read(op.b).min(63),
         SettleKind::ShrL => a >> read(op.b).min(63),
-        SettleKind::ShrA => (sign_extend(a, op.aux as u32) >> read(op.b).min(63)) as u64,
-        SettleKind::Cmp(c) => c.apply(a, read(op.b), op.aux as u32) as u64,
+        SettleKind::ShrA => (signed(a) >> read(op.b).min(63)) as u64,
+        SettleKind::Eq => u64::from(a << op.aux == read(op.b) << op.aux),
+        SettleKind::Ne => u64::from(a << op.aux != read(op.b) << op.aux),
+        SettleKind::LtU => u64::from(a << op.aux < read(op.b) << op.aux),
+        SettleKind::GeU => u64::from(a << op.aux >= read(op.b) << op.aux),
+        SettleKind::LtS => u64::from(((a << op.aux) as i64) < ((read(op.b) << op.aux) as i64)),
+        SettleKind::GeS => u64::from(((a << op.aux) as i64) >= ((read(op.b) << op.aux) as i64)),
         SettleKind::Mux => {
             if a & 1 == 1 {
                 read(op.c)
@@ -892,12 +978,12 @@ fn eval_op(values: &[u64], op: &SettleOp) -> u64 {
                 read(op.b)
             }
         }
-        SettleKind::Const => op.aux,
+        SettleKind::Const => consts[op.b as usize],
         SettleKind::Slice => a >> op.aux,
-        SettleKind::ZeroExtend => a,
-        SettleKind::SignExtend => sign_extend(a, op.aux as u32) as u64,
+        SettleKind::Trunc => a,
+        SettleKind::SignExtend => signed(a) as u64,
     };
-    v & op.mask
+    v & (u64::MAX >> op.keep)
 }
 
 #[cfg(test)]
@@ -1335,6 +1421,83 @@ mod tests {
             assert_eq!(sim.peek_net(nid), twin.peek_net(nid), "net {nid}");
         }
         assert_eq!(sim.settle_ops(), twin.settle_ops());
+    }
+
+    /// HLS-style wires: `*_drv` `ZeroExtend`s that copy a net at the same
+    /// or a wider width cost no settle op, and `peek`, `peek_net` and trace
+    /// rows of each aliased net read its root's value. A 4-bit counter
+    /// loads through `state_d_drv`/`state_en_drv` (aliases of a register's
+    /// `d` and `en`), `done_drv` copies a comparison, and `ret_d_drv` and
+    /// `ret_w_drv` widen the state in a chain (4 → 16 → 32 bits).
+    #[test]
+    fn hls_drv_wires_cost_no_settle_op() {
+        let mut nl = Netlist::new("drv");
+        let go = nl.add_input("go", 1);
+        let one = nl.add_net("one", 4);
+        let q = nl.add_net("state_q", 4);
+        let next = nl.add_net("next_state", 4);
+        let d = nl.add_net("state_d", 4);
+        let en = nl.add_net("state_en", 1);
+        let lim = nl.add_net("lim", 4);
+        let done_sig = nl.add_net("done_sig", 1);
+        let done = nl.add_net("done", 1);
+        let ret_d = nl.add_net("ret_d", 16);
+        let ret_w = nl.add_net("ret_w", 32);
+        let zext = |nl: &mut Netlist, name: &str, from, to| {
+            nl.add_cell(name, CellOp::ZeroExtend, &[from], &[to]).unwrap();
+        };
+        nl.add_cell("c1", CellOp::Const { value: 1 }, &[], &[one])
+            .unwrap();
+        nl.add_cell("inc", CellOp::Add, &[q, one], &[next]).unwrap();
+        zext(&mut nl, "state_d_drv", next, d);
+        zext(&mut nl, "state_en_drv", go, en);
+        nl.add_cell(
+            "state_reg",
+            CellOp::Register {
+                has_enable: true,
+                has_reset: true,
+            },
+            &[d, en],
+            &[q],
+        )
+        .unwrap();
+        nl.add_cell("c9", CellOp::Const { value: 9 }, &[], &[lim])
+            .unwrap();
+        nl.add_cell("is9", CellOp::Cmp(Comparison::Eq), &[q, lim], &[done_sig])
+            .unwrap();
+        zext(&mut nl, "done_drv", done_sig, done);
+        zext(&mut nl, "ret_d_drv", q, ret_d);
+        zext(&mut nl, "ret_w_drv", ret_d, ret_w);
+        nl.mark_output(done);
+        nl.mark_output(ret_w);
+
+        let mut sim = Simulator::new(&nl).unwrap();
+        assert_eq!(sim.settle_program_len(), 4, "c1, inc, c9 and is9; the wires are aliases");
+        assert_eq!(sim.settle_ops(), 4, "construction evaluates the program once");
+        let traced = [d, en, done, ret_d, ret_w];
+        sim.enable_trace(&traced);
+        sim.poke("go", 1).unwrap();
+        assert_eq!(sim.settle_ops(), 4, "driving an enable wire evaluates nothing");
+        assert_eq!(sim.peek("state_en").unwrap(), 1);
+        let mut rows = Vec::new();
+        for cycle in 1..=12u64 {
+            sim.step().unwrap();
+            let state = sim.peek_net(q);
+            assert_eq!(state, cycle, "the counter loads through the aliased d and en");
+            assert_eq!(sim.peek_net(d), sim.peek_net(next));
+            assert_eq!(sim.peek("state_d").unwrap(), state + 1);
+            assert_eq!(sim.peek("done").unwrap(), u64::from(state == 9));
+            assert_eq!(sim.peek_net(done), sim.peek_net(done_sig));
+            assert_eq!(sim.peek("ret_d").unwrap(), state);
+            assert_eq!(sim.peek_net(ret_w), state);
+            rows.push((cycle, traced.iter().map(|&n| sim.peek_net(n)).collect::<Vec<_>>()));
+        }
+        assert_eq!(sim.settle_ops(), 4 + 2 * 12, "each edge evaluates only inc and is9");
+        sim.poke("go", 0).unwrap();
+        sim.step().unwrap();
+        assert_eq!(sim.peek("ret_w").unwrap(), 12, "a low enable wire holds the state");
+        rows.push((13, traced.iter().map(|&n| sim.peek_net(n)).collect()));
+        assert_eq!(sim.take_trace().unwrap().rows, rows, "trace rows read through the aliases");
     }
 
     /// `n` independent 8-bit counters `q_i' = q_i + 1`, each loading only

@@ -5,14 +5,17 @@
 //! register's stored state, and every trace row, across long runs of
 //! random pokes and mid-run resets (deterministic `DetRng` loops — no
 //! external dependencies). Generator profiles bias toward RAM-heavy,
-//! wide-bus, 1-bit-heavy and register-heavy shapes so the engine's fast
-//! paths (the rank-major event scan over wide and narrow masks, the gated
-//! clock edge) are all exercised.
+//! wide-bus, 1-bit-heavy, register-heavy and alias-heavy shapes so the
+//! engine's fast paths (the rank-major event scan over wide and narrow
+//! masks, the gated clock edge, the `ZeroExtend` net aliases) are all
+//! exercised. Every net's value must also fit its declared width, the
+//! invariant the aliases rest on.
 
 #[path = "support/reference.rs"]
 mod reference;
 
 use hermes_rtl::component::Comparison;
+use hermes_rtl::mask;
 use hermes_rtl::netlist::{CellId, CellOp, NetId, Netlist};
 use hermes_rtl::rng::DetRng;
 use hermes_rtl::sim::Simulator;
@@ -38,6 +41,11 @@ struct Profile {
     /// often reads an earlier register's `q`, and `en` is sometimes the
     /// `d` net itself.
     reg_bias: u64,
+    /// Extra kind-roll weight landing on the `ZeroExtend` arm (0 = baseline
+    /// 1/20). A non-zero weight also makes most of them same-width or
+    /// widening (net aliases in the simulator) and often chains them onto
+    /// the newest net.
+    zext_bias: u64,
 }
 
 const BASELINE: Profile = Profile {
@@ -49,6 +57,7 @@ const BASELINE: Profile = Profile {
     ram_bias: 0,
     ram_depth_hi: 17,
     reg_bias: 0,
+    zext_bias: 0,
 };
 
 /// RAM-dominated: every other cell is a dual-port memory, deeper than
@@ -94,6 +103,21 @@ const REG_HEAVY: Profile = Profile {
     ..BASELINE
 };
 
+/// Alias-heavy: about half the cells are `ZeroExtend`s, mostly
+/// same-width or widening and often chained, mixed with registers and
+/// RAMs, so aliased nets feed register `d`/`en`, RAM ports and outputs,
+/// and RAM read data flows through aliases. A RAM's two read ports get
+/// independent widths.
+const ALIAS_HEAVY: Profile = Profile {
+    bit_bias: 0.2,
+    cells_lo: 30,
+    cells_hi: 90,
+    ram_bias: 3,
+    reg_bias: 5,
+    zext_bias: 24,
+    ..BASELINE
+};
+
 /// Build a random, structurally valid netlist: combinational cells only
 /// read already-created nets (so the graph is acyclic by construction),
 /// registers and RAMs may read anything and source fresh nets.
@@ -119,8 +143,11 @@ fn random_netlist_with(rng: &mut DetRng, profile: Profile) -> Netlist {
             }
         };
         // rolls past the named arms land on the RAM arm; `ram_bias`
-        // widens that tail, and `reg_bias` adds a tail of register rolls
-        let kind = match rng.below(20 + profile.ram_bias + profile.reg_bias) {
+        // widens that tail, `reg_bias` adds a tail of register rolls and
+        // `zext_bias` one of `ZeroExtend` rolls
+        let tails = profile.ram_bias + profile.reg_bias;
+        let kind = match rng.below(20 + tails + profile.zext_bias) {
+            k if k >= 20 + tails => 16,
             k if k >= 20 + profile.ram_bias => 18,
             k => k,
         };
@@ -224,8 +251,21 @@ fn random_netlist_with(rng: &mut DetRng, profile: Profile) -> Netlist {
                 y
             }
             16 => {
-                let y = nl.add_net(format!("y{c}"), w(rng));
-                nl.add_cell(format!("c{c}"), CellOp::ZeroExtend, &[a], &[y]).unwrap();
+                let (src, width) = if profile.zext_bias > 0 {
+                    let src = if rng.chance(0.5) { pool[pool.len() - 1] } else { a };
+                    let sw = nl.net(src).width;
+                    // same width, wider, or (1 in 8) any width
+                    let width = match rng.below(8) {
+                        0..=3 => sw,
+                        4..=6 => (sw + rng.range_u64(1, 9) as u32).min(64),
+                        _ => w(rng),
+                    };
+                    (src, width)
+                } else {
+                    (a, w(rng))
+                };
+                let y = nl.add_net(format!("y{c}"), width);
+                nl.add_cell(format!("c{c}"), CellOp::ZeroExtend, &[src], &[y]).unwrap();
                 y
             }
             17 => {
@@ -263,8 +303,10 @@ fn random_netlist_with(rng: &mut DetRng, profile: Profile) -> Netlist {
                 let depth = rng.range_u64(4, profile.ram_depth_hi) as u32;
                 let dw = w(rng);
                 let init: Vec<u64> = (0..depth).map(|_| rng.next_u64()).collect();
+                // the alias-heavy profile also gives port b its own width
+                let bw = if profile.zext_bias > 0 { w(rng) } else { dw };
                 let ra = nl.add_net(format!("ra{c}"), dw);
-                let rb = nl.add_net(format!("rb{c}"), dw);
+                let rb = nl.add_net(format!("rb{c}"), bw);
                 let (wa, wb) = (pick(rng, &pool), pick(rng, &pool));
                 let (ea, eb) = (pick(rng, &pool), pick(rng, &pool));
                 nl.add_cell(
@@ -290,8 +332,9 @@ fn random_netlist_with(rng: &mut DetRng, profile: Profile) -> Netlist {
 
 /// Drive the production simulator and the reference in lockstep through
 /// random pokes, mid-run resets, and steps, asserting every net, register,
-/// and trace row stays identical throughout.
-fn lockstep(nl: &Netlist, rng: &mut DetRng, cycles: u64, reset_p: f64, tag: &str) {
+/// and trace row stays identical throughout. Returns how many
+/// combinational cells the simulator compiled away as net aliases.
+fn lockstep(nl: &Netlist, rng: &mut DetRng, cycles: u64, reset_p: f64, tag: &str) -> usize {
     nl.validate().expect("generated netlist is structurally valid");
     let inputs: Vec<NetId> = nl.inputs().to_vec();
     let reg_cells: Vec<CellId> = nl
@@ -299,7 +342,11 @@ fn lockstep(nl: &Netlist, rng: &mut DetRng, cycles: u64, reset_p: f64, tag: &str
         .filter(|(_, c)| matches!(c.op, CellOp::Register { .. }))
         .map(|(cid, _)| cid)
         .collect();
-    let traced: Vec<NetId> = nl.nets().map(|(id, _)| id).take(8).collect();
+    // the first and the last 8 nets: inputs and early logic, and the
+    // newest cells, where a profile's chains end
+    let ids: Vec<NetId> = nl.nets().map(|(id, _)| id).collect();
+    let traced: Vec<NetId> =
+        ids.iter().take(8).chain(ids.iter().rev().take(8)).copied().collect();
     let mut sim = Simulator::new(nl).expect("sim builds");
     let mut oracle = ReferenceSimulator::new(nl);
     sim.enable_trace(&traced);
@@ -317,11 +364,18 @@ fn lockstep(nl: &Netlist, rng: &mut DetRng, cycles: u64, reset_p: f64, tag: &str
         }
         sim.step().expect("step");
         oracle.step();
-        for (nid, _) in nl.nets() {
+        for (nid, net) in nl.nets() {
+            let v = sim.peek_net(nid);
             assert_eq!(
-                sim.peek_net(nid),
+                v,
                 oracle.peek_net(nid),
                 "{tag} cycle {cycle}: net {nid} diverged from the reference"
+            );
+            assert_eq!(
+                v,
+                mask(v, net.width),
+                "{tag} cycle {cycle}: net {nid} holds bits above its width {}",
+                net.width
             );
         }
         for &cid in &reg_cells {
@@ -338,6 +392,8 @@ fn lockstep(nl: &Netlist, rng: &mut DetRng, cycles: u64, reset_p: f64, tag: &str
     );
     let trace = sim.take_trace().expect("trace enabled");
     assert_eq!(trace.rows, oracle.rows, "{tag}: trace rows diverged");
+    let combinational = nl.cells().filter(|(_, c)| !c.op.is_sequential()).count();
+    combinational - sim.settle_program_len()
 }
 
 #[test]
@@ -350,8 +406,8 @@ fn event_driven_settle_equals_full_settle() {
 }
 
 /// The reference check across generator profiles: RAM-heavy, wide-bus,
-/// 1-bit-heavy and register-heavy netlists through frequent mid-run
-/// resets.
+/// 1-bit-heavy, register-heavy and alias-heavy netlists through frequent
+/// mid-run resets.
 #[test]
 fn every_profile_matches_the_reference() {
     let mut rng = DetRng::new(0xE16_7121);
@@ -360,10 +416,14 @@ fn every_profile_matches_the_reference() {
         ("wide_bus", WIDE_BUS),
         ("bit_heavy", BIT_HEAVY),
         ("reg_heavy", REG_HEAVY),
+        ("alias_heavy", ALIAS_HEAVY),
     ] {
         for case in 0..8u64 {
             let nl = random_netlist_with(&mut rng, profile);
-            lockstep(&nl, &mut rng, 400, 0.02, &format!("{pname} case {case}"));
+            let aliased = lockstep(&nl, &mut rng, 400, 0.02, &format!("{pname} case {case}"));
+            if profile.zext_bias > 0 {
+                assert!(aliased >= 8, "{pname} case {case}: only {aliased} aliased cells");
+            }
         }
     }
 }

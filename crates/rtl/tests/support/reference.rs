@@ -73,7 +73,10 @@ impl<'n> ReferenceSimulator<'n> {
                     reg_state.insert(cid, 0);
                 }
                 CellOp::RamTdp { depth, init } => {
-                    let mut mem = init.clone();
+                    // a word holds the data width's bits, as a write
+                    // stores them
+                    let w = netlist.net(cell.outputs[0]).width;
+                    let mut mem: Vec<u64> = init.iter().map(|&v| low_bits(v, w)).collect();
                     mem.resize(*depth as usize, 0);
                     ram_state.insert(cid, mem);
                 }
@@ -164,8 +167,10 @@ impl<'n> ReferenceSimulator<'n> {
         }
         for (cid, ra, rb) in ram_reads {
             let cell = self.netlist.cell(cid);
-            self.values[cell.outputs[0].0 as usize] = ra;
-            self.values[cell.outputs[1].0 as usize] = rb;
+            // each read port drives its own net's width
+            let (a, b) = (cell.outputs[0], cell.outputs[1]);
+            self.values[a.0 as usize] = low_bits(ra, self.netlist.net(a).width);
+            self.values[b.0 as usize] = low_bits(rb, self.netlist.net(b).width);
         }
         self.settle();
         self.cycle += 1;
