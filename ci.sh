@@ -11,10 +11,13 @@ cargo clippy --workspace --all-targets -- -D warnings
 # were recorded in both profiles, so a speed change that only holds in
 # debug builds fails here. The placer's own determinism, effort and
 # overflow tests run under the optimizer beside them, and so do the RTL
-# simulator's differential settle tests against the reference interpreter.
+# simulator's differential settle tests against the reference interpreter,
+# and the oracle tests that hold the word-wise CRC-32, TMR vote, netlist
+# order and HLS emit to the bit- and byte-serial code they replaced.
 cargo test -q --release -p hermes-bench --test flow_identity --test fleet_identity
 cargo test -q --release -p hermes-fpga
 cargo test -q --release -p hermes-rtl
+cargo test -q --release -p hermes-boot -p hermes-hls
 
 fail() { echo "ci: $*" >&2; exit 1; }
 

@@ -153,18 +153,14 @@ impl Flash {
         match self.mode {
             RedundancyMode::None | RedundancyMode::Sequential => self.read_copy(0, offset, len),
             RedundancyMode::Tmr => {
-                let a = self.read_copy(0, offset, len)?;
-                let b = self.read_copy(1, offset, len)?;
-                let c = self.read_copy(2, offset, len)?;
-                let mut out = Vec::with_capacity(len as usize);
-                for i in 0..len as usize {
-                    let (x, y, z) = (a[i], b[i], c[i]);
-                    let voted = (x & y) | (x & z) | (y & z);
-                    if !(x == y && y == z) {
-                        self.corrected_bytes += 1;
-                    }
-                    out.push(voted);
+                let (start, end) = (offset as usize, offset as usize + len as usize);
+                if end > self.size() {
+                    return Err(BootError::FlashRange { offset, len });
                 }
+                self.read_cycles += COPIES as u64 * u64::from(len.div_ceil(READ_BYTES_PER_CYCLE));
+                let [a, b, c] = [0, 1, 2].map(|k| &self.copies[k][start..end]);
+                let (out, corrected) = tmr_vote(a, b, c);
+                self.corrected_bytes += corrected;
                 Ok(out)
             }
         }
@@ -180,6 +176,39 @@ impl Flash {
         self.copies[copy][byte_offset as usize] ^= 1 << bit;
         true
     }
+}
+
+/// Bitwise majority of three equal-length copies, eight bytes at a time,
+/// and the number of byte positions where the copies disagree.
+fn tmr_vote(a: &[u8], b: &[u8], c: &[u8]) -> (Vec<u8>, u64) {
+    /// One word's vote and its count of nonzero bytes in the disagreement
+    /// mask (a byte's high bit is set after the add iff any bit was).
+    fn vote(x: [u8; 8], y: [u8; 8], z: [u8; 8]) -> ([u8; 8], u64) {
+        const LOW7: u64 = 0x7F7F_7F7F_7F7F_7F7F;
+        let [x, y, z] = [x, y, z].map(u64::from_le_bytes);
+        let diff = (x ^ y) | (x ^ z);
+        let nonzero = (((diff & LOW7) + LOW7) | diff) & !LOW7;
+        (((x & y) | (x & z) | (y & z)).to_le_bytes(), u64::from(nonzero.count_ones()))
+    }
+    let word = |s: &[u8]| -> [u8; 8] { s.try_into().expect("8-byte chunk") };
+    let mut out = Vec::with_capacity(a.len());
+    let mut corrected = 0;
+    let (aw, bw, cw) = (a.chunks_exact(8), b.chunks_exact(8), c.chunks_exact(8));
+    let tail = [aw.remainder(), bw.remainder(), cw.remainder()];
+    for ((x, y), z) in aw.zip(bw).zip(cw) {
+        let (v, n) = vote(word(x), word(y), word(z));
+        out.extend_from_slice(&v);
+        corrected += n;
+    }
+    // the tail, zero-padded alike in every copy (padding never disagrees)
+    let [x, y, z] = tail.map(|t| {
+        let mut w = [0u8; 8];
+        w[..t.len()].copy_from_slice(t);
+        w
+    });
+    let (v, n) = vote(x, y, z);
+    out.extend_from_slice(&v[..tail[0].len()]);
+    (out, corrected + n)
 }
 
 /// Builds a complete flash image: BL1 stub, load list, payloads.
@@ -330,6 +359,68 @@ mod tests {
         tmr.program(0, &[1; 512]).unwrap();
         tmr.read_redundant(0, 512).unwrap();
         assert_eq!(tmr.read_cycles, 3 * plain.read_cycles);
+    }
+
+    /// The byte-at-a-time vote over copied reads: the oracle.
+    fn read_tmr_bytewise(flash: &mut Flash, offset: u32, len: u32) -> Result<Vec<u8>, BootError> {
+        let a = flash.read_copy(0, offset, len)?;
+        let b = flash.read_copy(1, offset, len)?;
+        let c = flash.read_copy(2, offset, len)?;
+        let mut out = Vec::with_capacity(len as usize);
+        for i in 0..len as usize {
+            let (x, y, z) = (a[i], b[i], c[i]);
+            if !(x == y && y == z) {
+                flash.corrected_bytes += 1;
+            }
+            out.push((x & y) | (x & z) | (y & z));
+        }
+        Ok(out)
+    }
+
+    #[test]
+    fn word_vote_matches_bytewise_oracle() {
+        const SIZE: usize = 1024;
+        let mut rng = hermes_rtl::rng::DetRng::new(0x7312_0019);
+        for case in 0..300 {
+            let mut flash = Flash::new(SIZE, RedundancyMode::Tmr);
+            flash.program(0, &rng.bytes(SIZE)).unwrap();
+            // upsets in one, two or all three copies, clustered so that
+            // some bytes are hit in several copies at once
+            let copies_hit = 1 + case % 3;
+            let base = rng.below(SIZE as u64 / 2) as u32;
+            for copy in 0..copies_hit {
+                for _ in 0..rng.range_u64(1, 12) {
+                    let at = base + rng.below(32) as u32;
+                    flash.flip_bit(copy, at, rng.below(8) as u8);
+                }
+            }
+            let len = match case % 4 {
+                0 => 0,
+                1 => rng.range_u64(1, 8) as u32,
+                2 => 8 * rng.range_u64(1, 20) as u32 + rng.range_u64(1, 8) as u32,
+                _ => 8 * rng.range_u64(1, 40) as u32,
+            };
+            let offset = base.saturating_sub(rng.below(24) as u32) | 1;
+            let mut oracle = flash.clone();
+            let got = flash.read_redundant(offset, len).unwrap();
+            let want = read_tmr_bytewise(&mut oracle, offset, len).unwrap();
+            assert_eq!(got, want, "case {case}: offset {offset} len {len}");
+            assert_eq!(flash.corrected_bytes, oracle.corrected_bytes, "case {case}");
+            assert_eq!(flash.read_cycles, oracle.read_cycles, "case {case}");
+        }
+    }
+
+    #[test]
+    fn out_of_range_tmr_read_charges_nothing() {
+        let mut flash = Flash::new(128, RedundancyMode::Tmr);
+        for (offset, len) in [(121, 8), (0, 129), (128, 1)] {
+            assert!(matches!(
+                flash.read_redundant(offset, len),
+                Err(BootError::FlashRange { .. })
+            ));
+        }
+        assert_eq!(flash.read_cycles, 0);
+        assert_eq!(flash.corrected_bytes, 0);
     }
 
     #[test]

@@ -20,18 +20,55 @@ pub const MAGIC: [u8; 4] = *b"NXB1";
 /// Payload bytes per configuration frame.
 pub const FRAME_BYTES: usize = 64;
 
-/// Standard IEEE 802.3 CRC-32 (reflected, polynomial 0xEDB88320).
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let lsb = crc & 1;
-            crc >>= 1;
-            if lsb == 1 {
-                crc ^= 0xEDB8_8320;
-            }
+/// Slice-by-8 tables: `CRC_TABLES[0][b]` is the CRC register after
+/// shifting byte `b` through the reflected polynomial 0xEDB88320, and
+/// `CRC_TABLES[k][b]` the same byte followed by `k` zero bytes.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut t = [[0u32; 256]; 8];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = if crc & 1 == 1 { (crc >> 1) ^ 0xEDB8_8320 } else { crc >> 1 };
+            bit += 1;
         }
+        t[0][b] = crc;
+        b += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = t[k - 1][b];
+            t[k][b] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    t
+};
+
+/// Standard IEEE 802.3 CRC-32 (reflected, polynomial 0xEDB88320), eight
+/// bytes per step through [`CRC_TABLES`].
+pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut crc = 0xFFFF_FFFFu32;
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xFF) as usize];
     }
     !crc
 }
@@ -257,6 +294,35 @@ mod tests {
             .place(&prim, &Recorder::disabled())
             .unwrap();
         Bitstream::generate(&prim, &placement, &dev)
+    }
+
+    /// The textbook bit-serial CRC-32, one shift per bit: the oracle.
+    fn crc32_bitwise(data: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in data {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                let lsb = crc & 1;
+                crc >>= 1;
+                if lsb == 1 {
+                    crc ^= 0xEDB8_8320;
+                }
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn table_crc_matches_bitwise_oracle() {
+        let mut rng = hermes_rtl::rng::DetRng::new(0xC3C3_2024);
+        let buf = rng.bytes(1 << 20);
+        for start in 0..8 {
+            for len in 0..=300 {
+                let s = &buf[start..start + len];
+                assert_eq!(crc32(s), crc32_bitwise(s), "start {start} len {len}");
+            }
+        }
+        assert_eq!(crc32(&buf), crc32_bitwise(&buf), "1 MB buffer");
     }
 
     #[test]

@@ -53,6 +53,8 @@ struct Gen<'a> {
     temp_wire: HashMap<TempId, NetId>,
     /// output net of each storage register
     reg_q: Vec<NetId>,
+    /// FSM state in which each temp's value is produced, by temp id
+    temp_finish: Vec<Option<u32>>,
     /// pending writers per register: (state, source net)
     reg_writers: HashMap<RegId, Vec<(u32, NetId)>>,
     /// D-input source of vars written in a given state (for end-of-block
@@ -165,7 +167,7 @@ impl<'a> Gen<'a> {
                 if let Some(&reg) = self.binding.reg_of_temp.get(&t) {
                     // chained consumers in the producer's cycle read the wire
                     if let Some(&wire) = self.temp_wire.get(&t) {
-                        if self.temp_finish_state(t) == Some(reading_state) {
+                        if self.temp_finish[t.0 as usize] == Some(reading_state) {
                             wire
                         } else {
                             self.reg_q[reg.0 as usize]
@@ -189,16 +191,22 @@ impl<'a> Gen<'a> {
         self.adapt(net, want.width, signed)
     }
 
-    fn temp_finish_state(&self, t: TempId) -> Option<u32> {
+    /// Global finish state of each temp's first producing instruction,
+    /// indexed by temp id (`None` for a temp no instruction writes).
+    fn temp_finish_states(&self) -> Vec<Option<u32>> {
+        let mut finish = vec![None; self.func.temp_types.len()];
         for (bi, block) in self.func.blocks.iter().enumerate() {
             for (ii, instr) in block.instrs.iter().enumerate() {
-                if instr.dst == Some(t) {
-                    let s = self.sched.blocks[bi].instrs[ii];
-                    return Some(self.gstate(bi as u32, s.finish_cycle()));
+                match instr.dst {
+                    Some(t) if finish[t.0 as usize].is_none() => {
+                        let s = self.sched.blocks[bi].instrs[ii];
+                        finish[t.0 as usize] = Some(self.gstate(bi as u32, s.finish_cycle()));
+                    }
+                    _ => {}
                 }
             }
         }
-        None
+        finish
     }
 }
 
@@ -250,9 +258,11 @@ pub fn generate(
         consts: HashMap::new(),
         temp_wire: HashMap::new(),
         reg_q: Vec::new(),
+        temp_finish: Vec::new(),
         reg_writers: HashMap::new(),
         var_write_in_state: HashMap::new(),
     };
+    gen.temp_finish = gen.temp_finish_states();
 
     // state compare signals
     for s in 0..total_states {
@@ -264,7 +274,7 @@ pub fn generate(
     }
 
     // storage registers
-    for (ri, reg) in binding.regs.iter().enumerate() {
+    for reg in &binding.regs {
         let d = gen.nl.add_net(format!("{}_d", reg.name), reg.width);
         let q = gen.nl.add_net(format!("{}_q", reg.name), reg.width);
         let en = gen.nl.add_net(format!("{}_en", reg.name), 1);
@@ -278,7 +288,6 @@ pub fn generate(
             &[q],
         )?;
         gen.reg_q.push(q);
-        let _ = ri;
     }
 
     // argument input pads feed parameter registers in the INIT state (0)
@@ -704,7 +713,9 @@ pub fn generate(
     // net id) come out in the same order on every compile
     let mut writers: Vec<_> = std::mem::take(&mut gen.reg_writers).into_iter().collect();
     writers.sort_unstable_by_key(|(reg, _)| reg.0);
+    let mut written = vec![false; binding.regs.len()];
     for (reg, sources) in writers {
+        written[reg.0 as usize] = true;
         let info = &binding.regs[reg.0 as usize];
         let d_net = gen.nl.net_by_name(&format!("{}_d", info.name)).expect("reg d net");
         let en_net = gen
@@ -720,12 +731,8 @@ pub fn generate(
             .add_cell(format!("{}_en_drv", info.name), CellOp::ZeroExtend, &[en], &[en_net])?;
     }
     // registers never written: tie off D and enable
-    for (ri, info) in binding.regs.iter().enumerate() {
-        let d_name = format!("{}_d", info.name);
-        let d_net = gen.nl.net_by_name(&d_name).expect("reg d net");
-        if gen.nl.driver_map().map_err(HlsError::Rtl)?.contains_key(&d_net) {
-            continue;
-        }
+    for (info, _) in binding.regs.iter().zip(&written).filter(|(_, &w)| !w) {
+        let d_net = gen.nl.net_by_name(&format!("{}_d", info.name)).expect("reg d net");
         let zero = gen.konst(0, info.width);
         gen.nl.add_cell(
             format!("{}_d_tie", info.name),
@@ -744,7 +751,6 @@ pub fn generate(
             &[z1],
             &[en_net],
         )?;
-        let _ = ri;
     }
 
     let state_count = total_states;

@@ -514,6 +514,23 @@ mod tests {
         );
     }
 
+    /// A variable that is read but never written keeps a storage register
+    /// with no writer: emit ties its D and enable to zero, so it holds its
+    /// reset value, and the netlist still agrees with co-simulation.
+    #[test]
+    fn unwritten_register_is_tied_off() {
+        let src = "int f(int n) { int x; int s = 0; for (int i = 0; i < n; i++) { s += x + i; } return s; }";
+        let d = HlsFlow::new().compile(src).unwrap();
+        let ties: Vec<&str> = d
+            .netlist()
+            .cells()
+            .map(|(_, c)| c.name.as_str())
+            .filter(|n| n.ends_with("_tie"))
+            .collect();
+        assert_eq!(ties, ["r1_x_d_tie", "r1_x_en_tie"]);
+        cosim(src, &[vec![0], vec![1], vec![6]]);
+    }
+
     #[test]
     fn netlist_cosim_division_and_shifts() {
         cosim(

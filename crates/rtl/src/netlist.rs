@@ -392,20 +392,28 @@ impl Netlist {
         s
     }
 
-    /// Map from each net to the cell driving it (if any).
-    pub fn driver_map(&self) -> Result<HashMap<NetId, CellId>, RtlError> {
-        let mut drivers = HashMap::new();
+    /// Net-indexed driver table: entry `n` is the cell driving net `n`,
+    /// or `None` for a primary input or an undriven net.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RtlError::MultipleDrivers`] naming the first net, in cell
+    /// order and then primary-input order, that has a second source.
+    pub fn driver_map(&self) -> Result<Vec<Option<CellId>>, RtlError> {
+        let mut drivers = vec![None; self.nets.len()];
         for (cid, cell) in self.cells() {
             for &out in &cell.outputs {
-                if drivers.insert(out, cid).is_some() {
+                let slot = &mut drivers[out.0 as usize];
+                if slot.is_some() {
                     return Err(RtlError::MultipleDrivers {
                         net: self.net(out).name.clone(),
                     });
                 }
+                *slot = Some(cid);
             }
         }
         for &inp in &self.inputs {
-            if drivers.contains_key(&inp) {
+            if drivers[inp.0 as usize].is_some() {
                 return Err(RtlError::MultipleDrivers {
                     net: self.net(inp).name.clone(),
                 });
@@ -415,24 +423,29 @@ impl Netlist {
     }
 
     /// Validate structural sanity: single drivers, no floating nets read by
-    /// cells, and no combinational cycles.
+    /// cells, and no combinational cycles. Returns the topological order of
+    /// the combinational cells (the same as [`Netlist::combinational_order`]),
+    /// so a caller that needs both pays for one driver table.
     ///
     /// # Errors
     ///
-    /// Returns the first [`RtlError`] found.
-    pub fn validate(&self) -> Result<(), RtlError> {
+    /// Returns the first [`RtlError`] found, checked in that order.
+    pub fn validate(&self) -> Result<Vec<CellId>, RtlError> {
         let drivers = self.driver_map()?;
+        let mut is_input = vec![false; self.nets.len()];
+        for &inp in &self.inputs {
+            is_input[inp.0 as usize] = true;
+        }
         for cell in &self.cells {
             for &inp in &cell.inputs {
-                if !drivers.contains_key(&inp) && !self.inputs.contains(&inp) {
+                if drivers[inp.0 as usize].is_none() && !is_input[inp.0 as usize] {
                     return Err(RtlError::UndrivenNet {
                         net: self.net(inp).name.clone(),
                     });
                 }
             }
         }
-        self.combinational_order()?;
-        Ok(())
+        self.order_with(&drivers)
     }
 
     /// Topological order of the combinational cells (sequential cell outputs
@@ -440,48 +453,60 @@ impl Netlist {
     ///
     /// # Errors
     ///
-    /// Returns [`RtlError::CombinationalLoop`] if a cycle exists.
+    /// Returns [`RtlError::MultipleDrivers`] as [`Netlist::driver_map`] does,
+    /// and [`RtlError::CombinationalLoop`] if a cycle exists.
     pub fn combinational_order(&self) -> Result<Vec<CellId>, RtlError> {
-        let drivers = self.driver_map()?;
-        // in-degree over combinational cells only
-        let mut indeg: Vec<usize> = vec![0; self.cells.len()];
-        let mut consumers: HashMap<CellId, Vec<CellId>> = HashMap::new();
-        for (cid, cell) in self.cells() {
-            if cell.op.is_sequential() {
-                continue;
-            }
-            for &inp in &cell.inputs {
-                if let Some(&src) = drivers.get(&inp) {
-                    if !self.cell(src).op.is_sequential() {
-                        indeg[cid.0 as usize] += 1;
-                        consumers.entry(src).or_default().push(cid);
-                    }
-                }
+        self.order_with(&self.driver_map()?)
+    }
+
+    /// Kahn's algorithm over a CSR consumer table. Each driver's consumers
+    /// sit in cell order, one entry per read (a cell reading a net twice
+    /// appears twice), and the ready list is a LIFO seeded in cell order:
+    /// that push/pop order fixes the returned order.
+    fn order_with(&self, drivers: &[Option<CellId>]) -> Result<Vec<CellId>, RtlError> {
+        let n = self.cells.len();
+        let comb_driver = |net: &NetId| {
+            drivers[net.0 as usize].filter(|&src| !self.cell(src).op.is_sequential())
+        };
+        let comb_cells = || self.cells().filter(|(_, c)| !c.op.is_sequential());
+        let mut indeg = vec![0u32; n];
+        let mut start = vec![0u32; n + 1];
+        for (cid, cell) in comb_cells() {
+            for src in cell.inputs.iter().filter_map(comb_driver) {
+                indeg[cid.0 as usize] += 1;
+                start[src.0 as usize + 1] += 1;
             }
         }
-        let mut queue: Vec<CellId> = self
-            .cells()
-            .filter(|(cid, c)| !c.op.is_sequential() && indeg[cid.0 as usize] == 0)
+        for i in 1..=n {
+            start[i] += start[i - 1];
+        }
+        let mut cursor = start.clone();
+        let mut consumers = vec![CellId(0); start[n] as usize];
+        for (cid, cell) in comb_cells() {
+            for src in cell.inputs.iter().filter_map(comb_driver) {
+                consumers[cursor[src.0 as usize] as usize] = cid;
+                cursor[src.0 as usize] += 1;
+            }
+        }
+        let mut queue: Vec<CellId> = comb_cells()
+            .filter(|(cid, _)| indeg[cid.0 as usize] == 0)
             .map(|(cid, _)| cid)
             .collect();
-        let mut order = Vec::new();
+        let mut order = Vec::with_capacity(n);
         while let Some(cid) = queue.pop() {
             order.push(cid);
-            if let Some(next) = consumers.get(&cid) {
-                for &n in next {
-                    indeg[n.0 as usize] -= 1;
-                    if indeg[n.0 as usize] == 0 {
-                        queue.push(n);
-                    }
+            let c = cid.0 as usize;
+            for &next in &consumers[start[c] as usize..start[c + 1] as usize] {
+                indeg[next.0 as usize] -= 1;
+                if indeg[next.0 as usize] == 0 {
+                    queue.push(next);
                 }
             }
         }
-        let comb_total = self.cells.iter().filter(|c| !c.op.is_sequential()).count();
-        if order.len() != comb_total {
+        if order.len() != comb_cells().count() {
             // find a net on the cycle for the error message
-            let on_cycle = self
-                .cells()
-                .find(|(cid, c)| !c.op.is_sequential() && indeg[cid.0 as usize] > 0)
+            let on_cycle = comb_cells()
+                .find(|(cid, _)| indeg[cid.0 as usize] > 0)
                 .map(|(_, c)| self.net(c.outputs[0]).name.clone())
                 .unwrap_or_default();
             return Err(RtlError::CombinationalLoop { net: on_cycle });
@@ -550,10 +575,9 @@ mod tests {
         let y = nl.add_net("y", 8);
         nl.add_cell("c1", CellOp::Not, &[a], &[y]).unwrap();
         nl.add_cell("c2", CellOp::Not, &[a], &[y]).unwrap();
-        assert!(matches!(
-            nl.validate(),
-            Err(RtlError::MultipleDrivers { .. })
-        ));
+        let err = Err(RtlError::MultipleDrivers { net: "y".into() });
+        assert_eq!(nl.validate(), err);
+        assert_eq!(nl.combinational_order(), err);
     }
 
     #[test]
@@ -562,7 +586,7 @@ mod tests {
         let ghost = nl.add_net("ghost", 8);
         let y = nl.add_net("y", 8);
         nl.add_cell("c", CellOp::Not, &[ghost], &[y]).unwrap();
-        assert!(matches!(nl.validate(), Err(RtlError::UndrivenNet { .. })));
+        assert_eq!(nl.validate(), Err(RtlError::UndrivenNet { net: "ghost".into() }));
     }
 
     #[test]
@@ -572,10 +596,50 @@ mod tests {
         let y = nl.add_net("y", 8);
         nl.add_cell("c1", CellOp::Not, &[x], &[y]).unwrap();
         nl.add_cell("c2", CellOp::Not, &[y], &[x]).unwrap();
-        assert!(matches!(
-            nl.validate(),
-            Err(RtlError::CombinationalLoop { .. })
-        ));
+        // the first cell left on the cycle names its output
+        let err = Err(RtlError::CombinationalLoop { net: "y".into() });
+        assert_eq!(nl.validate(), err);
+        assert_eq!(nl.combinational_order(), err);
+    }
+
+    #[test]
+    fn detects_driven_primary_input() {
+        let mut nl = Netlist::new("t");
+        let a = nl.add_input("a", 8);
+        let b = nl.add_input("b", 8);
+        nl.add_cell("c", CellOp::Not, &[b], &[a]).unwrap();
+        assert_eq!(nl.validate(), Err(RtlError::MultipleDrivers { net: "a".into() }));
+    }
+
+    #[test]
+    fn error_precedence_is_drivers_then_undriven_then_loop() {
+        // an undriven read, a combinational loop, a driven input (cell 0)
+        // and a net driven twice (cells 1 and 2): every cell output is
+        // checked before any input, so `y` is named, not `a`
+        let mut nl = Netlist::new("t");
+        let a = nl.add_input("a", 8);
+        let ghost = nl.add_net("ghost", 8);
+        let (x, y, z) = (nl.add_net("x", 8), nl.add_net("y", 8), nl.add_net("z", 8));
+        nl.add_cell("drive_a", CellOp::Not, &[ghost], &[a]).unwrap();
+        nl.add_cell("y1", CellOp::Not, &[x], &[y]).unwrap();
+        nl.add_cell("y2", CellOp::Not, &[x], &[y]).unwrap();
+        nl.add_cell("loop", CellOp::Not, &[y], &[x]).unwrap();
+        nl.add_cell("z", CellOp::Not, &[z], &[z]).unwrap();
+        assert_eq!(nl.validate(), Err(RtlError::MultipleDrivers { net: "y".into() }));
+
+        // both driver faults fixed: the undriven read comes before the loops
+        let mut nl = Netlist::new("t");
+        let ghost = nl.add_net("ghost", 8);
+        let (x, y, u) = (nl.add_net("x", 8), nl.add_net("y", 8), nl.add_net("u", 8));
+        nl.add_cell("loop1", CellOp::Not, &[x], &[y]).unwrap();
+        nl.add_cell("loop2", CellOp::Not, &[y], &[x]).unwrap();
+        nl.add_cell("float", CellOp::Not, &[ghost], &[u]).unwrap();
+        assert_eq!(nl.validate(), Err(RtlError::UndrivenNet { net: "ghost".into() }));
+        assert_eq!(
+            nl.combinational_order(),
+            Err(RtlError::CombinationalLoop { net: "y".into() }),
+            "the order alone does not check undriven reads"
+        );
     }
 
     #[test]

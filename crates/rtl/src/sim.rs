@@ -246,7 +246,8 @@ impl Trace {
 }
 
 impl<'n> Simulator<'n> {
-    /// Build a simulator after validating the netlist.
+    /// Build a simulator after validating the netlist; the one validation
+    /// pass also yields the settle order.
     ///
     /// All registers start at 0 and RAMs at their declared init contents.
     ///
@@ -254,8 +255,7 @@ impl<'n> Simulator<'n> {
     ///
     /// Propagates any structural error from [`Netlist::validate`].
     pub fn new(netlist: &'n Netlist) -> Result<Self, RtlError> {
-        netlist.validate()?;
-        let order = netlist.combinational_order()?;
+        let order = netlist.validate()?;
         let mut reg_state = Vec::new();
         let mut ram_state: Vec<Vec<u64>> = Vec::new();
         let mut seq_slot = vec![u32::MAX; netlist.cell_count()];

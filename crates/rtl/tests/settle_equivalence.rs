@@ -405,6 +405,31 @@ fn event_driven_settle_equals_full_settle() {
     }
 }
 
+/// The dense-id Kahn pass in `Netlist` returns the hash-map oracle's
+/// order, cell for cell, on every generator profile's netlists and on
+/// three side-by-side copies of each.
+#[test]
+fn combinational_order_matches_the_hash_map_oracle() {
+    let mut rng = DetRng::new(0x0D3E_0C5A);
+    for (pname, profile) in [
+        ("baseline", BASELINE),
+        ("ram_heavy", RAM_HEAVY),
+        ("wide_bus", WIDE_BUS),
+        ("bit_heavy", BIT_HEAVY),
+        ("reg_heavy", REG_HEAVY),
+        ("alias_heavy", ALIAS_HEAVY),
+    ] {
+        for case in 0..8u64 {
+            let nl = random_netlist_with(&mut rng, profile);
+            for (tag, nl) in [("", nl.clone()), (" tiled(3)", nl.tiled(3))] {
+                let want = reference::combinational_order(&nl).expect("acyclic");
+                assert_eq!(nl.combinational_order().unwrap(), want, "{pname} case {case}{tag}");
+                assert_eq!(nl.validate().unwrap(), want, "{pname} case {case}{tag}");
+            }
+        }
+    }
+}
+
 /// The reference check across generator profiles: RAM-heavy, wide-bus,
 /// 1-bit-heavy, register-heavy and alias-heavy netlists through frequent
 /// mid-run resets.

@@ -6,12 +6,86 @@
 //! shared with `hermes_rtl::sim`: no compiled program, no fanout index,
 //! and its own width, sign and comparison arithmetic. A bug
 //! in the production settle program therefore cannot agree with itself
-//! here. Included by path from the tests that run the production
-//! `Simulator` in lockstep against it.
+//! here. Its topological order comes from its own hash-map Kahn pass,
+//! [`combinational_order`] below, which the production order is also
+//! checked against. Included by path from
+//! the tests that run the production `Simulator` in lockstep against it.
 
 use hermes_rtl::component::Comparison;
 use hermes_rtl::netlist::{CellId, CellOp, NetId, Netlist};
+use hermes_rtl::RtlError;
 use std::collections::HashMap;
+
+/// Map from each net to the cell driving it: the hash-map driver table.
+fn driver_map(netlist: &Netlist) -> Result<HashMap<NetId, CellId>, RtlError> {
+    let mut drivers = HashMap::new();
+    for (cid, cell) in netlist.cells() {
+        for &out in &cell.outputs {
+            if drivers.insert(out, cid).is_some() {
+                return Err(RtlError::MultipleDrivers {
+                    net: netlist.net(out).name.clone(),
+                });
+            }
+        }
+    }
+    for &inp in netlist.inputs() {
+        if drivers.contains_key(&inp) {
+            return Err(RtlError::MultipleDrivers {
+                net: netlist.net(inp).name.clone(),
+            });
+        }
+    }
+    Ok(drivers)
+}
+
+/// Topological order of the combinational cells, by Kahn's algorithm over
+/// hash-map consumer lists with a LIFO ready list seeded in cell order.
+/// `Netlist::combinational_order` must return exactly this order.
+pub fn combinational_order(netlist: &Netlist) -> Result<Vec<CellId>, RtlError> {
+    let drivers = driver_map(netlist)?;
+    let mut indeg: Vec<usize> = vec![0; netlist.cell_count()];
+    let mut consumers: HashMap<CellId, Vec<CellId>> = HashMap::new();
+    for (cid, cell) in netlist.cells() {
+        if cell.op.is_sequential() {
+            continue;
+        }
+        for &inp in &cell.inputs {
+            if let Some(&src) = drivers.get(&inp) {
+                if !netlist.cell(src).op.is_sequential() {
+                    indeg[cid.0 as usize] += 1;
+                    consumers.entry(src).or_default().push(cid);
+                }
+            }
+        }
+    }
+    let mut queue: Vec<CellId> = netlist
+        .cells()
+        .filter(|(cid, c)| !c.op.is_sequential() && indeg[cid.0 as usize] == 0)
+        .map(|(cid, _)| cid)
+        .collect();
+    let mut order = Vec::new();
+    while let Some(cid) = queue.pop() {
+        order.push(cid);
+        if let Some(next) = consumers.get(&cid) {
+            for &n in next {
+                indeg[n.0 as usize] -= 1;
+                if indeg[n.0 as usize] == 0 {
+                    queue.push(n);
+                }
+            }
+        }
+    }
+    let comb_total = netlist.cells().filter(|(_, c)| !c.op.is_sequential()).count();
+    if order.len() != comb_total {
+        let on_cycle = netlist
+            .cells()
+            .find(|(cid, c)| !c.op.is_sequential() && indeg[cid.0 as usize] > 0)
+            .map(|(_, c)| netlist.net(c.outputs[0]).name.clone())
+            .unwrap_or_default();
+        return Err(RtlError::CombinationalLoop { net: on_cycle });
+    }
+    Ok(order)
+}
 
 /// The low `width` bits of `v`.
 fn low_bits(v: u64, width: u32) -> u64 {
@@ -64,7 +138,7 @@ pub struct ReferenceSimulator<'n> {
 impl<'n> ReferenceSimulator<'n> {
     /// Build and settle: registers at 0, RAMs at their init contents.
     pub fn new(netlist: &'n Netlist) -> Self {
-        let order = netlist.combinational_order().expect("acyclic netlist");
+        let order = combinational_order(netlist).expect("acyclic netlist");
         let mut reg_state = HashMap::new();
         let mut ram_state = HashMap::new();
         for (cid, cell) in netlist.cells() {
