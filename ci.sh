@@ -5,6 +5,9 @@ cd "$(dirname "$0")"
 
 cargo build --release --workspace
 cargo test -q --workspace
+# No test may depend on test order or on state another test left in the
+# process: the whole suite passes one test at a time as well.
+cargo test -q --workspace -- --test-threads=1
 cargo clippy --workspace --all-targets -- -D warnings
 
 # Identity gates under the optimizer: the NXmap-flow and fleet digests

@@ -142,3 +142,27 @@ pub fn suite() -> Vec<Kernel> {
         },
     ]
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hermes_eucalyptus::{Eucalyptus, SweepConfig};
+    use hermes_fpga::device::DeviceProfile;
+
+    /// Handing a flow a fresh NG-MEDIUM-like sweep (the Eucalyptus-to-HLS
+    /// hand-off) compiles a suite kernel exactly as `HlsFlow::new()` does
+    /// with the library it characterizes on its first compile.
+    #[test]
+    fn explicit_default_library_compiles_as_the_default_flow() {
+        let sweep = SweepConfig { widths: vec![8, 16, 32, 64], pipeline_stages: vec![0] };
+        let lib = Eucalyptus::new(DeviceProfile::ng_medium_like())
+            .characterize(&sweep)
+            .expect("default sweep");
+        let fir = suite().into_iter().find(|k| k.name == "fir").expect("fir in suite");
+        let compile = |flow: &HlsFlow| {
+            let d = flow.compile(fir.source).expect("fir compiles");
+            (d.report(), d.emit_verilog())
+        };
+        assert_eq!(compile(&HlsFlow::new().library(lib)), compile(&HlsFlow::new()));
+    }
+}

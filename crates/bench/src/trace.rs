@@ -74,12 +74,23 @@ pub fn trace_document(rec: &Recorder) -> Json {
             ])
         })
         .collect();
-    let warnings = hermes_obs::warnings::snapshot()
-        .into_iter()
-        .map(|(key, message)| {
+    // one warning per subsystem whose ring overflowed, so a clipped trace
+    // is never mistaken for a complete one
+    let warnings = snap
+        .subsystems
+        .iter()
+        .filter(|sub| sub.dropped > 0)
+        .map(|sub| {
             Json::obj(vec![
-                ("key", Json::Str(key)),
-                ("message", Json::Str(message)),
+                ("key", Json::Str(format!("obs-ring-drop:{}", sub.name))),
+                (
+                    "message",
+                    Json::Str(format!(
+                        "subsystem {:?} event ring overflowed; its {} oldest events \
+                         were dropped (trace truncated)",
+                        sub.name, sub.dropped
+                    )),
+                ),
             ])
         })
         .collect();
@@ -259,6 +270,28 @@ mod tests {
         assert!(doc.contains("\"span_id\""));
         assert!(doc.contains("\"parent_span\""));
         assert!(doc.contains("\"dropped_events\": 0"));
+    }
+
+    /// Warnings come from the recorder the document renders: a ring that
+    /// overflowed in another recorder does not leak into this document.
+    #[test]
+    fn warnings_name_only_this_recorders_ring_drops() {
+        let quiet = Recorder::new();
+        quiet.instant("hls", "a", ClockDomain::Seq, 0, &[]);
+        let full = Recorder::new().with_capacity(2);
+        for ts in 0..3 {
+            full.instant("fpga", "x", ClockDomain::Seq, ts, &[]);
+            full.instant("axi", "y", ClockDomain::Seq, ts, &[]);
+        }
+        full.instant("hls", "z", ClockDomain::Seq, 0, &[]);
+        assert!(trace_document(&quiet).render().contains("\"warnings\": []"));
+        let doc = trace_document(&full).render();
+        let keys: Vec<&str> = doc.lines().filter(|l| l.contains("\"key\"")).map(str::trim).collect();
+        assert_eq!(
+            keys,
+            ["\"key\": \"obs-ring-drop:fpga\",", "\"key\": \"obs-ring-drop:axi\","]
+        );
+        assert!(doc.contains("\"dropped_events\": 2,"));
     }
 
     #[test]

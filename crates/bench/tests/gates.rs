@@ -5,6 +5,8 @@
 //! asserted live in their experiment's `run()`.
 
 use hermes_bench::json::Json;
+use std::fs;
+use std::path::Path;
 
 const BASELINE: &str = include_str!("../../../BENCH_hermes.json");
 
@@ -45,6 +47,36 @@ fn row<'a>(rows: &'a [Json], key: &str, want: Json) -> &'a Json {
 #[test]
 fn baseline_is_writer_output() {
     assert_eq!(Json::parse(BASELINE).map(|doc| doc.render()).as_deref(), Ok(BASELINE));
+}
+
+/// Every committed table is one an experiment still emits: its id
+/// appears as a `.with("<id>"` literal under `crates/bench/src`, so a
+/// table whose experiment stopped writing it cannot linger as stale data.
+#[test]
+fn every_committed_table_is_emitted() {
+    fn sources(dir: &Path, text: &mut String) {
+        for entry in fs::read_dir(dir).expect("readable directory") {
+            let path = entry.expect("directory entry").path();
+            if path.is_dir() {
+                sources(&path, text);
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                text.push_str(&fs::read_to_string(&path).expect("readable source"));
+            }
+        }
+    }
+    let mut text = String::new();
+    sources(&Path::new(env!("CARGO_MANIFEST_DIR")).join("src"), &mut text);
+    let doc = Json::parse(BASELINE).expect("BENCH_hermes.json parses");
+    let stale: Vec<String> = items(at(&doc, "experiments"))
+        .iter()
+        .flat_map(|e| items(at(e, "tables")))
+        .map(|t| match at(t, "id") {
+            Json::Str(id) => id.clone(),
+            other => panic!("table id not a string: {other:?}"),
+        })
+        .filter(|id| !text.contains(&format!(".with(\"{id}\"")))
+        .collect();
+    assert!(stale.is_empty(), "committed tables no experiment emits: {stale:?}");
 }
 
 /// Sampled tracing (16‰) adds < 5% over the untraced recorder: how

@@ -11,11 +11,15 @@
 //!   allow-listed file (the Eucalyptus sweep and four experiments), and
 //!   the RTL, serve and FPGA-flow crates do not depend on `hermes-par`
 //!   at all.
-//! * The timer wheel is the only event queue: no engine carries a knob
-//!   that selects another scheduler, and the sorted reference queue
-//!   lives only in the wheel's own tests, as their oracle.
+//! * No engine has an event queue: each layer wakes at the minimum of
+//!   the due ticks it computes from live state, and no library code
+//!   names a queue, a scheduler knob or the deleted timer wheel.
 //! * The RTL simulator has one settle engine: no knob selects packing or
 //!   full settling, and the reference interpreter lives in test support.
+//! * Library code holds no process-global mutable store (a mutable,
+//!   lazily set or atomic `static`, or a `thread_local!`) outside its
+//!   tests, so no result depends on what ran earlier in the process. One
+//!   pinned entry is left.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -238,6 +242,61 @@ fn one_settle_engine() {
     assert!(
         hits.is_empty(),
         "a second settle engine in library code:\n{}",
+        hits.join("\n")
+    );
+}
+
+/// The process-global stores left in library code: `(file, name)`. The
+/// worker-count override stays while the benchmark under `perfbench/`
+/// pins its worker count through `hermes_par::set_jobs_override`.
+const PINNED_GLOBALS: [(&str, &str); 1] = [("crates/par/src/lib.rs", "JOBS_OVERRIDE")];
+
+/// Types whose `static` is a process-wide mutable store.
+const GLOBAL_STORES: [&str; 4] = ["OnceLock", "Mutex", "RwLock", "Atomic"];
+
+/// The name of the process-global store `code` declares, if it declares
+/// one: `static mut X`, or `static X: T` with `T` a lock, a `OnceLock` or
+/// an atomic.
+fn declared_global(code: &str) -> Option<&str> {
+    // the keyword, not the tail of a `&'static` lifetime
+    let at = code
+        .match_indices("static ")
+        .map(|(i, _)| i)
+        .find(|&i| i == 0 || code[..i].ends_with(' '))?;
+    let rest = code[at + "static ".len()..].trim_start();
+    let (mutable, rest) = match rest.strip_prefix("mut ") {
+        Some(after) => (true, after.trim_start()),
+        None => (false, rest),
+    };
+    let (name, ty) = rest.split_once(':')?;
+    let store = GLOBAL_STORES.iter().any(|t| ty.trim_start().starts_with(t));
+    (mutable || store).then(|| name.trim())
+}
+
+#[test]
+fn library_code_holds_no_process_globals() {
+    let mut hits = Vec::new();
+    for (rel, text) in library_sources() {
+        for (i, line) in text.lines().enumerate() {
+            let code = line.trim_start();
+            if code.starts_with("#[cfg(test)]") {
+                break;
+            }
+            if code.starts_with("//") {
+                continue;
+            }
+            let global = match declared_global(code) {
+                Some(name) => !PINNED_GLOBALS.contains(&(rel.as_str(), name)),
+                None => code.contains("thread_local!"),
+            };
+            if global {
+                hits.push(format!("{rel}:{}: {code}", i + 1));
+            }
+        }
+    }
+    assert!(
+        hits.is_empty(),
+        "process-global mutable state in library code:\n{}",
         hits.join("\n")
     );
 }

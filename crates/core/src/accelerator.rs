@@ -62,7 +62,6 @@ impl AcceleratorArtifact {
 #[derive(Debug, Clone)]
 pub struct AcceleratorFlow {
     hls: HlsFlow,
-    device: DeviceProfile,
     fpga_options: FlowOptions,
 }
 
@@ -78,7 +77,6 @@ impl AcceleratorFlow {
     pub fn new() -> Self {
         AcceleratorFlow {
             hls: HlsFlow::new(),
-            device: DeviceProfile::ng_medium_like(),
             fpga_options: FlowOptions {
                 effort: Effort::Zero,
                 ..FlowOptions::default()
@@ -93,20 +91,8 @@ impl AcceleratorFlow {
         self
     }
 
-    /// Target a different device.
-    pub fn device(mut self, device: DeviceProfile) -> Self {
-        self.hls = self.hls.device(device.clone());
-        self.device = device;
-        self
-    }
-
-    /// Customize the HLS front half.
-    pub fn hls(mut self, hls: HlsFlow) -> Self {
-        self.hls = hls;
-        self
-    }
-
-    /// Run the full flow on C-subset source.
+    /// Run the full flow on C-subset source, implemented on the
+    /// NG-MEDIUM-like device the default HLS library characterizes.
     ///
     /// # Errors
     ///
@@ -116,7 +102,7 @@ impl AcceleratorFlow {
         let mut options = self.fpga_options.clone();
         options.multicycle = design.multicycle_hints();
         let (flow_report, artifacts) =
-            NxFlow::new(self.device.clone(), options).run_with_artifacts(design.netlist())?;
+            NxFlow::new(DeviceProfile::ng_medium_like(), options).run_with_artifacts(design.netlist())?;
         Ok(AcceleratorArtifact {
             verilog: design.emit_verilog(),
             vhdl: design.emit_vhdl(),

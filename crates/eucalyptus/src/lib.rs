@@ -32,12 +32,10 @@
 //! # }
 //! ```
 
-pub mod cache;
 pub mod library;
 pub mod sweep;
 pub mod templates;
 
-pub use cache::characterize_shared;
 pub use library::{CharEntry, CharacterizationLibrary};
 pub use sweep::{Eucalyptus, SweepConfig};
 

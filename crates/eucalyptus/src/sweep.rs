@@ -66,11 +66,6 @@ impl Eucalyptus {
         self
     }
 
-    /// The target device.
-    pub fn device(&self) -> &DeviceProfile {
-        &self.device
-    }
-
     /// Run the sweep and produce a library, characterizing the independent
     /// kind × width units in parallel across the default worker count.
     ///
@@ -79,22 +74,6 @@ impl Eucalyptus {
     /// Propagates template-construction and synthesis failures.
     pub fn characterize(&self, sweep: &SweepConfig) -> Result<CharacterizationLibrary, CharError> {
         self.characterize_jobs(sweep, hermes_par::jobs())
-    }
-
-    /// [`Self::characterize`] through the process-wide shared cache: the
-    /// first call for a given (device, sweep, kinds) key runs the sweep,
-    /// every later call — including from other threads — shares the same
-    /// [`std::sync::Arc`]'d library. See [`crate::cache`] for the key
-    /// derivation and the bypass knob.
-    ///
-    /// # Errors
-    ///
-    /// Propagates sweep failures (which are never cached).
-    pub fn characterize_cached(
-        &self,
-        sweep: &SweepConfig,
-    ) -> Result<std::sync::Arc<CharacterizationLibrary>, CharError> {
-        crate::cache::characterize_shared(self, sweep)
     }
 
     /// [`Self::characterize`] with an explicit worker count.

@@ -13,7 +13,7 @@
 
 use hermes_rtl::rng::DetRng;
 use hermes_serve::request::Request;
-use hermes_serve::workload::ClassProfile;
+use hermes_serve::workload::{self, ClassProfile};
 
 /// Heavy-tailed fleet workload shape.
 #[derive(Debug, Clone)]
@@ -59,7 +59,6 @@ impl Default for FleetWorkloadConfig {
 /// tick; ids are `first_id..first_id + requests`).
 pub fn generate(seed: u64, cfg: &FleetWorkloadConfig) -> Vec<Request> {
     let mut rng = DetRng::new(seed ^ 0xf1ee_7f1e_e7f1_ee7f);
-    let total_weight: u64 = cfg.classes.iter().map(|c| c.weight.max(1)).sum();
     let scale = cfg.gap_scale_x256.max(1);
     let cap = cfg.gap_cap_x256.max(scale);
     let mut acc_x256: u64 = cfg.start * 256;
@@ -69,35 +68,14 @@ pub fn generate(seed: u64, cfg: &FleetWorkloadConfig) -> Vec<Request> {
         let u = rng.below(65536) + 1;
         acc_x256 += (scale * 65536 / u).min(cap);
         let arrival = acc_x256 >> 8;
-        // weighted class pick, then signed deadline jitter — the same
-        // shapes (and draw discipline) as the single-node workload
-        let mut pick = rng.below(total_weight);
-        let mut class = 0u8;
-        for (c, p) in cfg.classes.iter().enumerate() {
-            let w = p.weight.max(1);
-            if pick < w {
-                class = c as u8;
-                break;
-            }
-            pick -= w;
-        }
-        let profile = &cfg.classes[class as usize];
-        let jitter = if profile.deadline_jitter == 0 {
-            0
-        } else {
-            rng.below(2 * profile.deadline_jitter + 1) as i64 - profile.deadline_jitter as i64
-        };
-        let budget = profile.deadline_budget.saturating_add_signed(jitter).max(1);
-        let tenant = rng.below(u64::from(cfg.tenants.max(1))) as u16;
-        let input: Vec<i64> = (0..cfg.payload_words).map(|_| rng.range_i64(-1000, 1000)).collect();
-        out.push(Request {
-            id: cfg.first_id + i as u64,
-            tenant,
-            class,
+        out.push(workload::draw_request(
+            &mut rng,
+            cfg.first_id + i as u64,
             arrival,
-            deadline: arrival + budget,
-            input,
-        });
+            &cfg.classes,
+            cfg.tenants,
+            cfg.payload_words,
+        ));
     }
     out
 }

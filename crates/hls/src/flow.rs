@@ -1,9 +1,12 @@
 //! The top-level HLS flow: source text in, complete [`Design`] out.
 //!
 //! [`HlsFlow`] is a builder mirroring the Bambu command line: clock
-//! constraint, target device, resource allocation, loop-unroll limit,
-//! external-memory latency estimates, and top-function selection. The
-//! scheduler always chains operators within the clock period.
+//! constraint, resource allocation, loop-unroll limit, external-memory
+//! latency estimates, top-function selection, and the characterization
+//! library. The library is the target device as HLS sees it: retarget by
+//! handing over `Eucalyptus::new(device).characterize(..)`, the paper's
+//! Eucalyptus-to-Bambu hand-off. The scheduler always chains operators
+//! within the clock period.
 
 use crate::allocate::Allocation;
 use crate::bind::{bind, Binding};
@@ -22,15 +25,13 @@ use crate::HlsError;
 use hermes_eucalyptus::{CharacterizationLibrary, Eucalyptus, SweepConfig};
 use hermes_fpga::device::DeviceProfile;
 use hermes_obs::{ClockDomain, Recorder, WallMark};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-/// Obtain the characterization library for a device through the shared
-/// process-wide cache in `hermes-eucalyptus` (keyed on the full device
-/// fingerprint, not just the name): a suite of kernel flows — serial or
-/// fanned out over `hermes-par` — characterizes each device exactly once.
-fn library_for(device: &DeviceProfile) -> Arc<CharacterizationLibrary> {
-    Eucalyptus::new(device.clone())
-        .characterize_cached(&SweepConfig {
+/// The default characterization library: the NG-MEDIUM-like device swept
+/// over 8/16/32/64-bit widths, combinational only.
+fn library_for() -> CharacterizationLibrary {
+    Eucalyptus::new(DeviceProfile::ng_medium_like())
+        .characterize(&SweepConfig {
             widths: vec![8, 16, 32, 64],
             pipeline_stages: vec![0],
         })
@@ -38,16 +39,19 @@ fn library_for(device: &DeviceProfile) -> Arc<CharacterizationLibrary> {
 }
 
 /// The HLS flow builder.
+///
+/// The characterization library is filled on the first compile when
+/// [`HlsFlow::library`] did not set one, so every compile through one flow
+/// (and every clone taken after its first compile) shares a single sweep.
 #[derive(Debug, Clone)]
 pub struct HlsFlow {
     clock_ns: f64,
-    device: DeviceProfile,
     allocation: Allocation,
     unroll_limit: u32,
     ext_read_latency: u32,
     ext_write_latency: u32,
     top: Option<String>,
-    library: Option<Arc<CharacterizationLibrary>>,
+    library: OnceLock<Arc<CharacterizationLibrary>>,
 }
 
 impl Default for HlsFlow {
@@ -57,30 +61,23 @@ impl Default for HlsFlow {
 }
 
 impl HlsFlow {
-    /// A flow with default options: 10 ns clock, NG-MEDIUM-like device,
-    /// default allocation, 64-iteration unroll limit.
+    /// A flow with default options: 10 ns clock, default allocation,
+    /// 64-iteration unroll limit, NG-MEDIUM-like characterization.
     pub fn new() -> Self {
         HlsFlow {
             clock_ns: 10.0,
-            device: DeviceProfile::ng_medium_like(),
             allocation: Allocation::default(),
             unroll_limit: 64,
             ext_read_latency: 14,
             ext_write_latency: 8,
             top: None,
-            library: None,
+            library: OnceLock::new(),
         }
     }
 
     /// Set the clock constraint in nanoseconds.
     pub fn clock_ns(mut self, ns: f64) -> Self {
         self.clock_ns = ns;
-        self
-    }
-
-    /// Set the target device (changes the characterization library).
-    pub fn device(mut self, device: DeviceProfile) -> Self {
-        self.device = device;
         self
     }
 
@@ -109,10 +106,10 @@ impl HlsFlow {
         self
     }
 
-    /// Use an explicit characterization library instead of the built-in
-    /// sweep for the device.
+    /// Use an explicit characterization library (the target device's)
+    /// instead of the default NG-MEDIUM-like sweep.
     pub fn library(mut self, lib: CharacterizationLibrary) -> Self {
-        self.library = Some(Arc::new(lib));
+        self.library = OnceLock::from(Arc::new(lib));
         self
     }
 
@@ -191,10 +188,7 @@ impl HlsFlow {
             m,
         );
 
-        let lib = self
-            .library
-            .clone()
-            .unwrap_or_else(|| library_for(&self.device));
+        let lib = Arc::clone(self.library.get_or_init(|| Arc::new(library_for())));
         let sched_opts = ScheduleOptions {
             clock_ns: self.clock_ns,
             chaining: true,
@@ -555,6 +549,20 @@ mod tests {
             fast.fsm.state_count(),
             slow.fsm.state_count()
         );
+    }
+
+    /// One flow runs one sweep: a clone taken after the first compile
+    /// holds the same library, and an explicit library is held as given.
+    #[test]
+    fn clone_after_first_compile_shares_the_library() {
+        let flow = HlsFlow::new();
+        assert!(flow.library.get().is_none(), "no sweep before the first compile");
+        flow.compile("int f(int a) { return a + 1; }").unwrap();
+        let clone = flow.clone().clock_ns(5.0);
+        let (a, b) = (flow.library.get().unwrap(), clone.library.get().unwrap());
+        assert!(Arc::ptr_eq(a, b), "the clone shares the first compile's sweep");
+        let given = HlsFlow::new().library(CharacterizationLibrary::default());
+        assert!(given.library.get().is_some_and(|lib| lib.is_empty()));
     }
 
     #[test]

@@ -35,7 +35,6 @@
 pub mod hash;
 pub mod profile;
 pub mod slo;
-pub mod warnings;
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
@@ -619,17 +618,6 @@ impl Recorder {
         if buf.events.len() >= cap {
             buf.events.pop_front();
             buf.dropped += 1;
-            if buf.dropped == 1 {
-                // surface truncation exactly once per subsystem so a
-                // clipped trace is never mistaken for a complete one
-                warnings::warn_once(
-                    &format!("obs-ring-drop:{sub}"),
-                    &format!(
-                        "subsystem {sub:?} event ring reached capacity {cap}; \
-                         oldest events are being dropped (trace truncated)"
-                    ),
-                );
-            }
         }
         buf.events.push_back(ev);
         span_id
@@ -1239,20 +1227,19 @@ mod tests {
     }
 
     #[test]
-    fn ring_drop_is_warned_once_and_surfaced_in_snapshot() {
+    fn ring_drop_is_counted_per_subsystem_in_snapshot() {
         let r = Recorder::new().with_capacity(2);
         r.instant("droppy-sub", "a", ClockDomain::Seq, 0, &[]);
         r.instant("droppy-sub", "b", ClockDomain::Seq, 1, &[]);
-        assert!(!warnings::snapshot().iter().any(|(k, _)| k.contains("droppy-sub")));
+        r.instant("quiet-sub", "a", ClockDomain::Seq, 0, &[]);
+        assert_eq!(r.snapshot().dropped_total(), 0);
         r.instant("droppy-sub", "c", ClockDomain::Seq, 2, &[]);
         r.instant("droppy-sub", "d", ClockDomain::Seq, 3, &[]);
-        let hits: Vec<_> = warnings::snapshot()
-            .into_iter()
-            .filter(|(k, _)| k == "obs-ring-drop:droppy-sub")
-            .collect();
-        assert_eq!(hits.len(), 1, "exactly one warning per subsystem");
-        assert!(hits[0].1.contains("truncated"));
-        assert_eq!(r.snapshot().dropped_total(), 2);
+        let snap = r.snapshot();
+        let dropped: Vec<(&str, u64)> =
+            snap.subsystems.iter().map(|s| (s.name.as_str(), s.dropped)).collect();
+        assert_eq!(dropped, [("droppy-sub", 2), ("quiet-sub", 0)]);
+        assert_eq!(snap.dropped_total(), 2);
     }
 
     #[test]

@@ -80,43 +80,64 @@ impl WorkloadConfig {
 /// from a single seeded stream.
 pub fn generate(seed: u64, cfg: &WorkloadConfig) -> Vec<Request> {
     let mut rng = DetRng::new(seed ^ 0x5e7e_c10c_5e7e_c10c);
-    let total_weight: u64 = cfg.classes.iter().map(|c| c.weight.max(1)).sum();
     let mut t: Tick = 0;
     let mut out = Vec::with_capacity(cfg.requests);
     for id in 0..cfg.requests as u64 {
         t += rng.below(2 * cfg.mean_interarrival + 1);
-        // weighted class pick
-        let mut pick = rng.below(total_weight.max(1));
-        let mut class = 0u8;
-        for (i, c) in cfg.classes.iter().enumerate() {
-            let w = c.weight.max(1);
-            if pick < w {
-                class = i as u8;
-                break;
-            }
-            pick -= w;
-        }
-        let profile = &cfg.classes[class as usize];
-        let jitter = if profile.deadline_jitter == 0 {
-            0
-        } else {
-            rng.below(2 * profile.deadline_jitter + 1) as i64 - profile.deadline_jitter as i64
-        };
-        let budget = profile.deadline_budget.saturating_add_signed(jitter).max(1);
-        let tenant = rng.below(u64::from(cfg.tenants.max(1))) as u16;
-        let input = (0..cfg.payload_words)
-            .map(|_| rng.range_i64(-1000, 1000))
-            .collect();
-        out.push(Request {
+        out.push(draw_request(
+            &mut rng,
             id,
-            tenant,
-            class,
-            arrival: t,
-            deadline: t + budget,
-            input,
-        });
+            t,
+            &cfg.classes,
+            cfg.tenants,
+            cfg.payload_words,
+        ));
     }
     out
+}
+
+/// The per-request draws every arrival generator shares, taken from
+/// `rng` after the generator has drawn the arrival tick: a weighted
+/// class pick, a signed deadline jitter, a uniform tenant, then
+/// `payload_words` payload words. `classes` must not be empty.
+pub fn draw_request(
+    rng: &mut DetRng,
+    id: u64,
+    arrival: Tick,
+    classes: &[ClassProfile],
+    tenants: u16,
+    payload_words: usize,
+) -> Request {
+    let total_weight: u64 = classes.iter().map(|c| c.weight.max(1)).sum();
+    let mut pick = rng.below(total_weight.max(1));
+    let mut class = 0u8;
+    for (i, c) in classes.iter().enumerate() {
+        let w = c.weight.max(1);
+        if pick < w {
+            class = i as u8;
+            break;
+        }
+        pick -= w;
+    }
+    let profile = &classes[class as usize];
+    let jitter = if profile.deadline_jitter == 0 {
+        0
+    } else {
+        rng.below(2 * profile.deadline_jitter + 1) as i64 - profile.deadline_jitter as i64
+    };
+    let budget = profile.deadline_budget.saturating_add_signed(jitter).max(1);
+    let tenant = rng.below(u64::from(tenants.max(1))) as u16;
+    let input = (0..payload_words)
+        .map(|_| rng.range_i64(-1000, 1000))
+        .collect();
+    Request {
+        id,
+        tenant,
+        class,
+        arrival,
+        deadline: arrival + budget,
+        input,
+    }
 }
 
 #[cfg(test)]

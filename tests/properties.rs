@@ -160,6 +160,7 @@ fn loadlist_roundtrip_and_integrity() {
 fn hls_netlist_reference_agree() {
     type Ref3 = fn(i64, i64, i64) -> i64;
     let mut rng = DetRng::new(0xC2C8);
+    let flow = HlsFlow::new();
     for case in 0..12usize {
         let a = rng.range_i64(-1000, 1000);
         let b = rng.range_i64(-1000, 1000);
@@ -173,7 +174,7 @@ fn hls_netlist_reference_agree() {
             _ => ("^", |a, b, c| a ^ b ^ c),
         };
         let src = format!("int f(int a, int b) {{ return (a {op} b) {op} {c1}; }}");
-        let design = HlsFlow::new().compile(&src).expect("compiles");
+        let design = flow.compile(&src).expect("compiles");
         let sim = design.simulate(&[a, b]).expect("simulates");
         let want = reference(a, b, c1);
         assert_eq!(sim.return_value, Some(want), "co-sim for {src}");
@@ -200,17 +201,20 @@ fn hls_netlist_reference_agree() {
 #[test]
 fn allocation_monotonicity() {
     use hermes::hls::allocate::Allocation;
+    let src = "int f(int a, int b) {
+        return a * b + (a - b) * (a + b) + a * 3 + b * 5; }";
+    let flow = HlsFlow::new();
+    let fast = flow.compile(src).expect("compiles");
+    // a clone taken after the first compile shares its library
+    let slow = flow
+        .clone()
+        .allocation(Allocation::minimal())
+        .compile(src)
+        .expect("compiles");
     let mut rng = DetRng::new(0xC2C9);
     for _ in 0..12 {
         let x = rng.range_i64(0, 500);
         let y = rng.range_i64(1, 500);
-        let src = "int f(int a, int b) {
-            return a * b + (a - b) * (a + b) + a * 3 + b * 5; }";
-        let fast = HlsFlow::new().compile(src).expect("compiles");
-        let slow = HlsFlow::new()
-            .allocation(Allocation::minimal())
-            .compile(src)
-            .expect("compiles");
         let rf = fast.simulate(&[x, y]).expect("fast sim");
         let rs = slow.simulate(&[x, y]).expect("slow sim");
         assert_eq!(rf.return_value, rs.return_value);
