@@ -39,11 +39,13 @@ const REQUESTS: usize = 400;
 /// Workload seed (arrivals, tenants, payloads).
 pub(crate) const SEED: u64 = 14;
 
-/// Build the measured MLP accelerator model: per-item cycles from one
-/// cycle-accurate co-simulation, DMA cycles from one AXI round trip.
-pub(crate) fn mlp_model() -> AcceleratorModel {
-    let design = HlsFlow::new()
-        .unroll_limit(0)
+/// Build the measured MLP accelerator model through `flow` (E14's flow
+/// has unrolling off): per-item cycles from one cycle-accurate
+/// co-simulation, DMA cycles from one AXI round trip. A caller that
+/// compiles more kernels passes the same flow, so they share its
+/// characterization sweep.
+pub(crate) fn mlp_model(flow: &HlsFlow) -> AcceleratorModel {
+    let design = flow
         .compile(ai::MLP_SOURCE)
         .expect("MLP kernel compiles");
     let (w1, b1, w2, b2) = ai::synth_weights(INPUTS, HIDDEN, OUTPUTS, 17);
@@ -131,7 +133,7 @@ fn run_point(
 /// Run E14 with a flight recorder (serve metrics under `serve`). The
 /// serve engine evaluates batches inline, so `jobs` is unused.
 pub fn run(_jobs: usize, obs: &hermes_obs::Recorder) -> ExperimentOutput {
-    let model = mlp_model();
+    let model = mlp_model(&HlsFlow::new().unroll_limit(0));
     let base = workload_cfg(&model, &serve_cfg());
 
     // E14a: offered-load sweep, underload -> 2x saturation.
@@ -247,7 +249,7 @@ mod tests {
 
     #[test]
     fn sweep_points_account_and_shed_monotonically_at_extremes() {
-        let model = mlp_model();
+        let model = mlp_model(&HlsFlow::new().unroll_limit(0));
         let base = workload_cfg(&model, &serve_cfg());
         let obs = hermes_obs::Recorder::disabled();
         let under = run_point(&model, &base, 50, None, &obs);
@@ -258,7 +260,7 @@ mod tests {
 
     #[test]
     fn chaos_point_stays_accounted() {
-        let model = mlp_model();
+        let model = mlp_model(&HlsFlow::new().unroll_limit(0));
         let base = workload_cfg(&model, &serve_cfg());
         let obs = hermes_obs::Recorder::disabled();
         let wl = base.clone().at_load_pct(150);

@@ -26,6 +26,7 @@ use crate::e14_serving::{self, LOADS, SEED};
 use crate::table::Table;
 use crate::ExperimentOutput;
 use hermes_cpu::memmap::layout;
+use hermes_hls::HlsFlow;
 use hermes_obs::profile::profile;
 use hermes_obs::slo::{AlertState, SloEngine, SloObjective, SloSpec};
 use hermes_obs::Recorder;
@@ -84,11 +85,11 @@ fn traced_point(
 
 /// Thread one minted trace through HLS co-sim, AXI DMA measurement, and
 /// XNG dispatch; return `(trace_id, per-subsystem traced event counts)`.
-fn cross_layer_chain(rec: &Recorder) -> (u64, Vec<(String, u64)>) {
+fn cross_layer_chain(rec: &Recorder, hls: &HlsFlow) -> (u64, Vec<(String, u64)>) {
     let ctx = rec.mint_trace();
 
     // hls: the model-pricing co-simulation records under this trace
-    let design = hermes_hls::HlsFlow::new()
+    let design = hls
         .compile("int triple(int x) { return x * 3; }")
         .expect("kernel compiles");
     let model = AcceleratorModel::from_design(design, &[5], 8, rec, ctx)
@@ -135,7 +136,9 @@ fn cross_layer_chain(rec: &Recorder) -> (u64, Vec<(String, u64)>) {
 /// the session recorder receives the absorbed copies. The serve engine
 /// evaluates batches inline, so `jobs` is unused.
 pub fn run(_jobs: usize, obs: &hermes_obs::Recorder) -> ExperimentOutput {
-    let model = e14_serving::mlp_model();
+    // one flow, so the `triple` kernel of E17d reuses the MLP's sweep
+    let hls = HlsFlow::new().unroll_limit(0);
+    let model = e14_serving::mlp_model(&hls);
     let base = e14_serving::workload_cfg(&model, &e14_serving::serve_cfg());
 
     // Every recorder whose events flow back into the session hangs off
@@ -272,7 +275,7 @@ pub fn run(_jobs: usize, obs: &hermes_obs::Recorder) -> ExperimentOutput {
 
     // E17d: one trace id spans hls, dma (axi), and xng events.
     let chain_rec = root.child();
-    let (trace_id, counts) = cross_layer_chain(&chain_rec);
+    let (trace_id, counts) = cross_layer_chain(&chain_rec, &hls);
     let mut chain = Table::new(&["subsystem", "traced_events", "trace_id"]);
     for (sub, n) in &counts {
         chain.row(cells![sub, *n, format!("{trace_id:#x}")]);
@@ -307,7 +310,7 @@ mod tests {
 
     #[test]
     fn traced_point_paths_are_exact_and_slo_pages_past_threshold() {
-        let model = e14_serving::mlp_model();
+        let model = e14_serving::mlp_model(&HlsFlow::new().unroll_limit(0));
         let base = e14_serving::workload_cfg(&model, &e14_serving::serve_cfg());
         let rec = Recorder::new().with_capacity(1 << 16);
         let (report, engine) = traced_point(&model, &base, 200, 1000, rec);
@@ -321,7 +324,7 @@ mod tests {
 
     #[test]
     fn healthy_point_stays_ok() {
-        let model = e14_serving::mlp_model();
+        let model = e14_serving::mlp_model(&HlsFlow::new().unroll_limit(0));
         let base = e14_serving::workload_cfg(&model, &e14_serving::serve_cfg());
         let (_, engine) =
             traced_point(&model, &base, 50, 1000, Recorder::new().with_capacity(1 << 16));
@@ -331,7 +334,7 @@ mod tests {
     #[test]
     fn cross_layer_chain_links_three_subsystems() {
         let rec = Recorder::new().with_capacity(1 << 14);
-        let (id, counts) = cross_layer_chain(&rec);
+        let (id, counts) = cross_layer_chain(&rec, &HlsFlow::new());
         assert_ne!(id, 0);
         for sub in ["hls", "dma", "xng"] {
             assert!(counts.iter().any(|(s, _)| s == sub), "{counts:?}");

@@ -31,6 +31,7 @@ use hermes_axi::memory::MemoryTiming;
 use hermes_axi::testbench::{AxiTestbench, RetryPolicy};
 use hermes_chaos::plan::{FaultPlan, FaultPlanConfig};
 use hermes_cpu::memmap::layout;
+use hermes_hls::HlsFlow;
 use hermes_serve::engine::ServeEngine;
 use hermes_serve::workload;
 use hermes_xng::config::{MemRegion, PartitionConfig, Plan, Slot, XngConfig};
@@ -65,7 +66,7 @@ impl LayerRun {
 /// One serving run of the E18 leg (50% offered load, pool chaos).
 /// Public so the determinism suite can pin its results.
 pub fn serve_run() -> (hermes_serve::engine::ServeReport, ServeEngine) {
-    let model = mlp_model();
+    let model = mlp_model(&HlsFlow::new().unroll_limit(0));
     let base = workload_cfg(&model, &serve_cfg());
     let wl = base.at_load_pct(SERVE_LOAD);
     let arrivals = workload::generate(SEED, &wl);

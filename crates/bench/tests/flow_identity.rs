@@ -18,10 +18,10 @@ use hermes_obs::hash::fnv1a_words;
 use std::collections::HashSet;
 use std::sync::OnceLock;
 
-/// Digest of the suite's flow results, recorded when STA path recovery
-/// stopped at the launch register instead of walking on into its D-input
-/// logic (the critical cells and logic levels moved; no fmax did).
-const EXPECTED: u64 = 0xde70_70ad_d0cf_55c6;
+/// Digest of the suite's flow results, recorded when HLS stopped emitting
+/// same-width `ZeroExtend` wire cells and duplicate `adapt` cells (every
+/// netlist lost its buffer LUTs, so every result moved).
+const EXPECTED: u64 = 0x98be_7ce0_8cf5_4667;
 
 /// One suite kernel through the flow at default options.
 struct Run {
@@ -136,14 +136,20 @@ fn placement_is_legal_for_every_suite_kernel() {
 
 /// The reported critical path is one timing arc: it starts at one launch
 /// point (a sequential cell or an input pad) or at a constant, and never
-/// revisits a cell.
+/// revisits a cell. The one cell that may close the path where it began is
+/// a register feeding its own D input (the state register's next-state
+/// loop), which launches and captures the same arc.
 #[test]
 fn critical_path_runs_from_one_launch_point_to_its_capture() {
     for Run { name, report, art } in suite_runs() {
         let t = &report.timing;
         let path = &t.critical_cells;
+        let arc = match path.split_last() {
+            Some((capture, rest)) if rest.first() == Some(capture) => rest,
+            _ => &path[..],
+        };
         let mut seen = HashSet::new();
-        if let Some(again) = path.iter().find(|&c| !seen.insert(c)) {
+        if let Some(again) = arc.iter().find(|&c| !seen.insert(c)) {
             panic!("{name}: {again} repeats on a {}-cell critical path", path.len());
         }
         let starts = art.prim.cells().filter(|&(cid, _)| art.prim.cell_name(cid) == path[0]);

@@ -1,8 +1,8 @@
 //! Committed-baseline gates: figures in the checked-in `BENCH_hermes.json`
-//! that must hold, read through `Json::parse`. E17b's overhead is wall
-//! clock, too noisy on a shared host to assert on a live run, so it is
-//! gated here on the committed file; E17a, E18a and E19a are also
-//! asserted live in their experiment's `run()`.
+//! that must hold, read through `Json::parse`. E12's and E17b's overheads
+//! are wall clock, too noisy on a shared host to assert on a live run, so
+//! they are gated here on the committed file; E17a, E18a and E19a are
+//! also asserted live in their experiment's `run()`.
 
 use hermes_bench::json::Json;
 use std::fs;
@@ -24,6 +24,15 @@ fn items(value: &Json) -> &[Json] {
 fn int(value: &Json) -> i64 {
     let Json::Int(i) = value else { panic!("not an integer: {value:?}") };
     *i
+}
+
+/// A number, written with or without a decimal point.
+fn num(value: &Json) -> f64 {
+    match value {
+        Json::Num(x) => *x,
+        Json::Int(i) => *i as f64,
+        _ => panic!("not a number: {value:?}"),
+    }
 }
 
 /// The rows of committed table `id`, e.g. `"e17b"`.
@@ -85,6 +94,18 @@ fn every_committed_table_is_emitted() {
 fn e17b_sampled_tracing_overhead_under_5_pct() {
     let pct = int(at(row(&rows("e17b"), "sample_permille", Json::Int(16)), "vs_untraced_pct"));
     assert!(pct < 5, "committed sampled-tracing overhead {pct}% >= 5%");
+}
+
+/// Recording a trace adds < 5% to every experiment E12 times: the target
+/// its `under_5pct` column prints.
+#[test]
+fn e12_every_target_under_5_pct() {
+    let rows = rows("e12");
+    assert!(!rows.is_empty(), "committed e12 has no rows");
+    for r in &rows {
+        let pct = num(at(r, "overhead_pct"));
+        assert!(pct < 5.0, "committed {:?} tracing overhead {pct}% >= 5%", at(r, "experiment"));
+    }
 }
 
 #[test]

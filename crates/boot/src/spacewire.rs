@@ -78,11 +78,6 @@ impl RemoteNode {
         self.objects.insert(name.into(), data);
     }
 
-    /// Names of all published objects.
-    pub fn object_names(&self) -> Vec<String> {
-        self.objects.keys().cloned().collect()
-    }
-
     /// Inject a single bit error into packet `packet` of the next transfer
     /// of `object` (corrupts exactly one serve).
     pub fn inject_fault(&mut self, object: impl Into<String>, packet: usize, bit: usize) {

@@ -7,7 +7,7 @@
 //! register-to-register path, exactly as a characterization synthesis run
 //! would.
 
-use hermes_rtl::component::{ComponentKind, ComponentTemplate, Comparison};
+use hermes_rtl::component::{ComponentKind, ComponentTemplate};
 use hermes_rtl::netlist::{CellOp, Netlist, NetId};
 use hermes_rtl::RtlError;
 
@@ -126,11 +126,6 @@ pub fn build(template: &ComponentTemplate) -> Result<Netlist, RtlError> {
     let out = reg(&mut nl, "y", result, ow)?;
     nl.mark_output(out);
     Ok(nl)
-}
-
-/// All comparison kinds swept by default.
-pub fn default_comparisons() -> Vec<Comparison> {
-    vec![Comparison::Eq, Comparison::LtU, Comparison::LtS]
 }
 
 #[cfg(test)]

@@ -6,7 +6,8 @@
 //! classic FSMD:
 //!
 //! * a state register plus next-state logic (comparators + mux chains),
-//! * one register per bound storage location, with write-enable logic,
+//! * one register per written storage location, with write-enable logic
+//!   (a location nothing writes reads a constant 0, its reset value),
 //! * shared functional units with input multiplexer trees,
 //! * block RAMs for local arrays, I/O pads for scalar arguments, the
 //!   return value, a `done` flag, and (for external arrays) the datapath
@@ -15,7 +16,7 @@
 //! An extra `INIT` state (state 0) loads parameter registers from the input
 //! ports, so netlist simulation takes `states_visited + 1` cycles.
 
-use crate::bind::{Binding, RegId};
+use crate::bind::Binding;
 use crate::fsm::{Fsm, FsmNext};
 use crate::ir::{ArrayKind, IrFunction, IrOp, Operand, TempId, Terminator, VarId};
 use crate::lang::ast::{BinOp, IntType, UnOp};
@@ -49,14 +50,16 @@ struct Gen<'a> {
     state_q: NetId,
     st_eq: Vec<NetId>,
     consts: HashMap<(u64, u32), NetId>,
+    /// adapted nets by (source net, width, sign-extends)
+    adapted: HashMap<(NetId, u32, bool), NetId>,
     /// combinational output net of each temp's producing cell
     temp_wire: HashMap<TempId, NetId>,
     /// output net of each storage register
     reg_q: Vec<NetId>,
     /// FSM state in which each temp's value is produced, by temp id
     temp_finish: Vec<Option<u32>>,
-    /// pending writers per register: (state, source net)
-    reg_writers: HashMap<RegId, Vec<(u32, NetId)>>,
+    /// pending writers per register, by register id: (state, source net)
+    reg_writers: Vec<Vec<(u32, NetId)>>,
     /// D-input source of vars written in a given state (for end-of-block
     /// terminator reads)
     var_write_in_state: HashMap<(VarId, u32), NetId>,
@@ -86,20 +89,23 @@ impl<'a> Gen<'a> {
         if w == width {
             return net;
         }
-        let out = self.nl.add_net(format!("adapt_{}_{}", net.0, width), width);
-        let op = if width < w {
-            CellOp::Slice {
-                lo: 0,
-                hi: width - 1,
-            }
-        } else if signed {
-            CellOp::SignExtend
+        // a slice ignores signedness
+        let sext = signed && width > w;
+        if let Some(&n) = self.adapted.get(&(net, width, sext)) {
+            return n;
+        }
+        let (op, tag) = if width < w {
+            (CellOp::Slice { lo: 0, hi: width - 1 }, "")
+        } else if sext {
+            (CellOp::SignExtend, "s")
         } else {
-            CellOp::ZeroExtend
+            (CellOp::ZeroExtend, "")
         };
+        let out = self.nl.add_net(format!("adapt_{}_{width}{tag}", net.0), width);
         self.nl
-            .add_cell(format!("adapt{}_{}", net.0, width), op, &[net], &[out])
+            .add_cell(format!("adapt{}_{width}{tag}", net.0), op, &[net], &[out])
             .expect("adapt arity");
+        self.adapted.insert((net, width, sext), out);
         out
     }
 
@@ -234,18 +240,9 @@ pub fn generate(
     let state_w = (32 - (total_states.max(2) - 1).leading_zeros()).max(1);
     let mut nl = Netlist::new(&func.name);
 
-    // state register
-    let state_d = nl.add_net("state_d", state_w);
+    // state register output; the register itself is added once its
+    // next-state logic exists
     let state_q = nl.add_net("state_q", state_w);
-    nl.add_cell(
-        "state_reg",
-        CellOp::Register {
-            has_enable: false,
-            has_reset: true,
-        },
-        &[state_d],
-        &[state_q],
-    )?;
 
     let mut gen = Gen {
         func,
@@ -256,10 +253,11 @@ pub fn generate(
         state_q,
         st_eq: Vec::new(),
         consts: HashMap::new(),
+        adapted: HashMap::new(),
         temp_wire: HashMap::new(),
         reg_q: Vec::new(),
         temp_finish: Vec::new(),
-        reg_writers: HashMap::new(),
+        reg_writers: vec![Vec::new(); binding.regs.len()],
         var_write_in_state: HashMap::new(),
     };
     gen.temp_finish = gen.temp_finish_states();
@@ -273,20 +271,10 @@ pub fn generate(
         gen.st_eq.push(eq);
     }
 
-    // storage registers
+    // storage register outputs; each register is added with its write
+    // logic, after every writer is known
     for reg in &binding.regs {
-        let d = gen.nl.add_net(format!("{}_d", reg.name), reg.width);
         let q = gen.nl.add_net(format!("{}_q", reg.name), reg.width);
-        let en = gen.nl.add_net(format!("{}_en", reg.name), 1);
-        gen.nl.add_cell(
-            format!("{}_reg", reg.name),
-            CellOp::Register {
-                has_enable: true,
-                has_reset: true,
-            },
-            &[d, en],
-            &[q],
-        )?;
         gen.reg_q.push(q);
     }
 
@@ -298,7 +286,7 @@ pub fn generate(
             let pad = gen.nl.add_input(format!("arg_{name}"), ty.width);
             arg_inputs.insert(name.clone(), pad);
             let reg = binding.reg_of_var[v.0 as usize];
-            gen.reg_writers.entry(reg).or_default().push((0, pad));
+            gen.reg_writers[reg.0 as usize].push((0, pad));
         }
     }
 
@@ -357,32 +345,17 @@ pub fn generate(
                         (an, bn)
                     };
                     let out_w = instr.ty.width;
-                    let out = gen.nl.add_net(format!("b{bi}_i{ii}_y"), out_w);
                     let cell = bin_cellop(*op, opty);
-                    // comparison cells output 1 bit; others at operand width
-                    match cell {
-                        CellOp::Cmp(_) => {
-                            gen.nl.add_cell(format!("b{bi}_i{ii}"), cell, &[an, bn], &[out])?;
-                        }
-                        _ => {
-                            let wide =
-                                gen.nl.add_net(format!("b{bi}_i{ii}_w"), opty.width);
-                            gen.nl
-                                .add_cell(format!("b{bi}_i{ii}"), cell, &[an, bn], &[wide])?;
-                            let adapted = gen.adapt(wide, out_w, opty.signed);
-                            // alias: out = adapted via zero-cost extend
-                            gen.nl.add_cell(
-                                format!("b{bi}_i{ii}_alias"),
-                                CellOp::ZeroExtend,
-                                &[adapted],
-                                &[out],
-                            )?;
-                        }
-                    }
+                    // comparison cells output the result width; others
+                    // compute at operand width and adapt
+                    let w = if matches!(cell, CellOp::Cmp(_)) { out_w } else { opty.width };
+                    let y = gen.nl.add_net(format!("b{bi}_i{ii}_y"), w);
+                    gen.nl.add_cell(format!("b{bi}_i{ii}"), cell, &[an, bn], &[y])?;
+                    let out = gen.adapt(y, out_w, opty.signed);
                     let dst = instr.dst.expect("bin dst");
                     gen.temp_wire.insert(dst, out);
                     if let Some(&reg) = binding.reg_of_temp.get(&dst) {
-                        gen.reg_writers.entry(reg).or_default().push((finish, out));
+                        gen.reg_writers[reg.0 as usize].push((finish, out));
                     }
                 }
                 IrOp::Un { op, a } => {
@@ -415,7 +388,7 @@ pub fn generate(
                     let dst = instr.dst.expect("un dst");
                     gen.temp_wire.insert(dst, out);
                     if let Some(&reg) = binding.reg_of_temp.get(&dst) {
-                        gen.reg_writers.entry(reg).or_default().push((finish, out));
+                        gen.reg_writers[reg.0 as usize].push((finish, out));
                     }
                 }
                 IrOp::Cast { a, from } => {
@@ -424,7 +397,7 @@ pub fn generate(
                     let dst = instr.dst.expect("cast dst");
                     gen.temp_wire.insert(dst, out);
                     if let Some(&reg) = binding.reg_of_temp.get(&dst) {
-                        gen.reg_writers.entry(reg).or_default().push((finish, out));
+                        gen.reg_writers[reg.0 as usize].push((finish, out));
                     }
                 }
                 IrOp::Load { array, index } | IrOp::Store { array, index, .. } => {
@@ -470,18 +443,12 @@ pub fn generate(
                                 // share the port read net if one exists
                                 if let Some(shared) = e.rdata {
                                     let reg = binding.reg_of_temp[&dst];
-                                    gen.reg_writers
-                                        .entry(reg)
-                                        .or_default()
-                                        .push((finish, shared));
+                                    gen.reg_writers[reg.0 as usize].push((finish, shared));
                                     continue;
                                 }
                                 e.rdata = Some(cap_src);
                                 let reg = binding.reg_of_temp[&dst];
-                                gen.reg_writers
-                                    .entry(reg)
-                                    .or_default()
-                                    .push((finish, cap_src));
+                                gen.reg_writers[reg.0 as usize].push((finish, cap_src));
                             }
                         }
                         ArrayKind::External => {
@@ -510,10 +477,7 @@ pub fn generate(
                                 let rdata = ext_rdata.expect("external pads exist");
                                 let sliced = gen.adapt(rdata, ew, info.ty.signed);
                                 let reg = binding.reg_of_temp[&dst];
-                                gen.reg_writers
-                                    .entry(reg)
-                                    .or_default()
-                                    .push((finish, sliced));
+                                gen.reg_writers[reg.0 as usize].push((finish, sliced));
                             }
                         }
                     }
@@ -522,7 +486,7 @@ pub fn generate(
                     let ty = func.vars[var.0 as usize].ty;
                     let vn = gen.operand_net(*value, issue, ty);
                     let reg = binding.reg_of_var[var.0 as usize];
-                    gen.reg_writers.entry(reg).or_default().push((issue, vn));
+                    gen.reg_writers[reg.0 as usize].push((issue, vn));
                     gen.var_write_in_state.insert((*var, issue), vn);
                 }
             }
@@ -650,20 +614,24 @@ pub fn generate(
         }
     }
     let next = gen.state_mux("next_state", &next_sources, state_w);
-    // connect to the state register D input via an alias cell
-    gen.nl
-        .add_cell("state_d_drv", CellOp::ZeroExtend, &[next], &[state_d])?;
+    gen.nl.add_cell(
+        "state_reg",
+        CellOp::Register {
+            has_enable: false,
+            has_reset: true,
+        },
+        &[next],
+        &[state_q],
+    )?;
 
     // --- done output and return value ---
-    let done = gen.nl.add_net("done", 1);
-    if done_states.is_empty() {
-        let zero = gen.konst(0, 1);
-        gen.nl.add_cell("done_drv", CellOp::ZeroExtend, &[zero], &[done])?;
+    let done = if done_states.is_empty() {
+        gen.konst(0, 1)
     } else {
         let sts: Vec<NetId> = done_states.iter().map(|&s| gen.st(s)).collect();
-        let d = gen.or_all("done_sig", &sts);
-        gen.nl.add_cell("done_drv", CellOp::ZeroExtend, &[d], &[done])?;
-    }
+        gen.or_all("done_sig", &sts)
+    };
+    gen.nl.rename_net(done, "done");
     gen.nl.mark_output(done);
 
     let ret = if let Some(rty) = func.return_type {
@@ -682,20 +650,17 @@ pub fn generate(
             // capture into a return register so the value persists after
             // done; during the returning state itself the output shows the
             // live value so `done` and the result are observable together
-            let d = gen.nl.add_net("ret_d", rty.width);
             let q = gen.nl.add_net("ret_hold", rty.width);
             let en_sts: Vec<NetId> = sources.iter().map(|&(s, _)| gen.st(s)).collect();
             let en = gen.or_all("ret_en", &en_sts);
             let muxed = gen.state_mux("ret_mux", &sources, rty.width);
-            gen.nl
-                .add_cell("ret_d_drv", CellOp::ZeroExtend, &[muxed], &[d])?;
             gen.nl.add_cell(
                 "ret_reg",
                 CellOp::Register {
                     has_enable: true,
                     has_reset: true,
                 },
-                &[d, en],
+                &[muxed, en],
                 &[q],
             )?;
             let out = gen.nl.add_net("ret_q", rty.width);
@@ -708,48 +673,30 @@ pub fn generate(
         None
     };
 
-    // --- register write logic ---
-    // sorted so the emitted mux/enable cells (and thus every downstream
+    // --- storage registers ---
+    // in register order, so the emitted cells (and thus every downstream
     // net id) come out in the same order on every compile
-    let mut writers: Vec<_> = std::mem::take(&mut gen.reg_writers).into_iter().collect();
-    writers.sort_unstable_by_key(|(reg, _)| reg.0);
-    let mut written = vec![false; binding.regs.len()];
-    for (reg, sources) in writers {
-        written[reg.0 as usize] = true;
-        let info = &binding.regs[reg.0 as usize];
-        let d_net = gen.nl.net_by_name(&format!("{}_d", info.name)).expect("reg d net");
-        let en_net = gen
-            .nl
-            .net_by_name(&format!("{}_en", info.name))
-            .expect("reg en net");
-        let muxed = gen.state_mux(&format!("{}_wmux", info.name), &sources, info.width);
-        gen.nl
-            .add_cell(format!("{}_d_drv", info.name), CellOp::ZeroExtend, &[muxed], &[d_net])?;
+    for (ri, info) in binding.regs.iter().enumerate() {
+        let q = gen.reg_q[ri];
+        let sources = std::mem::take(&mut gen.reg_writers[ri]);
+        if sources.is_empty() {
+            // nothing writes it: build no register, its output reads the
+            // reset value
+            gen.nl
+                .add_cell(format!("{}_zero", info.name), CellOp::Const { value: 0 }, &[], &[q])?;
+            continue;
+        }
+        let d = gen.state_mux(&format!("{}_wmux", info.name), &sources, info.width);
         let sts: Vec<NetId> = sources.iter().map(|&(s, _)| gen.st(s)).collect();
         let en = gen.or_all(&format!("{}_wen", info.name), &sts);
-        gen.nl
-            .add_cell(format!("{}_en_drv", info.name), CellOp::ZeroExtend, &[en], &[en_net])?;
-    }
-    // registers never written: tie off D and enable
-    for (info, _) in binding.regs.iter().zip(&written).filter(|(_, &w)| !w) {
-        let d_net = gen.nl.net_by_name(&format!("{}_d", info.name)).expect("reg d net");
-        let zero = gen.konst(0, info.width);
         gen.nl.add_cell(
-            format!("{}_d_tie", info.name),
-            CellOp::ZeroExtend,
-            &[zero],
-            &[d_net],
-        )?;
-        let en_net = gen
-            .nl
-            .net_by_name(&format!("{}_en", info.name))
-            .expect("reg en net");
-        let z1 = gen.konst(0, 1);
-        gen.nl.add_cell(
-            format!("{}_en_tie", info.name),
-            CellOp::ZeroExtend,
-            &[z1],
-            &[en_net],
+            format!("{}_reg", info.name),
+            CellOp::Register {
+                has_enable: true,
+                has_reset: true,
+            },
+            &[d, en],
+            &[q],
         )?;
     }
 

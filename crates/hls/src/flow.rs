@@ -298,16 +298,6 @@ impl Design {
         simulate::run(&self.ir, &self.sched, args, ext, SimLimits::default())
     }
 
-    /// Wall-clock estimate of one invocation in nanoseconds (cycles ×
-    /// clock).
-    ///
-    /// # Errors
-    ///
-    /// See [`simulate::run`].
-    pub fn latency_ns(&self, args: &[i64]) -> Result<f64, HlsError> {
-        Ok(self.simulate(args)?.cycles as f64 * self.clock_ns)
-    }
-
     /// The structural netlist (feed this to `hermes-fpga`'s flow).
     pub fn netlist(&self) -> &hermes_rtl::netlist::Netlist {
         &self.datapath.netlist
@@ -421,6 +411,7 @@ impl Design {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hermes_rtl::netlist::CellOp;
     use hermes_rtl::sim::Simulator;
 
     #[test]
@@ -508,20 +499,21 @@ mod tests {
         );
     }
 
-    /// A variable that is read but never written keeps a storage register
-    /// with no writer: emit ties its D and enable to zero, so it holds its
-    /// reset value, and the netlist still agrees with co-simulation.
+    /// A variable that is read but never written gets no register: a
+    /// `Const 0` drives its storage net with the value a register would
+    /// hold from reset, and the netlist still agrees with co-simulation.
     #[test]
-    fn unwritten_register_is_tied_off() {
+    fn unwritten_register_reads_zero() {
         let src = "int f(int n) { int x; int s = 0; for (int i = 0; i < n; i++) { s += x + i; } return s; }";
         let d = HlsFlow::new().compile(src).unwrap();
-        let ties: Vec<&str> = d
-            .netlist()
+        let nl = d.netlist();
+        let q = nl.net_by_name("r1_x_q").expect("x's storage net");
+        let drivers: Vec<(&str, &CellOp)> = nl
             .cells()
-            .map(|(_, c)| c.name.as_str())
-            .filter(|n| n.ends_with("_tie"))
+            .filter(|(_, c)| c.outputs.contains(&q))
+            .map(|(_, c)| (c.name.as_str(), &c.op))
             .collect();
-        assert_eq!(ties, ["r1_x_d_tie", "r1_x_en_tie"]);
+        assert_eq!(drivers, [("r1_x_zero", &CellOp::Const { value: 0 })]);
         cosim(src, &[vec![0], vec![1], vec![6]]);
     }
 

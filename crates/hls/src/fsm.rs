@@ -65,11 +65,6 @@ impl Fsm {
             .filter(|n| matches!(n, FsmNext::CondGoto { .. }))
             .count()
     }
-
-    /// The state id of `(block, cycle)`.
-    pub fn state_of(&self, block: BlockId, cycle: u32) -> u32 {
-        self.block_entry[&block.0] + cycle
-    }
 }
 
 /// Build the controller for a scheduled function.

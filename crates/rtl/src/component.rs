@@ -85,14 +85,6 @@ impl ComponentKind {
         ]
     }
 
-    /// Whether the component is purely combinational when unpipelined.
-    pub fn is_combinational(self) -> bool {
-        !matches!(
-            self,
-            ComponentKind::Register | ComponentKind::RamTdp | ComponentKind::Rom
-        )
-    }
-
     /// Short lowercase mnemonic used in generated HDL identifiers.
     pub fn mnemonic(self) -> &'static str {
         use ComponentKind::*;

@@ -210,18 +210,36 @@ impl Netlist {
 
     /// Add an internal net. Duplicate names are disambiguated with a suffix.
     pub fn add_net(&mut self, name: impl Into<String>, width: u32) -> NetId {
-        let mut name = name.into();
-        if self.net_names.contains_key(&name) {
-            let mut i = 1;
-            while self.net_names.contains_key(&format!("{name}_{i}")) {
-                i += 1;
-            }
-            name = format!("{name}_{i}");
-        }
+        let name = self.unique_name(name.into());
         let id = NetId(self.nets.len() as u32);
         self.net_names.insert(name.clone(), id);
         self.nets.push(Net { name, width });
         id
+    }
+
+    /// Rename a net; a name already taken is disambiguated as in
+    /// [`Netlist::add_net`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the id does not belong to this netlist.
+    pub fn rename_net(&mut self, id: NetId, name: impl Into<String>) {
+        let old = std::mem::take(&mut self.nets[id.0 as usize].name);
+        self.net_names.remove(&old);
+        let name = self.unique_name(name.into());
+        self.net_names.insert(name.clone(), id);
+        self.nets[id.0 as usize].name = name;
+    }
+
+    fn unique_name(&self, name: String) -> String {
+        if !self.net_names.contains_key(&name) {
+            return name;
+        }
+        let mut i = 1;
+        while self.net_names.contains_key(&format!("{name}_{i}")) {
+            i += 1;
+        }
+        format!("{name}_{i}")
     }
 
     /// Add a primary input net.
@@ -678,6 +696,18 @@ mod tests {
         let b = nl.add_net("x", 8);
         assert_ne!(a, b);
         assert_ne!(nl.net(a).name, nl.net(b).name);
+    }
+
+    #[test]
+    fn rename_net_moves_the_name() {
+        let mut nl = Netlist::new("t");
+        let a = nl.add_net("a", 8);
+        let b = nl.add_net("b", 8);
+        nl.rename_net(a, "y");
+        assert_eq!(nl.net_by_name("y"), Some(a));
+        assert_eq!(nl.net_by_name("a"), None);
+        nl.rename_net(b, "y");
+        assert_eq!(nl.net(b).name, "y_1", "a taken name gets a suffix");
     }
 
     #[test]

@@ -44,20 +44,13 @@ use crate::{mask, RtlError};
 /// the samples taken. Construction and [`Self::reset`] set every register bit. RAM
 /// ports sample every cycle.
 ///
-/// A `ZeroExtend` whose output is at least as wide as its input only
-/// copies a value, since every net value fits its width. Such a cell is
-/// compiled away: its output becomes an **alias** of its input's net, and
-/// every reader (op inputs, register `d`/`en`, RAM ports, [`Self::peek`],
-/// trace rows) reads the aliased net's value slot instead. The HLS
-/// datapath uses these cells as wires (`*_drv`, `*_tie`, `*_alias`).
+/// Every combinational cell, `ZeroExtend` included, compiles to exactly
+/// one op, and every net keeps its own value slot.
 #[derive(Debug, Clone)]
 pub struct Simulator<'n> {
     netlist: &'n Netlist,
-    /// Settled net values; an alias's slot is never written or read.
+    /// Settled net values.
     values: Vec<u64>,
-    /// Net → the net whose `values` slot holds its value: itself, or for
-    /// the output of a widening `ZeroExtend`, its input's alias.
-    alias: Vec<u32>,
     /// Values of the `Const` ops, indexed by their `b` slot.
     consts: Vec<u64>,
     /// Dense register state, one slot per `Register` cell (see `seq_slot`).
@@ -73,8 +66,7 @@ pub struct Simulator<'n> {
     /// Precomputed RAM descriptors, in cell order.
     rams: Vec<RamInfo>,
     /// Precompiled settle program in rank-major topological order (stable
-    /// by compile order within a rank; see [`rank_major`]), without the
-    /// aliasing `ZeroExtend`s.
+    /// by compile order within a rank; see [`rank_major`]).
     ops: Vec<SettleOp>,
     /// CSR fanout index: the readers of net `n` are the `dirty` bits
     /// `fanout[fanout_start[n]..fanout_start[n + 1]]` — ops as
@@ -150,13 +142,12 @@ struct RamInfo {
 /// masked-value invariant), which the shifts rely on.
 #[derive(Debug, Clone, Copy)]
 struct SettleOp {
-    /// Input net indices, resolved through the net aliases (unused slots
-    /// are 0). A `Const` op keeps its index into the constant table in
-    /// `b` instead.
+    /// Input net indices (unused slots are 0). A `Const` op keeps its
+    /// index into the constant table in `b` instead.
     a: u32,
     b: u32,
     c: u32,
-    /// Output net index (never an alias).
+    /// Output net index.
     out: u32,
     kind: SettleKind,
     /// The result keeps its low `64 - keep` bits: `v & (u64::MAX >> keep)`.
@@ -194,8 +185,7 @@ enum SettleKind {
     Mux,
     Const,
     Slice,
-    /// A narrowing `ZeroExtend`: wider or equal ones are net aliases.
-    Trunc,
+    ZeroExtend,
     SignExtend,
 }
 
@@ -205,7 +195,10 @@ impl SettleOp {
     fn input_count(&self) -> usize {
         match self.kind {
             SettleKind::Const => 0,
-            SettleKind::Not | SettleKind::Slice | SettleKind::Trunc | SettleKind::SignExtend => 1,
+            SettleKind::Not
+            | SettleKind::Slice
+            | SettleKind::ZeroExtend
+            | SettleKind::SignExtend => 1,
             SettleKind::Mux => 3,
             _ => 2,
         }
@@ -309,18 +302,8 @@ impl<'n> Simulator<'n> {
                 _ => {}
             }
         }
-        let (ops, consts, alias) = Self::compile_settle_ops(netlist, &order);
+        let (ops, consts) = Self::compile_settle_ops(netlist, &order);
         let ops = rank_major(netlist.net_count(), ops);
-        let resolve = |n: u32| alias[n as usize];
-        for r in &mut regs {
-            r.d = resolve(r.d);
-            if r.en != u32::MAX {
-                r.en = resolve(r.en);
-            }
-        }
-        for r in &mut rams {
-            r.inputs = r.inputs.map(resolve);
-        }
         let op_base = (regs.len().div_ceil(64) * 64) as u32;
         let (fanout_start, fanout) =
             Self::compile_fanout(netlist.net_count(), &ops, &regs, op_base);
@@ -330,7 +313,6 @@ impl<'n> Simulator<'n> {
         let mut sim = Simulator {
             netlist,
             values: vec![0; netlist.net_count()],
-            alias,
             consts,
             reg_state,
             ram_state,
@@ -403,15 +385,9 @@ impl<'n> Simulator<'n> {
     }
 
     /// Lower the topologically ordered combinational cells into the compact
-    /// settle program (resolved net indices, widths, and payloads), its
-    /// constant table, and the net alias map. Walking in topological order
-    /// resolves a widening `ZeroExtend`'s input to its final alias before
-    /// the cell's output takes it, so chains collapse onto one net.
-    fn compile_settle_ops(
-        netlist: &Netlist,
-        order: &[CellId],
-    ) -> (Vec<SettleOp>, Vec<u64>, Vec<u32>) {
-        let mut alias: Vec<u32> = (0..netlist.net_count() as u32).collect();
+    /// settle program (resolved net indices, widths, and payloads) and its
+    /// constant table.
+    fn compile_settle_ops(netlist: &Netlist, order: &[CellId]) -> (Vec<SettleOp>, Vec<u64>) {
         let mut ops = Vec::with_capacity(order.len());
         let mut consts = Vec::new();
         for &cid in order {
@@ -419,10 +395,6 @@ impl<'n> Simulator<'n> {
             let out = cell.outputs[0];
             let ow = netlist.net(out).width;
             let iw = cell.inputs.first().map_or(0, |&n| netlist.net(n).width);
-            if matches!(cell.op, CellOp::ZeroExtend) && ow >= iw {
-                alias[out.0 as usize] = alias[cell.inputs[0].0 as usize];
-                continue;
-            }
             // a result that is always the same value: a constant, a
             // zero-width output, a slice above bit 63, or a comparison of
             // zero-width operands
@@ -476,13 +448,13 @@ impl<'n> Simulator<'n> {
                 CellOp::Mux => (SettleKind::Mux, ow, 0),
                 // slice width and output net width both bound the result
                 CellOp::Slice { lo, hi } => (SettleKind::Slice, ow.min(hi - lo + 1), *lo as u8),
-                CellOp::ZeroExtend => (SettleKind::Trunc, ow, 0),
+                CellOp::ZeroExtend => (SettleKind::ZeroExtend, ow, 0),
                 CellOp::SignExtend => (SettleKind::SignExtend, ow, sign),
                 CellOp::Const { .. } | CellOp::Register { .. } | CellOp::RamTdp { .. } => {
                     unreachable!("handled above")
                 }
             };
-            let input = |i: usize| cell.inputs.get(i).map_or(0, |n| alias[n.0 as usize]);
+            let input = |i: usize| cell.inputs.get(i).map_or(0, |n| n.0);
             ops.push(SettleOp {
                 kind,
                 a: input(0),
@@ -493,7 +465,7 @@ impl<'n> Simulator<'n> {
                 aux,
             });
         }
-        (ops, consts, alias)
+        (ops, consts)
     }
 
     /// Enable tracing of the given nets; samples are appended on every step.
@@ -619,7 +591,7 @@ impl<'n> Simulator<'n> {
 
     /// Read a net's settled value by id.
     pub fn peek_net(&self, id: NetId) -> u64 {
-        self.values[self.alias[id.0 as usize] as usize]
+        self.values[id.0 as usize]
     }
 
     /// Drive a primary input by id.
@@ -728,12 +700,7 @@ impl<'n> Simulator<'n> {
         self.settle();
         self.cycle += 1;
         if let Some(trace) = &mut self.trace {
-            let (values, alias) = (&self.values, &self.alias);
-            let row = trace
-                .nets
-                .iter()
-                .map(|&n| values[alias[n.0 as usize] as usize])
-                .collect();
+            let row = trace.nets.iter().map(|&n| self.values[n.0 as usize]).collect();
             trace.rows.push((self.cycle, row));
         }
         Ok(())
@@ -980,7 +947,7 @@ fn eval_op(values: &[u64], consts: &[u64], op: &SettleOp) -> u64 {
         }
         SettleKind::Const => consts[op.b as usize],
         SettleKind::Slice => a >> op.aux,
-        SettleKind::Trunc => a,
+        SettleKind::ZeroExtend => a,
         SettleKind::SignExtend => signed(a) as u64,
     };
     v & (u64::MAX >> op.keep)
@@ -1423,14 +1390,14 @@ mod tests {
         assert_eq!(sim.settle_ops(), twin.settle_ops());
     }
 
-    /// HLS-style wires: `*_drv` `ZeroExtend`s that copy a net at the same
-    /// or a wider width cost no settle op, and `peek`, `peek_net` and trace
-    /// rows of each aliased net read its root's value. A 4-bit counter
-    /// loads through `state_d_drv`/`state_en_drv` (aliases of a register's
-    /// `d` and `en`), `done_drv` copies a comparison, and `ret_d_drv` and
-    /// `ret_w_drv` widen the state in a chain (4 → 16 → 32 bits).
+    /// `ZeroExtend`s that copy a net at the same or a wider width are ops
+    /// like any other, and `peek`, `peek_net` and trace rows read their
+    /// own nets. A 4-bit counter loads through `state_d_drv`/`state_en_drv`
+    /// (copies of a register's `d` and `en`), `done_drv` copies a
+    /// comparison, and `ret_d_drv` and `ret_w_drv` widen the state in a
+    /// chain (4 → 16 → 32 bits).
     #[test]
-    fn hls_drv_wires_cost_no_settle_op() {
+    fn zero_extend_wires_settle_as_ops() {
         let mut nl = Netlist::new("drv");
         let go = nl.add_input("go", 1);
         let one = nl.add_net("one", 4);
@@ -1472,18 +1439,18 @@ mod tests {
         nl.mark_output(ret_w);
 
         let mut sim = Simulator::new(&nl).unwrap();
-        assert_eq!(sim.settle_program_len(), 4, "c1, inc, c9 and is9; the wires are aliases");
-        assert_eq!(sim.settle_ops(), 4, "construction evaluates the program once");
+        assert_eq!(sim.settle_program_len(), 9, "c1, inc, c9, is9 and the five wires");
+        assert_eq!(sim.settle_ops(), 9, "construction evaluates the program once");
         let traced = [d, en, done, ret_d, ret_w];
         sim.enable_trace(&traced);
         sim.poke("go", 1).unwrap();
-        assert_eq!(sim.settle_ops(), 4, "driving an enable wire evaluates nothing");
+        assert_eq!(sim.settle_ops(), 10, "driving an enable wire evaluates its copy");
         assert_eq!(sim.peek("state_en").unwrap(), 1);
         let mut rows = Vec::new();
         for cycle in 1..=12u64 {
             sim.step().unwrap();
             let state = sim.peek_net(q);
-            assert_eq!(state, cycle, "the counter loads through the aliased d and en");
+            assert_eq!(state, cycle, "the counter loads through the copied d and en");
             assert_eq!(sim.peek_net(d), sim.peek_net(next));
             assert_eq!(sim.peek("state_d").unwrap(), state + 1);
             assert_eq!(sim.peek("done").unwrap(), u64::from(state == 9));
@@ -1492,12 +1459,14 @@ mod tests {
             assert_eq!(sim.peek_net(ret_w), state);
             rows.push((cycle, traced.iter().map(|&n| sim.peek_net(n)).collect::<Vec<_>>()));
         }
-        assert_eq!(sim.settle_ops(), 4 + 2 * 12, "each edge evaluates only inc and is9");
+        // each edge evaluates inc, is9, the d copy and the ret chain; the
+        // done copy only when is9 flips (edges 9 and 10)
+        assert_eq!(sim.settle_ops(), 10 + 5 * 12 + 2);
         sim.poke("go", 0).unwrap();
         sim.step().unwrap();
         assert_eq!(sim.peek("ret_w").unwrap(), 12, "a low enable wire holds the state");
         rows.push((13, traced.iter().map(|&n| sim.peek_net(n)).collect()));
-        assert_eq!(sim.take_trace().unwrap().rows, rows, "trace rows read through the aliases");
+        assert_eq!(sim.take_trace().unwrap().rows, rows, "trace rows read the copied nets");
     }
 
     /// `n` independent 8-bit counters `q_i' = q_i + 1`, each loading only

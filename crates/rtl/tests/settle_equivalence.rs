@@ -5,11 +5,11 @@
 //! register's stored state, and every trace row, across long runs of
 //! random pokes and mid-run resets (deterministic `DetRng` loops — no
 //! external dependencies). Generator profiles bias toward RAM-heavy,
-//! wide-bus, 1-bit-heavy, register-heavy and alias-heavy shapes so the
+//! wide-bus, 1-bit-heavy, register-heavy and wire-heavy shapes so the
 //! engine's fast paths (the rank-major event scan over wide and narrow
-//! masks, the gated clock edge, the `ZeroExtend` net aliases) are all
-//! exercised. Every net's value must also fit its declared width, the
-//! invariant the aliases rest on.
+//! masks, the gated clock edge) are all exercised, and every
+//! combinational cell, `ZeroExtend` wires included, must compile to one
+//! settle op. Every net's value must also fit its declared width.
 
 #[path = "support/reference.rs"]
 mod reference;
@@ -43,8 +43,7 @@ struct Profile {
     reg_bias: u64,
     /// Extra kind-roll weight landing on the `ZeroExtend` arm (0 = baseline
     /// 1/20). A non-zero weight also makes most of them same-width or
-    /// widening (net aliases in the simulator) and often chains them onto
-    /// the newest net.
+    /// widening (wires) and often chains them onto the newest net.
     zext_bias: u64,
 }
 
@@ -103,12 +102,12 @@ const REG_HEAVY: Profile = Profile {
     ..BASELINE
 };
 
-/// Alias-heavy: about half the cells are `ZeroExtend`s, mostly
+/// Wire-heavy: about half the cells are `ZeroExtend`s, mostly
 /// same-width or widening and often chained, mixed with registers and
-/// RAMs, so aliased nets feed register `d`/`en`, RAM ports and outputs,
-/// and RAM read data flows through aliases. A RAM's two read ports get
+/// RAMs, so wire outputs feed register `d`/`en`, RAM ports and outputs,
+/// and RAM read data flows through wires. A RAM's two read ports get
 /// independent widths.
-const ALIAS_HEAVY: Profile = Profile {
+const WIRE_HEAVY: Profile = Profile {
     bit_bias: 0.2,
     cells_lo: 30,
     cells_hi: 90,
@@ -303,7 +302,7 @@ fn random_netlist_with(rng: &mut DetRng, profile: Profile) -> Netlist {
                 let depth = rng.range_u64(4, profile.ram_depth_hi) as u32;
                 let dw = w(rng);
                 let init: Vec<u64> = (0..depth).map(|_| rng.next_u64()).collect();
-                // the alias-heavy profile also gives port b its own width
+                // the wire-heavy profile also gives port b its own width
                 let bw = if profile.zext_bias > 0 { w(rng) } else { dw };
                 let ra = nl.add_net(format!("ra{c}"), dw);
                 let rb = nl.add_net(format!("rb{c}"), bw);
@@ -332,9 +331,9 @@ fn random_netlist_with(rng: &mut DetRng, profile: Profile) -> Netlist {
 
 /// Drive the production simulator and the reference in lockstep through
 /// random pokes, mid-run resets, and steps, asserting every net, register,
-/// and trace row stays identical throughout. Returns how many
-/// combinational cells the simulator compiled away as net aliases.
-fn lockstep(nl: &Netlist, rng: &mut DetRng, cycles: u64, reset_p: f64, tag: &str) -> usize {
+/// and trace row stays identical throughout, and that every
+/// combinational cell compiled to one settle op.
+fn lockstep(nl: &Netlist, rng: &mut DetRng, cycles: u64, reset_p: f64, tag: &str) {
     nl.validate().expect("generated netlist is structurally valid");
     let inputs: Vec<NetId> = nl.inputs().to_vec();
     let reg_cells: Vec<CellId> = nl
@@ -393,7 +392,7 @@ fn lockstep(nl: &Netlist, rng: &mut DetRng, cycles: u64, reset_p: f64, tag: &str
     let trace = sim.take_trace().expect("trace enabled");
     assert_eq!(trace.rows, oracle.rows, "{tag}: trace rows diverged");
     let combinational = nl.cells().filter(|(_, c)| !c.op.is_sequential()).count();
-    combinational - sim.settle_program_len()
+    assert_eq!(sim.settle_program_len(), combinational, "{tag}: one op per combinational cell");
 }
 
 #[test]
@@ -417,7 +416,7 @@ fn combinational_order_matches_the_hash_map_oracle() {
         ("wide_bus", WIDE_BUS),
         ("bit_heavy", BIT_HEAVY),
         ("reg_heavy", REG_HEAVY),
-        ("alias_heavy", ALIAS_HEAVY),
+        ("wire_heavy", WIRE_HEAVY),
     ] {
         for case in 0..8u64 {
             let nl = random_netlist_with(&mut rng, profile);
@@ -431,7 +430,7 @@ fn combinational_order_matches_the_hash_map_oracle() {
 }
 
 /// The reference check across generator profiles: RAM-heavy, wide-bus,
-/// 1-bit-heavy, register-heavy and alias-heavy netlists through frequent
+/// 1-bit-heavy, register-heavy and wire-heavy netlists through frequent
 /// mid-run resets.
 #[test]
 fn every_profile_matches_the_reference() {
@@ -441,13 +440,20 @@ fn every_profile_matches_the_reference() {
         ("wide_bus", WIDE_BUS),
         ("bit_heavy", BIT_HEAVY),
         ("reg_heavy", REG_HEAVY),
-        ("alias_heavy", ALIAS_HEAVY),
+        ("wire_heavy", WIRE_HEAVY),
     ] {
         for case in 0..8u64 {
             let nl = random_netlist_with(&mut rng, profile);
-            let aliased = lockstep(&nl, &mut rng, 400, 0.02, &format!("{pname} case {case}"));
+            lockstep(&nl, &mut rng, 400, 0.02, &format!("{pname} case {case}"));
+            let wires = nl
+                .cells()
+                .filter(|(_, c)| {
+                    matches!(c.op, CellOp::ZeroExtend)
+                        && nl.net(c.outputs[0]).width >= nl.net(c.inputs[0]).width
+                })
+                .count();
             if profile.zext_bias > 0 {
-                assert!(aliased >= 8, "{pname} case {case}: only {aliased} aliased cells");
+                assert!(wires >= 8, "{pname} case {case}: only {wires} wires");
             }
         }
     }

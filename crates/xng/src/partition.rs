@@ -75,11 +75,6 @@ pub struct TaskCtx<'a> {
 }
 
 impl TaskCtx<'_> {
-    /// This partition's id.
-    pub fn partition_id(&self) -> PartitionId {
-        self.pid
-    }
-
     /// Current system time in cycles (slot start).
     pub fn now(&self) -> u64 {
         self.now
