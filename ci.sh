@@ -13,14 +13,16 @@ cargo clippy --workspace --all-targets -- -D warnings
 # Identity gates under the optimizer: the NXmap-flow and fleet digests
 # were recorded in both profiles, so a speed change that only holds in
 # debug builds fails here. The suite kernels' lockstep settle against the
-# reference interpreter and the HLS netlist-shape rules run beside them.
+# reference interpreter, the HLS netlist-shape rules, the mapped netlists'
+# gate-level equivalence checks and the characterization library's digest
+# run beside them.
 # The placer's own determinism, effort and overflow tests run under the
 # optimizer too, and so do the RTL simulator's differential settle tests
 # against the reference interpreter, and the oracle tests that hold the
 # word-wise CRC-32, TMR vote, netlist order and HLS emit to the bit- and
 # byte-serial code they replaced.
 cargo test -q --release -p hermes-bench --test flow_identity --test fleet_identity \
-  --test settle_engines --test netlist_shape
+  --test settle_engines --test netlist_shape --test mapping_equivalence --test library_identity
 cargo test -q --release -p hermes-fpga
 cargo test -q --release -p hermes-rtl
 cargo test -q --release -p hermes-boot -p hermes-hls

@@ -433,6 +433,10 @@ pub mod truth {
     pub const OR2: u16 = 0xEEEE;
     /// XOR of inputs 0 and 1.
     pub const XOR2: u16 = 0x6666;
+    /// Input 0 AND NOT input 1.
+    pub const AND_NOT2: u16 = 0x2222;
+    /// Input 0 OR NOT input 1.
+    pub const OR_NOT2: u16 = 0xBBBB;
     /// NOT of input 0.
     pub const NOT1: u16 = 0x5555;
     /// Buffer of input 0.
@@ -482,6 +486,8 @@ mod tests {
                 assert_eq!(eval(AND2, &[a, b]), a && b);
                 assert_eq!(eval(OR2, &[a, b]), a || b);
                 assert_eq!(eval(XOR2, &[a, b]), a ^ b);
+                assert_eq!(eval(AND_NOT2, &[a, b]), a && !b);
+                assert_eq!(eval(OR_NOT2, &[a, b]), a || !b);
                 for c in [false, true] {
                     assert_eq!(eval(SUM3, &[a, b, c]), a ^ b ^ c);
                     assert_eq!(

@@ -7,6 +7,10 @@
 //!
 //! * add/sub/compare → hard carry chains (one [`Primitive::Carry`] per bit),
 //! * bitwise logic and muxes → LUT4s,
+//! * constant operands → folded into their readers' LUTs: an equality
+//!   against a constant is one LUT4 per nibble, a mux bit with a constant
+//!   data input a LUT of at most two inputs, and a constant's own per-bit
+//!   LUTs are emitted only for readers that still need its bits,
 //! * variable shifts → log-depth barrel-shifter stages of mux LUTs,
 //! * multiply → DSP blocks (tiled when wider than the DSP operand width),
 //! * divide/modulo → an unrolled restoring-divider array,
@@ -16,6 +20,7 @@ use crate::device::DeviceProfile;
 use crate::primitives::{truth, CellName, PNetId, PrimNetlist, Primitive, Utilization};
 use crate::FpgaError;
 use hermes_rtl::component::Comparison;
+use hermes_rtl::mask;
 use hermes_rtl::netlist::{CellOp, Netlist, NetId};
 
 /// Outcome of technology mapping.
@@ -58,6 +63,11 @@ struct MapCtx {
     const_src: u32,
     zero: Option<PNetId>,
     one: Option<PNetId>,
+    /// Value of every coarse net a `Const` cell drives, by net id.
+    konst: Vec<Option<u64>>,
+    /// Whether coarse net `n` has a reader that needs its bits, by net id:
+    /// a primary output, or an input pin the mapper does not fold.
+    read_bits: Vec<bool>,
 }
 
 impl MapCtx {
@@ -68,6 +78,11 @@ impl MapCtx {
     fn bits(&self, net: NetId) -> Vec<PNetId> {
         let n = net.0 as usize;
         (self.first[n]..self.first[n + 1]).map(PNetId).collect()
+    }
+
+    /// The value of `net` if a `Const` cell drives it.
+    fn konst(&self, net: NetId) -> Option<u64> {
+        self.konst[net.0 as usize]
     }
 
     fn const_bit(&mut self, value: bool) -> PNetId {
@@ -174,6 +189,72 @@ impl MapCtx {
         let (_, cout) = self.ripple_add(name.tag("_sub"), a, &nb, one, source);
         cout
     }
+
+    /// 1 when the first `width` bits of `other` (zero-extended) differ
+    /// from those of `value`: one LUT4 per nibble, each comparing up to
+    /// four bits of `other` with the constant's bits, named
+    /// `{name}_k{j}`, then the OR-reduce.
+    fn differs_from(
+        &mut self,
+        name: CellName,
+        width: usize,
+        other: &[PNetId],
+        value: u64,
+        source: u32,
+    ) -> PNetId {
+        let mut diffs = Vec::with_capacity(width.div_ceil(4));
+        for (j, lo) in (0..width).step_by(4).enumerate() {
+            let mut inputs = Vec::with_capacity(4);
+            let mut pattern = 0usize;
+            let mut never_equal = false;
+            for i in lo..width.min(lo + 4) {
+                let want = bit_of(value, i);
+                match other.get(i) {
+                    Some(&b) => {
+                        pattern |= usize::from(want) << inputs.len();
+                        inputs.push(b);
+                    }
+                    // above `other`'s width its bits read 0
+                    None => never_equal |= want,
+                }
+            }
+            if never_equal {
+                diffs.push(self.const_bit(true));
+            } else if !inputs.is_empty() {
+                // 1 off the one pattern that matches; unused inputs are
+                // don't-cares, as in the other truth tables
+                let used = (1usize << inputs.len()) - 1;
+                let truth = (0..16).fold(0u16, |t, p| t | u16::from(p & used != pattern) << p);
+                let k = name.at("_k", j as u32);
+                diffs.push(self.lut(k, truth, inputs.len() as u8, &inputs, source));
+            }
+        }
+        self.or_reduce(name, &diffs, source)
+    }
+}
+
+/// Bit `i` of `value`.
+fn bit_of(value: u64, i: usize) -> bool {
+    i < 64 && (value >> i) & 1 == 1
+}
+
+/// Which operand of an `Eq`/`Ne` cell the mapper folds as a constant: the
+/// second when a `Const` drives it, else the first when one drives that.
+fn folded_side(inputs: &[NetId], konst: &[Option<u64>]) -> Option<usize> {
+    [1, 0].into_iter().find(|&k| konst[inputs[k].0 as usize].is_some())
+}
+
+/// Whether the mapper folds input `pin` of `cell` as a constant instead
+/// of reading its bits: the folded side of an `Eq`/`Ne`, and a mux data
+/// input that a `Const` drives.
+fn folds(cell: &hermes_rtl::netlist::Cell, pin: usize, konst: &[Option<u64>]) -> bool {
+    match cell.op {
+        CellOp::Cmp(Comparison::Eq | Comparison::Ne) => {
+            folded_side(&cell.inputs, konst) == Some(pin)
+        }
+        CellOp::Mux => pin > 0 && konst[cell.inputs[pin].0 as usize].is_some(),
+        _ => false,
+    }
 }
 
 impl Synthesizer {
@@ -210,6 +291,24 @@ impl Synthesizer {
             }
             first.push(prim.net_count());
         }
+        let mut konst = vec![None; netlist.net_count()];
+        for (_, cell) in netlist.cells() {
+            if let CellOp::Const { value } = cell.op {
+                let out = cell.outputs[0];
+                konst[out.0 as usize] = Some(mask(value, netlist.net(out).width));
+            }
+        }
+        let mut read_bits = vec![false; netlist.net_count()];
+        for &out in netlist.outputs() {
+            read_bits[out.0 as usize] = true;
+        }
+        for (_, cell) in netlist.cells() {
+            for (pin, &n) in cell.inputs.iter().enumerate() {
+                if !folds(cell, pin, &konst) {
+                    read_bits[n.0 as usize] = true;
+                }
+            }
+        }
         let mut ctx = MapCtx {
             prim,
             first,
@@ -217,6 +316,8 @@ impl Synthesizer {
             const_src,
             zero: None,
             one: None,
+            konst,
+            read_bits,
         };
 
         // I/O pads.
@@ -305,18 +406,22 @@ impl Synthesizer {
 
         match &cell.op {
             CellOp::Add | CellOp::Sub => {
-                let a = &in_bits[0];
-                let b0 = &in_bits[1];
-                let (b, cin) = if matches!(cell.op, CellOp::Sub) {
-                    let nb = ctx.invert_all(name.tag("_nb"), b0, src);
-                    (nb, ctx.const_bit(true))
-                } else {
-                    (b0.clone(), ctx.const_bit(false))
+                // both operands zero-extended (or truncated) to the output;
+                // a subtrahend's extension inverts to ones
+                let sub = matches!(cell.op, CellOp::Sub);
+                let b = &in_bits[1][..in_bits[1].len().min(out_w)];
+                let b = if sub { ctx.invert_all(name.tag("_nb"), b, src) } else { b.to_vec() };
+                let cin = ctx.const_bit(sub);
+                let mut fit = |bits: &[PNetId], fill: bool| -> Vec<PNetId> {
+                    (0..out_w)
+                        .map(|i| bits.get(i).copied().unwrap_or_else(|| ctx.const_bit(fill)))
+                        .collect()
                 };
-                let n = a.len().min(b.len()).min(out_w);
-                let (sums, _) = ctx.ripple_add(name, &a[..n], &b[..n], cin, src);
+                let b = fit(&b, sub);
+                let a = fit(&in_bits[0], false);
+                let (sums, _) = ctx.ripple_add(name, &a, &b, cin, src);
                 let outs = ctx.bits(cell.outputs[0]);
-                drive_out(ctx, &outs[..n], &sums);
+                drive_out(ctx, &outs, &sums);
             }
             CellOp::And | CellOp::Or | CellOp::Xor => {
                 let tt = match cell.op {
@@ -338,23 +443,48 @@ impl Synthesizer {
             }
             CellOp::Mux => {
                 let sel = in_bits[0][0];
+                let (ka, kb) = (ctx.konst(cell.inputs[1]), ctx.konst(cell.inputs[2]));
                 for i in 0..out_w {
-                    let a = in_bits[1].get(i).copied().unwrap_or_else(|| ctx.const_bit(false));
-                    let b = in_bits[2].get(i).copied().unwrap_or_else(|| ctx.const_bit(false));
+                    let mut data = |k: usize| {
+                        in_bits[k].get(i).copied().unwrap_or_else(|| ctx.const_bit(false))
+                    };
+                    // `sel ? b : a`, with a constant side folded into the LUT
+                    let known = |v: Option<u64>| v.map(|v| bit_of(v, i));
+                    let (tt, inputs) = match (known(ka), known(kb)) {
+                        (None, None) => (truth::MUX21, vec![data(1), data(2), sel]),
+                        (Some(false), None) => (truth::AND2, vec![data(2), sel]),
+                        (Some(true), None) => (truth::OR_NOT2, vec![data(2), sel]),
+                        (None, Some(false)) => (truth::AND_NOT2, vec![data(1), sel]),
+                        (None, Some(true)) => (truth::OR2, vec![data(1), sel]),
+                        (Some(false), Some(true)) => (truth::BUF1, vec![sel]),
+                        (Some(true), Some(false)) => (truth::NOT1, vec![sel]),
+                        (Some(x), Some(_)) => (if x { 0xFFFF } else { 0x0000 }, vec![]),
+                    };
                     let out = ctx.bit(cell.outputs[0], i);
-                    ctx.lut_into(name.at("_m", i as u32), truth::MUX21, 3, &[a, b, sel], out, src);
+                    let used = inputs.len() as u8;
+                    ctx.lut_into(name.at("_m", i as u32), tt, used, &inputs, out, src);
                 }
             }
             CellOp::Cmp(c) => {
                 let (a, b) = (&in_bits[0], &in_bits[1]);
                 let result = match c {
                     Comparison::Eq | Comparison::Ne => {
-                        let diffs: Vec<PNetId> = (0..a.len())
-                            .map(|i| {
-                                ctx.lut(name.at("_x", i as u32), truth::XOR2, 2, &[a[i], b[i]], src)
-                            })
-                            .collect();
-                        let any = ctx.or_reduce(name, &diffs, src);
+                        // the RTL compares over the first operand's width
+                        let any = match folded_side(&cell.inputs, &ctx.konst) {
+                            Some(k) => {
+                                let value = ctx.konst(cell.inputs[k]).expect("a constant side");
+                                ctx.differs_from(name, a.len(), &in_bits[1 - k], value, src)
+                            }
+                            None => {
+                                let diffs: Vec<PNetId> = (0..a.len())
+                                    .map(|i| {
+                                        let x = name.at("_x", i as u32);
+                                        ctx.lut(x, truth::XOR2, 2, &[a[i], b[i]], src)
+                                    })
+                                    .collect();
+                                ctx.or_reduce(name, &diffs, src)
+                            }
+                        };
                         if matches!(c, Comparison::Eq) {
                             ctx.lut(name.tag("_inv"), truth::NOT1, 1, &[any], src)
                         } else {
@@ -525,7 +655,8 @@ impl Synthesizer {
                 let n = out_w.min(chosen.len());
                 drive_out(ctx, &outs[..n], &chosen[..n]);
             }
-            CellOp::Const { value } => {
+            // only a reader that does not fold the value needs its bits
+            CellOp::Const { value } if ctx.read_bits[cell.outputs[0].0 as usize] => {
                 for i in 0..out_w {
                     let bit = (*value >> i) & 1 == 1;
                     let out = ctx.bit(cell.outputs[0], i);
@@ -533,6 +664,7 @@ impl Synthesizer {
                     ctx.lut_into(name.at("_c", i as u32), tt, 0, &[], out, src);
                 }
             }
+            CellOp::Const { .. } => {}
             CellOp::Slice { lo, .. } => {
                 for i in 0..out_w {
                     let src_i = *lo as usize + i;
@@ -772,6 +904,71 @@ mod tests {
         assert!(r.report.utilization.luts > 16);
     }
 
+    /// `x == k` (or `x != k`) for a `w`-bit input and constant `k`; the
+    /// constant is the first operand when `const_first`.
+    fn eq_const(cmp: Comparison, w: u32, value: u64, const_first: bool) -> Netlist {
+        let mut nl = Netlist::new("t");
+        let x = nl.add_input("x", w);
+        let k = nl.add_net("k", w);
+        nl.add_cell("kc", CellOp::Const { value }, &[], &[k]).unwrap();
+        let y = nl.add_net("y", 1);
+        let ops = if const_first { [k, x] } else { [x, k] };
+        nl.add_cell("c", CellOp::Cmp(cmp), &ops, &[y]).unwrap();
+        nl.mark_output(y);
+        nl
+    }
+
+    #[test]
+    fn equality_against_a_constant_is_one_lut_per_nibble() {
+        for (cmp, const_first) in [(Comparison::Eq, false), (Comparison::Ne, true)] {
+            let r = synth(&eq_const(cmp, 32, 0xDEAD_BEEF, const_first));
+            let per_cell: Vec<(&str, usize)> =
+                r.report.per_cell.iter().map(|(n, c)| (n.as_str(), *c)).collect();
+            // 8 nibble LUTs, a 7-LUT OR tree, the inverter (Eq only) and
+            // the output buffer; the constant itself maps to nothing
+            let inv = usize::from(matches!(cmp, Comparison::Eq));
+            assert_eq!(per_cell, [("kc", 0), ("c", 8 + 7 + inv + 1)], "{cmp:?}");
+            assert_eq!(r.report.utilization.carries, 0);
+        }
+    }
+
+    #[test]
+    fn mux_with_a_constant_side_is_two_input_luts() {
+        let mut nl = Netlist::new("t");
+        let sel = nl.add_input("sel", 1);
+        let d = nl.add_input("d", 16);
+        let k = nl.add_net("k", 16);
+        nl.add_cell("kc", CellOp::Const { value: 0x00FF }, &[], &[k]).unwrap();
+        let y = nl.add_net("y", 16);
+        nl.add_cell("m", CellOp::Mux, &[sel, k, d], &[y]).unwrap();
+        nl.mark_output(y);
+        let p = synth(&nl).prim;
+        let luts: Vec<u8> = p
+            .cells()
+            .filter_map(|(_, c)| match c.prim {
+                Primitive::Lut4 { used_inputs, .. } => Some(used_inputs),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(luts, [2; 16], "one 2-input LUT per bit and no constant LUTs");
+    }
+
+    #[test]
+    fn constants_map_only_for_readers_that_need_their_bits() {
+        let mut nl = Netlist::new("t");
+        let x = nl.add_input("x", 8);
+        let unread = nl.add_net("unread", 8);
+        nl.add_cell("z", CellOp::Const { value: 0 }, &[], &[unread]).unwrap();
+        let one = nl.add_net("one", 8);
+        nl.add_cell("k1", CellOp::Const { value: 1 }, &[], &[one]).unwrap();
+        let y = nl.add_net("y", 8);
+        nl.add_cell("inc", CellOp::Add, &[x, one], &[y]).unwrap();
+        nl.mark_output(y);
+        let r = synth(&nl);
+        let count = |cell: &str| r.report.per_cell.iter().find(|(n, _)| n == cell).unwrap().1;
+        assert_eq!((count("z"), count("k1")), (0, 8));
+    }
+
     #[test]
     fn per_cell_report_covers_all_cells() {
         let nl = two_op(CellOp::Add, 8);
@@ -845,6 +1042,22 @@ mod tests {
             nl.mark_output(z);
             assert_names(&nl, &expected);
         }
+        let (j, k) = (1, "k");
+        let mut nl = Netlist::new("t");
+        let x = nl.add_input("a", 8);
+        let c = nl.add_net("c", 8);
+        nl.add_cell(k, CellOp::Const { value: 0x5A }, &[], &[c]).unwrap();
+        let z = nl.add_net("y", 1);
+        nl.add_cell(name, CellOp::Cmp(Comparison::Ne), &[x, c], &[z]).unwrap();
+        let m = nl.add_net("m", 8);
+        nl.add_cell("mx", CellOp::Mux, &[z, c, x], &[m]).unwrap();
+        let sum = nl.add_net("sum", 8);
+        nl.add_cell("add", CellOp::Add, &[m, c], &[sum]).unwrap();
+        nl.mark_output(sum);
+        assert_names(
+            &nl,
+            &[format!("{name}_k{j}"), format!("{}_m{i}", "mx"), format!("{k}_c{i}")],
+        );
         let mut nl = Netlist::new("t");
         let x = nl.add_input("d", 4);
         let q = nl.add_net("q", 4);
