@@ -9,6 +9,9 @@ cargo test -q --workspace
 # process: the whole suite passes one test at a time as well.
 cargo test -q --workspace -- --test-threads=1
 cargo clippy --workspace --all-targets -- -D warnings
+# Rustdoc links must resolve: a doc link to a private or missing item
+# fails here.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
 # Identity gates under the optimizer: the NXmap-flow and fleet digests
 # were recorded in both profiles, so a speed change that only holds in

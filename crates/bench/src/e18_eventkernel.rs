@@ -94,7 +94,7 @@ fn serve_leg() -> LayerRun {
 
 /// XNG leg: a silent partition with an expiring watchdog, a flaky native
 /// task that crashes into HM restarts mid-run, and a yielding guest, on
-/// a two-core plan, run for [`XNG_BUDGET`] ticks. Public for the
+/// a two-core plan, run for `XNG_BUDGET` (120,000) ticks. Public for the
 /// determinism suite.
 pub fn xng_run() -> Hypervisor {
     let mut cfg = XngConfig::new("e18");

@@ -10,8 +10,9 @@
 //!   input held at the constant, and every flip-flop, DSP, block-RAM and
 //!   output-pad input pin must agree over 64 random assignments;
 //! * single cells with a constant operand (`Eq`, `Ne`, `Mux`) and adds
-//!   and subtracts with an operand narrower than their output agree with
-//!   `hermes_rtl::Simulator` on random vectors.
+//!   and subtracts whose operands were fitted to their output agree with
+//!   `hermes_rtl::Simulator` on random vectors, and `add_cell` refuses
+//!   the same cells with operands of another width.
 
 use hermes_bench::kernels;
 use hermes_fpga::device::DeviceProfile;
@@ -22,9 +23,10 @@ use hermes_obs::hash::Fnv1a;
 use hermes_obs::Recorder;
 use hermes_rtl::component::Comparison;
 use hermes_rtl::mask;
-use hermes_rtl::netlist::{CellOp, Netlist};
+use hermes_rtl::netlist::{CellId, CellOp, Netlist};
 use hermes_rtl::rng::DetRng;
 use hermes_rtl::sim::Simulator;
+use hermes_rtl::RtlError;
 use std::collections::{BTreeMap, HashMap};
 
 fn map(nl: &Netlist) -> PrimNetlist {
@@ -323,14 +325,23 @@ fn constants(rng: &mut DetRng, w: u32) -> [u64; 3] {
     [0, mask(!0, w), mask(rng.next_u64(), w)]
 }
 
+/// Asserts that `add_cell` refuses a cell whose pin widths break the
+/// width contract, naming it.
+fn assert_refused(r: Result<CellId, RtlError>, cell: &str) {
+    match r {
+        Err(RtlError::WidthMismatch { cell: named, .. }) => assert_eq!(named, cell),
+        other => panic!("{cell}: expected a width mismatch, got {other:?}"),
+    }
+}
+
 #[test]
 fn equality_against_a_constant_matches_the_rtl() {
     let mut rng = DetRng::new(30);
     let mut failures = Vec::new();
     for cmp in [Comparison::Eq, Comparison::Ne] {
         for &w in &WIDTHS {
-            // equal widths, a narrower and a wider other operand (nets
-            // are at most 64 bits wide)
+            // the other operand as wide as the constant; a narrower or a
+            // wider one breaks the width contract
             for ow in [w, (w / 2).max(1), (w + 3).min(64)] {
                 for value in constants(&mut rng, w) {
                     for const_first in [false, true] {
@@ -341,13 +352,17 @@ fn equality_against_a_constant_matches_the_rtl() {
                             .unwrap();
                         let y = nl.add_net("y", 1);
                         let ops = if const_first { [k, x] } else { [x, k] };
-                        nl.add_cell("cmp", CellOp::Cmp(cmp), &ops, &[y]).unwrap();
+                        let cell = nl.add_cell("cmp", CellOp::Cmp(cmp), &ops, &[y]);
+                        if ow != w {
+                            assert_refused(cell, "cmp");
+                            continue;
+                        }
                         nl.mark_output(y);
-                        let vs = vectors(&mut rng, &[(ow, Some(mask(value, ow)))], 448);
+                        let vs = vectors(&mut rng, &[(ow, Some(value))], 448);
                         let bad = rtl_mismatches(&nl, &vs);
                         if bad > 0 {
                             failures.push(format!(
-                                "{cmp:?} x:{ow} k:{w}={value:#x} const first {const_first}: {bad}/448"
+                                "{cmp:?} w:{w} k={value:#x} const first {const_first}: {bad}/448"
                             ));
                         }
                     }
@@ -365,7 +380,7 @@ fn mux_with_a_constant_data_input_matches_the_rtl() {
     for &w in &WIDTHS {
         for value in constants(&mut rng, w) {
             // the constant on either side, or both sides constant; data
-            // inputs as wide as the output or narrower
+            // inputs narrower than the output break the width contract
             for (side, dw) in [(1, w), (2, w), (1, (w / 2).max(1)), (3, w)] {
                 let mut nl = Netlist::new("t");
                 let sel = nl.add_input("sel", 1);
@@ -385,15 +400,16 @@ fn mux_with_a_constant_data_input_matches_the_rtl() {
                     }
                 };
                 let y = nl.add_net("y", w);
-                nl.add_cell("mux", CellOp::Mux, &[sel, data[0], data[1]], &[y])
-                    .unwrap();
+                let cell = nl.add_cell("mux", CellOp::Mux, &[sel, data[0], data[1]], &[y]);
+                if dw != w {
+                    assert_refused(cell, "mux");
+                    continue;
+                }
                 nl.mark_output(y);
                 let vs = vectors(&mut rng, &[(1, None), (dw, None)], 448);
                 let bad = rtl_mismatches(&nl, &vs);
                 if bad > 0 {
-                    failures.push(format!(
-                        "mux w:{w} data:{dw} k={value:#x} side {side}: {bad}/448"
-                    ));
+                    failures.push(format!("mux w:{w} k={value:#x} side {side}: {bad}/448"));
                 }
             }
         }
@@ -401,6 +417,10 @@ fn mux_with_a_constant_data_input_matches_the_rtl() {
     assert!(failures.is_empty(), "{}", failures.join("\n"));
 }
 
+/// An add or subtract cell with an operand narrower or wider than its
+/// output is refused; fitted to the output first (a `ZeroExtend` widens,
+/// a `Slice` narrows, as HLS fits operands), its mapping drives every
+/// output bit as the RTL computes it.
 #[test]
 fn add_and_sub_with_a_narrow_operand_drive_every_output_bit() {
     let mut rng = DetRng::new(32);
@@ -418,7 +438,22 @@ fn add_and_sub_with_a_narrow_operand_drive_every_output_bit() {
             let a = nl.add_input("a", aw);
             let b = nl.add_input("b", bw);
             let y = nl.add_net("y", yw);
-            nl.add_cell("op", op.clone(), &[a, b], &[y]).unwrap();
+            assert_refused(nl.add_cell("op", op.clone(), &[a, b], &[y]), "op");
+            let mut fit = |net, w, tag: &str| {
+                if w == yw {
+                    return net;
+                }
+                let cell = if w < yw {
+                    CellOp::ZeroExtend
+                } else {
+                    CellOp::Slice { lo: 0, hi: yw - 1 }
+                };
+                let out = nl.add_net(format!("{tag}_fit"), yw);
+                nl.add_cell(format!("{tag}_fit"), cell, &[net], &[out]).unwrap();
+                out
+            };
+            let ins = [fit(a, aw, "a"), fit(b, bw, "b")];
+            nl.add_cell("op", op.clone(), &ins, &[y]).unwrap();
             nl.mark_output(y);
             let vs = vectors(&mut rng, &[(aw, None), (bw, None)], 448);
             let bad = rtl_mismatches(&nl, &vs);

@@ -50,7 +50,7 @@ const CRC_TABLES: [[u32; 256]; 8] = {
 };
 
 /// Standard IEEE 802.3 CRC-32 (reflected, polynomial 0xEDB88320), eight
-/// bytes per step through [`CRC_TABLES`].
+/// bytes per step through eight 256-entry lookup tables.
 pub fn crc32(data: &[u8]) -> u32 {
     let t = &CRC_TABLES;
     let mut crc = 0xFFFF_FFFFu32;

@@ -67,7 +67,7 @@ impl Router {
     /// # Errors
     ///
     /// Returns [`FpgaError::Unroutable`] if channel overflow exceeds the
-    /// router's tolerance ([`OVERFLOW_LIMIT`]).
+    /// router's tolerance (`OVERFLOW_LIMIT`, 192 overflowed channels).
     pub fn route(
         &self,
         prim: &PrimNetlist,

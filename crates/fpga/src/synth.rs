@@ -190,44 +190,20 @@ impl MapCtx {
         cout
     }
 
-    /// 1 when the first `width` bits of `other` (zero-extended) differ
-    /// from those of `value`: one LUT4 per nibble, each comparing up to
-    /// four bits of `other` with the constant's bits, named
+    /// 1 when `bits` differ from those of `value`: one LUT4 per nibble,
+    /// each comparing up to four of `bits` with the constant's, named
     /// `{name}_k{j}`, then the OR-reduce.
-    fn differs_from(
-        &mut self,
-        name: CellName,
-        width: usize,
-        other: &[PNetId],
-        value: u64,
-        source: u32,
-    ) -> PNetId {
-        let mut diffs = Vec::with_capacity(width.div_ceil(4));
-        for (j, lo) in (0..width).step_by(4).enumerate() {
-            let mut inputs = Vec::with_capacity(4);
-            let mut pattern = 0usize;
-            let mut never_equal = false;
-            for i in lo..width.min(lo + 4) {
-                let want = bit_of(value, i);
-                match other.get(i) {
-                    Some(&b) => {
-                        pattern |= usize::from(want) << inputs.len();
-                        inputs.push(b);
-                    }
-                    // above `other`'s width its bits read 0
-                    None => never_equal |= want,
-                }
-            }
-            if never_equal {
-                diffs.push(self.const_bit(true));
-            } else if !inputs.is_empty() {
-                // 1 off the one pattern that matches; unused inputs are
-                // don't-cares, as in the other truth tables
-                let used = (1usize << inputs.len()) - 1;
-                let truth = (0..16).fold(0u16, |t, p| t | u16::from(p & used != pattern) << p);
-                let k = name.at("_k", j as u32);
-                diffs.push(self.lut(k, truth, inputs.len() as u8, &inputs, source));
-            }
+    fn differs_from(&mut self, name: CellName, bits: &[PNetId], value: u64, source: u32) -> PNetId {
+        let mut diffs = Vec::with_capacity(bits.len().div_ceil(4));
+        for (j, inputs) in bits.chunks(4).enumerate() {
+            let pattern = (0..inputs.len())
+                .fold(0usize, |p, i| p | usize::from(bit_of(value, 4 * j + i)) << i);
+            // 1 off the one pattern that matches; unused inputs are
+            // don't-cares, as in the other truth tables
+            let used = (1usize << inputs.len()) - 1;
+            let truth = (0..16).fold(0u16, |t, p| t | u16::from(p & used != pattern) << p);
+            let k = name.at("_k", j as u32);
+            diffs.push(self.lut(k, truth, inputs.len() as u8, inputs, source));
         }
         self.or_reduce(name, &diffs, source)
     }
@@ -235,7 +211,7 @@ impl MapCtx {
 
 /// Bit `i` of `value`.
 fn bit_of(value: u64, i: usize) -> bool {
-    i < 64 && (value >> i) & 1 == 1
+    (value >> i) & 1 == 1
 }
 
 /// Which operand of an `Eq`/`Ne` cell the mapper folds as a constant: the
@@ -388,11 +364,8 @@ impl Synthesizer {
         let src = ctx.prim.add_string(&cell.name);
         let name = CellName::of(src);
         let in_bits: Vec<Vec<PNetId>> = cell.inputs.iter().map(|&n| ctx.bits(n)).collect();
-        let out_w = cell
-            .outputs
-            .first()
-            .map(|&n| netlist.net(n).width as usize)
-            .unwrap_or(0);
+        // every cell obeys `CellOp::check`: operands need no adapting
+        let out_w = netlist.net(cell.outputs[0]).width as usize;
 
         // Helper: alias computed bits onto the pre-allocated output bit nets
         // with buffer LUTs (keeps pre-allocation simple and uniform; buffers
@@ -406,20 +379,14 @@ impl Synthesizer {
 
         match &cell.op {
             CellOp::Add | CellOp::Sub => {
-                // both operands zero-extended (or truncated) to the output;
-                // a subtrahend's extension inverts to ones
                 let sub = matches!(cell.op, CellOp::Sub);
-                let b = &in_bits[1][..in_bits[1].len().min(out_w)];
-                let b = if sub { ctx.invert_all(name.tag("_nb"), b, src) } else { b.to_vec() };
-                let cin = ctx.const_bit(sub);
-                let mut fit = |bits: &[PNetId], fill: bool| -> Vec<PNetId> {
-                    (0..out_w)
-                        .map(|i| bits.get(i).copied().unwrap_or_else(|| ctx.const_bit(fill)))
-                        .collect()
+                let b = if sub {
+                    ctx.invert_all(name.tag("_nb"), &in_bits[1], src)
+                } else {
+                    in_bits[1].clone()
                 };
-                let b = fit(&b, sub);
-                let a = fit(&in_bits[0], false);
-                let (sums, _) = ctx.ripple_add(name, &a, &b, cin, src);
+                let cin = ctx.const_bit(sub);
+                let (sums, _) = ctx.ripple_add(name, &in_bits[0], &b, cin, src);
                 let outs = ctx.bits(cell.outputs[0]);
                 drive_out(ctx, &outs, &sums);
             }
@@ -429,14 +396,13 @@ impl Synthesizer {
                     CellOp::Or => truth::OR2,
                     _ => truth::XOR2,
                 };
-                let pairs = in_bits[0].iter().zip(&in_bits[1]).take(out_w);
-                for (i, (&a, &b)) in pairs.enumerate() {
+                for (i, (&a, &b)) in in_bits[0].iter().zip(&in_bits[1]).enumerate() {
                     let out = ctx.bit(cell.outputs[0], i);
                     ctx.lut_into(name.at("_l", i as u32), tt, 2, &[a, b], out, src);
                 }
             }
             CellOp::Not => {
-                for (i, &a) in in_bits[0].iter().take(out_w).enumerate() {
+                for (i, &a) in in_bits[0].iter().enumerate() {
                     let out = ctx.bit(cell.outputs[0], i);
                     ctx.lut_into(name.at("_l", i as u32), truth::NOT1, 1, &[a], out, src);
                 }
@@ -444,18 +410,15 @@ impl Synthesizer {
             CellOp::Mux => {
                 let sel = in_bits[0][0];
                 let (ka, kb) = (ctx.konst(cell.inputs[1]), ctx.konst(cell.inputs[2]));
-                for i in 0..out_w {
-                    let mut data = |k: usize| {
-                        in_bits[k].get(i).copied().unwrap_or_else(|| ctx.const_bit(false))
-                    };
+                for (i, (&a, &b)) in in_bits[1].iter().zip(&in_bits[2]).enumerate() {
                     // `sel ? b : a`, with a constant side folded into the LUT
                     let known = |v: Option<u64>| v.map(|v| bit_of(v, i));
                     let (tt, inputs) = match (known(ka), known(kb)) {
-                        (None, None) => (truth::MUX21, vec![data(1), data(2), sel]),
-                        (Some(false), None) => (truth::AND2, vec![data(2), sel]),
-                        (Some(true), None) => (truth::OR_NOT2, vec![data(2), sel]),
-                        (None, Some(false)) => (truth::AND_NOT2, vec![data(1), sel]),
-                        (None, Some(true)) => (truth::OR2, vec![data(1), sel]),
+                        (None, None) => (truth::MUX21, vec![a, b, sel]),
+                        (Some(false), None) => (truth::AND2, vec![b, sel]),
+                        (Some(true), None) => (truth::OR_NOT2, vec![b, sel]),
+                        (None, Some(false)) => (truth::AND_NOT2, vec![a, sel]),
+                        (None, Some(true)) => (truth::OR2, vec![a, sel]),
                         (Some(false), Some(true)) => (truth::BUF1, vec![sel]),
                         (Some(true), Some(false)) => (truth::NOT1, vec![sel]),
                         (Some(x), Some(_)) => (if x { 0xFFFF } else { 0x0000 }, vec![]),
@@ -469,11 +432,10 @@ impl Synthesizer {
                 let (a, b) = (&in_bits[0], &in_bits[1]);
                 let result = match c {
                     Comparison::Eq | Comparison::Ne => {
-                        // the RTL compares over the first operand's width
                         let any = match folded_side(&cell.inputs, &ctx.konst) {
                             Some(k) => {
                                 let value = ctx.konst(cell.inputs[k]).expect("a constant side");
-                                ctx.differs_from(name, a.len(), &in_bits[1 - k], value, src)
+                                ctx.differs_from(name, &in_bits[1 - k], value, src)
                             }
                             None => {
                                 let diffs: Vec<PNetId> = (0..a.len())
@@ -527,9 +489,8 @@ impl Synthesizer {
                     _ => ctx.const_bit(false),
                 };
                 let mut cur = a;
-                for s in 0..stages {
+                for (s, &sel) in sh[..stages].iter().enumerate() {
                     let amount = 1usize << s;
-                    let sel = sh.get(s).copied().unwrap_or_else(|| ctx.const_bit(false));
                     let mut next = Vec::with_capacity(w);
                     for i in 0..w {
                         let shifted = match cell.op {
@@ -559,8 +520,7 @@ impl Synthesizer {
                     cur = next;
                 }
                 let outs = ctx.bits(cell.outputs[0]);
-                let n = out_w.min(cur.len());
-                drive_out(ctx, &outs[..n], &cur[..n]);
+                drive_out(ctx, &outs, &cur);
             }
             CellOp::Mul => {
                 let w = in_bits[0].len() as u32;
@@ -609,7 +569,7 @@ impl Synthesizer {
                         let (sum, _) = ctx.ripple_add(name.at("_acc", k as u32), &acc, p, cin, src);
                         acc = sum;
                     }
-                    drive_out(ctx, &outs[..acc.len().min(out_w)], &acc);
+                    drive_out(ctx, &outs, &acc);
                 }
             }
             CellOp::Div | CellOp::Mod => {
@@ -652,8 +612,7 @@ impl Synthesizer {
                 } else {
                     rem
                 };
-                let n = out_w.min(chosen.len());
-                drive_out(ctx, &outs[..n], &chosen[..n]);
+                drive_out(ctx, &outs, &chosen);
             }
             // only a reader that does not fold the value needs its bits
             CellOp::Const { value } if ctx.read_bits[cell.outputs[0].0 as usize] => {
@@ -665,13 +624,8 @@ impl Synthesizer {
                 }
             }
             CellOp::Const { .. } => {}
-            CellOp::Slice { lo, .. } => {
-                for i in 0..out_w {
-                    let src_i = *lo as usize + i;
-                    let from = in_bits[0]
-                        .get(src_i)
-                        .copied()
-                        .unwrap_or_else(|| ctx.const_bit(false));
+            CellOp::Slice { lo, hi } => {
+                for (i, &from) in in_bits[0][*lo as usize..=*hi as usize].iter().enumerate() {
                     let out = ctx.bit(cell.outputs[0], i);
                     ctx.lut_into(name.at("_b", i as u32), truth::BUF1, 1, &[from], out, src);
                 }
@@ -683,8 +637,8 @@ impl Synthesizer {
                 } else {
                     ctx.const_bit(false)
                 };
-                for i in 0..out_w {
-                    let from = in_bits[0].get(i).copied().unwrap_or(fill);
+                let fills = std::iter::repeat_n(&fill, out_w - iw);
+                for (i, &from) in in_bits[0].iter().chain(fills).enumerate() {
                     let out = ctx.bit(cell.outputs[0], i);
                     ctx.lut_into(name.at("_b", i as u32), truth::BUF1, 1, &[from], out, src);
                 }
@@ -695,11 +649,7 @@ impl Synthesizer {
                 } else {
                     None
                 };
-                for i in 0..out_w {
-                    let d = in_bits[0]
-                        .get(i)
-                        .copied()
-                        .unwrap_or_else(|| ctx.const_bit(false));
+                for (i, &d) in in_bits[0].iter().enumerate() {
                     let inputs = [d, en.unwrap_or(d)];
                     let n_in = if en.is_some() { 2 } else { 1 };
                     let out = ctx.bit(cell.outputs[0], i);
@@ -729,7 +679,7 @@ impl Synthesizer {
                         name.at("_ramb", k),
                         Primitive::Ramb {
                             depth: *depth,
-                            width: w.min(64) as u8,
+                            width: w as u8,
                         },
                         &all_inputs,
                         &outs,

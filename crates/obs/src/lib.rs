@@ -298,9 +298,9 @@ impl Histogram {
     /// bucket's lower and upper bounds in pure integer arithmetic, so two
     /// histograms with equal bucket counts answer byte-identically on any
     /// worker count or platform. The open-ended overflow bucket
-    /// interpolates between the last bound and the observed [`max`], which
-    /// keeps tail percentiles finite. Returns `None` on an empty
-    /// histogram.
+    /// interpolates between the last bound and the observed
+    /// [`max`](Self::max), which keeps tail percentiles finite. Returns
+    /// `None` on an empty histogram.
     ///
     /// Total observations (same value as the public `count` field, as a
     /// readout for generic metric consumers).

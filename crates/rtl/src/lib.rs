@@ -63,6 +63,11 @@ pub enum RtlError {
         /// Name of the multiply-driven net.
         net: String,
     },
+    /// Two cells share an instance name.
+    DuplicateName {
+        /// The repeated cell name.
+        cell: String,
+    },
     /// A net is read but never driven.
     UndrivenNet {
         /// Name of the floating net.
@@ -78,10 +83,16 @@ pub enum RtlError {
         /// The name that could not be resolved.
         name: String,
     },
-    /// A width constraint was violated.
+    /// A cell's pin widths break [`CellOp::check`](netlist::CellOp::check).
     WidthMismatch {
-        /// Context of the violation.
-        context: String,
+        /// Name of the offending cell.
+        cell: String,
+        /// The operation's mnemonic.
+        op: &'static str,
+        /// Input pin widths, in pin order.
+        inputs: Vec<u32>,
+        /// Output pin widths, in pin order.
+        outputs: Vec<u32>,
     },
     /// An operand width above 64 bits was requested.
     UnsupportedWidth {
@@ -97,12 +108,16 @@ impl fmt::Display for RtlError {
                 write!(f, "cell `{cell}` arity mismatch: expected {expected}, got {got}")
             }
             RtlError::MultipleDrivers { net } => write!(f, "net `{net}` has multiple drivers"),
+            RtlError::DuplicateName { cell } => write!(f, "cell name `{cell}` is used twice"),
             RtlError::UndrivenNet { net } => write!(f, "net `{net}` is read but never driven"),
             RtlError::CombinationalLoop { net } => {
                 write!(f, "combinational loop through net `{net}`")
             }
             RtlError::UnknownName { name } => write!(f, "unknown name `{name}`"),
-            RtlError::WidthMismatch { context } => write!(f, "width mismatch: {context}"),
+            RtlError::WidthMismatch { cell, op, inputs, outputs } => write!(
+                f,
+                "cell `{cell}` ({op}) width mismatch: inputs {inputs:?}, outputs {outputs:?}"
+            ),
             RtlError::UnsupportedWidth { width } => {
                 write!(f, "unsupported width {width} (maximum is 64)")
             }
@@ -165,6 +180,13 @@ mod tests {
             RtlError::UndrivenNet { net: "y".into() },
             RtlError::UnknownName { name: "z".into() },
             RtlError::UnsupportedWidth { width: 128 },
+            RtlError::DuplicateName { cell: "c".into() },
+            RtlError::WidthMismatch {
+                cell: "c".into(),
+                op: "add",
+                inputs: vec![4, 8],
+                outputs: vec![8],
+            },
         ];
         for e in errs {
             assert!(!e.to_string().is_empty());

@@ -7,7 +7,7 @@
 
 use crate::component::Comparison;
 use crate::RtlError;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 /// Identifier of a net within its owning [`Netlist`].
@@ -35,7 +35,8 @@ impl fmt::Display for CellId {
 pub struct Net {
     /// Human-readable name (unique within the netlist).
     pub name: String,
-    /// Bit width (1..=64).
+    /// Bit width. Any width may be declared, but a cell pin accepts only
+    /// 1..=64 bits ([`CellOp::check`]).
     pub width: u32,
 }
 
@@ -120,6 +121,52 @@ impl CellOp {
         }
     }
 
+    /// The width contract every consumer of a netlist relies on (table
+    /// in DESIGN.md §5): the simulators, the technology mapper and the
+    /// HDL emitters read operands as they are, and widths change only
+    /// through `Slice`, `ZeroExtend` and `SignExtend`. `inputs` and
+    /// `outputs` are the pin widths in pin order; every pin is 1..=64
+    /// bits.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RtlError::WidthMismatch`] naming `cell`, the op and the
+    /// widths when the signature is outside the table (a wrong pin count
+    /// included).
+    pub fn check(&self, cell: &str, inputs: &[u32], outputs: &[u32]) -> Result<(), RtlError> {
+        use CellOp::*;
+        let pins = inputs.iter().chain(outputs).all(|w| (1..=64).contains(w));
+        let fits = match (self, inputs, outputs) {
+            (Add | Sub | Mul | Div | Mod | And | Or | Xor | Shl | ShrL | ShrA, &[a, b], &[y]) => {
+                a == y && b == y
+            }
+            (Not, &[a], &[y]) => a == y,
+            (Cmp(_), &[a, b], &[y]) => a == b && y == 1,
+            (Mux, &[sel, a, b], &[y]) => sel == 1 && a == y && b == y,
+            (Const { .. }, &[], &[_]) => true,
+            (Slice { lo, hi }, &[a], &[y]) => lo <= hi && *hi < a && y == hi - lo + 1,
+            (ZeroExtend | SignExtend, &[a], &[y]) => y >= a,
+            (Register { has_enable: false, .. }, &[d], &[q]) => d == q,
+            (Register { has_enable: true, .. }, &[d, en], &[q]) => d == q && en == 1,
+            (RamTdp { .. }, &[addr_a, data_a, we_a, addr_b, data_b, we_b], &[rd_a, rd_b]) => {
+                addr_a == addr_b
+                    && [data_b, rd_a, rd_b].iter().all(|&w| w == data_a)
+                    && we_a == 1
+                    && we_b == 1
+            }
+            _ => false,
+        };
+        if pins && fits {
+            return Ok(());
+        }
+        Err(RtlError::WidthMismatch {
+            cell: cell.to_string(),
+            op: self.mnemonic(),
+            inputs: inputs.to_vec(),
+            outputs: outputs.to_vec(),
+        })
+    }
+
     /// Whether the cell has state updated on the clock edge.
     pub fn is_sequential(&self) -> bool {
         matches!(self, CellOp::Register { .. } | CellOp::RamTdp { .. })
@@ -156,7 +203,8 @@ impl CellOp {
 /// An instantiated operator in the netlist.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Cell {
-    /// Instance name (unique within the netlist).
+    /// Instance name. [`Netlist::validate`] rejects a netlist in which two
+    /// cells share one.
     pub name: String,
     /// The operation performed.
     pub op: CellOp,
@@ -261,7 +309,12 @@ impl Netlist {
     /// # Errors
     ///
     /// Returns [`RtlError::ArityMismatch`] if the connection counts do not
-    /// match [`CellOp::arity`].
+    /// match [`CellOp::arity`], then [`RtlError::WidthMismatch`] if the
+    /// pin widths break [`CellOp::check`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if a net id does not belong to this netlist.
     pub fn add_cell(
         &mut self,
         name: impl Into<String>,
@@ -278,6 +331,12 @@ impl Netlist {
                 got: format!("{} in / {} out", inputs.len(), outputs.len()),
             });
         }
+        // at most 6 inputs and 2 outputs: widths on the stack
+        let (mut iw, mut ow) = ([0; 6], [0; 2]);
+        for (w, &n) in iw.iter_mut().zip(inputs).chain(ow.iter_mut().zip(outputs)) {
+            *w = self.net(n).width;
+        }
+        op.check(&name, &iw[..ni], &ow[..no])?;
         let id = CellId(self.cells.len() as u32);
         self.cells.push(Cell {
             name,
@@ -319,7 +378,7 @@ impl Netlist {
                 let ins: Vec<NetId> = cell.inputs.iter().map(|n| map[n.0 as usize]).collect();
                 let outs: Vec<NetId> = cell.outputs.iter().map(|n| map[n.0 as usize]).collect();
                 out.add_cell(format!("u{k}_{}", cell.name), cell.op.clone(), &ins, &outs)
-                    .expect("tiled cell mirrors an already-validated arity");
+                    .expect("a tiled cell mirrors one that passed its checks");
             }
             for n in &self.outputs {
                 out.mark_output(map[n.0 as usize]);
@@ -440,16 +499,23 @@ impl Netlist {
         Ok(drivers)
     }
 
-    /// Validate structural sanity: single drivers, no floating nets read by
-    /// cells, and no combinational cycles. Returns the topological order of
-    /// the combinational cells (the same as [`Netlist::combinational_order`]),
-    /// so a caller that needs both pays for one driver table.
+    /// Validate structural sanity: single drivers, unique cell names, no
+    /// floating nets read by cells, and no combinational cycles. Returns
+    /// the topological order of the combinational cells (the same as
+    /// [`Netlist::combinational_order`]), so a caller that needs both pays
+    /// for one driver table.
     ///
     /// # Errors
     ///
     /// Returns the first [`RtlError`] found, checked in that order.
     pub fn validate(&self) -> Result<Vec<CellId>, RtlError> {
         let drivers = self.driver_map()?;
+        let mut names = HashSet::with_capacity(self.cells.len());
+        if let Some(dup) = self.cells.iter().find(|c| !names.insert(c.name.as_str())) {
+            return Err(RtlError::DuplicateName {
+                cell: dup.name.clone(),
+            });
+        }
         let mut is_input = vec![false; self.nets.len()];
         for &inp in &self.inputs {
             is_input[inp.0 as usize] = true;
@@ -687,6 +753,120 @@ mod tests {
         let y = nl.add_net("y", 8);
         let r = nl.add_cell("bad", CellOp::Add, &[a], &[y]);
         assert!(matches!(r, Err(RtlError::ArityMismatch { .. })));
+    }
+
+    /// `add_cell` of `op` on fresh nets of the given widths.
+    fn try_cell(op: &CellOp, ins: &[u32], outs: &[u32]) -> Result<CellId, RtlError> {
+        let mut nl = Netlist::new("t");
+        let ins: Vec<NetId> =
+            ins.iter().enumerate().map(|(i, &w)| nl.add_input(format!("i{i}"), w)).collect();
+        let outs: Vec<NetId> =
+            outs.iter().enumerate().map(|(i, &w)| nl.add_net(format!("o{i}"), w)).collect();
+        nl.add_cell("cell", op.clone(), &ins, &outs)
+    }
+
+    /// One legal signature per op, and each way to break it: every break
+    /// is refused with a `WidthMismatch` naming the cell, the op and the
+    /// widths.
+    #[test]
+    fn width_contract_accepts_the_table_and_refuses_every_break() {
+        use CellOp::*;
+        type Sig = (&'static [u32], &'static [u32]);
+        let binary: &[Sig] = &[
+            (&[4, 8], &[8]),
+            (&[8, 4], &[8]),
+            // 4-bit operands into an 8-bit output: the mapper left the
+            // top four output bits undriven
+            (&[4, 4], &[8]),
+            (&[8, 8], &[4]),
+            (&[0, 0], &[0]),
+            (&[65, 65], &[65]),
+        ];
+        let extend: &[Sig] = &[(&[8], &[4]), (&[0], &[8]), (&[8], &[65])];
+        let mut table: Vec<(CellOp, Vec<Sig>, &[Sig])> = Vec::new();
+        for op in [Add, Sub, Mul, Div, Mod, And, Or, Xor, Shl, ShrL, ShrA] {
+            table.push((op, vec![(&[8, 8], &[8]), (&[64, 64], &[64]), (&[1, 1], &[1])], binary));
+        }
+        table.push((Not, vec![(&[8], &[8])], &[(&[4], &[8]), (&[8], &[4]), (&[0], &[0])]));
+        for c in [
+            Comparison::Eq,
+            Comparison::Ne,
+            Comparison::LtU,
+            Comparison::GeU,
+            Comparison::LtS,
+            Comparison::GeS,
+        ] {
+            // an 8-bit against a 4-bit operand panicked the mapper
+            let broken: &[Sig] =
+                &[(&[8, 4], &[1]), (&[4, 8], &[1]), (&[8, 8], &[8]), (&[8, 8], &[0])];
+            table.push((Cmp(c), vec![(&[8, 8], &[1])], broken));
+        }
+        let mux: &[Sig] = &[
+            (&[2, 8, 8], &[8]),
+            (&[1, 4, 8], &[8]),
+            (&[1, 8, 4], &[8]),
+            (&[1, 8, 8], &[4]),
+        ];
+        table.push((Mux, vec![(&[1, 8, 8], &[8])], mux));
+        let konst: &[Sig] = &[(&[], &[0]), (&[], &[65])];
+        table.push((Const { value: 0x1FF }, vec![(&[], &[8]), (&[], &[64])], konst));
+        let slice: &[Sig] = &[(&[5], &[4]), (&[8], &[3]), (&[8], &[5])];
+        table.push((Slice { lo: 2, hi: 5 }, vec![(&[8], &[4]), (&[6], &[4])], slice));
+        table.push((Slice { lo: 5, hi: 2 }, vec![], &[(&[8], &[1]), (&[8], &[4])]));
+        for op in [ZeroExtend, SignExtend] {
+            // equal widths stay legal: the characterization's resize
+            // templates are w -> w
+            table.push((op, vec![(&[4], &[8]), (&[8], &[8])], extend));
+        }
+        let reg = |has_enable| Register { has_enable, has_reset: true };
+        let plain: &[Sig] = &[(&[4], &[8]), (&[8], &[4]), (&[0], &[0])];
+        table.push((reg(false), vec![(&[8], &[8])], plain));
+        let enabled: &[Sig] = &[(&[8, 2], &[8]), (&[4, 1], &[8]), (&[8, 1], &[4])];
+        table.push((reg(true), vec![(&[8, 1], &[8])], enabled));
+        let ram: &[Sig] = &[
+            (&[4, 16, 1, 5, 16, 1], &[16, 16]),
+            (&[4, 8, 1, 4, 16, 1], &[16, 16]),
+            (&[4, 16, 1, 4, 8, 1], &[16, 16]),
+            // read ports of two widths
+            (&[4, 16, 1, 4, 16, 1], &[16, 8]),
+            (&[4, 16, 1, 4, 16, 1], &[8, 8]),
+            (&[4, 16, 2, 4, 16, 1], &[16, 16]),
+            (&[4, 16, 1, 4, 16, 2], &[16, 16]),
+            (&[65, 16, 1, 65, 16, 1], &[16, 16]),
+        ];
+        let ram_op = RamTdp {
+            depth: 16,
+            init: vec![],
+        };
+        table.push((ram_op, vec![(&[4, 16, 1, 4, 16, 1], &[16, 16])], ram));
+        for (op, legal, broken) in &table {
+            for (ins, outs) in legal {
+                assert!(try_cell(op, ins, outs).is_ok(), "{op:?} {ins:?} -> {outs:?} is legal");
+            }
+            for &(ins, outs) in broken.iter() {
+                let want = RtlError::WidthMismatch {
+                    cell: "cell".into(),
+                    op: op.mnemonic(),
+                    inputs: ins.to_vec(),
+                    outputs: outs.to_vec(),
+                };
+                assert_eq!(try_cell(op, ins, outs), Err(want), "{op:?} {ins:?} -> {outs:?}");
+            }
+        }
+        // arity is checked first
+        let r = try_cell(&Add, &[4], &[8]);
+        assert!(matches!(r, Err(RtlError::ArityMismatch { .. })), "{r:?}");
+    }
+
+    #[test]
+    fn validate_refuses_a_repeated_cell_name() {
+        let mut nl = adder_reg();
+        let a = nl.net_by_name("a").expect("input a");
+        let y = nl.add_net("y", 8);
+        nl.add_cell("add", CellOp::Not, &[a], &[y]).unwrap();
+        let err = Err(RtlError::DuplicateName { cell: "add".into() });
+        assert_eq!(nl.validate(), err);
+        assert!(nl.combinational_order().is_ok(), "the order alone does not check names");
     }
 
     #[test]

@@ -21,7 +21,7 @@ use crate::{mask, RtlError};
 ///
 /// State is kept in dense vectors indexed by cell id (`reg_state`,
 /// `ram_state` via `seq_slot`) rather than hash maps, and the settle loop
-/// runs over a precompiled program of [`SettleOp`]s with all net widths
+/// runs over a precompiled program of `SettleOp`s with all net widths
 /// and indices resolved up front — the per-cycle hot path performs no
 /// hashing, no allocation, and no netlist traversal.
 ///
@@ -111,8 +111,6 @@ struct RegInfo {
     en: u32,
     /// Net index of the output.
     q: u32,
-    /// Output width mask.
-    mask: u64,
     /// Whether [`Simulator::reset`] clears this register.
     has_reset: bool,
 }
@@ -129,11 +127,9 @@ struct RamInfo {
     rb: u32,
     /// Word count.
     depth: u32,
-    /// Data width mask: the width of `rdata_a`, which every stored word
-    /// fits.
+    /// Data width mask, which a backdoor load applies (a port write's
+    /// data already fits).
     mask: u64,
-    /// Width mask of `rdata_b`, which may be narrower than a word.
-    mask_b: u64,
 }
 
 /// One precompiled combinational evaluation, 20 bytes: resolved net
@@ -153,8 +149,8 @@ struct SettleOp {
     /// The result keeps its low `64 - keep` bits: `v & (u64::MAX >> keep)`.
     keep: u8,
     /// Slice low bit, or `64 - input width` for the kinds that read their
-    /// input as a signed or width-bounded number (`ShrA`, the
-    /// comparisons, `SignExtend`).
+    /// input as a signed number (`ShrA`, the signed comparisons,
+    /// `SignExtend`).
     aux: u8,
 }
 
@@ -203,11 +199,6 @@ impl SettleOp {
             _ => 2,
         }
     }
-}
-
-/// The `keep` shift that bounds a result to `width` bits (`width >= 1`).
-fn keep_shift(width: u32) -> u8 {
-    (64 - width.clamp(1, 64)) as u8
 }
 
 /// A recorded value-change trace (VCD-lite) of selected nets.
@@ -270,7 +261,6 @@ impl<'n> Simulator<'n> {
                             u32::MAX
                         },
                         q: cell.outputs[0].0,
-                        mask: mask(u64::MAX, netlist.net(cell.outputs[0]).width),
                         has_reset: *has_reset,
                     });
                 }
@@ -296,7 +286,6 @@ impl<'n> Simulator<'n> {
                         rb: cell.outputs[1].0,
                         depth: (*depth).max(1),
                         mask: mask(u64::MAX, width),
-                        mask_b: mask(u64::MAX, netlist.net(cell.outputs[1]).width),
                     });
                 }
                 _ => {}
@@ -394,74 +383,47 @@ impl<'n> Simulator<'n> {
             let cell = netlist.cell(cid);
             let out = cell.outputs[0];
             let ow = netlist.net(out).width;
-            let iw = cell.inputs.first().map_or(0, |&n| netlist.net(n).width);
-            // a result that is always the same value: a constant, a
-            // zero-width output, a slice above bit 63, or a comparison of
-            // zero-width operands
-            let fixed = match &cell.op {
+            // `64 - input width`, for the kinds that read their input as a
+            // signed number
+            let sign = || (64 - netlist.net(cell.inputs[0]).width) as u8;
+            let (kind, aux) = match &cell.op {
                 CellOp::Register { .. } | CellOp::RamTdp { .. } => continue,
-                _ if ow == 0 => Some(0),
-                CellOp::Const { value } => Some(mask(*value, ow)),
-                CellOp::Slice { lo, .. } if *lo >= 64 => Some(0),
-                CellOp::Cmp(c) if iw == 0 => Some(u64::from(c.apply(0, 0, 0))),
-                _ => None,
-            };
-            if let Some(value) = fixed {
-                ops.push(SettleOp {
-                    kind: SettleKind::Const,
-                    a: 0,
-                    b: consts.len() as u32,
-                    c: 0,
-                    out: out.0,
-                    keep: 0,
-                    aux: 0,
-                });
-                consts.push(value);
-                continue;
-            }
-            // a zero-width input reads 0, which any shift keeps 0
-            let sign = keep_shift(iw);
-            let (kind, width, aux) = match &cell.op {
-                CellOp::Add => (SettleKind::Add, ow, 0),
-                CellOp::Sub => (SettleKind::Sub, ow, 0),
-                CellOp::Mul => (SettleKind::Mul, ow, 0),
-                CellOp::Div => (SettleKind::Div, ow, 0),
-                CellOp::Mod => (SettleKind::Mod, ow, 0),
-                CellOp::And => (SettleKind::And, ow, 0),
-                CellOp::Or => (SettleKind::Or, ow, 0),
-                CellOp::Xor => (SettleKind::Xor, ow, 0),
-                CellOp::Not => (SettleKind::Not, ow, 0),
-                CellOp::Shl => (SettleKind::Shl, ow, 0),
-                CellOp::ShrL => (SettleKind::ShrL, ow, 0),
-                CellOp::ShrA => (SettleKind::ShrA, ow, sign),
-                CellOp::Cmp(c) => {
-                    let kind = match c {
-                        Comparison::Eq => SettleKind::Eq,
-                        Comparison::Ne => SettleKind::Ne,
-                        Comparison::LtU => SettleKind::LtU,
-                        Comparison::GeU => SettleKind::GeU,
-                        Comparison::LtS => SettleKind::LtS,
-                        Comparison::GeS => SettleKind::GeS,
-                    };
-                    (kind, ow, sign)
+                CellOp::Const { value } => {
+                    consts.push(mask(*value, ow));
+                    (SettleKind::Const, 0)
                 }
-                CellOp::Mux => (SettleKind::Mux, ow, 0),
-                // slice width and output net width both bound the result
-                CellOp::Slice { lo, hi } => (SettleKind::Slice, ow.min(hi - lo + 1), *lo as u8),
-                CellOp::ZeroExtend => (SettleKind::ZeroExtend, ow, 0),
-                CellOp::SignExtend => (SettleKind::SignExtend, ow, sign),
-                CellOp::Const { .. } | CellOp::Register { .. } | CellOp::RamTdp { .. } => {
-                    unreachable!("handled above")
-                }
+                CellOp::Add => (SettleKind::Add, 0),
+                CellOp::Sub => (SettleKind::Sub, 0),
+                CellOp::Mul => (SettleKind::Mul, 0),
+                CellOp::Div => (SettleKind::Div, 0),
+                CellOp::Mod => (SettleKind::Mod, 0),
+                CellOp::And => (SettleKind::And, 0),
+                CellOp::Or => (SettleKind::Or, 0),
+                CellOp::Xor => (SettleKind::Xor, 0),
+                CellOp::Not => (SettleKind::Not, 0),
+                CellOp::Shl => (SettleKind::Shl, 0),
+                CellOp::ShrL => (SettleKind::ShrL, 0),
+                CellOp::ShrA => (SettleKind::ShrA, sign()),
+                CellOp::Cmp(Comparison::Eq) => (SettleKind::Eq, 0),
+                CellOp::Cmp(Comparison::Ne) => (SettleKind::Ne, 0),
+                CellOp::Cmp(Comparison::LtU) => (SettleKind::LtU, 0),
+                CellOp::Cmp(Comparison::GeU) => (SettleKind::GeU, 0),
+                CellOp::Cmp(Comparison::LtS) => (SettleKind::LtS, sign()),
+                CellOp::Cmp(Comparison::GeS) => (SettleKind::GeS, sign()),
+                CellOp::Mux => (SettleKind::Mux, 0),
+                CellOp::Slice { lo, .. } => (SettleKind::Slice, *lo as u8),
+                CellOp::ZeroExtend => (SettleKind::ZeroExtend, 0),
+                CellOp::SignExtend => (SettleKind::SignExtend, sign()),
             };
             let input = |i: usize| cell.inputs.get(i).map_or(0, |n| n.0);
             ops.push(SettleOp {
                 kind,
                 a: input(0),
-                b: input(1),
+                // a `Const` op keeps its constant's index in `b`
+                b: if kind == SettleKind::Const { consts.len() as u32 - 1 } else { input(1) },
                 c: input(2),
                 out: out.0,
-                keep: keep_shift(width),
+                keep: (64 - ow) as u8,
                 aux,
             });
         }
@@ -652,7 +614,7 @@ impl<'n> Simulator<'n> {
                 let r = self.regs[slot];
                 let load = r.en == u32::MAX || self.values[r.en as usize] & 1 == 1;
                 let next = if load {
-                    self.values[r.d as usize] & r.mask
+                    self.values[r.d as usize]
                 } else {
                     self.reg_state[slot]
                 };
@@ -677,10 +639,10 @@ impl<'n> Simulator<'n> {
             // read-first semantics on both ports
             self.next_ram[i] = (mem[addr_a], mem[addr_b]);
             if we_a {
-                mem[addr_a] = wd_a & r.mask;
+                mem[addr_a] = wd_a;
             }
             if we_b {
-                mem[addr_b] = wd_b & r.mask;
+                mem[addr_b] = wd_b;
             }
         }
         // Phase 2: commit register state and drive RAM read data, seeding
@@ -695,7 +657,7 @@ impl<'n> Simulator<'n> {
         for i in 0..self.rams.len() {
             let (r, (ra, rb)) = (self.rams[i], self.next_ram[i]);
             self.drive(r.ra, ra);
-            self.drive(r.rb, rb & r.mask_b);
+            self.drive(r.rb, rb);
         }
         self.settle();
         self.cycle += 1;
@@ -907,9 +869,8 @@ fn rank_major(net_count: usize, ops: Vec<SettleOp>) -> Vec<SettleOp> {
 fn eval_op(values: &[u64], consts: &[u64], op: &SettleOp) -> u64 {
     let read = |n: u32| values[n as usize];
     let a = read(op.a);
-    // `x << aux` drops the bits above the input width: compared as
-    // integers, the shifted operands order as the width-bounded ones
-    // (unsigned) or their sign extensions (signed) do
+    // `x << aux` moves the input's sign bit to bit 63: compared as
+    // integers, the shifted operands order as their sign extensions do
     let signed = |x: u64| ((x << op.aux) as i64) >> op.aux;
     let v = match op.kind {
         SettleKind::Add => a.wrapping_add(read(op.b)),
@@ -932,10 +893,10 @@ fn eval_op(values: &[u64], consts: &[u64], op: &SettleOp) -> u64 {
         SettleKind::Shl => a << read(op.b).min(63),
         SettleKind::ShrL => a >> read(op.b).min(63),
         SettleKind::ShrA => (signed(a) >> read(op.b).min(63)) as u64,
-        SettleKind::Eq => u64::from(a << op.aux == read(op.b) << op.aux),
-        SettleKind::Ne => u64::from(a << op.aux != read(op.b) << op.aux),
-        SettleKind::LtU => u64::from(a << op.aux < read(op.b) << op.aux),
-        SettleKind::GeU => u64::from(a << op.aux >= read(op.b) << op.aux),
+        SettleKind::Eq => u64::from(a == read(op.b)),
+        SettleKind::Ne => u64::from(a != read(op.b)),
+        SettleKind::LtU => u64::from(a < read(op.b)),
+        SettleKind::GeU => u64::from(a >= read(op.b)),
         SettleKind::LtS => u64::from(((a << op.aux) as i64) < ((read(op.b) << op.aux) as i64)),
         SettleKind::GeS => u64::from(((a << op.aux) as i64) >= ((read(op.b) << op.aux) as i64)),
         SettleKind::Mux => {

@@ -167,7 +167,6 @@ pub fn emit(netlist: &Netlist) -> String {
             CellOp::RamTdp { depth, init } => {
                 let cname = sanitize(&cell.name);
                 let w = netlist.net(cell.outputs[0]).width;
-                let aw = netlist.net(cell.inputs[0]).width;
                 let (ra, rb) = (reg_name(cell.outputs[0]), reg_name(cell.outputs[1]));
                 let i = |k: usize| reg_name(cell.inputs[k]);
                 v.push_str(&format!(
@@ -183,7 +182,6 @@ pub fn emit(netlist: &Netlist) -> String {
                     }
                     v.push_str("end\n");
                 }
-                let _ = aw;
                 v.push_str(&format!(
                     "always @(posedge clk) begin\n\
                      \x20 {ra} <= {cname}_mem[{a0}];\n\

@@ -54,7 +54,7 @@ pub fn emit(netlist: &Netlist) -> String {
                 "  type {cname}_mem_t is array (0 to {}) of unsigned({} downto 0);\n\
                  \x20 signal {cname}_mem : {cname}_mem_t := (others => (others => '0'));\n",
                 depth - 1,
-                w.max(1) - 1
+                w - 1
             ));
         }
     }
@@ -174,7 +174,7 @@ pub fn emit(netlist: &Netlist) -> String {
 }
 
 fn vtype(width: u32) -> String {
-    format!("unsigned({} downto 0)", width.max(1) - 1)
+    format!("unsigned({} downto 0)", width - 1)
 }
 
 #[cfg(test)]

@@ -117,9 +117,28 @@ const WIRE_HEAVY: Profile = Profile {
     ..BASELINE
 };
 
+/// Fit `net` to `width` bits as HLS's `Gen::adapt` does: a `Slice`
+/// narrows, a `SignExtend` (when `signed`) or `ZeroExtend` widens, and a
+/// net already that wide is used as it is.
+fn adapt(nl: &mut Netlist, net: NetId, width: u32, signed: bool) -> NetId {
+    let w = nl.net(net).width;
+    let op = match width {
+        _ if width == w => return net,
+        _ if width < w => CellOp::Slice { lo: 0, hi: width - 1 },
+        _ if signed => CellOp::SignExtend,
+        _ => CellOp::ZeroExtend,
+    };
+    let name = format!("adapt{}_{width}", nl.cell_count());
+    let out = nl.add_net(&name, width);
+    nl.add_cell(name, op, &[net], &[out]).unwrap();
+    out
+}
+
 /// Build a random, structurally valid netlist: combinational cells only
 /// read already-created nets (so the graph is acyclic by construction),
-/// registers and RAMs may read anything and source fresh nets.
+/// registers and RAMs may read anything and source fresh nets. Every cell
+/// obeys `CellOp::check`: operands of the wrong width are fitted with
+/// [`adapt`], and an extension to fewer bits is generated as a `Slice`.
 fn random_netlist(rng: &mut DetRng) -> Netlist {
     random_netlist_with(rng, BASELINE)
 }
@@ -154,64 +173,18 @@ fn random_netlist_with(rng: &mut DetRng, profile: Profile) -> Netlist {
         let b = pick(rng, &pool);
         let sel = pick(rng, &pool);
         let out = match kind {
-            0 => {
+            0..=11 => {
+                use CellOp::*;
+                let op = [Add, Sub, Mul, Div, Mod, And, Or, Xor, Not, Shl, ShrL, ShrA]
+                    [kind as usize]
+                    .clone();
                 let y = nl.add_net(format!("y{c}"), w(rng));
-                nl.add_cell(format!("c{c}"), CellOp::Add, &[a, b], &[y]).unwrap();
-                y
-            }
-            1 => {
-                let y = nl.add_net(format!("y{c}"), w(rng));
-                nl.add_cell(format!("c{c}"), CellOp::Sub, &[a, b], &[y]).unwrap();
-                y
-            }
-            2 => {
-                let y = nl.add_net(format!("y{c}"), w(rng));
-                nl.add_cell(format!("c{c}"), CellOp::Mul, &[a, b], &[y]).unwrap();
-                y
-            }
-            3 => {
-                let y = nl.add_net(format!("y{c}"), w(rng));
-                nl.add_cell(format!("c{c}"), CellOp::Div, &[a, b], &[y]).unwrap();
-                y
-            }
-            4 => {
-                let y = nl.add_net(format!("y{c}"), w(rng));
-                nl.add_cell(format!("c{c}"), CellOp::Mod, &[a, b], &[y]).unwrap();
-                y
-            }
-            5 => {
-                let y = nl.add_net(format!("y{c}"), w(rng));
-                nl.add_cell(format!("c{c}"), CellOp::And, &[a, b], &[y]).unwrap();
-                y
-            }
-            6 => {
-                let y = nl.add_net(format!("y{c}"), w(rng));
-                nl.add_cell(format!("c{c}"), CellOp::Or, &[a, b], &[y]).unwrap();
-                y
-            }
-            7 => {
-                let y = nl.add_net(format!("y{c}"), w(rng));
-                nl.add_cell(format!("c{c}"), CellOp::Xor, &[a, b], &[y]).unwrap();
-                y
-            }
-            8 => {
-                let y = nl.add_net(format!("y{c}"), w(rng));
-                nl.add_cell(format!("c{c}"), CellOp::Not, &[a], &[y]).unwrap();
-                y
-            }
-            9 => {
-                let y = nl.add_net(format!("y{c}"), w(rng));
-                nl.add_cell(format!("c{c}"), CellOp::Shl, &[a, b], &[y]).unwrap();
-                y
-            }
-            10 => {
-                let y = nl.add_net(format!("y{c}"), w(rng));
-                nl.add_cell(format!("c{c}"), CellOp::ShrL, &[a, b], &[y]).unwrap();
-                y
-            }
-            11 => {
-                let y = nl.add_net(format!("y{c}"), w(rng));
-                nl.add_cell(format!("c{c}"), CellOp::ShrA, &[a, b], &[y]).unwrap();
+                let yw = nl.net(y).width;
+                let mut ins = vec![adapt(&mut nl, a, yw, op == ShrA)];
+                if op != Not {
+                    ins.push(adapt(&mut nl, b, yw, false));
+                }
+                nl.add_cell(format!("c{c}"), op, &ins, &[y]).unwrap();
                 y
             }
             12 => {
@@ -222,12 +195,20 @@ fn random_netlist_with(rng: &mut DetRng, profile: Profile) -> Netlist {
                     _ => Comparison::Ne,
                 };
                 let y = nl.add_net(format!("y{c}"), 1);
+                let aw = nl.net(a).width;
+                let b = adapt(&mut nl, b, aw, cmp == Comparison::LtS);
                 nl.add_cell(format!("c{c}"), CellOp::Cmp(cmp), &[a, b], &[y]).unwrap();
                 y
             }
             13 => {
                 let y = nl.add_net(format!("y{c}"), w(rng));
-                nl.add_cell(format!("c{c}"), CellOp::Mux, &[sel, a, b], &[y]).unwrap();
+                let yw = nl.net(y).width;
+                let ins = [
+                    adapt(&mut nl, sel, 1, false),
+                    adapt(&mut nl, a, yw, false),
+                    adapt(&mut nl, b, yw, false),
+                ];
+                nl.add_cell(format!("c{c}"), CellOp::Mux, &ins, &[y]).unwrap();
                 y
             }
             14 => {
@@ -249,8 +230,8 @@ fn random_netlist_with(rng: &mut DetRng, profile: Profile) -> Netlist {
                 nl.add_cell(format!("c{c}"), CellOp::Slice { lo, hi }, &[a], &[y]).unwrap();
                 y
             }
-            16 => {
-                let (src, width) = if profile.zext_bias > 0 {
+            16 | 17 => {
+                let (src, width) = if kind == 16 && profile.zext_bias > 0 {
                     let src = if rng.chance(0.5) { pool[pool.len() - 1] } else { a };
                     let sw = nl.net(src).width;
                     // same width, wider, or (1 in 8) any width
@@ -264,26 +245,28 @@ fn random_netlist_with(rng: &mut DetRng, profile: Profile) -> Netlist {
                     (a, w(rng))
                 };
                 let y = nl.add_net(format!("y{c}"), width);
-                nl.add_cell(format!("c{c}"), CellOp::ZeroExtend, &[src], &[y]).unwrap();
-                y
-            }
-            17 => {
-                let y = nl.add_net(format!("y{c}"), w(rng));
-                nl.add_cell(format!("c{c}"), CellOp::SignExtend, &[a], &[y]).unwrap();
+                // an extension to fewer bits is a slice
+                let op = match nl.net(src).width {
+                    sw if width < sw => CellOp::Slice { lo: 0, hi: width - 1 },
+                    _ if kind == 16 => CellOp::ZeroExtend,
+                    _ => CellOp::SignExtend,
+                };
+                nl.add_cell(format!("c{c}"), op, &[src], &[y]).unwrap();
                 y
             }
             18 => {
                 let has_enable = rng.chance(0.5);
                 let q = nl.add_net(format!("q{c}"), w(rng));
-                let (mut d, mut en) = (a, sel);
+                let (mut d, mut en_is_d) = (a, false);
                 if profile.reg_bias > 0 {
                     if !reg_qs.is_empty() && rng.chance(0.6) {
                         d = pick(rng, &reg_qs);
                     }
-                    if rng.chance(0.3) {
-                        en = d;
-                    }
+                    en_is_d = rng.chance(0.3);
                 }
+                let qw = nl.net(q).width;
+                let d = adapt(&mut nl, d, qw, false);
+                let en = adapt(&mut nl, if en_is_d { d } else { sel }, 1, false);
                 let ins: Vec<NetId> = if has_enable { vec![d, en] } else { vec![d] };
                 nl.add_cell(
                     format!("c{c}"),
@@ -302,21 +285,26 @@ fn random_netlist_with(rng: &mut DetRng, profile: Profile) -> Netlist {
                 let depth = rng.range_u64(4, profile.ram_depth_hi) as u32;
                 let dw = w(rng);
                 let init: Vec<u64> = (0..depth).map(|_| rng.next_u64()).collect();
-                // the wire-heavy profile also gives port b its own width
+                // the wire-heavy profile also reads port b through a fit
+                // to a width of its own
                 let bw = if profile.zext_bias > 0 { w(rng) } else { dw };
                 let ra = nl.add_net(format!("ra{c}"), dw);
-                let rb = nl.add_net(format!("rb{c}"), bw);
+                let rb = nl.add_net(format!("rb{c}"), dw);
                 let (wa, wb) = (pick(rng, &pool), pick(rng, &pool));
                 let (ea, eb) = (pick(rng, &pool), pick(rng, &pool));
-                nl.add_cell(
-                    format!("c{c}"),
-                    CellOp::RamTdp { depth, init },
-                    &[a, wa, ea, b, wb, eb],
-                    &[ra, rb],
-                )
-                .unwrap();
+                let aw = nl.net(a).width;
+                let ins = [
+                    a,
+                    adapt(&mut nl, wa, dw, false),
+                    adapt(&mut nl, ea, 1, false),
+                    adapt(&mut nl, b, aw, false),
+                    adapt(&mut nl, wb, dw, false),
+                    adapt(&mut nl, eb, 1, false),
+                ];
+                nl.add_cell(format!("c{c}"), CellOp::RamTdp { depth, init }, &ins, &[ra, rb])
+                    .unwrap();
                 pool.push(ra);
-                rb
+                adapt(&mut nl, rb, bw, false)
             }
         };
         pool.push(out);
