@@ -23,9 +23,12 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 # optimizer too, and so do the RTL simulator's differential settle tests
 # against the reference interpreter, and the oracle tests that hold the
 # word-wise CRC-32, TMR vote, netlist order and HLS emit to the bit- and
-# byte-serial code they replaced.
+# byte-serial code they replaced. The table-driven STA is held the same
+# way, bit for bit, to the analysis it replaced, on every default-sweep
+# template and every routed suite kernel.
 cargo test -q --release -p hermes-bench --test flow_identity --test fleet_identity \
-  --test settle_engines --test netlist_shape --test mapping_equivalence --test library_identity
+  --test settle_engines --test netlist_shape --test mapping_equivalence --test library_identity \
+  --test sta_oracle
 cargo test -q --release -p hermes-fpga
 cargo test -q --release -p hermes-rtl
 cargo test -q --release -p hermes-boot -p hermes-hls

@@ -11,7 +11,7 @@
 use hermes_bench::kernels;
 use hermes_fpga::device::DeviceProfile;
 use hermes_fpga::flow::{FlowArtifacts, FlowOptions, FlowReport, NxFlow};
-use hermes_fpga::primitives::{PCell, PNetId, Primitive};
+use hermes_fpga::primitives::{PNetId, Primitive};
 use hermes_hls::HlsFlow;
 use hermes_obs::Recorder;
 use hermes_obs::hash::fnv1a_words;
@@ -65,8 +65,8 @@ fn suite_flow_results_are_bit_identical() {
     for Run { name, report, art } in suite_runs() {
         h = mix_bytes(h, name.as_bytes());
         h = mix_bytes(h, report.render().as_bytes());
-        for cell in &report.timing.critical_cells {
-            h = mix_bytes(h, cell.as_bytes());
+        for &cell in &report.timing.critical_path {
+            h = mix_bytes(h, art.prim.cell_name(cell).as_bytes());
         }
         let sites: Vec<i64> = art
             .placement
@@ -138,30 +138,32 @@ fn placement_is_legal_for_every_suite_kernel() {
 /// point (a sequential cell or an input pad) or at a constant, and never
 /// revisits a cell. The one cell that may close the path where it began is
 /// a register feeding its own D input (the state register's next-state
-/// loop), which launches and captures the same arc.
+/// loop), which launches and captures the same arc. Cells are compared by
+/// id: instance names need not be unique.
 #[test]
 fn critical_path_runs_from_one_launch_point_to_its_capture() {
     for Run { name, report, art } in suite_runs() {
         let t = &report.timing;
-        let path = &t.critical_cells;
+        let path = &t.critical_path;
         let arc = match path.split_last() {
             Some((capture, rest)) if rest.first() == Some(capture) => rest,
             _ => &path[..],
         };
         let mut seen = HashSet::new();
-        if let Some(again) = arc.iter().find(|&c| !seen.insert(c)) {
-            panic!("{name}: {again} repeats on a {}-cell critical path", path.len());
+        if let Some(&again) = arc.iter().find(|&&c| !seen.insert(c)) {
+            panic!(
+                "{name}: {} repeats on a {}-cell critical path",
+                art.prim.cell_name(again),
+                path.len()
+            );
         }
-        let starts = art.prim.cells().filter(|&(cid, _)| art.prim.cell_name(cid) == path[0]);
-        let launch_or_const = |c: PCell| {
-            c.prim.is_sequential()
-                || matches!(c.prim, Primitive::IoPad { is_input: true })
-                || c.inputs.is_empty()
-        };
+        let start = art.prim.cell(path[0]);
         assert!(
-            starts.map(|(_, c)| c).any(launch_or_const),
+            start.prim.is_sequential()
+                || matches!(start.prim, Primitive::IoPad { is_input: true })
+                || start.inputs.is_empty(),
             "{name}: critical path starts at {}, neither a launch point nor a constant",
-            path[0]
+            art.prim.cell_name(path[0])
         );
         assert!(
             (t.logic_levels as usize) < path.len(),

@@ -129,7 +129,7 @@ impl Eucalyptus {
         let netlist = templates::build(&template)?;
         let result = synth.synthesize(&netlist)?;
         // Large target period: we want the raw combinational delay.
-        let timing = analyzer.analyze(&result.prim, None, 1000.0);
+        let timing = analyzer.analyze(&result.prim, None, 1000.0)?;
         // Strip the template's register overhead from the measured
         // path to get the core's own delay.
         let t = &self.device.timing;

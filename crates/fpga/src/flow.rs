@@ -255,7 +255,7 @@ impl NxFlow {
         let t3 = Instant::now();
         let timing = Analyzer::new(self.device.clone())
             .with_multicycle(self.options.multicycle.clone())
-            .analyze(&synth.prim, Some(&route), self.options.target_period_ns);
+            .analyze(&synth.prim, Some(&route), self.options.target_period_ns)?;
         obs.span(
             SUB,
             "sta",

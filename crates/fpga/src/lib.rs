@@ -75,6 +75,12 @@ pub enum FpgaError {
         /// Worst channel overflow.
         overflow: u32,
     },
+    /// The combinational cells form a cycle, so static timing cannot
+    /// order them.
+    CombinationalLoop {
+        /// Instance name of a cell on the cycle.
+        cell: String,
+    },
     /// Bitstream integrity failure.
     BitstreamCorrupt {
         /// Index of the first corrupted frame.
@@ -109,6 +115,9 @@ impl fmt::Display for FpgaError {
             }
             FpgaError::Unroutable { overflow } => {
                 write!(f, "routing congestion overflow of {overflow} tracks")
+            }
+            FpgaError::CombinationalLoop { cell } => {
+                write!(f, "combinational loop through cell `{cell}`")
             }
             FpgaError::BitstreamCorrupt { frame } => {
                 write!(f, "bitstream frame {frame} failed its CRC check")

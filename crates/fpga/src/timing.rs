@@ -9,6 +9,7 @@
 use crate::device::DeviceProfile;
 use crate::primitives::{Csr, PCellId, PNetId, PrimNetlist, Primitive};
 use crate::route::RouteReport;
+use crate::FpgaError;
 use std::collections::HashMap;
 
 /// Multicycle exceptions: combinational cells expanded from the named
@@ -30,8 +31,9 @@ pub struct TimingReport {
     pub worst_slack_ns: f64,
     /// The requested clock period used for slack, ns.
     pub target_period_ns: f64,
-    /// Cells on the critical path, source to sink.
-    pub critical_cells: Vec<String>,
+    /// Cells on the critical path, source to sink (render a name with
+    /// [`PrimNetlist::cell_name`]).
+    pub critical_path: Vec<PCellId>,
     /// Combinational logic levels on the critical path.
     pub logic_levels: u32,
 }
@@ -42,6 +44,17 @@ impl TimingReport {
         self.worst_slack_ns >= 0.0
     }
 }
+
+/// Timing class of a cell: a combinational cell propagates arrivals, an
+/// input pad launches them, a sequential cell launches and captures them,
+/// an output pad captures them.
+const COMB: u8 = 0;
+const LAUNCH: u8 = 1;
+const REG: u8 = 2;
+const CAPTURE: u8 = 3;
+
+/// No cell: an undriven net, an unset arrival or a missing predecessor.
+const NONE: u32 = u32::MAX;
 
 /// The timing analyzer.
 #[derive(Debug, Clone)]
@@ -101,22 +114,40 @@ impl Analyzer {
     /// The analysis propagates arrival times through the combinational
     /// subgraph (sequential outputs are launch points; sequential inputs and
     /// output pads are capture points).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FpgaError::CombinationalLoop`] if the combinational cells
+    /// form a cycle: no path through it has a finite arrival time.
     pub fn analyze(
         &self,
         prim: &PrimNetlist,
         route: Option<&RouteReport>,
         target_period_ns: f64,
-    ) -> TimingReport {
+    ) -> Result<TimingReport, FpgaError> {
         let t = &self.device.timing;
-        let nets = prim.net_count() as usize;
-        // Wire delay of every net, and each net's driver: the last cell in
-        // cell order that lists it as an output (a multiply-driven net
-        // resolves to its last writer).
-        let mut driver: Vec<Option<PCellId>> = vec![None; nets];
+        let (cells, nets) = (prim.cell_count(), prim.net_count() as usize);
+        // Set-up pass: each cell's class, each net's fanout and driver (the
+        // last cell in cell order that lists it as an output, so a
+        // multiply-driven net resolves to its last writer).
+        let mut class = Vec::with_capacity(cells);
+        let mut driver = vec![NONE; nets];
         let mut fanout = vec![0u32; nets];
+        let (mut comb_cells, mut comb_pins) = (0usize, 0usize);
         for (cid, c) in prim.cells() {
+            let k = match c.prim {
+                Primitive::IoPad { is_input: true } => LAUNCH,
+                Primitive::IoPad { is_input: false } => CAPTURE,
+                p if p.is_sequential() => REG,
+                _ => COMB,
+            };
+            if k == COMB {
+                comb_cells += 1;
+                comb_pins += c.inputs.len();
+            }
+            class.push(k);
             for &o in c.outputs {
-                driver[o.0 as usize] = Some(cid);
+                driver[o.0 as usize] = cid.0;
             }
             for &i in c.inputs {
                 fanout[i.0 as usize] += 1;
@@ -132,51 +163,49 @@ impl Analyzer {
                 .collect(),
         };
 
-        // Arrival time per net, plus the cell that set it (for path
-        // recovery); `None` until some cell drives the net.
-        let mut arrival: Vec<Option<(f64, PCellId)>> = vec![None; nets];
+        // Arrival time per net and the cell that set it (for path
+        // recovery); `setter` is `NONE` until some cell drives the net, and
+        // an undriven net's time stays 0.0, which no arrival read beats.
+        let mut time = vec![0.0f64; nets];
+        let mut setter = vec![NONE; nets];
 
-        // Launch points: sequential outputs and input pads.
-        let is_comb = |p: &Primitive| !p.is_sequential() && !matches!(p, Primitive::IoPad { .. });
-        let mut comb_cells: Vec<PCellId> = Vec::new();
+        // Edge pass: launch points (sequential outputs and input pads) seed
+        // their arrivals, and each combinational cell gets one edge per
+        // input pin driven by another combinational cell. A cell's
+        // in-degree is final once its own pins are done, so the ready list
+        // is seeded in cell order.
+        let mut edges: Vec<(u32, PCellId)> = Vec::with_capacity(comb_pins);
+        let mut indeg = vec![0u32; cells];
+        let mut ready: Vec<u32> = Vec::with_capacity(comb_cells);
         for (cid, c) in prim.cells() {
-            if c.prim.is_sequential() || matches!(c.prim, Primitive::IoPad { is_input: true }) {
-                let launch = self.cell_delay(&c.prim);
-                for &o in c.outputs {
-                    let a = launch + wire[o.0 as usize];
-                    let e = &mut arrival[o.0 as usize];
-                    if e.is_none_or(|(old, _)| a > old) {
-                        *e = Some((a, cid));
+            match class[cid.0 as usize] {
+                COMB => {
+                    for &i in c.inputs {
+                        let src = driver[i.0 as usize];
+                        if src != NONE && class[src as usize] == COMB {
+                            edges.push((src, cid));
+                            indeg[cid.0 as usize] += 1;
+                        }
+                    }
+                    if indeg[cid.0 as usize] == 0 {
+                        ready.push(cid.0);
                     }
                 }
-            } else if !matches!(c.prim, Primitive::IoPad { .. }) {
-                comb_cells.push(cid);
+                LAUNCH | REG => {
+                    let launch = self.cell_delay(&c.prim);
+                    for &o in c.outputs {
+                        let (o, a) = (o.0 as usize, launch + wire[o.0 as usize]);
+                        if setter[o] == NONE || a > time[o] {
+                            (time[o], setter[o]) = (a, cid.0);
+                        }
+                    }
+                }
+                _ => {}
             }
         }
+        // counting sort into successor rows, each in edge (pin) order
+        let succ = Csr::from_pairs(cells, edges.iter().map(|&(src, dst)| (src as usize, dst)));
 
-        // Topological propagation via Kahn's algorithm over combinational
-        // cells: one edge per input pin driven by another combinational cell.
-        let driver = &driver;
-        let edges = comb_cells.iter().flat_map(|&cid| {
-            prim.cell(cid).inputs.iter().filter_map(move |i| {
-                driver[i.0 as usize]
-                    .filter(|&src| is_comb(&prim.cell(src).prim))
-                    .map(|src| (src, cid))
-            })
-        });
-        let mut indeg = vec![0u32; prim.cell_count()];
-        for (_, dst) in edges.clone() {
-            indeg[dst.0 as usize] += 1;
-        }
-        let succ = Csr::from_pairs(
-            prim.cell_count(),
-            edges.map(|(src, dst)| (src.0 as usize, dst)),
-        );
-        let mut queue: Vec<PCellId> = comb_cells
-            .iter()
-            .copied()
-            .filter(|c| indeg[c.0 as usize] == 0)
-            .collect();
         // multicycle exception: cell and interconnect delay inside the
         // excepted cone are amortized over the allowed settle cycles; one
         // scale per source string, looked up once
@@ -185,55 +214,59 @@ impl Analyzer {
             .iter()
             .map(|s| self.multicycle.get(s).map_or(1.0, |&f| f64::from(f.max(1))))
             .collect();
-        let mut pred_of: Vec<Option<PCellId>> = vec![None; prim.cell_count()];
-        while let Some(cid) = queue.pop() {
-            let c = prim.cell(cid);
+
+        // Kahn's algorithm with a LIFO ready list. Launch arrivals win on
+        // `>` (first writer keeps a tie), combinational ones on `>=` (last
+        // writer takes it); with the pop order this fixes which writer sets
+        // a multiply-driven net.
+        let mut pred = vec![NONE; cells];
+        let mut reached = 0usize;
+        while let Some(cid) = ready.pop() {
+            reached += 1;
+            let c = prim.cell(PCellId(cid));
             let mut best = 0.0f64;
-            let mut best_pred = None;
             for &i in c.inputs {
-                if let Some((a, src)) = arrival[i.0 as usize] {
-                    if a > best {
-                        best = a;
-                        best_pred = Some(src);
-                    }
+                let i = i.0 as usize;
+                if time[i] > best {
+                    best = time[i];
+                    pred[cid as usize] = setter[i];
                 }
             }
-            pred_of[cid.0 as usize] = best_pred;
             let d = self.cell_delay(&c.prim);
             let scale = scale[c.source as usize];
             for &o in c.outputs {
-                let a = best + (d + wire[o.0 as usize]) / scale;
-                let e = &mut arrival[o.0 as usize];
-                if e.is_none_or(|(old, _)| a >= old) {
-                    *e = Some((a, cid));
+                let (o, a) = (o.0 as usize, best + (d + wire[o.0 as usize]) / scale);
+                if setter[o] == NONE || a >= time[o] {
+                    (time[o], setter[o]) = (a, cid);
                 }
             }
-            for &n in succ.row(cid.0 as usize) {
+            for &n in succ.row(cid as usize) {
                 let deg = &mut indeg[n.0 as usize];
                 *deg -= 1;
                 if *deg == 0 {
-                    queue.push(n);
+                    ready.push(n.0);
                 }
             }
+        }
+        if reached < comb_cells {
+            return Err(FpgaError::CombinationalLoop {
+                cell: prim.cell_name(cell_on_loop(prim, &driver, &indeg)),
+            });
         }
 
         // Capture: worst arrival + setup at sequential inputs / output pads.
         let mut critical = 0.0f64;
-        let mut critical_end: Option<PCellId> = None;
+        let mut critical_end = None;
         for (cid, c) in prim.cells() {
-            let is_capture = c.prim.is_sequential()
-                || matches!(c.prim, Primitive::IoPad { is_input: false });
-            if !is_capture {
+            if !matches!(class[cid.0 as usize], REG | CAPTURE) {
                 continue;
             }
             let setup = self.sink_setup(&c.prim);
             for &i in c.inputs {
-                if let Some((a, _)) = arrival[i.0 as usize] {
-                    let total = a + setup;
-                    if total > critical {
-                        critical = total;
-                        critical_end = Some(cid);
-                    }
+                let i = i.0 as usize;
+                if setter[i] != NONE && time[i] + setup > critical {
+                    critical = time[i] + setup;
+                    critical_end = Some(cid);
                 }
             }
         }
@@ -242,46 +275,66 @@ impl Analyzer {
         let critical = critical.max(floor);
 
         // Recover the path backwards: from the capture cell through its
-        // worst input, then through each combinational cell's recorded
-        // predecessor, ending at the launch point (a sequential cell or an
-        // input pad) or at a cell with no timed input (a constant).
-        let mut critical_cells = Vec::new();
-        let mut logic_levels = 0u32;
-        let mut cur = critical_end;
-        while let Some(cid) = cur {
-            let c = prim.cell(cid);
-            critical_cells.push(prim.cell_name(cid));
-            if matches!(c.prim, Primitive::Lut4 { .. } | Primitive::Carry) {
-                logic_levels += 1;
-            }
-            cur = if critical_cells.len() == 1 {
-                let mut best: Option<(f64, PCellId)> = None;
-                for &i in c.inputs {
-                    if let Some((a, src)) = arrival[i.0 as usize] {
-                        if best.is_none_or(|(b, _)| a > b) {
-                            best = Some((a, src));
-                        }
-                    }
+        // worst input (the first timed input keeps a tie), then through
+        // each combinational cell's recorded predecessor, ending at the
+        // launch point (a sequential cell or an input pad) or at a cell
+        // with no timed input (a constant).
+        let mut critical_path = Vec::new();
+        if let Some(end) = critical_end {
+            critical_path.push(end);
+            let mut worst: Option<(f64, u32)> = None;
+            for &i in prim.cell(end).inputs {
+                let i = i.0 as usize;
+                if setter[i] != NONE && worst.is_none_or(|(b, _)| time[i] > b) {
+                    worst = Some((time[i], setter[i]));
                 }
-                best.map(|(_, s)| s)
-            } else if is_comb(&c.prim) {
-                pred_of[cid.0 as usize]
-            } else {
-                None
-            };
+            }
+            let mut cur = worst.map_or(NONE, |(_, s)| s);
+            while cur != NONE {
+                critical_path.push(PCellId(cur));
+                cur = if class[cur as usize] == COMB {
+                    pred[cur as usize]
+                } else {
+                    NONE
+                };
+            }
+            critical_path.reverse();
         }
-        critical_cells.reverse();
+        let is_logic = |&&cid: &&PCellId| {
+            matches!(prim.cell(cid).prim, Primitive::Lut4 { .. } | Primitive::Carry)
+        };
+        let logic_levels = critical_path.iter().filter(is_logic).count() as u32;
 
-        let fmax_mhz = 1000.0 / critical;
-        TimingReport {
+        Ok(TimingReport {
             critical_path_ns: critical,
-            fmax_mhz,
+            fmax_mhz: 1000.0 / critical,
             worst_slack_ns: target_period_ns - critical,
             target_period_ns,
-            critical_cells,
+            critical_path,
             logic_levels,
-        }
+        })
     }
+}
+
+/// A combinational cell on a loop, given Kahn's leftover in-degrees
+/// (every cell it never reached still has one). Each such cell has an
+/// unreached combinational driver, so walking from the first one to a
+/// driver as many steps as there are unreached cells ends on the loop.
+fn cell_on_loop(prim: &PrimNetlist, driver: &[u32], indeg: &[u32]) -> PCellId {
+    let unreached = |c: u32| c != NONE && indeg[c as usize] > 0;
+    let left = (0..prim.cell_count() as u32).filter(|&c| unreached(c));
+    let steps = left.clone().count();
+    let mut cur = left.clone().next().expect("a loop leaves a cell unreached");
+    for _ in 0..steps {
+        cur = prim
+            .cell(PCellId(cur))
+            .inputs
+            .iter()
+            .map(|i| driver[i.0 as usize])
+            .find(|&src| unreached(src))
+            .expect("an unreached cell has an unreached driver");
+    }
+    PCellId(cur)
 }
 
 #[cfg(test)]
@@ -294,7 +347,7 @@ mod tests {
     fn analyze(nl: &Netlist) -> TimingReport {
         let dev = DeviceProfile::ng_medium_like();
         let prim = Synthesizer::new(dev.clone()).synthesize(nl).unwrap().prim;
-        Analyzer::new(dev).analyze(&prim, None, 10.0)
+        Analyzer::new(dev).analyze(&prim, None, 10.0).unwrap()
     }
 
     fn adder(w: u32) -> Netlist {
@@ -337,7 +390,7 @@ mod tests {
             .synthesize(&adder(16))
             .unwrap()
             .prim;
-        let tight = Analyzer::new(dev).analyze(&prim, None, 0.1);
+        let tight = Analyzer::new(dev).analyze(&prim, None, 0.1).unwrap();
         assert!(!tight.met());
         assert!(tight.worst_slack_ns < 0.0);
     }
@@ -366,7 +419,7 @@ mod tests {
     #[test]
     fn critical_path_nonempty_for_logic() {
         let r = analyze(&adder(16));
-        assert!(!r.critical_cells.is_empty());
+        assert!(!r.critical_path.is_empty());
         assert!(r.logic_levels > 0);
     }
 
@@ -385,8 +438,34 @@ mod tests {
         add_plain(&mut p, "last", lut, &[b], &[n]);
         add_plain(&mut p, "sink", lut, &[n], &[y]);
         add_plain(&mut p, "pad_y", Primitive::IoPad { is_input: false }, &[y], &[]);
+        let r = Analyzer::new(DeviceProfile::ng_medium_like())
+            .analyze(&p, None, 10.0)
+            .unwrap();
+        let names: Vec<String> = r.critical_path.iter().map(|&c| p.cell_name(c)).collect();
+        assert_eq!(names, ["pad_b", "last", "sink", "pad_y"]);
+    }
+
+    /// Input pad → LUT `a` ⇄ LUT `b` → output pad: the two LUTs never
+    /// leave Kahn's queue, so no path through them can be timed.
+    #[test]
+    fn combinational_loop_is_an_error() {
+        use crate::primitives::{add_plain, truth, PrimNetlist};
+        let mut p = PrimNetlist::new("t");
+        let (x, na, nb) = (p.new_net(), p.new_net(), p.new_net());
+        add_plain(&mut p, "pad_x", Primitive::IoPad { is_input: true }, &[], &[x]);
+        let and2 = Primitive::Lut4 {
+            truth: truth::AND2,
+            used_inputs: 2,
+        };
+        add_plain(&mut p, "a", and2, &[x, nb], &[na]);
+        let buf = Primitive::Lut4 {
+            truth: truth::BUF1,
+            used_inputs: 1,
+        };
+        add_plain(&mut p, "b", buf, &[na], &[nb]);
+        add_plain(&mut p, "pad_y", Primitive::IoPad { is_input: false }, &[nb], &[]);
         let r = Analyzer::new(DeviceProfile::ng_medium_like()).analyze(&p, None, 10.0);
-        assert_eq!(r.critical_cells, ["pad_b", "last", "sink", "pad_y"]);
+        assert_eq!(r.unwrap_err(), FpgaError::CombinationalLoop { cell: "a".into() });
     }
 
     /// Two independent adders, `slow` (32 bits) and `fast` (8 bits): a
@@ -409,7 +488,8 @@ mod tests {
             let hints = hints.iter().map(|&(n, f)| (n.to_string(), f)).collect();
             let r = Analyzer::new(dev.clone())
                 .with_multicycle(hints)
-                .analyze(&prim, None, 10.0);
+                .analyze(&prim, None, 10.0)
+                .unwrap();
             r.critical_path_ns.to_bits()
         };
         let none = 0x4020_4ccc_cccc_ccca; // 8.15 ns through `slow`
@@ -429,8 +509,8 @@ mod tests {
         let l = DeviceProfile::legacy_radhard_like();
         let pm = Synthesizer::new(m.clone()).synthesize(&nl).unwrap().prim;
         let pl = Synthesizer::new(l.clone()).synthesize(&nl).unwrap().prim;
-        let tm = Analyzer::new(m).analyze(&pm, None, 10.0);
-        let tl = Analyzer::new(l).analyze(&pl, None, 10.0);
+        let tm = Analyzer::new(m).analyze(&pm, None, 10.0).unwrap();
+        let tl = Analyzer::new(l).analyze(&pl, None, 10.0).unwrap();
         let ratio = tm.fmax_mhz / tl.fmax_mhz;
         assert!(
             (1.8..=2.2).contains(&ratio),
